@@ -116,13 +116,13 @@ def cart_fit(
         value.append(float(y[rows].mean()))
         return idx
 
-    def grow(rows: np.ndarray, depth: int) -> int:
+    def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
         node = new_node(rows)
         m = rows.shape[0]
         if depth >= max_depth or m < msp or m < 2 * msl or np.ptp(y[rows]) == 0.0:
             leaf_rows[node] = rows
             return node
-        split = _best_split(X[rows], y[rows], msl)
+        split = _best_split(X[rows], y[rows], order, msl)
         if split is None:
             leaf_rows[node] = rows
             return node
@@ -130,11 +130,13 @@ def cart_fit(
         go_left = X[rows, feat] <= thr
         feature[node] = feat
         threshold[node] = thr
-        left[node] = grow(rows[go_left], depth + 1)
-        right[node] = grow(rows[~go_left], depth + 1)
+        left[node] = grow(rows[go_left], _restrict_order(order, go_left), depth + 1)
+        right[node] = grow(rows[~go_left], _restrict_order(order, ~go_left), depth + 1)
         return node
 
-    grow(np.arange(n), 0)
+    # sort once at the root; children inherit the order by filtering, which
+    # equals a stable re-sort because rows stay in ascending index order
+    grow(np.arange(n), np.argsort(X.T, axis=1, kind="stable"), 0)
     return RegressionTree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -145,46 +147,57 @@ def cart_fit(
     )
 
 
-def _best_split(Xn: np.ndarray, yn: np.ndarray, msl: int) -> Optional[tuple[int, float]]:
+def _best_split(
+    Xn: np.ndarray, yn: np.ndarray, order: np.ndarray, msl: int
+) -> Optional[tuple[int, float]]:
     """Exhaustive scan for the max-gain split; None when no admissible split.
 
-    Works on node-centred targets so sums of squares stay well conditioned for
+    order[j] is the stable ascending argsort of Xn[:, j]. All features are
+    scanned at once, one row of the (d, m) sorted arrays each. Works on
+    node-centred targets so sums of squares stay well conditioned for
     near-constant nodes.
     """
     m, d = Xn.shape
+    if m < 2 * msl:
+        return None
     yc = yn - yn.mean()
     parent_sse = float(yc @ yc)
+    xs = np.take_along_axis(Xn.T, order, axis=1)
+    ys = yc[order]
+    csum = np.cumsum(ys, axis=1)
+    csum2 = np.cumsum(ys * ys, axis=1)
+    tot, tot2 = csum[:, -1:], csum2[:, -1:]
+    # a split after sorted position pos - 1 puts pos rows on the left
+    pos = np.arange(msl, m - msl + 1)
+    cut = slice(msl - 1, m - msl)
+    sl, s2l = csum[:, cut], csum2[:, cut]
+    sse_left = s2l - sl * sl / pos
+    nr = m - pos
+    sr = tot - sl
+    sse_right = (tot2 - s2l) - sr * sr / nr
+    gains = parent_sse - (sse_left + sse_right)
+    # only cut between distinct values
+    gains[~(xs[:, cut] < xs[:, msl:m - msl + 1])] = -np.inf
+    ks = np.argmax(gains, axis=1)  # first max: lowest threshold wins ties
     best_gain = 0.0
     best: Optional[tuple[int, float]] = None
-    sizes = np.arange(msl, m - msl + 1)
-    if sizes.size == 0:
-        return None
-    for j in range(d):
-        order = np.argsort(Xn[:, j], kind="stable")
-        xs = Xn[order, j]
-        ys = yc[order]
-        ok = xs[sizes - 1] < xs[sizes]
-        if not ok.any():
-            continue
-        pos = sizes[ok]
-        csum = np.cumsum(ys)
-        csum2 = np.cumsum(ys * ys)
-        tot, tot2 = csum[-1], csum2[-1]
-        sl, s2l = csum[pos - 1], csum2[pos - 1]
-        sse_left = s2l - sl * sl / pos
-        nr = m - pos
-        sr = tot - sl
-        sse_right = (tot2 - s2l) - sr * sr / nr
-        gains = parent_sse - (sse_left + sse_right)
-        k = int(np.argmax(gains))  # first max: lowest threshold wins ties
-        if gains[k] > best_gain:
+    for j in range(d):  # strict >: lowest feature wins ties
+        k = int(ks[j])
+        if gains[j, k] > best_gain:
             i = int(pos[k])
-            thr = 0.5 * (xs[i - 1] + xs[i])
-            if thr >= xs[i]:  # midpoint rounded up to the right value
-                thr = float(xs[i - 1])
-            best_gain = float(gains[k])
+            thr = 0.5 * (xs[j, i - 1] + xs[j, i])
+            if thr >= xs[j, i]:  # midpoint rounded up to the right value
+                thr = float(xs[j, i - 1])
+            best_gain = float(gains[j, k])
             best = (j, float(thr))
     return best
+
+
+def _restrict_order(order: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per-feature sorted order of the kept rows, renumbered to their new positions."""
+    renumber = np.cumsum(keep) - 1
+    kept = order[keep[order]]  # row-major, so feature by feature
+    return renumber[kept].reshape(order.shape[0], -1)
 
 
 def cart_route(tree: RegressionTree, X: np.ndarray) -> np.ndarray:

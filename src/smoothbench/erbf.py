@@ -8,6 +8,10 @@ Lipschitz estimate of the target, or by k-means). Stage 2 initialises widths
 from local neighbourhood statistics. Stage 3 refines log-widths by L-BFGS
 against training MSE with the output layer held fixed; the output layer is
 then re-solved by ridge on the final activations.
+
+Activations, loss and gradient accumulate the quadratic form one feature at
+a time into (n, K) buffers, so fit and predict hold O(n K) working memory
+rather than (rows, K, d) tensors.
 """
 
 from __future__ import annotations
@@ -87,12 +91,11 @@ def local_lipschitz(
         rows = slice(start, min(start + chunk, n))
         d2 = sq_norms[rows, None] + sq_norms[None, :] - 2.0 * (X[rows] @ X.T)
         np.maximum(d2, 0.0, out=d2)
-        for i in range(d2.shape[0]):
-            gi = start + i
-            d2[i, gi] = np.inf
-            nb = np.argpartition(d2[i], kk - 1)[:kk]
-            dists = np.sqrt(d2[i, nb])
-            L[gi] = np.max(np.abs(y[gi] - y[nb]) / (dists + eps))
+        local = np.arange(d2.shape[0])
+        d2[local, start + local] = np.inf
+        nb = np.argpartition(d2, kk - 1, axis=1)[:, :kk]
+        dists = np.sqrt(np.take_along_axis(d2, nb, axis=1))
+        L[rows] = np.max(np.abs(y[rows, None] - y[nb]) / (dists + eps), axis=1)
     cap = np.percentile(L, clip_percentile)
     return np.minimum(L, cap)
 
@@ -166,18 +169,33 @@ def init_widths(
 
 
 def erbf_activations(X: np.ndarray, centers: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Activation matrix Phi with Phi[i, k] = exp(-1/2 sum_j ((x_ij-c_kj)/sigma_kj)^2)."""
+    """Activation matrix Phi with Phi[i, k] = exp(-1/2 sum_j ((x_ij-c_kj)/sigma_kj)^2).
+
+    The quadratic form is accumulated one feature at a time into one (n, K)
+    buffer, so working memory stays O(n K) whatever d is.
+    """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     K, d = sigma.shape
-    Phi = np.empty((n, K))
+    Phi = np.zeros((n, K))
+    z = np.empty((n, K))
     # widths at the edge of float range are legal during line-search probing;
     # the resulting inf/underflow arithmetic is well defined, so keep it quiet
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        for start, stop in _chunks(n, K * d):
-            Z = (X[start:stop, None, :] - centers[None, :, :]) / sigma[None, :, :]
-            Phi[start:stop] = np.exp(-0.5 * (Z * Z).sum(axis=2))
+        for j in range(d):
+            _scaled_sq(X, centers, sigma, j, out=z)
+            Phi += z
+        Phi *= -0.5
+        np.exp(Phi, out=Phi)
     return Phi
+
+
+def _scaled_sq(X: np.ndarray, centers: np.ndarray, sigma: np.ndarray, j: int,
+               out: np.ndarray) -> None:
+    """Write out[i, k] = ((x_ij - c_kj) / sigma_kj)^2 for one feature j."""
+    np.subtract(X[:, j, None], centers[:, j], out=out)
+    out /= sigma[:, j]
+    out *= out
 
 
 def erbf_loss_and_grad(
@@ -203,13 +221,13 @@ def erbf_loss_and_grad(
         Phi = erbf_activations(X, centers, sigma)
         r = Phi @ weights + bias - y
         mse = float(r @ r) / n
-        G = np.zeros((K, d))
-        for start, stop in _chunks(n, K * d):
-            D = X[start:stop, None, :] - centers[None, :, :]
-            Z2 = (D / sigma[None, :, :]) ** 2
-            np.minimum(Z2, 1e30, out=Z2)  # keep 0 * inf out of the contraction
-            A = r[start:stop, None] * Phi[start:stop]
-            G += np.einsum("ik,ikj->kj", A, Z2)
+        G = np.empty((K, d))
+        A = r[:, None] * Phi
+        z2 = Phi  # Phi is not needed past A: reuse its buffer
+        for j in range(d):
+            _scaled_sq(X, centers, sigma, j, out=z2)
+            np.minimum(z2, 1e30, out=z2)  # keep 0 * inf out of the contraction
+            G[:, j] = np.einsum("ik,ik->k", A, z2)
         G *= (2.0 / n) * weights[:, None]
     grad = G.ravel()
     if not math.isfinite(mse):
@@ -218,13 +236,6 @@ def erbf_loss_and_grad(
     if bad.size:
         raise ValueError(f"non-finite width gradient at parameter index {int(bad[0])}")
     return mse, grad
-
-
-def _chunks(n: int, cols: int, budget: int = 4_000_000):
-    """Row slices keeping chunk_rows * cols temporaries near the element budget."""
-    step = max(1, budget // max(1, cols))
-    for start in range(0, n, step):
-        yield start, min(start + step, n)
 
 
 @dataclass

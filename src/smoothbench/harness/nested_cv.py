@@ -18,7 +18,7 @@ import numpy as np
 
 from ..data import Dataset, Standardizer, impute_median, inner_fold_count, kfold_split
 from ..registry import HARNESS_STANDARDIZED, fit_model, predict_model
-from .metrics import adjusted_r2, clip_predictions, r2
+from .metrics import FAILURE_SCORE, adjusted_r2, clip_predictions, r2
 from .search import random_search, search_space
 
 
@@ -99,11 +99,14 @@ def run_outer_fold(
 
     space = search_space(kind)
     t0 = time.perf_counter()
-    best_params, _, _ = random_search(
+    best_params, _, trials = random_search(
         objective, space, seed=config.search_seed + fold,
         budget=config.budget_for(kind),
     )
     tune_seconds = time.perf_counter() - t0
+    if all(t.score == FAILURE_SCORE for t in trials):
+        # refitting trial 0's params would score a failed search as a success
+        raise RuntimeError(f"all {len(trials)} search trials failed")
 
     t0 = time.perf_counter()
     model = fit_model(kind, X_tr, y_tr, best_params, seed=fit_seed)

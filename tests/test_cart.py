@@ -57,8 +57,8 @@ def brute_force_best_split(X, y, msl):
     return best
 
 
-def assert_split_matches_oracle(X, y, msl, tree):
-    """The fitted root split must be a brute-force argmax.
+def assert_split_matches_oracle(X, y, msl, got):
+    """A fitted split (None for no split) must be a brute-force argmax.
 
     Mathematically tied candidates (e.g. one extreme row separable by two
     different features, giving the identical partition) may be computed in a
@@ -66,7 +66,6 @@ def assert_split_matches_oracle(X, y, msl, tree):
     tie set is the robust check; when the maximum is unique by a clear margin
     the exact (feature, threshold) pair must match.
     """
-    got = root_split(tree)
     cands = brute_force_candidates(X, y, msl)
     positive = [c for c in cands if c[2] > 0]
     if not positive:
@@ -99,7 +98,7 @@ def test_root_split_matches_brute_force_oracle():
         y = rng.normal(size=n)
         msl = int(rng.integers(1, max(2, n // 3)))
         tree = cart_fit(X, y, max_depth=1, min_samples_leaf=msl)
-        assert_split_matches_oracle(X, y, msl, tree)
+        assert_split_matches_oracle(X, y, msl, root_split(tree))
 
 
 def test_root_split_oracle_with_duplicate_values():
@@ -112,7 +111,40 @@ def test_root_split_oracle_with_duplicate_values():
         X = rng.integers(0, 4, size=(n, d)).astype(float)
         y = rng.integers(0, 3, size=n).astype(float)
         tree = cart_fit(X, y, max_depth=1, min_samples_leaf=1)
-        assert_split_matches_oracle(X, y, 1, tree)
+        assert_split_matches_oracle(X, y, 1, root_split(tree))
+
+
+def test_every_node_split_matches_brute_force_oracle():
+    # deep trees on duplicated values with a constant column: each internal
+    # node's split is the brute-force argmax over that node's rows, and a
+    # leaf that was allowed to split had no admissible positive-gain split
+    rng = np.random.default_rng(61)
+    for case in range(40):
+        n = int(rng.integers(20, 120))
+        d = int(rng.integers(2, 5))
+        X = rng.integers(0, 6, size=(n, d)).astype(float)
+        X[:, int(rng.integers(d))] = 2.5
+        y = rng.integers(0, 4, size=n) + 0.25 * rng.normal(size=n) * (case % 2)
+        msl = int(rng.integers(1, 6))
+        max_depth = 6
+        tree = cart_fit(X, y, max_depth=max_depth, min_samples_leaf=msl)
+        stack = [(0, np.arange(n), 0)]
+        internal = 0
+        while stack:
+            node, rows, depth = stack.pop()
+            Xn, yn = X[rows], y[rows]
+            f = int(tree.feature[node])
+            if f >= 0:
+                internal += 1
+                assert_split_matches_oracle(Xn, yn, msl, (f, float(tree.threshold[node])))
+                go_left = Xn[:, f] <= tree.threshold[node]
+                stack.append((int(tree.left[node]), rows[go_left], depth + 1))
+                stack.append((int(tree.right[node]), rows[~go_left], depth + 1))
+            elif depth < max_depth and len(rows) >= 2 * msl and np.ptp(yn) > 0:
+                # a mathematically zero gain may round either side of 0
+                gains = [g for _, _, g in brute_force_candidates(Xn, yn, msl)]
+                assert max(gains, default=0.0) <= 1e-9
+        assert internal > 0
 
 
 def test_tie_break_prefers_lower_feature():

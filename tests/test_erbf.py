@@ -46,6 +46,34 @@ def test_activations_match_direct_formula():
                 assert abs(Phi[i, k] - want) < 1e-14
 
 
+def _activation_oracle(X, centers, sigma):
+    """Per-entry formula with an exactly rounded sum over features."""
+    n, K = X.shape[0], centers.shape[0]
+    Phi = np.empty((n, K))
+    for i in range(n):
+        for k in range(K):
+            z = ((X[i] - centers[k]) / sigma[k]) ** 2
+            Phi[i, k] = math.exp(-0.5 * math.fsum(z.tolist()))
+    return Phi
+
+
+@pytest.mark.parametrize("n,K,d", [(60, 12, 9), (40, 9, 20), (1000, 70, 5)])
+def test_activations_match_oracle_at_wide_and_harness_shapes(n, K, d):
+    rng = np.random.default_rng(1000 + d)
+    X = rng.normal(size=(n, d))
+    centers = X[rng.choice(n, size=K, replace=False)] + 0.1 * rng.normal(size=(K, d))
+    sigma = rng.uniform(0.3, 3.0, size=(K, d)) * math.sqrt(d)
+    sigma[0] = WIDTH_FLOOR
+    X[0] = centers[0]  # a row on a floor-width centre activates exactly 1
+    sigma[1] = WIDTH_CAP
+    sigma[2, 0] = WIDTH_FLOOR
+    sigma[2, 1:] = WIDTH_CAP
+    Phi = erbf_activations(X, centers, sigma)
+    want = _activation_oracle(X, centers, sigma)
+    assert Phi[0, 0] == 1.0
+    assert np.abs(Phi - want).max() < 1e-14
+
+
 def test_activation_at_center_is_one():
     c = np.array([[0.5, -1.0]])
     Phi = erbf_activations(c, c, np.array([[1.0, 2.0]]))
@@ -93,6 +121,33 @@ def test_log_width_gradient_matches_central_differences():
         fd = central_difference_grad(theta, X, y, centers, w, b)
         scale = max(1e-8, float(np.abs(fd).max()))
         assert np.abs(grad - fd).max() / scale < 1e-5
+
+
+def _loss_and_grad_reference(theta, X, y, centers, w, b):
+    """The loss and log-width gradient through full (n, K, d) tensors."""
+    K, d = centers.shape
+    sigma = np.exp(theta.reshape(K, d))
+    Z2 = ((X[:, None, :] - centers[None, :, :]) / sigma[None, :, :]) ** 2
+    Phi = np.exp(-0.5 * Z2.sum(axis=2))
+    r = Phi @ w + b - y
+    G = np.einsum("ik,ikj->kj", r[:, None] * Phi, Z2) * (2.0 / len(y)) * w[:, None]
+    return float(r @ r) / len(y), G.ravel()
+
+
+@pytest.mark.parametrize("n,K,d", [(50, 6, 2), (60, 12, 9), (40, 9, 20), (1000, 70, 5)])
+def test_loss_and_grad_match_3d_reference(n, K, d):
+    rng = np.random.default_rng(2000 + d)
+    X = rng.normal(size=(n, d))
+    y = rng.normal(size=n)
+    centers = X[rng.choice(n, size=K, replace=False)]
+    w = rng.normal(size=K)
+    b = float(rng.normal())
+    theta = np.log(rng.uniform(0.3, 3.0, size=K * d) * math.sqrt(d))
+    mse, grad = erbf_loss_and_grad(theta, X, y, centers, w, b)
+    want_mse, want_grad = _loss_and_grad_reference(theta, X, y, centers, w, b)
+    # only the order of the float sums may differ: a few ulps of the result
+    assert abs(mse - want_mse) <= 1e-13 * want_mse
+    assert np.abs(grad - want_grad).max() <= 1e-13 * np.abs(want_grad).max()
 
 
 def test_gradient_zero_when_weights_zero():
@@ -175,6 +230,24 @@ def test_local_lipschitz_percentile_cap():
     y = (x > 0).astype(float)
     L = local_lipschitz(x[:, None], y, clip_percentile=50.0)
     assert (L == L.max()).sum() >= 150  # at least half the points sit at the cap
+
+
+def test_local_lipschitz_matches_brute_force_across_chunks():
+    # n = 1500 puts the rows in two distance chunks
+    rng = np.random.default_rng(149)
+    n, k = 1500, 5
+    X = rng.normal(size=(n, 3))
+    y = np.sin(2 * X[:, 0]) + X[:, 1] * X[:, 2]
+    want = np.empty(n)
+    for i in range(n):
+        dist = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
+        dist[i] = np.inf
+        nb = np.argsort(dist)[:k]
+        want[i] = np.max(np.abs(y[i] - y[nb]) / (dist[nb] + 1e-12))
+    want = np.minimum(want, np.percentile(want, 99.0))
+    L = local_lipschitz(X, y, k=k)
+    # distances come from the Gram expansion here, from differences above
+    np.testing.assert_allclose(L, want, rtol=1e-9, atol=0)
 
 
 def test_place_centers_lipschitz_concentrates_near_jump():

@@ -623,6 +623,33 @@ class TestNestedCVFailure:
         assert report["ranks"]["f1"] == {"ridge": 1.0, "dt": 2.0}
         assert report["failures"] == {"f1/dt": failures[("f1", "dt")]}
 
+    def test_search_with_every_trial_failed_is_a_failure(self, monkeypatch):
+        # a cell whose search never produced a score must not be refit with
+        # trial 0's params and scored as a success
+        import smoothbench.harness.nested_cv as ncv
+        real_fit = ncv.fit_model
+        ds = gen("friedman1", n=45, noise_std=0.3, seed=4)
+        cfg = BenchRunConfig(outer_k=3, outer_seed=5, search_seed=2,
+                             trial_budgets={"dt": 3})
+        plan = kfold_split(ds.n, cfg.outer_k, cfg.outer_seed)
+        outer_train_sizes = {ds.n - len(plan.test_indices(f)) for f in range(cfg.outer_k)}
+
+        def inner_fits_fail(kind, X, y, params, seed=0):
+            # every inner-CV fit raises; the outer refit alone would succeed
+            if X.shape[0] not in outer_train_sizes:
+                raise RuntimeError("synthetic failure")
+            return real_fit(kind, X, y, params, seed=seed)
+
+        def every_fit_fails(kind, X, y, params, seed=0):
+            raise RuntimeError("synthetic failure")
+
+        for fit in (inner_fits_fail, every_fit_fails):
+            monkeypatch.setattr(ncv, "fit_model", fit)
+            results, failures = run_benchmark([("f1", ds)], ["dt"], cfg, parallel=1)
+            assert results == []
+            assert set(failures) == {("f1", "dt")}
+            assert failures[("f1", "dt")] == "fold 0: all 3 search trials failed"
+
 
 # ---------------------------------------------------------------------------
 # persistence and report construction
