@@ -4,17 +4,26 @@ Each leaf that holds enough rows gets its own interaction-free Chebyshev
 regressor (with its own per-leaf feature scaler); undersized leaves fall back
 to their training mean. Final predictions are clipped to the whole training
 target's mean +/- 3 standard deviations.
+
+Fit and predict handle all polynomial leaves in one batched pass: rows are
+grouped by leaf, scaled with their own leaf's ranges, expanded by one design
+matrix call, and the per-leaf ridge systems are solved stacked. Working
+memory is O(N*p + L*p^2) for N rows, L polynomial leaves and p columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Union
 
 import numpy as np
 
 from .cart import Count, RegressionTree, cart_fit, cart_route
-from .chebypoly import ChebyPolyModel, fit_chebypoly
+from .chebypoly import ChebyPolyModel
+from .chebyshev import BasisConfig, build_design_matrix
+from .data import MinMaxScaler, minmax_scale
+from .numkit import ridge_solve_segments
 
 
 def leaf_fallback_threshold(complexity: int) -> int:
@@ -34,14 +43,30 @@ class ChebyTreeModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         leaves = cart_route(self.tree, X)
+        order = np.argsort(leaves, kind="stable")
+        groups, starts = np.unique(leaves[order], return_index=True)
+        bounds = np.append(starts, X.shape[0])
         out = np.empty(X.shape[0])
-        for leaf in np.unique(leaves):
-            rows = np.flatnonzero(leaves == leaf)
+        poly = []  # (leaf model, rows of X) per polynomial leaf
+        for j, leaf in enumerate(groups):
             model = self.leaf_models[int(leaf)]
+            rows = order[bounds[j]:bounds[j + 1]]
             if isinstance(model, float):
                 out[rows] = model
             else:
-                out[rows] = model.predict(X[rows])
+                poly.append((model, rows))
+        if poly:
+            sizes = [rows.shape[0] for _, rows in poly]
+            mins = np.repeat([m.scaler.mins for m, _ in poly], sizes, axis=0)
+            ranges = np.repeat([m.scaler.ranges for m, _ in poly], sizes, axis=0)
+            Xs = minmax_scale(X[np.concatenate([rows for _, rows in poly])], mins, ranges)
+            design = build_design_matrix(Xs, BasisConfig(self.complexity), ()).matrix
+            s = 0
+            for (model, leaf_rows), m in zip(poly, sizes):
+                raw = design[s:s + m] @ model.weights + model.intercept
+                out[leaf_rows] = np.clip(raw, model.y_mean - 3.0 * model.y_std,
+                                         model.y_mean + 3.0 * model.y_std)
+                s += m
         lo = self.y_mean - 3.0 * self.y_std
         hi = self.y_mean + 3.0 * self.y_std
         return np.clip(out, lo, hi)
@@ -64,13 +89,14 @@ class ChebyTreeModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChebyTreeModel":
+        """Rebuild a model, rejecting leaves that the batched predict cannot stack."""
         leaf_models: Dict[int, Union[ChebyPolyModel, float]] = {}
         for key, entry in d["leaf_models"].items():
             if entry["kind"] == "constant":
                 leaf_models[int(key)] = float(entry["value"])
             else:
                 leaf_models[int(key)] = ChebyPolyModel.from_dict(entry["model"])
-        return cls(
+        model = cls(
             tree=RegressionTree.from_dict(d["tree"]),
             leaf_models=leaf_models,
             complexity=int(d["complexity"]),
@@ -78,6 +104,48 @@ class ChebyTreeModel:
             y_mean=float(d["y_mean"]),
             y_std=float(d["y_std"]),
         )
+        model._validate()
+        return model
+
+    def _validate(self) -> None:
+        if not all(math.isfinite(v) for v in (self.alpha, self.y_mean, self.y_std)):
+            raise ValueError("chebytree model: alpha, y_mean and y_std must be finite")
+        tree_leaves = set(self.tree.leaf_ids)
+        if set(self.leaf_models) != tree_leaves:
+            raise ValueError(
+                f"chebytree model: leaf models {sorted(self.leaf_models)} do not match "
+                f"the tree's leaves {sorted(tree_leaves)}"
+            )
+        c = self.complexity
+        split_feats = self.tree.feature[self.tree.feature >= 0]
+        n_features = None
+        for leaf, m in self.leaf_models.items():
+            if isinstance(m, float):
+                if not math.isfinite(m):
+                    raise ValueError(f"chebytree leaf {leaf}: constant value is not finite")
+                continue
+            d = len(m.scaler.mins)
+            if n_features is None:
+                n_features = d
+            problem = None
+            if len(m.scaler.ranges) != d:
+                problem = f"scaler has {d} mins but {len(m.scaler.ranges)} ranges"
+            elif d != n_features:
+                problem = f"has {d} features where other leaves have {n_features}"
+            elif split_feats.size and split_feats.max() >= d:
+                problem = f"has {d} features but the tree splits on feature {split_feats.max()}"
+            elif m.basis.complexity != c or m.basis.include_interactions:
+                problem = f"basis is not the model's interaction-free complexity {c}"
+            elif not m.scaler.clip:
+                problem = "scaler does not clip"
+            elif m.weights.shape != (1 + d * c,):
+                problem = f"weights has {m.weights.size} entries, expected {1 + d * c}"
+            elif not all(np.isfinite(np.asarray(a, dtype=np.float64)).all() for a in (
+                    m.scaler.mins, m.scaler.ranges, m.weights,
+                    np.array([m.intercept, m.y_mean, m.y_std]))):
+                problem = "holds a non-finite number"
+            if problem:
+                raise ValueError(f"chebytree leaf {leaf}: {problem}")
 
 
 def fit_chebytree(
@@ -91,23 +159,46 @@ def fit_chebytree(
     """Grow the routing tree on raw features, then fit one polynomial per leaf.
 
     The polynomial-vs-constant choice per leaf is made once at training time
-    from the leaf's row count.
+    from the leaf's row count. Each polynomial leaf equals fit_chebypoly on
+    that leaf's rows without interactions; all of them are fitted in one pass.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     tree = cart_fit(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
                     min_samples_split=2)
     threshold = leaf_fallback_threshold(complexity)
-    leaf_models: Dict[int, Union[ChebyPolyModel, float]] = {}
-    for leaf in tree.leaf_ids:
-        rows = tree.leaf_rows[leaf]
-        if rows.shape[0] >= threshold:
-            leaf_models[leaf] = fit_chebypoly(
-                X[rows], y[rows], complexity=complexity, alpha=alpha,
-                include_interactions=False,
+    poly = [leaf for leaf in tree.leaf_ids if tree.leaf_rows[leaf].shape[0] >= threshold]
+    polys: Dict[int, ChebyPolyModel] = {}
+    if poly:
+        # leaf_rows are ascending, so concatenating them groups rows stably by leaf
+        rows = [tree.leaf_rows[leaf] for leaf in poly]
+        sizes = [r.shape[0] for r in rows]
+        rows = np.concatenate(rows)
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        Xp, yp = X[rows], y[rows]
+        mins = np.minimum.reduceat(Xp, bounds[:-1], axis=0)
+        ranges = np.maximum.reduceat(Xp, bounds[:-1], axis=0) - mins
+        Xs = minmax_scale(Xp, np.repeat(mins, sizes, axis=0),
+                          np.repeat(ranges, sizes, axis=0))
+        basis = BasisConfig(complexity=complexity)
+        design = build_design_matrix(Xs, basis, ())
+        weights, intercepts = ridge_solve_segments(design.matrix, yp, bounds, alpha)
+        for j, leaf in enumerate(poly):
+            y_leaf = yp[bounds[j]:bounds[j + 1]]
+            polys[leaf] = ChebyPolyModel(
+                basis=basis,
+                alpha=float(alpha),
+                scaler=MinMaxScaler(clip=True, mins=mins[j], ranges=ranges[j]),
+                interaction_feats=(),
+                weights=weights[j],
+                intercept=float(intercepts[j]),
+                y_mean=float(y_leaf.mean()),
+                y_std=float(y_leaf.std()),
             )
-        else:
-            leaf_models[leaf] = float(y[rows].mean())
+    leaf_models: Dict[int, Union[ChebyPolyModel, float]] = {
+        leaf: polys[leaf] if leaf in polys else float(y[tree.leaf_rows[leaf]].mean())
+        for leaf in tree.leaf_ids
+    }
     return ChebyTreeModel(
         tree=tree,
         leaf_models=leaf_models,

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .data import Dataset, drop_quasi_constant, impute_median, inner_fold_count, kfold_split, load_csv, subsample, write_csv
 from .harness import (
+    FAILURE_SCORE,
     BenchRunConfig,
     adjusted_r2,
     build_report,
@@ -131,7 +132,11 @@ def _tune_params(kind: str, X: np.ndarray, y: np.ndarray, seed: int,
             scores.append(adjusted_r2(r2(y[ival], preds), len(ival), d))
         return float(np.mean(scores))
 
-    best_params, _, _ = random_search(objective, search_space(kind), seed=seed, budget=budget)
+    best_params, _, trials = random_search(objective, search_space(kind), seed=seed,
+                                           budget=budget)
+    if all(t.score == FAILURE_SCORE for t in trials):
+        # refitting trial 0's params would score a failed search as a success
+        raise ValueError(f"all {len(trials)} search trials failed")
     return best_params
 
 

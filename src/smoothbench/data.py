@@ -257,6 +257,21 @@ class Standardizer:
         return cls(means=np.asarray(d["means"]), stds=np.asarray(d["stds"]))
 
 
+def minmax_scale(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray,
+                 clip: bool = True) -> np.ndarray:
+    """2 (X - mins) / ranges - 1, with 0 where the range is 0, optionally clipped.
+
+    mins and ranges broadcast against X: one entry per column, or one row of
+    them per row of X (rows scaled by different fits).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    nz = ranges > 0
+    out = np.where(nz, 2.0 * (X - mins) / np.where(nz, ranges, 1.0) - 1.0, 0.0)
+    if clip:
+        np.clip(out, -1.0, 1.0, out=out)
+    return out
+
+
 @dataclass
 class MinMaxScaler:
     """Per-column affine map of the training range onto [-1, 1].
@@ -278,13 +293,7 @@ class MinMaxScaler:
     def apply(self, X: np.ndarray) -> np.ndarray:
         if self.mins is None:
             raise ValueError("MinMaxScaler.apply called before fit")
-        X = np.asarray(X, dtype=np.float64)
-        out = np.zeros_like(X)
-        nz = self.ranges > 0
-        out[:, nz] = 2.0 * (X[:, nz] - self.mins[nz]) / self.ranges[nz] - 1.0
-        if self.clip:
-            np.clip(out, -1.0, 1.0, out=out)
-        return out
+        return minmax_scale(X, self.mins, self.ranges, self.clip)
 
     def to_dict(self) -> dict:
         return {"clip": self.clip, "mins": self.mins.tolist(),

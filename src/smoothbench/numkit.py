@@ -38,7 +38,6 @@ def ridge_solve(
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
 
-    n, p = Phi.shape
     if fit_intercept:
         col_means = Phi.mean(axis=0)
         y_mean = float(y.mean())
@@ -49,19 +48,71 @@ def ridge_solve(
 
     A = Xc.T @ Xc
     b = Xc.T @ yc
-    jitter = 1e-10 * np.trace(A) / p if p else 0.0
+    w = _cho_solve(_ridge_cholesky(A, alpha), b)
+    intercept = y_mean - float(col_means @ w) if fit_intercept else 0.0
+    return w, intercept
+
+
+def _ridge_cholesky(A: np.ndarray, alpha: float) -> np.ndarray:
+    """Lower Cholesky factor of A + alpha I, retried once with a jittered diagonal.
+
+    The retry adds 1e-10 * trace(A) / p to alpha; a second failure raises.
+    """
+    p = A.shape[0]
     try:
-        L = np.linalg.cholesky(A + alpha * np.eye(p))
+        return np.linalg.cholesky(A + alpha * np.eye(p))
     except np.linalg.LinAlgError:
+        jitter = 1e-10 * np.trace(A) / p if p else 0.0
         try:
-            L = np.linalg.cholesky(A + (alpha + jitter) * np.eye(p))
+            return np.linalg.cholesky(A + (alpha + jitter) * np.eye(p))
         except np.linalg.LinAlgError:
             raise np.linalg.LinAlgError(
                 "normal matrix is singular; a positive alpha is required here"
             )
-    w = _cho_solve(L, b)
-    intercept = y_mean - float(col_means @ w) if fit_intercept else 0.0
-    return w, intercept
+
+
+def ridge_solve_segments(
+    Phi: np.ndarray,
+    y: np.ndarray,
+    bounds: np.ndarray,
+    alpha: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """ridge_solve(Phi[s:e], y[s:e], alpha) for every segment s, e of bounds at once.
+
+    bounds holds k + 1 ascending row offsets, one segment per consecutive pair.
+    Each segment is centred and gets its own Gram matrix, so memory stays
+    O(n*p + k*p^2); the k factorisations and triangular solves run stacked.
+    A segment whose factorisation fails gets ridge_solve's jitter retry.
+    Returns the (k, p) weights and the (k,) intercepts.
+    """
+    Phi = np.asarray(Phi, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if Phi.ndim != 2 or y.ndim != 1 or Phi.shape[0] != y.shape[0]:
+        raise ValueError("Phi must be (n, p) and y must be (n,) with matching n")
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    if not np.isfinite(Phi).all() or not np.isfinite(y).all():
+        raise ValueError("ridge_solve requires finite inputs")
+
+    k, p = len(bounds) - 1, Phi.shape[1]
+    col_means = np.empty((k, p))
+    y_means = np.empty(k)
+    A = np.empty((k, p, p))
+    b = np.empty((k, p))
+    for j in range(k):
+        s, e = bounds[j], bounds[j + 1]
+        col_means[j] = Phi[s:e].mean(axis=0)
+        y_means[j] = y[s:e].mean()
+        Xc = Phi[s:e] - col_means[j]
+        A[j] = Xc.T @ Xc
+        b[j] = Xc.T @ (y[s:e] - y_means[j])
+    try:
+        L = np.linalg.cholesky(A + alpha * np.eye(p))
+    except np.linalg.LinAlgError:
+        L = np.stack([_ridge_cholesky(a, alpha) for a in A])
+    w = _cho_solve_stacked(L, b)
+    intercepts = y_means - np.matmul(col_means[:, None, :], w[:, :, None])[:, 0, 0]
+    return w, intercepts
 
 
 def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -73,6 +124,24 @@ def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = np.empty(p)
     for i in range(p - 1, -1, -1):
         x[i] = (z[i] - L[i + 1:, i] @ x[i + 1:]) / L[i, i]
+    return x
+
+
+def _cho_solve_stacked(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_cho_solve for a stack of factors L (k, p, p) and right-hand sides b (k, p).
+
+    Each step is one stacked matmul of the same row and column slices that
+    _cho_solve multiplies, so the loop runs p times per substitution, not k*p.
+    """
+    k, p = b.shape
+    z = np.empty((k, p))
+    for i in range(p):
+        dots = np.matmul(L[:, i:i + 1, :i], z[:, :i, None])[:, 0, 0]
+        z[:, i] = (b[:, i] - dots) / L[:, i, i]
+    x = np.empty((k, p))
+    for i in range(p - 1, -1, -1):
+        dots = np.matmul(L[:, None, i + 1:, i], x[:, i + 1:, None])[:, 0, 0]
+        x[:, i] = (z[:, i] - dots) / L[:, i, i]
     return x
 
 

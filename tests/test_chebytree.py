@@ -5,6 +5,7 @@ for.
 """
 
 import numpy as np
+import pytest
 
 from smoothbench.chebypoly import ChebyPolyModel, fit_chebypoly
 from smoothbench.chebytree import (
@@ -12,7 +13,10 @@ from smoothbench.chebytree import (
     fit_chebytree,
     leaf_fallback_threshold,
 )
-from smoothbench.cart import cart_route
+from smoothbench.cart import cart_fit, cart_route
+from smoothbench.chebyshev import build_design_matrix
+from smoothbench.harness.search import chebytree_space
+from smoothbench.synth import gen
 
 
 def test_leaf_fallback_threshold_formula():
@@ -179,3 +183,185 @@ def test_beats_single_polynomial_on_stepwise_target():
     mse_tree = float(np.mean((tree_model.predict(X) - y) ** 2))
     mse_poly = float(np.mean((poly.predict(X) - y) ** 2))
     assert mse_tree < 0.1 * mse_poly
+
+
+# ---------------------------------------------------------------------------
+# batched fit and predict against a per-leaf reference
+
+
+def _per_leaf_reference(X, y, complexity, alpha, max_depth, min_samples_leaf=1):
+    """The one-leaf-at-a-time algorithm: fit_chebypoly on each leaf's rows."""
+    tree = cart_fit(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                    min_samples_split=2)
+    models = {}
+    for leaf in tree.leaf_ids:
+        rows = tree.leaf_rows[leaf]
+        if rows.size >= leaf_fallback_threshold(complexity):
+            models[leaf] = fit_chebypoly(X[rows], y[rows], complexity=complexity,
+                                         alpha=alpha, include_interactions=False)
+        else:
+            models[leaf] = float(y[rows].mean())
+    return ChebyTreeModel(tree=tree, leaf_models=models, complexity=complexity,
+                          alpha=alpha, y_mean=float(y.mean()), y_std=float(y.std()))
+
+
+def _per_leaf_predict(model, Q):
+    """Route, predict each leaf's rows with its own model, then clip globally."""
+    leaves = cart_route(model.tree, Q)
+    out = np.empty(Q.shape[0])
+    for leaf in np.unique(leaves):
+        rows = np.flatnonzero(leaves == leaf)
+        m = model.leaf_models[int(leaf)]
+        out[rows] = m if isinstance(m, float) else m.predict(Q[rows])
+    return np.clip(out, model.y_mean - 3 * model.y_std, model.y_mean + 3 * model.y_std)
+
+
+def _rel(a, b):
+    return float(np.abs(a - b).max() / max(1.0, float(np.abs(b).max())))
+
+
+def _assert_matches_reference(X, y, Q, **params):
+    got = fit_chebytree(X, y, **params)
+    ref = _per_leaf_reference(X, y, **params)
+    assert list(got.leaf_models) == list(ref.leaf_models)
+    for leaf, want in ref.leaf_models.items():
+        have = got.leaf_models[leaf]
+        assert type(have) is type(want)
+        if isinstance(want, float):
+            assert have == want
+            continue
+        assert np.array_equal(have.scaler.mins, want.scaler.mins)
+        assert np.array_equal(have.scaler.ranges, want.scaler.ranges)
+        assert have.basis == want.basis and have.interaction_feats == ()
+        assert (have.y_mean, have.y_std) == (want.y_mean, want.y_std)
+        assert _rel(have.weights, want.weights) < 1e-10
+        assert _rel(np.array([have.intercept]), np.array([want.intercept])) < 1e-10
+    assert _rel(got.predict(Q), _per_leaf_predict(ref, Q)) < 1e-10
+    return got
+
+
+def test_batched_fit_matches_per_leaf_reference_on_search_space_trials():
+    space = chebytree_space()
+    rng = np.random.default_rng(107)
+    trials = 0
+    for kind in ("friedman1", "synthetic_step"):
+        ds = gen(kind, n=300, seed=5)
+        # out-of-range queries exercise the scalers' clipping
+        Q = np.concatenate([ds.X, 3.0 * ds.X - 1.0])
+        for _ in range(60):
+            params = space.sample_trial(rng)
+            _assert_matches_reference(ds.X, ds.y, Q, **params)
+            trials += 1
+    assert trials >= 100
+
+
+def test_batched_fit_edge_cases_match_per_leaf_reference():
+    rng = np.random.default_rng(109)
+    X = rng.normal(size=(200, 3))
+    y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2]
+    Q = rng.normal(size=(100, 3)) * 4.0  # mostly out of the leaves' ranges
+    model = _assert_matches_reference(X, y, Q, complexity=3, alpha=0.01, max_depth=0)
+    assert model.tree.leaf_ids == [0]
+
+    # c=5: threshold 12, one leaf holds exactly 12 rows, the other 11
+    x = np.concatenate([np.linspace(-2.0, -1.0, 12), np.linspace(1.0, 2.0, 11)])
+    model = _assert_matches_reference(
+        x[:, None], np.concatenate([x[:12] ** 2, 5.0 + x[12:]]), Q[:, :1],
+        complexity=5, alpha=1e-3, max_depth=1)
+    sizes = {model.tree.leaf_rows[leaf].size for leaf in model.tree.leaf_ids}
+    assert sizes == {12, 11} == {leaf_fallback_threshold(5), leaf_fallback_threshold(5) - 1}
+
+    # a feature constant inside the left leaf (range 0 there, scaled to 0)
+    Xc = X.copy()
+    Xc[Xc[:, 0] <= 0.0, 1] = 0.25
+    model = _assert_matches_reference(Xc, y + 3.0 * (Xc[:, 0] > 0), Q,
+                                      complexity=2, alpha=0.1, max_depth=1)
+    ranges = [m.scaler.ranges for m in model.leaf_models.values()
+              if isinstance(m, ChebyPolyModel)]
+    assert any((r == 0).any() for r in ranges)
+
+
+def test_batched_fit_jitter_retry_matches_per_leaf_reference():
+    # left leaf: two distinct points repeated, so T_2 is constant and T_3
+    # repeats T_1; with alpha=0 its normal matrix is singular and only the
+    # jittered retry factorises; the right leaf solves on the first try
+    rng = np.random.default_rng(113)
+    x = np.concatenate([np.repeat([-2.0, -1.5], 10), rng.uniform(1.0, 2.0, 30)])
+    y = np.concatenate([np.repeat([0.0, 1.0], 10), rng.normal(size=30) + 9.0])
+    X = x[:, None]
+    model = fit_chebytree(X, y, complexity=3, alpha=0.0, max_depth=1)
+    assert all(isinstance(m, ChebyPolyModel) for m in model.leaf_models.values())
+    left_leaf = model.tree.leaf_ids[0]
+    left_model = model.leaf_models[left_leaf]
+    Xs = left_model.scaler.apply(X[model.tree.leaf_rows[left_leaf]])
+    design = build_design_matrix(Xs, left_model.basis).matrix
+    assert np.unique(design, axis=0).shape[0] == 2
+    centred = design - design.mean(axis=0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(centred.T @ centred)
+    _assert_matches_reference(X, y, np.linspace(-3, 3, 50)[:, None],
+                              complexity=3, alpha=0.0, max_depth=1)
+
+
+def test_batched_fit_raises_what_the_per_leaf_fit_raises():
+    rng = np.random.default_rng(127)
+    same_rows = np.ones((20, 2))  # centred design is zero: the retry fails too
+    y = rng.normal(size=20)
+    X = rng.normal(size=(40, 2))
+    y_nan = rng.normal(size=40)
+    y_nan[3] = np.nan
+    X_inf = X.copy()
+    X_inf[5, 1] = np.inf
+    cases = [
+        (same_rows, y, 0.0, np.linalg.LinAlgError),
+        (X, y_nan, 0.1, ValueError),
+        (X_inf, rng.normal(size=40), 0.1, ValueError),
+        (X, rng.normal(size=40), -1.0, ValueError),
+    ]
+    for Xc, yc, alpha, exc in cases:
+        with pytest.raises(exc) as want, np.errstate(invalid="ignore"):
+            _per_leaf_reference(Xc, yc, complexity=2, alpha=alpha, max_depth=0)
+        with pytest.raises(exc) as got, np.errstate(invalid="ignore"):
+            fit_chebytree(Xc, yc, complexity=2, alpha=alpha, max_depth=0)
+        assert str(got.value) == str(want.value)
+
+
+def test_batched_predict_equals_per_leaf_recomposition_bit_for_bit():
+    ds = gen("friedman1", n=1000, seed=17)
+    rng = np.random.default_rng(131)
+    model = fit_chebytree(ds.X, ds.y, complexity=3, alpha=0.05, max_depth=8,
+                          min_samples_leaf=3)
+    kinds = {type(m) for m in model.leaf_models.values()}
+    assert kinds == {ChebyPolyModel, float}
+    Q = rng.uniform(-0.2, 1.2, size=(10_000, ds.d))
+    assert np.array_equal(model.predict(Q), _per_leaf_predict(model, Q))
+    # the served path: a model read back from its file
+    back = ChebyTreeModel.from_dict(model.to_dict())
+    assert np.array_equal(back.predict(Q), _per_leaf_predict(back, Q))
+    assert np.array_equal(back.predict(Q), model.predict(Q))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d, leaf: d["leaf_models"].pop(leaf), "do not match the tree's leaves"),
+    (lambda d, leaf: d["leaf_models"].__setitem__("999", {"kind": "constant",
+                                                          "value": 0.0}),
+     "do not match the tree's leaves"),
+    (lambda d, leaf: d.__setitem__("complexity", 3), "complexity 3"),
+    (lambda d, leaf: d["leaf_models"][leaf]["model"]["scaler"]["mins"].pop(),
+     "mins but"),
+    (lambda d, leaf: d["leaf_models"][leaf]["model"]["weights"].append(0.0),
+     "weights has"),
+    (lambda d, leaf: d["leaf_models"][leaf]["model"].__setitem__("intercept", np.inf),
+     "non-finite"),
+], ids=["missing-leaf", "extra-leaf", "complexity", "feature-count", "weights-length",
+        "inf-intercept"])
+def test_from_dict_rejects_corrupted_leaves(corrupt, message):
+    rng = np.random.default_rng(137)
+    X = rng.normal(size=(120, 2))
+    model = fit_chebytree(X, X[:, 0] - X[:, 1] ** 2, complexity=2, alpha=0.01,
+                          max_depth=2)
+    d = model.to_dict()
+    leaf = next(k for k, v in d["leaf_models"].items() if v["kind"] == "chebypoly")
+    corrupt(d, leaf)
+    with pytest.raises(ValueError, match=message):
+        ChebyTreeModel.from_dict(d)

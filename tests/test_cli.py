@@ -103,6 +103,28 @@ class TestFitPredict:
         assert set(doc["params"]) == {"max_depth", "min_samples_leaf",
                                       "min_samples_split"}
 
+    def test_fit_tune_with_every_trial_failing_exits_1(self, tmp_path, capsys,
+                                                         monkeypatch):
+        import smoothbench.cli as cli
+
+        data = tmp_path / "train.csv"
+        _write_dataset(data, n=50)
+        real_fit = cli.fit_model
+
+        def fit_failing_on_inner_splits(kind, X, y, params, seed=0):
+            if X.shape[0] < 50:
+                raise np.linalg.LinAlgError("inner fit failed")
+            return real_fit(kind, X, y, params, seed=seed)
+
+        monkeypatch.setattr(cli, "fit_model", fit_failing_on_inner_splits)
+        model_path = tmp_path / "model.json"
+        code = main(["fit", "--model", "dt", "--data", str(data),
+                     "--target", "y", "--out", str(model_path),
+                     "--tune", "--budget", "3"])
+        assert code == 1
+        assert "all 3 search trials failed" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_param_values_parse_as_json_with_string_fallback(self, tmp_path):
         data = tmp_path / "train.csv"
         _write_dataset(data, n=50)
@@ -180,6 +202,31 @@ class TestFitPredict:
         assert main(["predict", "--model-file", str(model_path),
                      "--data", str(bad), "--out", str(tmp_path / "p.csv")]) == 1
         assert "missing feature columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda leaf: leaf["weights"].pop(), "weights has"),
+        (lambda leaf: leaf["scaler"]["mins"].__setitem__(0, float("nan")),
+         "non-finite"),
+    ], ids=["truncated-weights", "nan-mins"])
+    def test_predict_rejects_corrupted_chebytree_leaf(self, tmp_path, capsys,
+                                                      corrupt, message):
+        data = tmp_path / "train.csv"
+        _write_dataset(data, n=80)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--model", "chebytree", "--data", str(data),
+                     "--target", "y", "--out", str(model_path),
+                     "--param", "max_depth=1", "--param", "complexity=1"]) == 0
+        doc = json.loads(model_path.read_text())
+        leaves = doc["model"]["leaf_models"]
+        key = next(k for k, v in leaves.items() if v["kind"] == "chebypoly")
+        corrupt(leaves[key]["model"])
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model-file", str(model_path),
+                     "--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"chebytree leaf {key}" in err and message in err
+        assert not out.exists()
 
     def test_predict_rejects_wrong_schema(self, tmp_path, capsys):
         bad = tmp_path / "model.json"

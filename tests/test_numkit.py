@@ -15,6 +15,7 @@ from smoothbench.numkit import (
     knn_indices,
     lbfgs_minimize,
     ridge_solve,
+    ridge_solve_segments,
 )
 
 
@@ -112,6 +113,47 @@ def test_ridge_input_validation():
         ridge_solve(np.zeros((3, 2)), np.zeros(3), -1.0)
     with pytest.raises(ValueError):
         ridge_solve(np.full((3, 2), np.nan), np.zeros(3), 1.0)
+
+
+def test_ridge_segments_match_ridge_solve_per_segment():
+    rng = np.random.default_rng(17)
+    for case in range(100):
+        k = int(rng.integers(1, 8))
+        p = int(rng.integers(1, 12))
+        sizes = rng.integers(2, 30, size=k)
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        Phi = rng.normal(size=(bounds[-1], p)) * rng.uniform(0.1, 10)
+        y = rng.normal(size=bounds[-1]) + rng.uniform(-5, 5)
+        alpha = float(rng.choice([0.0, 1e-3, 0.3, 10.0]))
+        if alpha == 0.0:
+            # one segment alternates two rows, so its normal matrix has rank 1
+            # and needs the jittered retry; the others solve on the first try
+            j = int(rng.integers(k))
+            rows = np.arange(bounds[j], bounds[j + 1])
+            Phi[rows] = Phi[bounds[j] + rows % 2]
+        W, b = ridge_solve_segments(Phi, y, bounds, alpha)
+        assert W.shape == (k, p) and b.shape == (k,)
+        for j in range(k):
+            s, e = bounds[j], bounds[j + 1]
+            w_ref, b_ref = ridge_solve(Phi[s:e], y[s:e], alpha)
+            scale = max(1.0, float(np.abs(w_ref).max()))
+            assert np.abs(W[j] - w_ref).max() / scale < 1e-12
+            assert abs(b[j] - b_ref) / max(1.0, abs(b_ref)) < 1e-12
+
+
+def test_ridge_segments_fail_like_ridge_solve():
+    good = np.arange(12.0).reshape(6, 2) ** 1.5
+    bounds = np.array([0, 3, 6])
+    # a segment whose centred design is zero fails the retry too
+    Phi = np.vstack([good[:3], np.ones((3, 2))])
+    with pytest.raises(np.linalg.LinAlgError, match="positive alpha"):
+        ridge_solve_segments(Phi, np.arange(6.0), bounds, 0.0)
+    with pytest.raises(ValueError, match="alpha"):
+        ridge_solve_segments(good, np.zeros(6), bounds, -1.0)
+    with pytest.raises(ValueError, match="finite"):
+        ridge_solve_segments(good, np.array([0, 1, 2, 3, np.inf, 5.0]), bounds, 1.0)
+    with pytest.raises(ValueError):
+        ridge_solve_segments(good, np.zeros(5), bounds, 1.0)
 
 
 # ---------------------------------------------------------------------------
