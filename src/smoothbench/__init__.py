@@ -9,7 +9,7 @@ average ranks and the Friedman/Nemenyi comparison.
 
 __version__ = "0.1.0"
 
-from .cart import RegressionTree, cart_fit, cart_predict, cart_route
+from .cart import RegressionTree, cart_fit, cart_route
 from .chebypoly import ChebyPolyModel, fit_chebypoly
 from .chebyshev import BasisConfig, build_design_matrix, cheb_eval, cheb_vander
 from .chebytree import ChebyTreeModel, fit_chebytree
@@ -28,12 +28,12 @@ from .data import (
 from .erbf import ErbfConfig, ErbfModel, auto_k, fit_erbf
 from .linear import RidgeModel, fit_ridge
 from .numkit import OptimResult, kmeans, knn_indices, lbfgs_minimize, ridge_solve
-from .registry import MODEL_KINDS, fit_model, model_from_dict, model_to_dict, predict_model
+from .registry import MODEL_KINDS, fit_model, model_from_dict, predict_model
 from .synth import CATALOG, clean_target, gen
 
 __all__ = [
     "__version__",
-    "RegressionTree", "cart_fit", "cart_predict", "cart_route",
+    "RegressionTree", "cart_fit", "cart_route",
     "ChebyPolyModel", "fit_chebypoly",
     "BasisConfig", "build_design_matrix", "cheb_eval", "cheb_vander",
     "ChebyTreeModel", "fit_chebytree",
@@ -43,6 +43,6 @@ __all__ = [
     "ErbfConfig", "ErbfModel", "auto_k", "fit_erbf",
     "RidgeModel", "fit_ridge",
     "OptimResult", "kmeans", "knn_indices", "lbfgs_minimize", "ridge_solve",
-    "MODEL_KINDS", "fit_model", "model_from_dict", "model_to_dict", "predict_model",
+    "MODEL_KINDS", "fit_model", "model_from_dict", "predict_model",
     "CATALOG", "clean_target", "gen",
 ]

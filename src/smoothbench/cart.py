@@ -34,7 +34,8 @@ class RegressionTree:
     """Flat-array tree. feature[i] == -1 marks node i as a leaf.
 
     value[i] is the training mean of the rows at node i (the prediction, for
-    leaves). leaf_rows maps each leaf's node index to its training-row indices.
+    leaves). leaf_rows maps each leaf's node index to its training-row indices;
+    cart_fit fills it for fit_chebytree, and it is not serialised.
     """
 
     feature: np.ndarray
@@ -52,6 +53,9 @@ class RegressionTree:
     def leaf_ids(self) -> list[int]:
         return [i for i in range(self.n_nodes) if self.feature[i] < 0]
 
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self.value[cart_route(self, X)]
+
     def to_dict(self) -> dict:
         return {
             "feature": self.feature.tolist(),
@@ -59,20 +63,47 @@ class RegressionTree:
             "left": self.left.tolist(),
             "right": self.right.tolist(),
             "value": self.value.tolist(),
-            "leaf_rows": {str(k): v.tolist() for k, v in self.leaf_rows.items()},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
-        return cls(
+        tree = cls(
             feature=np.asarray(d["feature"], dtype=np.int64),
             threshold=np.asarray(d["threshold"], dtype=np.float64),
             left=np.asarray(d["left"], dtype=np.int64),
             right=np.asarray(d["right"], dtype=np.int64),
             value=np.asarray(d["value"], dtype=np.float64),
-            leaf_rows={int(k): np.asarray(v, dtype=np.int64)
-                       for k, v in d.get("leaf_rows", {}).items()},
         )
+        tree._validate()
+        return tree
+
+    def _validate(self) -> None:
+        """Reject arrays that routing could crash or loop forever on."""
+        n = self.n_nodes
+        if n == 0:
+            raise ValueError("tree: feature is empty")
+        for name in ("feature", "threshold", "left", "right", "value"):
+            shape = getattr(self, name).shape
+            if shape != (n,):
+                raise ValueError(f"tree: {name} has shape {shape}, expected ({n},)")
+        bad = np.flatnonzero(self.feature < -1)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"tree: feature[{i}] = {self.feature[i]} is neither a split "
+                             "feature (>= 0) nor the leaf mark -1")
+        split = self.feature >= 0
+        for name in ("left", "right"):
+            child = getattr(self, name)
+            # cart_fit numbers children after their parent, so routing always ends
+            bad = np.flatnonzero(split & ((child <= np.arange(n)) | (child >= n)))
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(f"tree: {name}[{i}] = {child[i]} is not a node "
+                                 f"in {i + 1}..{n - 1}")
+        if not np.isfinite(self.threshold[split]).all():
+            raise ValueError("tree: threshold of a split node is not finite")
+        if not np.isfinite(self.value).all():
+            raise ValueError("tree: value holds a non-finite number")
 
 
 def cart_fit(
@@ -217,7 +248,3 @@ def cart_route(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
         stack.append((int(tree.left[node]), idx[go_left]))
         stack.append((int(tree.right[node]), idx[~go_left]))
     return out
-
-
-def cart_predict(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
-    return tree.value[cart_route(tree, X)]

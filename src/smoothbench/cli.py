@@ -19,23 +19,21 @@ import numpy as np
 from . import __version__
 from .data import Dataset, drop_quasi_constant, impute_median, inner_fold_count, kfold_split, load_csv, subsample, write_csv
 from .harness import (
-    FAILURE_SCORE,
     BenchRunConfig,
-    adjusted_r2,
     build_report,
+    clip_bounds,
     clip_predictions,
     r2,
-    random_search,
     read_results_jsonl,
     run_benchmark,
-    search_space,
+    tune,
     write_report_files,
     write_results_jsonl,
 )
-from .registry import MODEL_KINDS, fit_model, model_from_dict, model_to_dict, predict_model
+from .registry import MODEL_KINDS, fit_model, model_from_dict, predict_model
 from .synth import CATALOG, gen
 
-MODEL_FILE_SCHEMA = 1
+MODEL_FILE_SCHEMA = 2
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -118,28 +116,6 @@ def _parse_params(pairs: List[str]) -> Dict[str, Any]:
     return out
 
 
-def _tune_params(kind: str, X: np.ndarray, y: np.ndarray, seed: int,
-                 budget: Optional[int], d: int) -> Dict[str, Any]:
-    n = X.shape[0]
-    plan = kfold_split(n, inner_fold_count(n), seed=seed)
-
-    def objective(params: Dict[str, Any]) -> float:
-        scores = []
-        for fold in range(plan.outer_k):
-            itr, ival = plan.train_indices(fold), plan.test_indices(fold)
-            model = fit_model(kind, X[itr], y[itr], params, seed=seed)
-            preds = clip_predictions(predict_model(kind, model, X[ival]), y[itr])
-            scores.append(adjusted_r2(r2(y[ival], preds), len(ival), d))
-        return float(np.mean(scores))
-
-    best_params, _, trials = random_search(objective, search_space(kind), seed=seed,
-                                           budget=budget)
-    if all(t.score == FAILURE_SCORE for t in trials):
-        # refitting trial 0's params would score a failed search as a success
-        raise ValueError(f"all {len(trials)} search trials failed")
-    return best_params
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     ds = load_csv(args.data, args.target)
     ds = drop_quasi_constant(ds)
@@ -149,7 +125,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     medians = [float(np.median(ds.X[:, j])) for j in range(ds.d)]
 
     if args.tune:
-        params = _tune_params(args.model, ds.X, ds.y, args.seed, args.budget, ds.d)
+        plan = kfold_split(ds.n, inner_fold_count(ds.n), seed=args.seed)
+        params = tune(args.model, ds.X, ds.y, plan, args.seed, args.seed, args.budget)
         params.update(_parse_params(args.param))  # explicit flags win
     else:
         params = _parse_params(args.param)
@@ -163,7 +140,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "medians": medians,
         "params": params,
         "tuned": bool(args.tune),
-        "model": model_to_dict(args.model, model),
+        # the bound the benchmark clips scored predictions to, for predict to apply
+        "clip": list(clip_bounds(ds.y)),
+        "model": model.to_dict(),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -174,46 +153,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_feature_matrix(path: str, feature_names: List[str]) -> np.ndarray:
-    """Read the model's feature columns (by name) from a prediction CSV."""
-    try:
-        fh = open(path, "r", newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"dataset file not found: {path}")
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        missing = [c for c in feature_names if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing feature columns {missing}")
-        pos = [header.index(c) for c in feature_names]
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec or (len(rec) == 1 and rec[0].strip() == ""):
-                continue
-            if len(rec) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(rec)}")
-            vals = []
-            for c, p in zip(feature_names, pos):
-                cell = rec[p].strip()
-                if cell == "":
-                    vals.append(math.nan)
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: column {c!r} has non-numeric "
-                                     f"value {cell!r}")
-                vals.append(v if math.isfinite(v) else math.nan)
-            rows.append(vals)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     with open(args.model_file, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -221,11 +160,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ValueError(f"unsupported model file schema: {doc.get('schema_version')}")
     kind = doc["kind"]
     model = model_from_dict(kind, doc["model"])
-    X = _load_feature_matrix(args.data, doc["feature_names"])
+    clip = doc.get("clip")
+    if not (isinstance(clip, list) and len(clip) == 2
+            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in clip)
+            and clip[0] <= clip[1]):
+        raise ValueError(f"model file: clip must be two finite numbers lo <= hi, got {clip!r}")
+    X = load_csv(args.data, columns=doc["feature_names"]).X
     medians = np.asarray(doc["medians"], dtype=np.float64)
-    mask = np.isnan(X)
-    X[mask] = np.broadcast_to(medians, X.shape)[mask]
-    preds = predict_model(kind, model, X)
+    X = np.where(np.isnan(X), medians, X)
+    preds = np.clip(predict_model(kind, model, X), *clip)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["prediction"])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,12 +59,20 @@ class Dataset:
             raise ValueError("target contains NaN or infinite entries")
 
 
-def load_csv(path: str, target_column: str) -> Dataset:
+def load_csv(path: str, target_column: Optional[str] = None,
+             columns: Optional[Sequence[str]] = None) -> Dataset:
     """Load a headered CSV into a Dataset.
 
-    Empty cells become NaN. Rows whose target cell is missing (or not a finite
-    number) are dropped. Any non-empty cell that does not parse as a number is
-    treated as categorical and rejected with an error naming the column.
+    The features are `columns`, matched by header name, or else every column
+    but the target. Only they and the target are parsed, so other columns may
+    hold anything. Empty cells and non-finite numbers become NaN; any other
+    cell that does not parse as a number is treated as categorical and
+    rejected with an error naming the column.
+
+    With a target column, rows whose target is missing (or not a finite
+    number) are dropped, at least 2 rows must remain, and a feature column
+    with no numeric value is rejected. Without one, as for rows to predict,
+    y is NaN, every row is kept and one row is enough.
     """
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
@@ -77,12 +85,21 @@ def load_csv(path: str, target_column: str) -> Dataset:
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row")
         header = [h.strip() for h in header]
-        if target_column not in header:
-            raise ValueError(
-                f"{path}: target column {target_column!r} not in header {header}"
-            )
-        t_pos = header.index(target_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != t_pos)
+        t_pos = None
+        if target_column is not None:
+            if target_column not in header:
+                raise ValueError(
+                    f"{path}: target column {target_column!r} not in header {header}"
+                )
+            t_pos = header.index(target_column)
+        if columns is None:
+            pos = [i for i in range(len(header)) if i != t_pos]
+        else:
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ValueError(f"{path}: missing feature columns {missing}")
+            pos = [header.index(c) for c in columns]
+        feature_names = tuple(header[i] for i in pos)
         rows: list[list[float]] = []
         targets: list[float] = []
         for lineno, rec in enumerate(reader, start=2):
@@ -92,20 +109,22 @@ def load_csv(path: str, target_column: str) -> Dataset:
                 raise ValueError(
                     f"{path}:{lineno}: expected {len(header)} cells, got {len(rec)}"
                 )
-            t_cell = rec[t_pos].strip()
-            t_val = _parse_cell(t_cell, target_column, path, lineno)
-            if math.isnan(t_val) or math.isinf(t_val):
-                continue  # missing target: drop the row
+            if t_pos is not None:
+                t_val = _parse_cell(rec[t_pos].strip(), target_column, path, lineno)
+                if not math.isfinite(t_val):
+                    continue  # missing target: drop the row
+                targets.append(t_val)
             vals = []
-            for i, cell in enumerate(rec):
-                if i == t_pos:
-                    continue
-                name = header[i]
-                v = _parse_cell(cell.strip(), name, path, lineno)
+            for i in pos:
+                v = _parse_cell(rec[i].strip(), header[i], path, lineno)
                 vals.append(v if math.isfinite(v) else math.nan)
             rows.append(vals)
-            targets.append(t_val)
 
+    if target_column is None:
+        if not rows:
+            raise ValueError(f"{path}: no data rows")
+        return Dataset(np.asarray(rows, dtype=np.float64), np.full(len(rows), math.nan),
+                       feature_names, "")
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 usable rows, got {len(rows)}")
     X = np.asarray(rows, dtype=np.float64)
@@ -189,15 +208,12 @@ def drop_quasi_constant(ds: Dataset, threshold: float = 0.95) -> Dataset:
 class FoldPlan:
     """Cross-validation fold assignments for n rows.
 
-    assignments[i] is the fold index of row i. inner_k is filled in by the
-    benchmark harness (it depends on the training-split size); a bare
-    kfold_split leaves it None.
+    assignments[i] is the fold index of row i.
     """
 
     outer_k: int
     seed: int
     assignments: np.ndarray
-    inner_k: Optional[int] = None
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
@@ -254,7 +270,8 @@ class Standardizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(means=np.asarray(d["means"]), stds=np.asarray(d["stds"]))
+        return cls(means=np.asarray(d["means"], dtype=np.float64),
+                   stds=np.asarray(d["stds"], dtype=np.float64))
 
 
 def minmax_scale(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray,

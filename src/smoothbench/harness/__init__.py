@@ -1,7 +1,7 @@
 """Benchmark harness: metrics, random search, nested CV, rank statistics, reports."""
 
-from .metrics import FAILURE_SCORE, adjusted_r2, clip_predictions, r2
-from .nested_cv import BenchRunConfig, FoldResult, nested_cv_run, run_benchmark, run_outer_fold
+from .metrics import FAILURE_SCORE, adjusted_r2, clip_bounds, clip_predictions, r2
+from .nested_cv import BenchRunConfig, FoldResult, run_benchmark, run_outer_fold, tune
 from .report import (
     SCHEMA_VERSION,
     TIMING_FIELDS,
@@ -23,8 +23,8 @@ from .stats import (
 )
 
 __all__ = [
-    "FAILURE_SCORE", "adjusted_r2", "clip_predictions", "r2",
-    "BenchRunConfig", "FoldResult", "nested_cv_run", "run_benchmark", "run_outer_fold",
+    "FAILURE_SCORE", "adjusted_r2", "clip_bounds", "clip_predictions", "r2",
+    "BenchRunConfig", "FoldResult", "run_benchmark", "run_outer_fold", "tune",
     "SCHEMA_VERSION", "TIMING_FIELDS", "build_report", "read_results_jsonl",
     "report_model_columns", "write_report_files", "write_results_jsonl",
     "Param", "SearchSpace", "Trial", "random_search", "search_space",

@@ -35,14 +35,13 @@ def adjusted_r2(r2_value: float, n: int, d: int) -> float:
     return 1.0 - (1.0 - r2_value) * (n - 1) / (n - d - 1)
 
 
-def clip_predictions(preds: np.ndarray, y_train: np.ndarray) -> np.ndarray:
-    """Clamp predictions to [min(y_train) - 3 sd, max(y_train) + 3 sd].
-
-    The spread uses the population standard deviation of the training targets.
-    Idempotent by construction.
-    """
+def clip_bounds(y_train: np.ndarray) -> tuple[float, float]:
+    """[min(y_train) - 3 sd, max(y_train) + 3 sd], sd the population standard deviation."""
     y_train = np.asarray(y_train, dtype=np.float64)
     sd = float(y_train.std())
-    lo = float(y_train.min()) - 3.0 * sd
-    hi = float(y_train.max()) + 3.0 * sd
-    return np.clip(np.asarray(preds, dtype=np.float64), lo, hi)
+    return float(y_train.min()) - 3.0 * sd, float(y_train.max()) + 3.0 * sd
+
+
+def clip_predictions(preds: np.ndarray, y_train: np.ndarray) -> np.ndarray:
+    """Clamp predictions to clip_bounds(y_train). Idempotent by construction."""
+    return np.clip(np.asarray(preds, dtype=np.float64), *clip_bounds(y_train))

@@ -16,8 +16,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..data import Dataset, Standardizer, impute_median, inner_fold_count, kfold_split
-from ..registry import HARNESS_STANDARDIZED, fit_model, predict_model
+from ..data import Dataset, FoldPlan, impute_median, inner_fold_count, kfold_split
+from ..registry import fit_model, predict_model
 from .metrics import FAILURE_SCORE, adjusted_r2, clip_predictions, r2
 from .search import random_search, search_space
 
@@ -56,6 +56,32 @@ def _fit_seed(config: BenchRunConfig, fold: int) -> int:
     return config.outer_seed + 7919 * (fold + 1)
 
 
+def tune(kind: str, X: np.ndarray, y: np.ndarray, plan: FoldPlan, fit_seed: int,
+         search_seed: int, budget: Optional[int]) -> Dict[str, Any]:
+    """Random search over kind's space; each trial scores its mean inner-CV adjusted R².
+
+    Every fit uses fit_seed, and every fold's predictions are clipped to its
+    own training targets. Raises ValueError when every trial failed.
+    """
+    d = X.shape[1]
+
+    def objective(params: Dict[str, Any]) -> float:
+        scores = []
+        for fold in range(plan.outer_k):
+            itr, ival = plan.train_indices(fold), plan.test_indices(fold)
+            model = fit_model(kind, X[itr], y[itr], params, seed=fit_seed)
+            preds = clip_predictions(predict_model(kind, model, X[ival]), y[itr])
+            scores.append(adjusted_r2(r2(y[ival], preds), len(ival), d))
+        return float(np.mean(scores))
+
+    best_params, _, trials = random_search(objective, search_space(kind), seed=search_seed,
+                                           budget=budget)
+    if all(t.score == FAILURE_SCORE for t in trials):
+        # refitting trial 0's params would score a failed search as a success
+        raise ValueError(f"all {len(trials)} search trials failed")
+    return best_params
+
+
 def run_outer_fold(
     name: str,
     ds: Dataset,
@@ -74,39 +100,17 @@ def run_outer_fold(
     train.require_finite()
     test.require_finite()
 
-    if kind in HARNESS_STANDARDIZED:
-        std = Standardizer().fit(train.X)
-        X_tr, X_te = std.apply(train.X), std.apply(test.X)
-    else:
-        X_tr, X_te = train.X, test.X
-    y_tr, y_te = train.y, test.y
+    X_tr, y_tr = train.X, train.y
+    X_te, y_te = test.X, test.y
     n_tr = X_tr.shape[0]
-
-    inner_k = inner_fold_count(n_tr)
-    inner_plan = kfold_split(n_tr, inner_k, seed=config.outer_seed + 1000 * (fold + 1))
+    inner_plan = kfold_split(n_tr, inner_fold_count(n_tr),
+                             seed=config.outer_seed + 1000 * (fold + 1))
     fit_seed = _fit_seed(config, fold)
 
-    def objective(params: Dict[str, Any]) -> float:
-        scores = []
-        for inner in range(inner_k):
-            itr = inner_plan.train_indices(inner)
-            ival = inner_plan.test_indices(inner)
-            model = fit_model(kind, X_tr[itr], y_tr[itr], params, seed=fit_seed)
-            preds = predict_model(kind, model, X_tr[ival])
-            preds = clip_predictions(preds, y_tr[itr])
-            scores.append(adjusted_r2(r2(y_tr[ival], preds), len(ival), ds.d))
-        return float(np.mean(scores))
-
-    space = search_space(kind)
     t0 = time.perf_counter()
-    best_params, _, trials = random_search(
-        objective, space, seed=config.search_seed + fold,
-        budget=config.budget_for(kind),
-    )
+    best_params = tune(kind, X_tr, y_tr, inner_plan, fit_seed,
+                       config.search_seed + fold, config.budget_for(kind))
     tune_seconds = time.perf_counter() - t0
-    if all(t.score == FAILURE_SCORE for t in trials):
-        # refitting trial 0's params would score a failed search as a success
-        raise RuntimeError(f"all {len(trials)} search trials failed")
 
     t0 = time.perf_counter()
     model = fit_model(kind, X_tr, y_tr, best_params, seed=fit_seed)
@@ -133,29 +137,6 @@ def run_outer_fold(
         predict_ms_per_1k=predict_ms_per_1k,
         best_params=dict(best_params),
     )
-
-
-def nested_cv_run(
-    name: str,
-    ds: Dataset,
-    kind: str,
-    config: BenchRunConfig = BenchRunConfig(),
-) -> Tuple[List[FoldResult], Optional[str]]:
-    """All outer folds of one (dataset, model) pair, serially.
-
-    Returns (fold_results, error). Any fold failure marks the whole pair
-    failed for ranking; successfully completed folds are still returned.
-    """
-    plan = kfold_split(ds.n, config.outer_k, config.outer_seed)
-    results: List[FoldResult] = []
-    error: Optional[str] = None
-    for fold in range(config.outer_k):
-        try:
-            results.append(run_outer_fold(name, ds, kind, fold, plan.assignments, config))
-        except Exception as exc:  # noqa: BLE001 - failure is data here
-            error = f"fold {fold}: {exc}"
-            break
-    return results, error
 
 
 def run_benchmark(

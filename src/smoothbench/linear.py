@@ -30,12 +30,23 @@ class RidgeModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RidgeModel":
-        return cls(
+        model = cls(
             standardizer=Standardizer.from_dict(d["standardizer"]),
             weights=np.asarray(d["weights"], dtype=np.float64),
             intercept=float(d["intercept"]),
             alpha=float(d["alpha"]),
         )
+        w, means, stds = model.weights, model.standardizer.means, model.standardizer.stds
+        if not (w.ndim == 1 and w.shape == means.shape == stds.shape):
+            raise ValueError(f"ridge model: weights, means and stds have shapes {w.shape}, "
+                             f"{means.shape} and {stds.shape}; they need one equal length")
+        for name, value in (("weights", w), ("means", means), ("stds", stds),
+                            ("intercept", model.intercept), ("alpha", model.alpha)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"ridge model: {name} holds a non-finite number")
+        if not (stds > 0).all():
+            raise ValueError("ridge model: stds must be > 0")
+        return model
 
 
 def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:

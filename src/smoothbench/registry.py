@@ -1,8 +1,8 @@
 """Uniform dispatch over the five model kinds.
 
-The benchmark feeds every model raw (imputed) features except ridge, which
-gets harness-standardized features; the tree baseline consumes raw features
-directly and the smooth models run their own internal scaling.
+The benchmark feeds every model raw (imputed) features: ridge standardizes
+them inside fit_ridge, the tree baseline consumes them directly and the smooth
+models run their own internal scaling.
 """
 
 from __future__ import annotations
@@ -11,78 +11,86 @@ from typing import Any, Dict
 
 import numpy as np
 
-from .cart import RegressionTree, cart_fit, cart_predict
+from .cart import RegressionTree, cart_fit
 from .chebypoly import ChebyPolyModel, fit_chebypoly
 from .chebytree import ChebyTreeModel, fit_chebytree
 from .erbf import ErbfConfig, ErbfModel, fit_erbf
 from .linear import RidgeModel, fit_ridge
 
-MODEL_KINDS = ("ridge", "dt", "chebypoly", "chebytree", "erbf")
 
-# model kinds whose features the harness standardizes before fit/predict
-HARNESS_STANDARDIZED = frozenset({"ridge"})
+def _fit_ridge(X, y, params, seed):
+    return fit_ridge(X, y, alpha=params.get("alpha", 1.0))
+
+
+def _fit_dt(X, y, params, seed):
+    return cart_fit(
+        X, y,
+        max_depth=int(params.get("max_depth", 10)),
+        min_samples_leaf=params.get("min_samples_leaf", 1),
+        min_samples_split=params.get("min_samples_split", 2),
+    )
+
+
+def _fit_chebypoly(X, y, params, seed):
+    return fit_chebypoly(
+        X, y,
+        complexity=int(params.get("complexity", 3)),
+        alpha=params.get("alpha", 1.0),
+        include_interactions=bool(params.get("include_interactions", False)),
+        max_interaction_complexity=int(params.get("max_interaction_complexity", 1)),
+    )
+
+
+def _fit_chebytree(X, y, params, seed):
+    return fit_chebytree(
+        X, y,
+        complexity=int(params.get("complexity", 2)),
+        alpha=params.get("alpha", 1.0),
+        max_depth=int(params.get("max_depth", 4)),
+        min_samples_leaf=params.get("min_samples_leaf", 1),
+    )
+
+
+def _fit_erbf(X, y, params, seed):
+    n_rbf = params.get("n_rbf", "auto")
+    config = ErbfConfig(
+        n_rbf=n_rbf if n_rbf == "auto" else int(n_rbf),
+        alpha=params.get("alpha", 1.0),
+        center_init=params.get("center_init", "lipschitz"),
+        width_init=params.get("width_init", "local_ridge"),
+        width_optim_iters=int(params.get("width_optim_iters", 30)),
+        seed=seed,
+    )
+    return fit_erbf(X, y, config)
+
+
+# kind -> (fit from search-space params, model class with predict/to_dict/from_dict)
+_MODELS = {
+    "ridge": (_fit_ridge, RidgeModel),
+    "dt": (_fit_dt, RegressionTree),
+    "chebypoly": (_fit_chebypoly, ChebyPolyModel),
+    "chebytree": (_fit_chebytree, ChebyTreeModel),
+    "erbf": (_fit_erbf, ErbfModel),
+}
+
+MODEL_KINDS = tuple(_MODELS)
+
+
+def _entry(kind: str):
+    try:
+        return _MODELS[kind]
+    except KeyError:
+        raise ValueError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}") from None
 
 
 def fit_model(kind: str, X: np.ndarray, y: np.ndarray, params: Dict[str, Any], seed: int = 0):
     """Fit a model of the given kind with search-space parameters."""
-    if kind == "ridge":
-        return fit_ridge(X, y, alpha=params.get("alpha", 1.0))
-    if kind == "dt":
-        return cart_fit(
-            X, y,
-            max_depth=int(params.get("max_depth", 10)),
-            min_samples_leaf=params.get("min_samples_leaf", 1),
-            min_samples_split=params.get("min_samples_split", 2),
-        )
-    if kind == "chebypoly":
-        return fit_chebypoly(
-            X, y,
-            complexity=int(params.get("complexity", 3)),
-            alpha=params.get("alpha", 1.0),
-            include_interactions=bool(params.get("include_interactions", False)),
-            max_interaction_complexity=int(params.get("max_interaction_complexity", 1)),
-        )
-    if kind == "chebytree":
-        return fit_chebytree(
-            X, y,
-            complexity=int(params.get("complexity", 2)),
-            alpha=params.get("alpha", 1.0),
-            max_depth=int(params.get("max_depth", 4)),
-            min_samples_leaf=params.get("min_samples_leaf", 1),
-        )
-    if kind == "erbf":
-        n_rbf = params.get("n_rbf", "auto")
-        config = ErbfConfig(
-            n_rbf=n_rbf if n_rbf == "auto" else int(n_rbf),
-            alpha=params.get("alpha", 1.0),
-            center_init=params.get("center_init", "lipschitz"),
-            width_init=params.get("width_init", "local_ridge"),
-            width_optim_iters=int(params.get("width_optim_iters", 30)),
-            seed=seed,
-        )
-        return fit_erbf(X, y, config)
-    raise ValueError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
+    return _entry(kind)[0](X, y, params, seed)
 
 
 def predict_model(kind: str, model, X: np.ndarray) -> np.ndarray:
-    if kind == "dt":
-        return cart_predict(model, X)
     return model.predict(X)
 
 
-def model_to_dict(kind: str, model) -> dict:
-    return model.to_dict()
-
-
 def model_from_dict(kind: str, d: dict):
-    if kind == "ridge":
-        return RidgeModel.from_dict(d)
-    if kind == "dt":
-        return RegressionTree.from_dict(d)
-    if kind == "chebypoly":
-        return ChebyPolyModel.from_dict(d)
-    if kind == "chebytree":
-        return ChebyTreeModel.from_dict(d)
-    if kind == "erbf":
-        return ErbfModel.from_dict(d)
-    raise ValueError(f"unknown model kind {kind!r}")
+    return _entry(kind)[1].from_dict(d)

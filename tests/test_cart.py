@@ -11,7 +11,6 @@ import pytest
 from smoothbench.cart import (
     RegressionTree,
     cart_fit,
-    cart_predict,
     cart_route,
     resolve_count,
 )
@@ -174,7 +173,7 @@ def test_midpoint_guard_keeps_partition_stable():
     tree = cart_fit(X, y, max_depth=1)
     feat, thr = root_split(tree)
     assert feat == 0 and thr == a
-    assert cart_predict(tree, X).tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert tree.predict(X).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +184,7 @@ def test_perfect_fit_on_step_function():
     X = np.linspace(0, 1, 64)[:, None]
     y = (X[:, 0] > 0.5).astype(float)
     tree = cart_fit(X, y, max_depth=3)
-    assert np.array_equal(cart_predict(tree, X), y)
+    assert np.array_equal(tree.predict(X), y)
 
 
 def test_deeper_trees_never_increase_training_mse():
@@ -197,7 +196,7 @@ def test_deeper_trees_never_increase_training_mse():
         prev = None
         for depth in range(0, 7):
             tree = cart_fit(X, y, max_depth=depth)
-            mse = float(np.mean((cart_predict(tree, X) - y) ** 2))
+            mse = float(np.mean((tree.predict(X) - y) ** 2))
             if prev is not None:
                 assert mse <= prev + 1e-12
             prev = mse
@@ -225,7 +224,7 @@ def test_stopping_conditions_yield_single_leaf():
     # depth 0
     t = cart_fit(X, y, max_depth=0)
     assert t.n_nodes == 1 and t.feature[0] == -1
-    assert np.allclose(cart_predict(t, X), y.mean())
+    assert np.allclose(t.predict(X), y.mean())
 
     # root smaller than min_samples_split
     t = cart_fit(X, y, max_depth=3, min_samples_split=11)
@@ -267,8 +266,8 @@ def test_routing_is_le_left_convention():
     tree = cart_fit(X, y, max_depth=1)
     thr = tree.threshold[0]
     # a query exactly at the threshold routes left
-    assert cart_predict(tree, np.array([[thr]]))[0] == 0.0
-    assert cart_predict(tree, np.array([[np.nextafter(thr, 2)]]))[0] == 1.0
+    assert tree.predict(np.array([[thr]]))[0] == 0.0
+    assert tree.predict(np.array([[np.nextafter(thr, 2)]]))[0] == 1.0
 
 
 def test_route_partitions_any_query_set():
@@ -298,10 +297,9 @@ def test_serialization_round_trip():
     tree = cart_fit(X, y, max_depth=3, min_samples_leaf=2)
     back = RegressionTree.from_dict(tree.to_dict())
     Q = rng.normal(size=(40, 2))
-    assert np.array_equal(cart_predict(tree, Q), cart_predict(back, Q))
+    assert np.array_equal(tree.predict(Q), back.predict(Q))
     assert np.array_equal(cart_route(tree, Q), cart_route(back, Q))
-    for k, rows in tree.leaf_rows.items():
-        assert np.array_equal(back.leaf_rows[k], rows)
+    assert "leaf_rows" not in tree.to_dict()
 
 
 def test_input_validation():

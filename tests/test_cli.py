@@ -15,7 +15,8 @@ import pytest
 
 from smoothbench.cli import main
 from smoothbench.data import load_csv, write_csv
-from smoothbench.registry import model_from_dict, predict_model
+from smoothbench.harness import clip_bounds, clip_predictions
+from smoothbench.registry import fit_model, model_from_dict, predict_model
 from smoothbench.synth import gen
 
 
@@ -105,18 +106,18 @@ class TestFitPredict:
 
     def test_fit_tune_with_every_trial_failing_exits_1(self, tmp_path, capsys,
                                                          monkeypatch):
-        import smoothbench.cli as cli
+        import smoothbench.harness.nested_cv as ncv
 
         data = tmp_path / "train.csv"
         _write_dataset(data, n=50)
-        real_fit = cli.fit_model
+        real_fit = ncv.fit_model
 
         def fit_failing_on_inner_splits(kind, X, y, params, seed=0):
             if X.shape[0] < 50:
                 raise np.linalg.LinAlgError("inner fit failed")
             return real_fit(kind, X, y, params, seed=seed)
 
-        monkeypatch.setattr(cli, "fit_model", fit_failing_on_inner_splits)
+        monkeypatch.setattr(ncv, "fit_model", fit_failing_on_inner_splits)
         model_path = tmp_path / "model.json"
         code = main(["fit", "--model", "dt", "--data", str(data),
                      "--target", "y", "--out", str(model_path),
@@ -226,6 +227,112 @@ class TestFitPredict:
                      "--data", str(data), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"chebytree leaf {key}" in err and message in err
+        assert not out.exists()
+
+    def test_predict_reads_only_the_feature_columns(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        _write_dataset(data, n=60)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--model", "ridge", "--data", str(data),
+                     "--target", "y", "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+
+        # one row, a non-numeric extra column, and an all-empty feature column
+        query = tmp_path / "query.csv"
+        query.write_text("label,x0,x1,x2,x3,x4\nabc,0.1,,0.3,0.4,0.5\n")
+        out = tmp_path / "preds.csv"
+        assert main(["predict", "--model-file", str(model_path),
+                     "--data", str(query), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            got = [float(r[0]) for r in list(csv.reader(fh))[1:]]
+        X = np.array([[0.1, doc["medians"][1], 0.3, 0.4, 0.5]])
+        want = predict_model("ridge", model_from_dict("ridge", doc["model"]), X)
+        assert got == want.tolist()
+
+        query.write_text("x0,x1,x2,x3,x4\n")
+        assert main(["predict", "--model-file", str(model_path),
+                     "--data", str(query), "--out", str(out)]) == 1
+        assert "no data rows" in capsys.readouterr().err
+
+    def test_predict_clips_to_the_bound_the_benchmark_scores_with(self, tmp_path):
+        data = tmp_path / "train.csv"
+        ds = _write_dataset(data, n=200)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--model", "ridge", "--data", str(data),
+                     "--target", "y", "--out", str(model_path)]) == 0
+        lo, hi = clip_bounds(ds.y)
+        assert json.loads(model_path.read_text())["clip"] == [lo, hi]
+
+        # far outside the training box a linear model leaves the bound
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1,x2,x3,x4\n50,50,50,50,50\n-50,-50,-50,-50,-50\n")
+        out = tmp_path / "preds.csv"
+        assert main(["predict", "--model-file", str(model_path),
+                     "--data", str(query), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            got = [float(r[0]) for r in list(csv.reader(fh))[1:]]
+        assert got == [hi, lo]
+
+    @pytest.mark.parametrize("kind, params", [
+        ("ridge", {"alpha": 0.5}),
+        ("dt", {"max_depth": 4, "min_samples_leaf": 2}),
+        ("chebypoly", {"complexity": 3, "alpha": 0.1, "include_interactions": True}),
+        ("chebytree", {"complexity": 2, "alpha": 0.1, "max_depth": 2}),
+        ("erbf", {"n_rbf": 6, "alpha": 0.1, "width_optim_iters": 3}),
+    ])
+    def test_served_predictions_equal_scored_ones(self, tmp_path, kind, params):
+        data = tmp_path / "train.csv"
+        _write_dataset(data, n=80)
+        model_path = tmp_path / "model.json"
+        flags = [a for k, v in params.items() for a in ("--param", f"{k}={json.dumps(v)}")]
+        assert main(["fit", "--model", kind, "--data", str(data), "--target", "y",
+                     "--seed", "3", "--out", str(model_path)] + flags) == 0
+        out = tmp_path / "preds.csv"
+        assert main(["predict", "--model-file", str(model_path),
+                     "--data", str(data), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            served = np.array([float(r[0]) for r in list(csv.reader(fh))[1:]])
+
+        # the harness path: fit_model, predict_model, clip_predictions
+        ds = load_csv(str(data), "y")
+        model = fit_model(kind, ds.X, ds.y, params, seed=3)
+        scored = clip_predictions(predict_model(kind, model, ds.X), ds.y)
+        assert np.array_equal(served, scored)
+
+    @pytest.mark.parametrize("kind, corrupt, message", [
+        ("dt", lambda d: d["model"]["left"].pop(), "left has shape"),
+        ("dt", lambda d: d["model"]["left"].__setitem__(0, 999), "left[0] = 999"),
+        ("dt", lambda d: d["model"]["right"].__setitem__(0, 0), "right[0] = 0"),
+        ("dt", lambda d: d["model"]["feature"].__setitem__(0, -5), "feature[0] = -5"),
+        ("dt", lambda d: d["model"]["threshold"].__setitem__(0, float("inf")),
+         "threshold"),
+        ("dt", lambda d: d["model"]["value"].__setitem__(1, float("nan")), "value"),
+        ("ridge", lambda d: d["model"]["weights"].pop(), "weights, means and stds"),
+        ("ridge", lambda d: d["model"]["standardizer"]["means"].__setitem__(
+            0, float("nan")), "means holds a non-finite"),
+        ("ridge", lambda d: d["model"]["standardizer"]["stds"].__setitem__(0, 0.0),
+         "stds must be > 0"),
+        ("ridge", lambda d: d.pop("clip"), "clip"),
+        ("ridge", lambda d: d["clip"].__setitem__(1, float("inf")), "clip"),
+        ("ridge", lambda d: d["clip"].reverse(), "clip"),
+    ], ids=["dt-short-left", "dt-child-out-of-range", "dt-child-loops-back",
+            "dt-feature-below-leaf-mark", "dt-inf-threshold", "dt-nan-value",
+            "ridge-short-weights", "ridge-nan-means", "ridge-zero-std",
+            "no-clip", "inf-clip", "clip-lo-above-hi"])
+    def test_predict_rejects_corrupted_model_file(self, tmp_path, capsys, kind,
+                                                  corrupt, message):
+        data = tmp_path / "train.csv"
+        _write_dataset(data, n=60)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--model", kind, "--data", str(data), "--target", "y",
+                     "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        corrupt(doc)
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model-file", str(model_path),
+                     "--data", str(data), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_predict_rejects_wrong_schema(self, tmp_path, capsys):
