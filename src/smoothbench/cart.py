@@ -77,6 +77,14 @@ class RegressionTree:
         tree._validate()
         return tree
 
+    def check_width(self, d: int) -> None:
+        """Reject a tree that splits on a feature index outside d input features."""
+        bad = np.flatnonzero(self.feature >= d)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"tree: feature[{i}] = {self.feature[i]} is not one of "
+                             f"the {d} input features")
+
     def _validate(self) -> None:
         """Reject arrays that routing could crash or loop forever on."""
         n = self.n_nodes
@@ -131,6 +139,10 @@ def cart_fit(
     msl = resolve_count(min_samples_leaf, n)
     msp = resolve_count(min_samples_split, n)
 
+    d = X.shape[1]
+    XT = np.ascontiguousarray(X.T).ravel()  # XT[j * n + i] = X[i, j]
+    offsets = np.arange(0, d * n, n)[:, None]
+    go_left_mask = np.zeros(n, dtype=bool)  # set on each split node's rows only
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -138,31 +150,32 @@ def cart_fit(
     value: list[float] = []
     leaf_rows: Dict[int, np.ndarray] = {}
 
-    def new_node(rows: np.ndarray) -> int:
-        idx = len(feature)
+    def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
+        """rows: the node's row ids, ascending; order[j]: them sorted by feature j."""
+        node = len(feature)
+        yn = y[rows]
+        m = rows.shape[0]
+        mu = yn.sum() / m  # bitwise yn.mean(): np.mean is add.reduce over the count
         feature.append(-1)
         threshold.append(math.nan)
         left.append(-1)
         right.append(-1)
-        value.append(float(y[rows].mean()))
-        return idx
-
-    def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
-        node = new_node(rows)
-        m = rows.shape[0]
-        if depth >= max_depth or m < msp or m < 2 * msl or np.ptp(y[rows]) == 0.0:
+        value.append(float(mu))
+        if depth >= max_depth or m < msp or m < 2 * msl or yn.max() - yn.min() == 0.0:
             leaf_rows[node] = rows
             return node
-        split = _best_split(X[rows], y[rows], order, msl)
+        split = _best_split(XT[order + offsets], y[order] - mu, yn - mu, msl)
         if split is None:
             leaf_rows[node] = rows
             return node
         feat, thr = split
-        go_left = X[rows, feat] <= thr
+        go_left = XT[feat * n + rows] <= thr
+        go_left_mask[rows] = go_left
+        sel = go_left_mask[order]
         feature[node] = feat
         threshold[node] = thr
-        left[node] = grow(rows[go_left], _restrict_order(order, go_left), depth + 1)
-        right[node] = grow(rows[~go_left], _restrict_order(order, ~go_left), depth + 1)
+        left[node] = grow(rows[go_left], order[sel].reshape(d, -1), depth + 1)
+        right[node] = grow(rows[~go_left], order[~sel].reshape(d, -1), depth + 1)
         return node
 
     # sort once at the root; children inherit the order by filtering, which
@@ -178,25 +191,19 @@ def cart_fit(
     )
 
 
-def _best_split(
-    Xn: np.ndarray, yn: np.ndarray, order: np.ndarray, msl: int
-) -> Optional[tuple[int, float]]:
+def _best_split(xs: np.ndarray, ys: np.ndarray, yc: np.ndarray,
+                msl: int) -> Optional[tuple[int, float]]:
     """Exhaustive scan for the max-gain split; None when no admissible split.
 
-    order[j] is the stable ascending argsort of Xn[:, j]. All features are
-    scanned at once, one row of the (d, m) sorted arrays each. Works on
-    node-centred targets so sums of squares stay well conditioned for
-    near-constant nodes.
+    xs[j] holds a node's values of feature j in stable ascending order and
+    ys[j] the node-centred targets in that order; yc is the node-centred
+    target in row order. Centring keeps sums of squares well conditioned for
+    near-constant nodes. All features are scanned at once, one row each.
     """
-    m, d = Xn.shape
-    if m < 2 * msl:
-        return None
-    yc = yn - yn.mean()
+    d, m = xs.shape
     parent_sse = float(yc @ yc)
-    xs = np.take_along_axis(Xn.T, order, axis=1)
-    ys = yc[order]
-    csum = np.cumsum(ys, axis=1)
-    csum2 = np.cumsum(ys * ys, axis=1)
+    csum = ys.cumsum(axis=1)
+    csum2 = (ys * ys).cumsum(axis=1)
     tot, tot2 = csum[:, -1:], csum2[:, -1:]
     # a split after sorted position pos - 1 puts pos rows on the left
     pos = np.arange(msl, m - msl + 1)
@@ -209,26 +216,15 @@ def _best_split(
     gains = parent_sse - (sse_left + sse_right)
     # only cut between distinct values
     gains[~(xs[:, cut] < xs[:, msl:m - msl + 1])] = -np.inf
-    ks = np.argmax(gains, axis=1)  # first max: lowest threshold wins ties
-    best_gain = 0.0
-    best: Optional[tuple[int, float]] = None
-    for j in range(d):  # strict >: lowest feature wins ties
-        k = int(ks[j])
-        if gains[j, k] > best_gain:
-            i = int(pos[k])
-            thr = 0.5 * (xs[j, i - 1] + xs[j, i])
-            if thr >= xs[j, i]:  # midpoint rounded up to the right value
-                thr = float(xs[j, i - 1])
-            best_gain = float(gains[j, k])
-            best = (j, float(thr))
-    return best
-
-
-def _restrict_order(order: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Per-feature sorted order of the kept rows, renumbered to their new positions."""
-    renumber = np.cumsum(keep) - 1
-    kept = order[keep[order]]  # row-major, so feature by feature
-    return renumber[kept].reshape(order.shape[0], -1)
+    # the first maximum in row-major order: lowest feature, then lowest threshold
+    j, k = divmod(int(gains.argmax()), gains.shape[1])
+    if not gains[j, k] > 0.0:
+        return None
+    i = msl + k
+    thr = 0.5 * (xs[j, i - 1] + xs[j, i])
+    if thr >= xs[j, i]:  # midpoint rounded up to the right value
+        thr = xs[j, i - 1]
+    return j, float(thr)
 
 
 def cart_route(tree: RegressionTree, X: np.ndarray) -> np.ndarray:

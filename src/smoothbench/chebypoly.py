@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import BasisConfig, build_design_matrix, interaction_feature_set
-from .data import MinMaxScaler
+from .chebyshev import BasisConfig, build_design_matrix, interaction_feature_set, n_columns
+from .data import MinMaxScaler, check_finite
 from .numkit import ridge_solve
 
 
@@ -54,7 +54,7 @@ class ChebyPolyModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChebyPolyModel":
-        return cls(
+        model = cls(
             basis=BasisConfig(**d["basis"]),
             alpha=float(d["alpha"]),
             scaler=MinMaxScaler.from_dict(d["scaler"]),
@@ -64,6 +64,27 @@ class ChebyPolyModel:
             y_mean=float(d["y_mean"]),
             y_std=float(d["y_std"]),
         )
+        mins, ranges, w = model.scaler.mins, model.scaler.ranges, model.weights
+        if not (mins.ndim == 1 and mins.shape == ranges.shape):
+            raise ValueError(f"chebypoly model: scaler has {mins.size} mins but "
+                             f"{ranges.size} ranges")
+        n_feats = mins.shape[0]
+        if not all(0 <= i < n_feats for i in model.interaction_feats):
+            raise ValueError(f"chebypoly model: interaction_feats {list(model.interaction_feats)}"
+                             f" are not all feature indices below {n_feats}")
+        p = n_columns(n_feats, model.basis, len(model.interaction_feats))
+        if w.shape != (p,):
+            raise ValueError(f"chebypoly model: weights has {w.size} entries, expected {p}")
+        check_finite("chebypoly model", mins=mins, ranges=ranges, weights=w,
+                     intercept=model.intercept, alpha=model.alpha, y_mean=model.y_mean,
+                     y_std=model.y_std)
+        return model
+
+    def check_width(self, d: int) -> None:
+        """Reject a model fitted on another number of input features than d."""
+        if self.scaler.mins.shape[0] != d:
+            raise ValueError(f"chebypoly model: scaler mins has {self.scaler.mins.shape[0]} "
+                             f"entries for {d} input features")
 
 
 def fit_chebypoly(

@@ -94,8 +94,11 @@ class ChebyTreeModel:
         for key, entry in d["leaf_models"].items():
             if entry["kind"] == "constant":
                 leaf_models[int(key)] = float(entry["value"])
-            else:
+                continue
+            try:
                 leaf_models[int(key)] = ChebyPolyModel.from_dict(entry["model"])
+            except ValueError as exc:
+                raise ValueError(f"chebytree leaf {key}: {exc}") from None
         model = cls(
             tree=RegressionTree.from_dict(d["tree"]),
             leaf_models=leaf_models,
@@ -124,13 +127,12 @@ class ChebyTreeModel:
                 if not math.isfinite(m):
                     raise ValueError(f"chebytree leaf {leaf}: constant value is not finite")
                 continue
+            # ChebyPolyModel.from_dict checked the leaf's own shapes and numbers
             d = len(m.scaler.mins)
             if n_features is None:
                 n_features = d
             problem = None
-            if len(m.scaler.ranges) != d:
-                problem = f"scaler has {d} mins but {len(m.scaler.ranges)} ranges"
-            elif d != n_features:
+            if d != n_features:
                 problem = f"has {d} features where other leaves have {n_features}"
             elif split_feats.size and split_feats.max() >= d:
                 problem = f"has {d} features but the tree splits on feature {split_feats.max()}"
@@ -138,14 +140,16 @@ class ChebyTreeModel:
                 problem = f"basis is not the model's interaction-free complexity {c}"
             elif not m.scaler.clip:
                 problem = "scaler does not clip"
-            elif m.weights.shape != (1 + d * c,):
-                problem = f"weights has {m.weights.size} entries, expected {1 + d * c}"
-            elif not all(np.isfinite(np.asarray(a, dtype=np.float64)).all() for a in (
-                    m.scaler.mins, m.scaler.ranges, m.weights,
-                    np.array([m.intercept, m.y_mean, m.y_std]))):
-                problem = "holds a non-finite number"
             if problem:
                 raise ValueError(f"chebytree leaf {leaf}: {problem}")
+
+    def check_width(self, d: int) -> None:
+        """Reject a model fitted on another number of input features than d."""
+        for leaf, m in self.leaf_models.items():
+            if not isinstance(m, float) and m.scaler.mins.shape[0] != d:
+                raise ValueError(f"chebytree leaf {leaf}: scaler mins has "
+                                 f"{m.scaler.mins.shape[0]} entries for {d} input features")
+        self.tree.check_width(d)
 
 
 def fit_chebytree(

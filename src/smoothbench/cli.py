@@ -7,7 +7,6 @@ own convention).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -17,7 +16,8 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .data import Dataset, drop_quasi_constant, impute_median, inner_fold_count, kfold_split, load_csv, subsample, write_csv
+from .data import (Dataset, drop_quasi_constant, impute_median, inner_fold_count, kfold_split,
+                   load_csv, subsample, write_csv, write_table)
 from .harness import (
     BenchRunConfig,
     build_report,
@@ -165,15 +165,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
             and all(isinstance(v, (int, float)) and math.isfinite(v) for v in clip)
             and clip[0] <= clip[1]):
         raise ValueError(f"model file: clip must be two finite numbers lo <= hi, got {clip!r}")
-    X = load_csv(args.data, columns=doc["feature_names"]).X
+    names = doc["feature_names"]
+    model.check_width(len(names))
     medians = np.asarray(doc["medians"], dtype=np.float64)
+    if medians.shape != (len(names),) or not np.isfinite(medians).all():
+        raise ValueError(f"model file: medians must be {len(names)} finite numbers, "
+                         "one per feature_names entry")
+    X = load_csv(args.data, columns=names).X
     X = np.where(np.isnan(X), medians, X)
     preds = np.clip(predict_model(kind, model, X), *clip)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["prediction"])
-        for v in preds:
-            writer.writerow([repr(float(v))])
+    write_table(args.out, ["prediction"], preds[:, None])
     print(f"wrote {len(preds)} predictions -> {args.out}")
     return 0
 

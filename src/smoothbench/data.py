@@ -59,6 +59,11 @@ class Dataset:
             raise ValueError("target contains NaN or infinite entries")
 
 
+# records parsed per block: the columns of one block stay small, so the
+# reader's peak memory does not grow with the file
+BLOCK_ROWS = 1024
+
+
 def load_csv(path: str, target_column: Optional[str] = None,
              columns: Optional[Sequence[str]] = None) -> Dataset:
     """Load a headered CSV into a Dataset.
@@ -73,6 +78,11 @@ def load_csv(path: str, target_column: Optional[str] = None,
     number) are dropped, at least 2 rows must remain, and a feature column
     with no numeric value is rejected. Without one, as for rows to predict,
     y is NaN, every row is kept and one row is enough.
+
+    Records are parsed column by column in blocks of BLOCK_ROWS. Errors are
+    reported as a row-by-row reader would: the first offending row in file
+    order, and within a row the target before the features in column order.
+    The feature cells of a dropped row are never parsed.
     """
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
@@ -100,62 +110,145 @@ def load_csv(path: str, target_column: Optional[str] = None,
                 raise ValueError(f"{path}: missing feature columns {missing}")
             pos = [header.index(c) for c in columns]
         feature_names = tuple(header[i] for i in pos)
-        rows: list[list[float]] = []
-        targets: list[float] = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec or (len(rec) == 1 and rec[0].strip() == ""):
-                continue  # blank line
-            if len(rec) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(rec)}"
-                )
-            if t_pos is not None:
-                t_val = _parse_cell(rec[t_pos].strip(), target_column, path, lineno)
-                if not math.isfinite(t_val):
-                    continue  # missing target: drop the row
-                targets.append(t_val)
-            vals = []
-            for i in pos:
-                v = _parse_cell(rec[i].strip(), header[i], path, lineno)
-                vals.append(v if math.isfinite(v) else math.nan)
-            rows.append(vals)
-
+        X_blocks: list[np.ndarray] = []
+        y_blocks: list[np.ndarray] = []
+        for linenos, records in _record_blocks(reader, len(header), path):
+            Xb, yb = _parse_block(list(zip(*records)), linenos, header, t_pos, pos, path)
+            X_blocks.append(Xb)
+            y_blocks.append(yb)
+    X = np.concatenate(X_blocks) if X_blocks else np.empty((0, len(pos)))
+    y = np.concatenate(y_blocks) if y_blocks else np.empty(0)
     if target_column is None:
-        if not rows:
+        if y.shape[0] == 0:
             raise ValueError(f"{path}: no data rows")
-        return Dataset(np.asarray(rows, dtype=np.float64), np.full(len(rows), math.nan),
-                       feature_names, "")
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least 2 usable rows, got {len(rows)}")
-    X = np.asarray(rows, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
+        return Dataset(X, y, feature_names, "")
+    if y.shape[0] < 2:
+        raise ValueError(f"{path}: need at least 2 usable rows, got {y.shape[0]}")
     for j, name in enumerate(feature_names):
         if np.isnan(X[:, j]).all():
             raise ValueError(f"{path}: column {name!r} has no parseable numeric values")
     return Dataset(X, y, feature_names, target_column)
 
 
-def _parse_cell(cell: str, column: str, path: str, lineno: int) -> float:
-    if cell == "":
-        return math.nan
+def _parse_block(cols: list, linenos: list[int], header: list[str], t_pos: Optional[int],
+                 pos: list[int], path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows and targets of one block of records, given as its columns.
+
+    Rows whose target is not a finite number are dropped before their
+    feature cells are parsed. Raises the error of the first bad cell in row
+    order, the target's before the features' (in `pos` order) within a row.
+    """
+    keep = None  # rows with a finite target; None keeps them all
+    t_error = None
+    yb = np.full(len(linenos), math.nan)
+    if t_pos is not None:
+        yb, bad = _parse_column(cols[t_pos])
+        if bad is not None:
+            t_error = _cell_error(path, linenos[bad], header[t_pos], cols[t_pos][bad])
+            yb = yb[:bad]  # a bad feature cell in an earlier row comes first
+        finite = np.isfinite(yb)
+        if t_error is not None or not finite.all():
+            keep = np.flatnonzero(finite)
+            yb = yb[keep]
+    Xb = np.empty((yb.shape[0], len(pos)))
+    f_error = None  # (row, error) of the first bad feature cell
+    for j, i in enumerate(pos):
+        cells = cols[i] if keep is None else [cols[i][k] for k in keep]
+        v, bad = _parse_column(cells)
+        if bad is not None:
+            row = bad if keep is None else int(keep[bad])
+            if f_error is None or row < f_error[0]:
+                f_error = (row, _cell_error(path, linenos[row], header[i], cells[bad]))
+            continue
+        Xb[:, j] = np.where(np.isfinite(v), v, math.nan)
+    if f_error is not None:
+        raise f_error[1]
+    if t_error is not None:
+        raise t_error
+    return Xb, yb
+
+
+def _record_blocks(reader, width: int, path: str):
+    """Yield (line numbers, records) of up to BLOCK_ROWS non-blank records.
+
+    A record without `width` cells, or a record the csv module cannot read,
+    ends the block before it; its error is raised once that block has been
+    parsed, so a bad cell in an earlier row is reported first.
+    """
+    linenos: list[int] = []
+    records: list[list[str]] = []
+    stop: Optional[Exception] = None
     try:
-        return float(cell)
+        for lineno, rec in enumerate(reader, start=2):
+            if not rec or (len(rec) == 1 and rec[0].strip() == ""):
+                continue  # blank line
+            if len(rec) != width:
+                stop = ValueError(f"{path}:{lineno}: expected {width} cells, got {len(rec)}")
+                break
+            linenos.append(lineno)
+            records.append(rec)
+            if len(records) == BLOCK_ROWS:
+                yield linenos, records
+                linenos, records = [], []
+    except csv.Error as exc:
+        stop = exc
+    if records:
+        yield linenos, records
+    if stop is not None:
+        raise stop
+
+
+def _parse_column(cells: Sequence[str]) -> tuple[np.ndarray, Optional[int]]:
+    """Parse a column of cells as floats, empty cells as NaN.
+
+    Returns the values and the index of the first cell that is not a number,
+    or None; values from that cell on are not filled in. The first pass
+    calls float() on unstripped cells. float() ignores part of the padding
+    str.strip() removes (not \\x1c-\\x1f), so a cell it refuses is parsed
+    stripped by the cell-by-cell pass, and both passes give the same values.
+    """
+    try:
+        return np.array(list(map(float, cells)), dtype=np.float64), None
     except ValueError:
-        raise ValueError(
-            f"{path}:{lineno}: column {column!r} has non-numeric value {cell!r}; "
-            "categorical columns are not supported"
-        )
+        pass
+    out = np.empty(len(cells))
+    for k, cell in enumerate(cells):
+        cell = cell.strip()
+        if cell == "":
+            out[k] = math.nan
+            continue
+        try:
+            out[k] = float(cell)
+        except ValueError:
+            return out, k
+    return out, None
+
+
+def _cell_error(path: str, lineno: int, column: str, cell: str) -> ValueError:
+    return ValueError(
+        f"{path}:{lineno}: column {column!r} has non-numeric value {cell.strip()!r}; "
+        "categorical columns are not supported"
+    )
 
 
 def write_csv(ds: Dataset, path: str) -> None:
     """Write a Dataset to CSV with the target as the last column."""
+    write_table(path, list(ds.feature_names) + [ds.target_name],
+                np.column_stack([ds.X, ds.y]))
+
+
+def write_table(path: str, header: Sequence[str], values: np.ndarray) -> None:
+    """Write a header and the rows of a 2-D float array as CSV, each cell repr(float).
+
+    The bytes equal those of csv.writer: a float's repr never needs quoting,
+    and rows end in the writer's CRLF. Rows go out BLOCK_ROWS at a time.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [ds.target_name])
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.X[i]]
-            row.append(repr(float(ds.y[i])))
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        values = np.asarray(values, dtype=np.float64)
+        for start in range(0, values.shape[0], BLOCK_ROWS):
+            block = values[start:start + BLOCK_ROWS].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
 
 
 def impute_median(train: Dataset, apply_to: Dataset) -> Dataset:
@@ -270,8 +363,22 @@ class Standardizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(means=np.asarray(d["means"], dtype=np.float64),
-                   stds=np.asarray(d["stds"], dtype=np.float64))
+        means = np.asarray(d["means"], dtype=np.float64)
+        stds = np.asarray(d["stds"], dtype=np.float64)
+        if not (means.ndim == 1 and means.shape == stds.shape):
+            raise ValueError(f"standardizer: means and stds have shapes {means.shape} and "
+                             f"{stds.shape}; they need one equal length")
+        check_finite("standardizer", means=means, stds=stds)
+        if not (stds > 0).all():
+            raise ValueError("standardizer: stds must be > 0")
+        return cls(means=means, stds=stds)
+
+
+def check_finite(owner: str, **fields) -> None:
+    """Raise a ValueError naming the first field that holds a non-finite number."""
+    for name, value in fields.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{owner}: {name} holds a non-finite number")
 
 
 def minmax_scale(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray,
@@ -318,8 +425,8 @@ class MinMaxScaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MinMaxScaler":
-        return cls(clip=bool(d["clip"]), mins=np.asarray(d["mins"]),
-                   ranges=np.asarray(d["ranges"]))
+        return cls(clip=bool(d["clip"]), mins=np.asarray(d["mins"], dtype=np.float64),
+                   ranges=np.asarray(d["ranges"], dtype=np.float64))
 
 
 def subsample(ds: Dataset, max_samples: int, seed: int) -> Dataset:

@@ -22,7 +22,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .data import Standardizer
+from .data import Standardizer, check_finite
 from .numkit import OptimResult, kmeans, knn_indices, lbfgs_minimize, ridge_solve
 
 WIDTH_FLOOR = 1e-6
@@ -283,7 +283,7 @@ class ErbfModel:
     def from_dict(cls, d: dict) -> "ErbfModel":
         cfg = d["config"]
         n_rbf = cfg["n_rbf"]
-        return cls(
+        model = cls(
             config=ErbfConfig(
                 n_rbf=n_rbf if n_rbf == "auto" else int(n_rbf),
                 alpha=float(cfg["alpha"]),
@@ -301,6 +301,28 @@ class ErbfModel:
             y_std=float(d["y_std"]),
             fit_info=dict(d.get("fit_info", {})),
         )
+        c, s, w = model.centers, model.sigma, model.weights
+        if c.ndim != 2:
+            raise ValueError(f"erbf model: centers has shape {c.shape}, expected (K, d)")
+        if s.shape != c.shape:
+            raise ValueError(f"erbf model: centers has shape {c.shape} but sigma {s.shape}")
+        if w.shape != (c.shape[0],):
+            raise ValueError(f"erbf model: weights has {w.size} entries for "
+                             f"{c.shape[0]} centers")
+        if model.standardizer.means.shape != (c.shape[1],):
+            raise ValueError(f"erbf model: standardizer has {model.standardizer.means.size} "
+                             f"means for centers with {c.shape[1]} columns")
+        check_finite("erbf model", centers=c, sigma=s, weights=w, bias=model.bias,
+                     y_mean=model.y_mean, y_std=model.y_std)
+        if not (s > 0).all():
+            raise ValueError("erbf model: sigma must be > 0")
+        return model
+
+    def check_width(self, d: int) -> None:
+        """Reject a model fitted on another number of input features than d."""
+        if self.centers.shape[1] != d:
+            raise ValueError(f"erbf model: centers has {self.centers.shape[1]} columns "
+                             f"for {d} input features")
 
 
 def fit_erbf(X: np.ndarray, y: np.ndarray, config: Optional[ErbfConfig] = None) -> ErbfModel:

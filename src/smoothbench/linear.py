@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Standardizer
+from .data import Standardizer, check_finite
 from .numkit import ridge_solve
 
 
@@ -40,13 +40,14 @@ class RidgeModel:
         if not (w.ndim == 1 and w.shape == means.shape == stds.shape):
             raise ValueError(f"ridge model: weights, means and stds have shapes {w.shape}, "
                              f"{means.shape} and {stds.shape}; they need one equal length")
-        for name, value in (("weights", w), ("means", means), ("stds", stds),
-                            ("intercept", model.intercept), ("alpha", model.alpha)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"ridge model: {name} holds a non-finite number")
-        if not (stds > 0).all():
-            raise ValueError("ridge model: stds must be > 0")
+        check_finite("ridge model", weights=w, intercept=model.intercept, alpha=model.alpha)
         return model
+
+    def check_width(self, d: int) -> None:
+        """Reject a model fitted on another number of input features than d."""
+        if self.weights.shape[0] != d:
+            raise ValueError(f"ridge model: weights has {self.weights.shape[0]} entries "
+                             f"for {d} input features")
 
 
 def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:

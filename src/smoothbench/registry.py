@@ -64,7 +64,8 @@ def _fit_erbf(X, y, params, seed):
     return fit_erbf(X, y, config)
 
 
-# kind -> (fit from search-space params, model class with predict/to_dict/from_dict)
+# kind -> (fit from search-space params,
+#          model class with predict, to_dict, from_dict and check_width)
 _MODELS = {
     "ridge": (_fit_ridge, RidgeModel),
     "dt": (_fit_dt, RegressionTree),

@@ -5,6 +5,8 @@ every admissible (feature, adjacent-distinct-value midpoint) candidate with
 direct SSE computation, mirroring the documented tie-break order.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from smoothbench.cart import (
     cart_route,
     resolve_count,
 )
+from smoothbench.harness.search import chebytree_space, dt_space
+from smoothbench.synth import gen
 
 
 def brute_force_candidates(X, y, msl):
@@ -164,16 +168,17 @@ def test_tie_break_prefers_lower_threshold():
 
 
 def test_midpoint_guard_keeps_partition_stable():
-    # adjacent values so close their midpoint rounds up to the right value;
-    # the threshold must fall back to the left value so <=thr keeps the split
-    a = 1.0
-    b = np.nextafter(a, 2.0)
-    X = np.array([[a], [a], [b], [b]])
-    y = np.array([0.0, 0.0, 1.0, 1.0])
-    tree = cart_fit(X, y, max_depth=1)
-    feat, thr = root_split(tree)
-    assert feat == 0 and thr == a
-    assert tree.predict(X).tolist() == [0.0, 0.0, 1.0, 1.0]
+    # adjacent values so close their midpoint may round up to the right value
+    # (it does for the second pair); the threshold must then fall back to the
+    # left value so <=thr keeps the split
+    for a, b in ((1.0, np.nextafter(1.0, 2.0)), (np.nextafter(1.0, 0.0), 1.0)):
+        X = np.array([[a], [a], [b], [b]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        tree = cart_fit(X, y, max_depth=1)
+        feat, thr = root_split(tree)
+        assert feat == 0 and thr == a
+        assert tree.predict(X).tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert 0.5 * (a + b) == b
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +305,144 @@ def test_serialization_round_trip():
     assert np.array_equal(tree.predict(Q), back.predict(Q))
     assert np.array_equal(cart_route(tree, Q), cart_route(back, Q))
     assert "leaf_rows" not in tree.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the grower against the one it replaced
+
+
+def reference_cart_fit(X, y, max_depth, min_samples_leaf=1, min_samples_split=2):
+    """The node-local grower that the global-row-id grower replaced, kept as its oracle."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = X.shape[0]
+    msl = resolve_count(min_samples_leaf, n)
+    msp = resolve_count(min_samples_split, n)
+    feature, threshold, left, right, value = [], [], [], [], []
+    leaf_rows = {}
+
+    def new_node(rows):
+        idx = len(feature)
+        feature.append(-1)
+        threshold.append(math.nan)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(y[rows].mean()))
+        return idx
+
+    def grow(rows, order, depth):
+        node = new_node(rows)
+        m = rows.shape[0]
+        if depth >= max_depth or m < msp or m < 2 * msl or np.ptp(y[rows]) == 0.0:
+            leaf_rows[node] = rows
+            return node
+        split = _reference_best_split(X[rows], y[rows], order, msl)
+        if split is None:
+            leaf_rows[node] = rows
+            return node
+        feat, thr = split
+        go_left = X[rows, feat] <= thr
+        feature[node] = feat
+        threshold[node] = thr
+        left[node] = grow(rows[go_left], _reference_restrict_order(order, go_left), depth + 1)
+        right[node] = grow(rows[~go_left], _reference_restrict_order(order, ~go_left),
+                           depth + 1)
+        return node
+
+    grow(np.arange(n), np.argsort(X.T, axis=1, kind="stable"), 0)
+    return RegressionTree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray(value, dtype=np.float64),
+        leaf_rows=leaf_rows,
+    )
+
+
+def _reference_best_split(Xn, yn, order, msl):
+    m, d = Xn.shape
+    if m < 2 * msl:
+        return None
+    yc = yn - yn.mean()
+    parent_sse = float(yc @ yc)
+    xs = np.take_along_axis(Xn.T, order, axis=1)
+    ys = yc[order]
+    csum = np.cumsum(ys, axis=1)
+    csum2 = np.cumsum(ys * ys, axis=1)
+    tot, tot2 = csum[:, -1:], csum2[:, -1:]
+    pos = np.arange(msl, m - msl + 1)
+    cut = slice(msl - 1, m - msl)
+    sl, s2l = csum[:, cut], csum2[:, cut]
+    sse_left = s2l - sl * sl / pos
+    nr = m - pos
+    sr = tot - sl
+    sse_right = (tot2 - s2l) - sr * sr / nr
+    gains = parent_sse - (sse_left + sse_right)
+    gains[~(xs[:, cut] < xs[:, msl:m - msl + 1])] = -np.inf
+    ks = np.argmax(gains, axis=1)
+    best_gain = 0.0
+    best = None
+    for j in range(d):
+        k = int(ks[j])
+        if gains[j, k] > best_gain:
+            i = int(pos[k])
+            thr = 0.5 * (xs[j, i - 1] + xs[j, i])
+            if thr >= xs[j, i]:
+                thr = float(xs[j, i - 1])
+            best_gain = float(gains[j, k])
+            best = (j, float(thr))
+    return best
+
+
+def _reference_restrict_order(order, keep):
+    renumber = np.cumsum(keep) - 1
+    kept = order[keep[order]]
+    return renumber[kept].reshape(order.shape[0], -1)
+
+
+def assert_trees_identical(got, want):
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    assert got.leaf_rows.keys() == want.leaf_rows.keys()
+    for leaf, rows in want.leaf_rows.items():
+        assert np.array_equal(got.leaf_rows[leaf], rows)
+
+
+def test_trees_equal_the_reference_grower_on_search_space_draws():
+    rng = np.random.default_rng(83)
+    for n, kind in ((667, "friedman1"), (1000, "synthetic_step")):
+        ds = gen(kind, n=n, seed=n)
+        for space in (dt_space(), chebytree_space()):
+            for _ in range(12):
+                p = space.sample_trial(rng)
+                args = (p["max_depth"], p["min_samples_leaf"], p.get("min_samples_split", 2))
+                assert_trees_identical(cart_fit(ds.X, ds.y, *args),
+                                       reference_cart_fit(ds.X, ds.y, *args))
+
+
+def test_trees_equal_the_reference_grower_on_duplicates_and_constant_columns():
+    rng = np.random.default_rng(89)
+    for case in range(60):
+        n = int(rng.integers(1, 300))
+        d = int(rng.integers(1, 6))
+        X = rng.integers(0, 4, size=(n, d)).astype(float)
+        if case % 2:
+            X[:, int(rng.integers(d))] = -1.25
+        y = rng.integers(0, 3, size=n) + (0.1 * rng.normal(size=n) if case % 3 else 0.0)
+        max_depth = int(rng.integers(0, 14))
+        msl = [1, 2, 3, 0.02, 0.1][case % 5]
+        msp = [2, 4, 0.05][case % 3]
+        assert_trees_identical(cart_fit(X, y, max_depth, msl, msp),
+                               reference_cart_fit(X, y, max_depth, msl, msp))
+
+
+def test_node_mean_as_sum_over_count_equals_numpy_mean_bitwise():
+    rng = np.random.default_rng(97)
+    for m in list(range(1, 40)) + [127, 128, 129, 1000, 4097]:
+        for scale in (1e-300, 1.0, 1e12, 1e300):
+            yn = rng.normal(size=m) * scale + rng.normal() * scale
+            assert (yn.sum() / m).tobytes() == yn.mean().tobytes()
 
 
 def test_input_validation():

@@ -8,6 +8,7 @@ with the library calls the commands wrap.
 from __future__ import annotations
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -24,6 +25,12 @@ def _write_dataset(path, kind="friedman1", n=60, noise_std=0.2, seed=11):
     ds = gen(kind, n=n, noise_std=noise_std, seed=seed)
     write_csv(ds, str(path))
     return ds
+
+
+def _drop_last_feature(doc):
+    """Make a model file list one feature name (and median) fewer than its model uses."""
+    doc["feature_names"].pop()
+    doc["medians"].pop()
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +280,27 @@ class TestFitPredict:
             got = [float(r[0]) for r in list(csv.reader(fh))[1:]]
         assert got == [hi, lo]
 
+    def test_prediction_file_bytes_equal_csv_writer(self, tmp_path, monkeypatch):
+        data = tmp_path / "train.csv"
+        ds = _write_dataset(data, n=60)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--model", "ridge", "--data", str(data),
+                     "--target", "y", "--out", str(model_path)]) == 0
+        lo, hi = clip_bounds(ds.y)
+        special = [np.nan, -0.0, 5e-324, 0.1, np.inf, -np.inf, 1.0 / 3.0]
+        raw = np.resize(special, ds.n)
+        monkeypatch.setattr("smoothbench.cli.predict_model", lambda kind, model, X: raw)
+        out = tmp_path / "preds.csv"
+        assert main(["predict", "--model-file", str(model_path),
+                     "--data", str(data), "--out", str(out)]) == 0
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["prediction"])
+        for v in np.clip(raw, lo, hi):
+            writer.writerow([repr(float(v))])
+        assert out.read_bytes() == want.getvalue().encode("utf-8")
+        assert b"nan\r\n-0.0\r\n5e-324\r\n" in out.read_bytes()
+
     @pytest.mark.parametrize("kind, params", [
         ("ridge", {"alpha": 0.5}),
         ("dt", {"max_depth": 4, "min_samples_leaf": 2}),
@@ -315,10 +343,51 @@ class TestFitPredict:
         ("ridge", lambda d: d.pop("clip"), "clip"),
         ("ridge", lambda d: d["clip"].__setitem__(1, float("inf")), "clip"),
         ("ridge", lambda d: d["clip"].reverse(), "clip"),
+        ("ridge", lambda d: d["medians"].pop(), "medians"),
+        # the model's input width against the file's feature_names
+        ("dt", lambda d: d["model"]["feature"].__setitem__(0, 7),
+         "feature[0] = 7 is not one of the 5 input features"),
+        ("ridge", _drop_last_feature, "weights has 5 entries for 4 input features"),
+        ("chebypoly", _drop_last_feature, "scaler mins has 5 entries for 4 input features"),
+        ("chebytree", _drop_last_feature, "scaler mins has 5 entries for 4 input features"),
+        ("erbf", _drop_last_feature, "centers has 5 columns for 4 input features"),
+        # chebypoly shapes and numbers
+        ("chebypoly", lambda d: d["model"]["weights"].pop(), "weights has 15 entries, expected 16"),
+        ("chebypoly", lambda d: d["model"].update(
+            basis=dict(d["model"]["basis"], include_interactions=True),
+            interaction_feats=[0, 1, 2, 3, 4]), "weights has 16 entries, expected 26"),
+        ("chebypoly", lambda d: d["model"]["scaler"]["ranges"].pop(), "5 mins but 4 ranges"),
+        ("chebypoly", lambda d: d["model"].update(
+            basis=dict(d["model"]["basis"], include_interactions=True),
+            interaction_feats=[0, 5]), "interaction_feats [0, 5]"),
+        ("chebypoly", lambda d: d["model"]["weights"].__setitem__(3, float("nan")),
+         "weights holds a non-finite"),
+        ("chebypoly", lambda d: d["model"]["scaler"]["mins"].__setitem__(0, float("-inf")),
+         "mins holds a non-finite"),
+        ("chebypoly", lambda d: d["model"].__setitem__("y_std", float("inf")),
+         "y_std holds a non-finite"),
+        # erbf shapes and numbers
+        ("erbf", lambda d: d["model"]["centers"].pop(), "centers has shape (5, 5) but sigma"),
+        ("erbf", lambda d: d["model"]["weights"].pop(), "weights has 5 entries for 6 centers"),
+        ("erbf", lambda d: [d["model"]["standardizer"][k].pop() for k in ("means", "stds")],
+         "standardizer has 4 means"),
+        ("erbf", lambda d: d["model"]["standardizer"]["stds"].pop(), "means and stds"),
+        ("erbf", lambda d: d["model"]["sigma"][2].__setitem__(1, 0.0), "sigma must be > 0"),
+        ("erbf", lambda d: d["model"]["centers"][0].__setitem__(0, float("nan")),
+         "centers holds a non-finite"),
+        ("erbf", lambda d: d["model"].__setitem__("bias", float("inf")),
+         "bias holds a non-finite"),
     ], ids=["dt-short-left", "dt-child-out-of-range", "dt-child-loops-back",
             "dt-feature-below-leaf-mark", "dt-inf-threshold", "dt-nan-value",
             "ridge-short-weights", "ridge-nan-means", "ridge-zero-std",
-            "no-clip", "inf-clip", "clip-lo-above-hi"])
+            "no-clip", "inf-clip", "clip-lo-above-hi", "short-medians",
+            "dt-feature-beyond-width", "ridge-wider-than-names", "chebypoly-wider-than-names",
+            "chebytree-wider-than-names", "erbf-wider-than-names",
+            "chebypoly-short-weights", "chebypoly-interactions-flag", "chebypoly-short-ranges",
+            "chebypoly-interaction-feature-beyond-width", "chebypoly-nan-weight",
+            "chebypoly-inf-min", "chebypoly-inf-y-std",
+            "erbf-short-centers", "erbf-short-weights", "erbf-short-standardizer",
+            "erbf-short-stds", "erbf-zero-width", "erbf-nan-center", "erbf-inf-bias"])
     def test_predict_rejects_corrupted_model_file(self, tmp_path, capsys, kind,
                                                   corrupt, message):
         data = tmp_path / "train.csv"

@@ -4,12 +4,16 @@ Property tests run seeded loops (200 random cases where the invariant is
 cheap to check); oracles are computed independently of the library code.
 """
 
+import csv
+import io
+import math
 import os
 
 import numpy as np
 import pytest
 
 from smoothbench.data import (
+    BLOCK_ROWS,
     Dataset,
     MinMaxScaler,
     Standardizer,
@@ -20,6 +24,7 @@ from smoothbench.data import (
     load_csv,
     subsample,
     write_csv,
+    write_table,
 )
 
 
@@ -142,6 +147,259 @@ def test_load_csv_skips_blank_lines(tmp_path):
         fh.write("a,y\n1,2\n\n3,4\n")
     ds = load_csv(path, "y")
     assert ds.n == 2
+
+
+# ---------------------------------------------------------------------------
+# The block reader against the row-by-row reader it replaced
+
+
+def reference_load_csv(path, target_column=None, columns=None):
+    """The row-by-row load_csv that the block reader replaced, kept as its oracle."""
+    try:
+        fh = open(path, "r", newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"dataset file not found: {path}")
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        header = [h.strip() for h in header]
+        t_pos = None
+        if target_column is not None:
+            if target_column not in header:
+                raise ValueError(
+                    f"{path}: target column {target_column!r} not in header {header}"
+                )
+            t_pos = header.index(target_column)
+        if columns is None:
+            pos = [i for i in range(len(header)) if i != t_pos]
+        else:
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ValueError(f"{path}: missing feature columns {missing}")
+            pos = [header.index(c) for c in columns]
+        feature_names = tuple(header[i] for i in pos)
+        rows = []
+        targets = []
+        for lineno, rec in enumerate(reader, start=2):
+            if not rec or (len(rec) == 1 and rec[0].strip() == ""):
+                continue  # blank line
+            if len(rec) != len(header):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(header)} cells, got {len(rec)}"
+                )
+            if t_pos is not None:
+                t_val = _reference_parse_cell(rec[t_pos].strip(), target_column, path, lineno)
+                if not math.isfinite(t_val):
+                    continue  # missing target: drop the row
+                targets.append(t_val)
+            vals = []
+            for i in pos:
+                v = _reference_parse_cell(rec[i].strip(), header[i], path, lineno)
+                vals.append(v if math.isfinite(v) else math.nan)
+            rows.append(vals)
+
+    if target_column is None:
+        if not rows:
+            raise ValueError(f"{path}: no data rows")
+        return Dataset(np.asarray(rows, dtype=np.float64), np.full(len(rows), math.nan),
+                       feature_names, "")
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need at least 2 usable rows, got {len(rows)}")
+    X = np.asarray(rows, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    for j, name in enumerate(feature_names):
+        if np.isnan(X[:, j]).all():
+            raise ValueError(f"{path}: column {name!r} has no parseable numeric values")
+    return Dataset(X, y, feature_names, target_column)
+
+
+def _reference_parse_cell(cell, column, path, lineno):
+    if cell == "":
+        return math.nan
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(
+            f"{path}:{lineno}: column {column!r} has non-numeric value {cell!r}; "
+            "categorical columns are not supported"
+        )
+
+
+def _outcome(reader, path, target, columns):
+    try:
+        ds = reader(path, target, columns)
+    except Exception as exc:  # the oracle's exception type and text are the spec
+        return type(exc), str(exc)
+    return (ds.X.shape, ds.X.tobytes(), ds.y.tobytes(), ds.feature_names, ds.target_name,
+            ds.X.flags.c_contiguous)
+
+
+def assert_reads_like_reference(path, target="y", columns=None):
+    want = _outcome(reference_load_csv, path, target, columns)
+    got = _outcome(load_csv, path, target, columns)
+    assert got == want
+
+
+def _rows(n, width=4, seed=0):
+    rng = np.random.default_rng(seed)
+    return [[repr(float(v)) for v in rng.normal(size=width)] for _ in range(n)]
+
+
+def _csv_text(header, rows):
+    return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+
+
+def _corpus():
+    """(name, file text, [(target, columns), ...]) cases for the oracle comparison."""
+    header = ["a", "b", "c", "y"]
+    two_blocks = 2 * BLOCK_ROWS + 50
+    both = [("y", None), (None, ["a", "b", "c"]), (None, ["c", "a"]), ("y", ["c", "b"])]
+
+    rows = _rows(two_blocks)
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    for at in (BLOCK_ROWS + 1, BLOCK_ROWS, BLOCK_ROWS - 1, 5):  # after records 1024/1025
+        lines.insert(at, ["", "   ", "\t", " \t "][at % 4])
+    lines.insert(BLOCK_ROWS + 3, "   ")
+    yield "blank-lines-at-block-edges", "\n".join(lines) + "\n", both
+
+    rows = [["\"1.5\"", " 2.0 ", "inf", "1"], ["-inf", "nan", "1_0", "2"],
+            ["\" 3 \"", "\u2003 4\u00a0", "\x1c5\x1f", "3"], ["1e308", "1e309", "-0.0", "4"],
+            ["+NaN", "Infinity", "  ", "\"5\""]]
+    yield "quoted-padded-special", _csv_text(header, rows), both
+
+    rows = _rows(40)
+    rows[3][3] = ""
+    rows[4][3] = "nan"
+    rows[5][3] = "-inf"
+    rows[3][0] = "junk"  # never parsed: its target is missing
+    rows[4][1] = "red"
+    rows[5][2] = "x"
+    yield "junk-features-in-dropped-rows", _csv_text(header, rows), [("y", None)]
+
+    rows = _rows(30)
+    rows[7][3] = "oops"
+    rows[7][1] = "bad"
+    yield "bad-target-and-feature-in-one-row", _csv_text(header, rows), both
+
+    rows = _rows(two_blocks, seed=1)
+    rows[BLOCK_ROWS + 300][0] = "late"
+    rows[BLOCK_ROWS + 200][2] = "first"
+    rows[BLOCK_ROWS + 200][1] = "same-row"
+    rows[BLOCK_ROWS + 250][3] = "target"
+    rows[2 * BLOCK_ROWS + 10][1] = "third-block"
+    yield "first-bad-cell-in-second-block", _csv_text(header, rows), both
+
+    rows = _rows(two_blocks, seed=2)
+    rows[BLOCK_ROWS + 100][3] = "bad-target"
+    rows[BLOCK_ROWS + 150][0] = "bad-feature"
+    yield "bad-target-before-bad-feature", _csv_text(header, rows), both
+
+    rows = _rows(60, seed=3)
+    rows[10] = rows[10][:3]
+    rows[20][1] = "bad"
+    yield "ragged-before-bad-cell", _csv_text(header, rows), both
+
+    rows = _rows(60, seed=4)
+    rows[10][1] = "bad"
+    rows[20] = rows[20] + ["extra"]
+    yield "ragged-after-bad-cell", _csv_text(header, rows), both
+
+    rows = _rows(two_blocks, seed=5)
+    rows[BLOCK_ROWS] = rows[BLOCK_ROWS][:2]  # ends the first block exactly
+    yield "ragged-at-block-edge", _csv_text(header, rows), both
+    rows[BLOCK_ROWS - 1][0] = "bad"
+    yield "bad-cell-just-before-ragged-block-edge", _csv_text(header, rows), both
+
+    rows = [r + ["lbl", "", "n/a"] for r in _rows(50, seed=6)]
+    yield "columns-with-junk-elsewhere", _csv_text(header + ["label", "empty", "note"], rows), [
+        ("y", ["a", "b", "c"]), (None, ["b", "a"]), (None, ["a", "b", "c"])]
+
+    rows = _rows(60, seed=7)
+    rows[30][2] = "9" * (csv.field_size_limit() + 1)  # the csv module refuses this record
+    yield "csv-error", _csv_text(header, rows), both
+    rows[10][0] = "bad"
+    yield "bad-cell-before-csv-error", _csv_text(header, rows), both
+
+    yield "header-only", _csv_text(header, []), both
+    yield "one-row", _csv_text(header, _rows(1)), both
+    yield "one-usable-row", _csv_text(header, _rows(1) + [["1", "2", "3", ""]]), both
+    yield "all-empty-feature-column", _csv_text(header, [["", "1", "2", "3"], ["", "4", "5", "6"]]), both
+    yield "target-only", "y\n1\n \n\n2\n", [("y", None), (None, [])]
+    yield "target-first-spaced-header", " y , a ,b\n1,2,3\n4,,6\n7,8,9\n", [("y", None)]
+
+    # seeded random files: rare junk, blanks, quotes and ragged rows anywhere
+    pool = ["1.25", "-3", " 7 ", "\"2.5\"", "", "nan", "inf", "1_0", "\u30001\u3000"]
+    for case in range(12):
+        rng = np.random.default_rng(100 + case)
+        n = int(rng.integers(1, two_blocks))
+        lines = [",".join(header)]
+        for _ in range(n):
+            cells = [pool[int(rng.integers(len(pool)))] for _ in range(4)]
+            u = rng.random()
+            if u < 0.0015:
+                cells[int(rng.integers(4))] = "junk"
+            elif u < 0.002:
+                cells = cells[:3]
+            elif u < 0.02:
+                cells = [" "]
+            lines.append(",".join(cells))
+        yield f"random-{case}", "\n".join(lines) + "\n", both
+
+
+@pytest.mark.parametrize("name, text, reads", list(_corpus()), ids=[c[0] for c in _corpus()])
+def test_block_reader_matches_row_reader(tmp_path, name, text, reads):
+    path = os.path.join(tmp_path, f"{name}.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    for target, columns in reads:
+        assert_reads_like_reference(path, target, columns)
+
+
+def test_float_accepts_no_padding_that_strip_would_keep():
+    # the block reader first tries float(cell) on unstripped cells; that is
+    # only safe if every padded cell float() accepts parses as its stripped
+    # form does. float() strips fewer characters (not \x1c-\x1f): those
+    # cells fail the fast path and the cell-by-cell path strips them.
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()] + ["\x00", "\u200b"]
+    refused = []
+    for c in spaces:
+        for cell in (f"{c}2.5{c}", f"{c}-inf", f"nan{c}{c}", f"{c}1_0"):
+            try:
+                fast = float(cell)
+            except ValueError:
+                refused.append(c)
+                continue
+            assert fast == float(cell.strip()) or (math.isnan(fast) and math.isnan(
+                float(cell.strip())))
+    assert set(refused) == {"\x1c", "\x1d", "\x1e", "\x1f", "\x00", "\u200b"}
+
+
+def test_write_table_bytes_equal_csv_writer(tmp_path):
+    values = np.array([[0.1, -0.0, np.nan], [np.inf, -np.inf, 5e-324],
+                       [1e300, -2.5e-308, 3.0]] * (BLOCK_ROWS // 2))
+    header = ["plain", "with,comma", "with \"quote\""]
+    path = os.path.join(tmp_path, "t.csv")
+    write_table(path, header, values)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(header)
+    for row in values:
+        writer.writerow([repr(float(v)) for v in row])
+    with open(path, "rb") as fh:
+        assert fh.read() == want.getvalue().encode("utf-8")
+
+    ds = Dataset(values[:, :2], values[:, 2], ("a", "b"), "t")
+    write_csv(ds, path)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["a", "b", "t"])
+    for i in range(ds.n):
+        writer.writerow([repr(float(v)) for v in ds.X[i]] + [repr(float(ds.y[i]))])
+    with open(path, "rb") as fh:
+        assert fh.read() == want.getvalue().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
