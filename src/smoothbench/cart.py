@@ -68,10 +68,10 @@ class RegressionTree:
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
         tree = cls(
-            feature=np.asarray(d["feature"], dtype=np.int64),
+            feature=_node_indices(d, "feature"),
             threshold=np.asarray(d["threshold"], dtype=np.float64),
-            left=np.asarray(d["left"], dtype=np.int64),
-            right=np.asarray(d["right"], dtype=np.int64),
+            left=_node_indices(d, "left"),
+            right=_node_indices(d, "right"),
             value=np.asarray(d["value"], dtype=np.float64),
         )
         tree._validate()
@@ -112,6 +112,17 @@ class RegressionTree:
             raise ValueError("tree: threshold of a split node is not finite")
         if not np.isfinite(self.value).all():
             raise ValueError("tree: value holds a non-finite number")
+
+
+def _node_indices(d: dict, name: str) -> np.ndarray:
+    """d[name] as int64, rejecting entries that a cast would truncate or wrap."""
+    values = np.asarray(d[name])
+    if values.dtype.kind == "f":
+        bad = np.flatnonzero(~(np.abs(values) < 2.0 ** 63) | (values != np.trunc(values)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"tree: {name}[{i}] = {float(values[i])} is not an integer")
+    return values.astype(np.int64)
 
 
 def cart_fit(

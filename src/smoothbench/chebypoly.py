@@ -41,7 +41,6 @@ class ChebyPolyModel:
                 "complexity": self.basis.complexity,
                 "include_interactions": self.basis.include_interactions,
                 "max_interaction_complexity": self.basis.max_interaction_complexity,
-                "high_dim_threshold": self.basis.high_dim_threshold,
             },
             "alpha": self.alpha,
             "scaler": self.scaler.to_dict(),
@@ -107,11 +106,11 @@ def fit_chebypoly(
         include_interactions=include_interactions,
         max_interaction_complexity=max_interaction_complexity,
     )
-    scaler = MinMaxScaler(clip=True).fit(X)
+    scaler = MinMaxScaler.fit(X)
     Xs = scaler.apply(X)
     feats = interaction_feature_set(Xs, basis) if include_interactions else ()
     design = build_design_matrix(Xs, basis, feats)
-    weights, intercept = ridge_solve(design.matrix, y, alpha, fit_intercept=True)
+    weights, intercept = ridge_solve(design.matrix, y, alpha)
     return ChebyPolyModel(
         basis=basis,
         alpha=float(alpha),

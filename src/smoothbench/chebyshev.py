@@ -18,6 +18,10 @@ import numpy as np
 ColumnDesc = Tuple
 
 
+# above this many features only the top half by variance gets interaction terms
+HIGH_DIM_THRESHOLD = 30
+
+
 @dataclass(frozen=True)
 class BasisConfig:
     """Basis shape: per-feature degree plus optional pairwise interactions.
@@ -25,16 +29,19 @@ class BasisConfig:
     complexity is the Chebyshev truncation degree c >= 1. With interactions
     enabled, every eligible unordered feature pair (i, j) contributes the raw
     product x_i * x_j and, when max_interaction_complexity is 2, additionally
-    T_2(x_i * x_j). When the feature count exceeds high_dim_threshold only the
+    T_2(x_i * x_j). When the feature count exceeds HIGH_DIM_THRESHOLD only the
     top ceil(d/2) features by variance stay eligible for interactions.
     """
 
     complexity: int
     include_interactions: bool = False
     max_interaction_complexity: int = 1
-    high_dim_threshold: int = 30
 
     def __post_init__(self):
+        for name in ("complexity", "max_interaction_complexity"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.complexity < 1:
             raise ValueError("complexity must be >= 1")
         if self.max_interaction_complexity not in (1, 2):
@@ -72,12 +79,12 @@ def cheb_vander(x: np.ndarray, max_degree: int) -> np.ndarray:
 def interaction_feature_set(X_scaled: np.ndarray, cfg: BasisConfig) -> tuple[int, ...]:
     """Feature indices eligible for interaction terms.
 
-    All features when d <= high_dim_threshold, otherwise the top ceil(d/2) by
+    All features when d <= HIGH_DIM_THRESHOLD, otherwise the top ceil(d/2) by
     variance of the scaled training features. Returned sorted ascending so the
     pair enumeration order is deterministic.
     """
     d = X_scaled.shape[1]
-    if d <= cfg.high_dim_threshold:
+    if d <= HIGH_DIM_THRESHOLD:
         return tuple(range(d))
     m = math.ceil(d / 2)
     variances = X_scaled.var(axis=0)

@@ -138,8 +138,6 @@ class ChebyTreeModel:
                 problem = f"has {d} features but the tree splits on feature {split_feats.max()}"
             elif m.basis.complexity != c or m.basis.include_interactions:
                 problem = f"basis is not the model's interaction-free complexity {c}"
-            elif not m.scaler.clip:
-                problem = "scaler does not clip"
             if problem:
                 raise ValueError(f"chebytree leaf {leaf}: {problem}")
 
@@ -192,7 +190,7 @@ def fit_chebytree(
             polys[leaf] = ChebyPolyModel(
                 basis=basis,
                 alpha=float(alpha),
-                scaler=MinMaxScaler(clip=True, mins=mins[j], ranges=ranges[j]),
+                scaler=MinMaxScaler(mins=mins[j], ranges=ranges[j]),
                 interaction_feats=(),
                 weights=weights[j],
                 intercept=float(intercepts[j]),

@@ -33,7 +33,7 @@ from .harness import (
 from .registry import MODEL_KINDS, fit_model, model_from_dict, predict_model
 from .synth import CATALOG, gen
 
-MODEL_FILE_SCHEMA = 2
+MODEL_FILE_SCHEMA = 3
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -157,7 +157,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     with open(args.model_file, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("schema_version") != MODEL_FILE_SCHEMA:
-        raise ValueError(f"unsupported model file schema: {doc.get('schema_version')}")
+        raise ValueError(f"model file schema {doc.get('schema_version')!r} is not supported: "
+                         f"predict reads schema {MODEL_FILE_SCHEMA}; refit the model")
     kind = doc["kind"]
     model = model_from_dict(kind, doc["model"])
     clip = doc.get("clip")
@@ -166,6 +167,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
             and clip[0] <= clip[1]):
         raise ValueError(f"model file: clip must be two finite numbers lo <= hi, got {clip!r}")
     names = doc["feature_names"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ValueError(f"model file: feature_names must be a list of strings, got {names!r}")
     model.check_width(len(names))
     medians = np.asarray(doc["medians"], dtype=np.float64)
     if medians.shape != (len(names),) or not np.isfinite(medians).all():

@@ -305,7 +305,6 @@ class FoldPlan:
     """
 
     outer_k: int
-    seed: int
     assignments: np.ndarray
 
     def test_indices(self, fold: int) -> np.ndarray:
@@ -328,7 +327,7 @@ def kfold_split(n: int, k: int, seed: int) -> FoldPlan:
         size = base + (1 if f < extra else 0)
         assignments[perm[start:start + size]] = f
         start += size
-    return FoldPlan(outer_k=k, seed=seed, assignments=assignments)
+    return FoldPlan(outer_k=k, assignments=assignments)
 
 
 def inner_fold_count(n: int) -> int:
@@ -342,20 +341,17 @@ def inner_fold_count(n: int) -> int:
 class Standardizer:
     """Per-column zero-mean unit-variance scaling with a std floor of 1e-12."""
 
-    means: Optional[np.ndarray] = None
-    stds: Optional[np.ndarray] = None
+    means: np.ndarray
+    stds: np.ndarray
 
     STD_FLOOR = 1e-12
 
-    def fit(self, X: np.ndarray) -> "Standardizer":
+    @classmethod
+    def fit(cls, X: np.ndarray) -> "Standardizer":
         X = np.asarray(X, dtype=np.float64)
-        self.means = X.mean(axis=0)
-        self.stds = np.maximum(X.std(axis=0), self.STD_FLOOR)
-        return self
+        return cls(means=X.mean(axis=0), stds=np.maximum(X.std(axis=0), cls.STD_FLOOR))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        if self.means is None:
-            raise ValueError("Standardizer.apply called before fit")
         return (np.asarray(X, dtype=np.float64) - self.means) / self.stds
 
     def to_dict(self) -> dict:
@@ -381,9 +377,8 @@ def check_finite(owner: str, **fields) -> None:
             raise ValueError(f"{owner}: {name} holds a non-finite number")
 
 
-def minmax_scale(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray,
-                 clip: bool = True) -> np.ndarray:
-    """2 (X - mins) / ranges - 1, with 0 where the range is 0, optionally clipped.
+def minmax_scale(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """2 (X - mins) / ranges - 1 clipped to [-1, 1], with 0 where the range is 0.
 
     mins and ranges broadcast against X: one entry per column, or one row of
     them per row of X (rows scaled by different fits).
@@ -391,41 +386,35 @@ def minmax_scale(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray,
     X = np.asarray(X, dtype=np.float64)
     nz = ranges > 0
     out = np.where(nz, 2.0 * (X - mins) / np.where(nz, ranges, 1.0) - 1.0, 0.0)
-    if clip:
-        np.clip(out, -1.0, 1.0, out=out)
-    return out
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 @dataclass
 class MinMaxScaler:
     """Per-column affine map of the training range onto [-1, 1].
 
-    Constant columns map to 0. With clip=True (the default), out-of-range
-    queries are clamped to [-1, 1] after the affine map.
+    Constant columns map to 0, and out-of-range queries are clamped to
+    [-1, 1] after the affine map.
     """
 
-    clip: bool = True
-    mins: Optional[np.ndarray] = None
-    ranges: Optional[np.ndarray] = None
+    mins: np.ndarray
+    ranges: np.ndarray
 
-    def fit(self, X: np.ndarray) -> "MinMaxScaler":
+    @classmethod
+    def fit(cls, X: np.ndarray) -> "MinMaxScaler":
         X = np.asarray(X, dtype=np.float64)
-        self.mins = X.min(axis=0)
-        self.ranges = X.max(axis=0) - self.mins
-        return self
+        mins = X.min(axis=0)
+        return cls(mins=mins, ranges=X.max(axis=0) - mins)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        if self.mins is None:
-            raise ValueError("MinMaxScaler.apply called before fit")
-        return minmax_scale(X, self.mins, self.ranges, self.clip)
+        return minmax_scale(X, self.mins, self.ranges)
 
     def to_dict(self) -> dict:
-        return {"clip": self.clip, "mins": self.mins.tolist(),
-                "ranges": self.ranges.tolist()}
+        return {"mins": self.mins.tolist(), "ranges": self.ranges.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MinMaxScaler":
-        return cls(clip=bool(d["clip"]), mins=np.asarray(d["mins"], dtype=np.float64),
+        return cls(mins=np.asarray(d["mins"], dtype=np.float64),
                    ranges=np.asarray(d["ranges"], dtype=np.float64))
 
 

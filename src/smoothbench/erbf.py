@@ -160,7 +160,7 @@ def init_widths(
         Xnb = X[nb]
         var = Xnb.var(axis=0)
         if mode == "local_ridge":
-            beta, _ = ridge_solve(Xnb, y[nb], alpha=1e-3, fit_intercept=True)
+            beta, _ = ridge_solve(Xnb, y[nb], alpha=1e-3)
             beta = np.maximum(np.abs(beta), 1e-8)
             sigma[ki] = tau * np.sqrt(var / beta)
         else:
@@ -246,8 +246,6 @@ class ErbfModel:
     sigma: np.ndarray
     weights: np.ndarray
     bias: float
-    y_mean: float
-    y_std: float
     fit_info: dict = field(default_factory=dict)
 
     @property
@@ -274,8 +272,6 @@ class ErbfModel:
             "sigma": self.sigma.tolist(),
             "weights": self.weights.tolist(),
             "bias": self.bias,
-            "y_mean": self.y_mean,
-            "y_std": self.y_std,
             "fit_info": self.fit_info,
         }
 
@@ -297,8 +293,6 @@ class ErbfModel:
             sigma=np.asarray(d["sigma"], dtype=np.float64),
             weights=np.asarray(d["weights"], dtype=np.float64),
             bias=float(d["bias"]),
-            y_mean=float(d["y_mean"]),
-            y_std=float(d["y_std"]),
             fit_info=dict(d.get("fit_info", {})),
         )
         c, s, w = model.centers, model.sigma, model.weights
@@ -312,8 +306,7 @@ class ErbfModel:
         if model.standardizer.means.shape != (c.shape[1],):
             raise ValueError(f"erbf model: standardizer has {model.standardizer.means.size} "
                              f"means for centers with {c.shape[1]} columns")
-        check_finite("erbf model", centers=c, sigma=s, weights=w, bias=model.bias,
-                     y_mean=model.y_mean, y_std=model.y_std)
+        check_finite("erbf model", centers=c, sigma=s, weights=w, bias=model.bias)
         if not (s > 0).all():
             raise ValueError("erbf model: sigma must be > 0")
         return model
@@ -340,14 +333,14 @@ def fit_erbf(X: np.ndarray, y: np.ndarray, config: Optional[ErbfConfig] = None) 
     if K > n:
         raise ValueError(f"n_rbf={K} exceeds the number of training rows n={n}")
 
-    std = Standardizer().fit(X)
+    std = Standardizer.fit(X)
     Xs = std.apply(X)
 
     centers = place_centers(Xs, y, K, mode=config.center_init, seed=config.seed)
     sigma0 = init_widths(Xs, y, centers, mode=config.width_init)
 
     Phi0 = erbf_activations(Xs, centers, sigma0)
-    w0, b0 = ridge_solve(Phi0, y, config.alpha, fit_intercept=True)
+    w0, b0 = ridge_solve(Phi0, y, config.alpha)
     r0 = Phi0 @ w0 + b0 - y
     mse_before = float(r0 @ r0) / n
 
@@ -372,7 +365,7 @@ def fit_erbf(X: np.ndarray, y: np.ndarray, config: Optional[ErbfConfig] = None) 
         iters, converged = 0, False
 
     Phi = erbf_activations(Xs, centers, sigma)
-    weights, bias = ridge_solve(Phi, y, config.alpha, fit_intercept=True)
+    weights, bias = ridge_solve(Phi, y, config.alpha)
 
     return ErbfModel(
         config=config,
@@ -381,8 +374,6 @@ def fit_erbf(X: np.ndarray, y: np.ndarray, config: Optional[ErbfConfig] = None) 
         sigma=sigma,
         weights=weights,
         bias=float(bias),
-        y_mean=float(y.mean()),
-        y_std=float(y.std()),
         fit_info={
             "resolved_k": K,
             "stage3_mse_before": mse_before,

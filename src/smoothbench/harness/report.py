@@ -5,13 +5,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .nested_cv import FoldResult
-from .stats import friedman_test, matched_gap_wins, nemenyi_cd, rank_matrix
+from .stats import MATCH_THRESHOLD, friedman_test, matched_gap_wins, nemenyi_cd, rank_matrix
 
 SCHEMA_VERSION = 1
 
@@ -62,15 +62,8 @@ def read_results_jsonl(path: str) -> Tuple[List[FoldResult], Dict[Tuple[str, str
             if rec.get("schema_version") != SCHEMA_VERSION:
                 raise ValueError(f"unsupported results schema: {rec.get('schema_version')}")
             if rec["record"] == "fold":
-                fold_results.append(FoldResult(
-                    dataset=rec["dataset"], model=rec["model"], fold=int(rec["fold"]),
-                    train_r2=float(rec["train_r2"]), test_r2=float(rec["test_r2"]),
-                    test_r2_adj=float(rec["test_r2_adj"]), gap=float(rec["gap"]),
-                    tune_seconds=float(rec["tune_seconds"]),
-                    train_seconds=float(rec["train_seconds"]),
-                    predict_ms_per_1k=float(rec["predict_ms_per_1k"]),
-                    best_params=dict(rec["best_params"]),
-                ))
+                fold_results.append(FoldResult(**{f.name: rec[f.name]
+                                                  for f in fields(FoldResult)}))
             elif rec["record"] == "failure":
                 failures[(rec["dataset"], rec["model"])] = rec["error"]
             else:
@@ -90,6 +83,11 @@ def build_report(
     per dataset with failures pinned to the worst rank; Friedman test and
     Nemenyi critical difference where defined; matched-accuracy gap analysis
     when at least 2 models and 3 datasets are present.
+
+    A pair in failures gets no score and no gap even if some of its folds
+    completed, so it ranks last and the gap analysis skips it: scores, ranks
+    and gaps all rest on complete pairs. timing still averages every
+    completed fold, failed pairs' included, because it measures cost.
     """
     datasets = dataset_order or _first_seen(
         [fr.dataset for fr in fold_results] + [k[0] for k in failures])
@@ -111,12 +109,12 @@ def build_report(
             frs = by_pair.get((ds_name, m), [])
             is_failed = (ds_name, m) in failures or not frs
             failed[ds_name][m] = is_failed
-            if frs:
-                scores[ds_name][m] = float(np.mean([fr.test_r2_adj for fr in frs]))
-                gaps[ds_name][m] = float(np.mean([fr.gap for fr in frs]))
-            else:
+            if is_failed:
                 scores[ds_name][m] = None
                 gaps[ds_name][m] = None
+            else:
+                scores[ds_name][m] = float(np.mean([fr.test_r2_adj for fr in frs]))
+                gaps[ds_name][m] = float(np.mean([fr.gap for fr in frs]))
 
     k = len(models)
     n_ds = len(datasets)
@@ -147,7 +145,7 @@ def build_report(
     if k >= 2 and n_ds >= 3 and pairs:
         summaries = matched_gap_wins(scores, gaps, pairs)
         matched = {
-            "threshold": 0.02,
+            "threshold": MATCH_THRESHOLD,
             "pairs": [
                 {
                     "smooth": s.smooth, "tree": s.tree, "matched": s.matched,

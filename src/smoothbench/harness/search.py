@@ -49,7 +49,6 @@ class Param:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    name: str
     params: Dict[str, Param]
     budget: int
 
@@ -108,13 +107,13 @@ def random_search(
 
 
 def ridge_space() -> SearchSpace:
-    return SearchSpace("ridge", {
+    return SearchSpace({
         "alpha": Param("log_uniform", lo=1e-3, hi=1e3),
     }, budget=20)
 
 
 def dt_space() -> SearchSpace:
-    return SearchSpace("dt", {
+    return SearchSpace({
         "max_depth": Param("int", lo=1, hi=20),
         "min_samples_leaf": Param("uniform", lo=0.005, hi=0.1),
         "min_samples_split": Param("uniform", lo=0.01, hi=0.1),
@@ -122,7 +121,7 @@ def dt_space() -> SearchSpace:
 
 
 def erbf_space() -> SearchSpace:
-    return SearchSpace("erbf", {
+    return SearchSpace({
         "n_rbf_mode": Param("categorical", choices=("auto", "fixed")),
         "n_rbf": Param("int", lo=10, hi=80, parent="n_rbf_mode", active_when="fixed"),
         "alpha": Param("log_uniform", lo=1e-3, hi=1e3),
@@ -132,7 +131,7 @@ def erbf_space() -> SearchSpace:
 
 
 def chebypoly_space() -> SearchSpace:
-    return SearchSpace("chebypoly", {
+    return SearchSpace({
         "complexity": Param("int", lo=1, hi=14),
         "alpha": Param("log_uniform", lo=1e-3, hi=1e3),
         "include_interactions": Param("categorical", choices=(True, False)),
@@ -143,7 +142,7 @@ def chebypoly_space() -> SearchSpace:
 
 
 def chebytree_space() -> SearchSpace:
-    return SearchSpace("chebytree", {
+    return SearchSpace({
         "complexity": Param("int", lo=1, hi=6),
         "alpha": Param("log_uniform", lo=1e-3, hi=1e3),
         "max_depth": Param("int", lo=1, hi=12),

@@ -26,6 +26,9 @@ NEMENYI_Q_05 = {
     7: 2.949, 8: 3.031, 9: 3.102, 10: 3.164,
 }
 
+# largest |mean adjusted R^2 difference| at which a dataset counts as matched
+MATCH_THRESHOLD = 0.02
+
 
 def average_ranks(scores: Sequence[float], failed: Optional[Sequence[bool]] = None) -> np.ndarray:
     """Ranks for one dataset row: higher score is better, rank 1 is best.
@@ -72,14 +75,12 @@ class FriedmanResult:
     significant: bool
 
 
-def friedman_test(ranks: np.ndarray, alpha: float = 0.05) -> FriedmanResult:
+def friedman_test(ranks: np.ndarray) -> FriedmanResult:
     """Friedman chi-square test over an (n_datasets, k_models) rank matrix.
 
     chi2_F = 12n / (k(k+1)) * (sum_j Rbar_j^2 - k(k+1)^2 / 4), compared with
-    the df = k-1 critical value. Only alpha = 0.05 is supported.
+    the df = k-1 critical value at alpha = 0.05.
     """
-    if alpha != 0.05:
-        raise ValueError("only alpha = 0.05 is supported")
     ranks = np.asarray(ranks, dtype=np.float64)
     if ranks.ndim != 2:
         raise ValueError("ranks must be (n_datasets, k_models)")
@@ -100,10 +101,8 @@ def friedman_test(ranks: np.ndarray, alpha: float = 0.05) -> FriedmanResult:
     )
 
 
-def nemenyi_cd(k: int, n: int, alpha: float = 0.05) -> float:
-    """Nemenyi critical difference q_alpha(k) * sqrt(k(k+1) / (6n))."""
-    if alpha != 0.05:
-        raise ValueError("only alpha = 0.05 is supported")
+def nemenyi_cd(k: int, n: int) -> float:
+    """Nemenyi critical difference q_0.05(k) * sqrt(k(k+1) / (6n))."""
     if k not in NEMENYI_Q_05:
         raise ValueError(f"unsupported model count k={k}; supported k 2..10")
     if n < 1:
@@ -124,7 +123,7 @@ def matched_gap_wins(
     mean_scores: Dict[str, Dict[str, float]],
     mean_gaps: Dict[str, Dict[str, float]],
     pairs: List[Tuple[str, str]],
-    threshold: float = 0.02,
+    threshold: float = MATCH_THRESHOLD,
 ) -> List[GapPairSummary]:
     """Generalisation-gap win counts on accuracy-matched datasets.
 

@@ -54,7 +54,7 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:
     """Standardize features, then solve ridge with an unpenalised intercept."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    std = Standardizer().fit(X)
-    weights, intercept = ridge_solve(std.apply(X), y, alpha, fit_intercept=True)
+    std = Standardizer.fit(X)
+    weights, intercept = ridge_solve(std.apply(X), y, alpha)
     return RidgeModel(standardizer=std, weights=weights,
                       intercept=float(intercept), alpha=float(alpha))

@@ -6,7 +6,7 @@ Everything here is deterministic given its seed arguments and uses plain numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -15,19 +15,14 @@ import numpy as np
 # Ridge regression via Cholesky-factored normal equations
 
 
-def ridge_solve(
-    Phi: np.ndarray,
-    y: np.ndarray,
-    alpha: float,
-    fit_intercept: bool = True,
-) -> Tuple[np.ndarray, float]:
-    """Solve min_w ||Phi w - y||^2 + alpha ||w||^2, intercept unpenalised.
+def ridge_solve(Phi: np.ndarray, y: np.ndarray, alpha: float) -> Tuple[np.ndarray, float]:
+    """Solve min_w ||Phi w + b - y||^2 + alpha ||w||^2; the intercept b is unpenalised.
 
-    Factors (Phi^T Phi + alpha I) by Cholesky. On a factorisation failure the
-    diagonal is jittered once (alpha += 1e-10 * trace / p) and the solve is
-    retried; a second failure raises. With fit_intercept the columns and target
-    are centred first and the intercept recovered from the means, so it never
-    feels the penalty.
+    The columns and target are centred, (Xc^T Xc + alpha I) is factored by
+    Cholesky, and the intercept is recovered from the means, so it never feels
+    the penalty. On a factorisation failure the diagonal is jittered once
+    (alpha += 1e-10 * trace / p) and the solve is retried; a second failure
+    raises.
     """
     Phi = np.asarray(Phi, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -38,19 +33,11 @@ def ridge_solve(
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
 
-    if fit_intercept:
-        col_means = Phi.mean(axis=0)
-        y_mean = float(y.mean())
-        Xc = Phi - col_means
-        yc = y - y_mean
-    else:
-        Xc, yc = Phi, y
-
-    A = Xc.T @ Xc
-    b = Xc.T @ yc
-    w = _cho_solve(_ridge_cholesky(A, alpha), b)
-    intercept = y_mean - float(col_means @ w) if fit_intercept else 0.0
-    return w, intercept
+    col_means = Phi.mean(axis=0)
+    y_mean = float(y.mean())
+    Xc = Phi - col_means
+    w = _cho_solve(_ridge_cholesky(Xc.T @ Xc, alpha), Xc.T @ (y - y_mean))
+    return w, y_mean - float(col_means @ w)
 
 
 def _ridge_cholesky(A: np.ndarray, alpha: float) -> np.ndarray:
@@ -229,38 +216,24 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # k-nearest-neighbour queries
 
 
-def knn_indices(
-    X: np.ndarray,
-    query: Union[int, np.ndarray],
-    k: int,
-    exclude_self: bool = False,
-) -> np.ndarray:
-    """Indices of the k nearest rows of X to the query, nearest first.
+def knn_indices(X: np.ndarray, point: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k rows of X nearest to point, nearest first.
 
-    The query is either a row index into X or an explicit point. Distance ties
-    break toward the lower row index. exclude_self only makes sense for index
-    queries and removes that row from the candidates.
+    Distance ties break toward the lower row index.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    if isinstance(query, (int, np.integer)):
-        point = X[int(query)]
-    else:
-        if exclude_self:
-            raise ValueError("exclude_self requires an index query")
-        point = np.asarray(query, dtype=np.float64)
-    limit = n - 1 if exclude_self else n
-    if not 1 <= k <= limit:
-        raise ValueError(f"need 1 <= k <= {limit}, got k={k}")
-    d2 = ((X - point) ** 2).sum(axis=1)
-    if exclude_self:
-        d2[int(query)] = np.inf
-    order = np.argsort(d2, kind="stable")
-    return order[:k]
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    d2 = ((X - np.asarray(point, dtype=np.float64)) ** 2).sum(axis=1)
+    return np.argsort(d2, kind="stable")[:k]
 
 
 # ---------------------------------------------------------------------------
 # L-BFGS with Armijo backtracking
+
+LBFGS_MEMORY = 10  # curvature pairs kept
+LBFGS_GRAD_TOL = 1e-8  # gradient norm that counts as converged
 
 
 @dataclass
@@ -271,20 +244,15 @@ class OptimResult:
     converged: bool
 
 
-def lbfgs_minimize(
-    fun: Callable[[np.ndarray], Tuple[float, np.ndarray]],
-    x0: np.ndarray,
-    max_iter: int,
-    memory: int = 10,
-    grad_tol: float = 1e-8,
-) -> OptimResult:
+def lbfgs_minimize(fun: Callable[[np.ndarray], Tuple[float, np.ndarray]], x0: np.ndarray,
+                   max_iter: int) -> OptimResult:
     """Limited-memory BFGS with two-loop recursion and Armijo backtracking.
 
     fun(x) must return (loss, gradient). Line search: initial step 1.0, halved
     until f(x + t d) <= f(x) + 1e-4 t g.d; if no admissible step exists the
-    run stops. Stops otherwise at max_iter or when ||grad|| < grad_tol. Always
-    returns the best iterate seen, so the reported loss never exceeds the loss
-    at x0.
+    run stops. Stops otherwise at max_iter or when ||grad|| < LBFGS_GRAD_TOL.
+    The last LBFGS_MEMORY curvature pairs are kept. Always returns the best
+    iterate seen, so the reported loss never exceeds the loss at x0.
     """
     x = np.array(x0, dtype=np.float64, copy=True)
     f, g = _eval(fun, x)
@@ -296,7 +264,7 @@ def lbfgs_minimize(
     converged = False
     it = 0
     while it < max_iter:
-        if np.linalg.norm(g) < grad_tol:
+        if np.linalg.norm(g) < LBFGS_GRAD_TOL:
             converged = True
             break
         d = -_two_loop(g, s_hist, y_hist)
@@ -321,7 +289,7 @@ def lbfgs_minimize(
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
             s_hist.append(s)
             y_hist.append(yv)
-            if len(s_hist) > memory:
+            if len(s_hist) > LBFGS_MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
         x, f, g = x_new, f_new, g_new

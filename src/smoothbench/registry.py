@@ -94,4 +94,11 @@ def predict_model(kind: str, model, X: np.ndarray) -> np.ndarray:
 
 
 def model_from_dict(kind: str, d: dict):
-    return _entry(kind)[1].from_dict(d)
+    """Rebuild a fitted model from its to_dict form; a malformed one raises ValueError."""
+    cls = _entry(kind)[1]
+    try:
+        return cls.from_dict(d)
+    except KeyError as exc:
+        raise ValueError(f"{kind} model: missing field {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"{kind} model: {exc}") from None

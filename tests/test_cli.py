@@ -377,6 +377,36 @@ class TestFitPredict:
          "centers holds a non-finite"),
         ("erbf", lambda d: d["model"].__setitem__("bias", float("inf")),
          "bias holds a non-finite"),
+        # wrong keys and types, reported by registry.model_from_dict
+        ("chebypoly", lambda d: d["model"]["basis"].__setitem__("foo", 1),
+         "unexpected keyword argument 'foo'"),
+        ("chebypoly", lambda d: d["model"]["basis"].__setitem__("complexity", "3"),
+         "complexity must be an integer, got '3'"),
+        ("chebypoly", lambda d: d["model"]["basis"].__setitem__("complexity", 2.5),
+         "complexity must be an integer, got 2.5"),
+        ("chebypoly", lambda d: d["model"]["basis"].__setitem__(
+            "max_interaction_complexity", True),
+         "max_interaction_complexity must be an integer, got True"),
+        ("chebypoly", lambda d: d["model"].pop("weights"),
+         "chebypoly model: missing field 'weights'"),
+        ("ridge", lambda d: d["model"].__setitem__("intercept", [1]),
+         "ridge model: float() argument must be"),
+        ("ridge", lambda d: d["model"].__setitem__("standardizer", None),
+         "ridge model: 'NoneType' object is not subscriptable"),
+        ("ridge", lambda d: d.__setitem__("model", []),
+         "ridge model: list indices must be integers"),
+        ("ridge", lambda d: d.__setitem__("feature_names", 5),
+         "feature_names must be a list of strings, got 5"),
+        # tree indices that an int cast would truncate
+        ("dt", lambda d: d["model"]["feature"].__setitem__(0, 1.5),
+         "feature[0] = 1.5 is not an integer"),
+        ("dt", lambda d: d["model"]["left"].__setitem__(0, 1.5),
+         "left[0] = 1.5 is not an integer"),
+        ("dt", lambda d: d["model"]["right"].__setitem__(0, float("nan")),
+         "right[0] = nan is not an integer"),
+        # schema 2 still carried the keys schema 3 dropped; it is refused, not read
+        ("chebypoly", lambda d: d.__setitem__("schema_version", 2),
+         "model file schema 2 is not supported"),
     ], ids=["dt-short-left", "dt-child-out-of-range", "dt-child-loops-back",
             "dt-feature-below-leaf-mark", "dt-inf-threshold", "dt-nan-value",
             "ridge-short-weights", "ridge-nan-means", "ridge-zero-std",
@@ -387,7 +417,12 @@ class TestFitPredict:
             "chebypoly-interaction-feature-beyond-width", "chebypoly-nan-weight",
             "chebypoly-inf-min", "chebypoly-inf-y-std",
             "erbf-short-centers", "erbf-short-weights", "erbf-short-standardizer",
-            "erbf-short-stds", "erbf-zero-width", "erbf-nan-center", "erbf-inf-bias"])
+            "erbf-short-stds", "erbf-zero-width", "erbf-nan-center", "erbf-inf-bias",
+            "chebypoly-unknown-basis-key", "chebypoly-string-complexity",
+            "chebypoly-fractional-complexity", "chebypoly-bool-interaction-complexity",
+            "chebypoly-no-weights", "ridge-list-intercept", "ridge-null-standardizer",
+            "ridge-model-not-object", "feature-names-not-list", "dt-fractional-feature",
+            "dt-fractional-left", "dt-nan-right", "schema-2"])
     def test_predict_rejects_corrupted_model_file(self, tmp_path, capsys, kind,
                                                   corrupt, message):
         data = tmp_path / "train.csv"

@@ -172,7 +172,7 @@ class TestParamSampling:
 
 class TestConditionalParams:
     def test_inactive_param_not_sampled(self):
-        space = SearchSpace("t", {
+        space = SearchSpace({
             "p": Param("categorical", choices=("off",)),
             "q": Param("int", lo=0, hi=100, parent="p", active_when="on"),
             "r": Param("uniform", lo=0.0, hi=1.0),
@@ -185,12 +185,12 @@ class TestConditionalParams:
     def test_inactive_param_consumes_no_randomness(self):
         # with the gate closed, the downstream draws must line up with a
         # space that does not declare the gated parameter at all
-        with_gate = SearchSpace("a", {
+        with_gate = SearchSpace({
             "p": Param("categorical", choices=("off",)),
             "q": Param("int", lo=0, hi=100, parent="p", active_when="on"),
             "r": Param("uniform", lo=0.0, hi=1.0),
         }, budget=5)
-        without = SearchSpace("b", {
+        without = SearchSpace({
             "p": Param("categorical", choices=("off",)),
             "r": Param("uniform", lo=0.0, hi=1.0),
         }, budget=5)
@@ -202,7 +202,7 @@ class TestConditionalParams:
             assert pa == pb
 
     def test_active_param_sampled(self):
-        space = SearchSpace("t", {
+        space = SearchSpace({
             "p": Param("categorical", choices=("on",)),
             "q": Param("int", lo=3, hi=9, parent="p", active_when="on"),
         }, budget=5)
@@ -263,7 +263,7 @@ class TestRandomSearch:
         assert best_params == first_best.params
 
     def test_failures_scored_and_search_continues(self):
-        space = SearchSpace("t", {"x": Param("int", lo=0, hi=9)}, budget=40)
+        space = SearchSpace({"x": Param("int", lo=0, hi=9)}, budget=40)
 
         def objective(params):
             x = params["x"]
@@ -286,7 +286,7 @@ class TestRandomSearch:
         assert best_params["x"] == int(max(finite))
 
     def test_all_failures_returns_first_trial(self):
-        space = SearchSpace("t", {"x": Param("int", lo=0, hi=9)}, budget=6)
+        space = SearchSpace({"x": Param("int", lo=0, hi=9)}, budget=6)
 
         def objective(params):
             raise RuntimeError("always")
@@ -412,9 +412,6 @@ class TestFriedman:
             assert friedman_test(ra).statistic == friedman_test(rb).statistic
 
     def test_validation(self):
-        ranks = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(ValueError):
-            friedman_test(ranks, alpha=0.01)
         with pytest.raises(ValueError):
             friedman_test(np.ones((3, 1)))
         with pytest.raises(ValueError):
@@ -442,8 +439,6 @@ class TestNemenyi:
             nemenyi_cd(11, 10)
         with pytest.raises(ValueError):
             nemenyi_cd(3, 0)
-        with pytest.raises(ValueError):
-            nemenyi_cd(3, 10, alpha=0.01)
 
 
 class TestMatchedGapWins:
@@ -775,6 +770,25 @@ class TestBuildReport:
                                   [("chebypoly", "dt")])
         assert direct[0].matched == pair["matched"]
         assert direct[0].smooth_wins == pair["smooth_wins"]
+
+    def test_partly_failed_pair_is_unscored_and_unmatched(self):
+        # chebypoly completes fold 0 of 3 and fails the rest on every dataset;
+        # its completed fold alone would match dt and win on the gap
+        rows = []
+        for ds in ("ds1", "ds2", "ds3"):
+            rows += [_fold(ds, "dt", f, adj=0.80, gap=0.10) for f in range(3)]
+            rows.append(_fold(ds, "chebypoly", 0, adj=0.80, gap=0.01))
+        failures = {(ds, "chebypoly"): "fold 1: boom" for ds in ("ds1", "ds2", "ds3")}
+        report = build_report(rows, failures, dataset_order=["ds1", "ds2", "ds3"],
+                              model_order=["chebypoly", "dt"])
+        for ds in ("ds1", "ds2", "ds3"):
+            assert report["scores"][ds]["chebypoly"] is None
+            assert report["gaps"][ds]["chebypoly"] is None
+            assert report["ranks"][ds] == {"chebypoly": 2.0, "dt": 1.0}
+        (pair,) = report["matched_gap"]["pairs"]
+        assert pair["matched"] == 0 and pair["fraction"] is None
+        # timing measures cost, so it keeps the completed folds
+        assert report["timing"]["chebypoly"]["tune_seconds_mean"] == 0.5
 
     def test_first_seen_order_without_explicit_order(self):
         rows = [_fold("zzz", "m2", 0, adj=0.5), _fold("aaa", "m1", 0, adj=0.5)]

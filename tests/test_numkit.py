@@ -23,21 +23,18 @@ from smoothbench.numkit import (
 # ridge_solve
 
 
-def ridge_oracle(Phi, y, alpha, fit_intercept):
+def ridge_oracle(Phi, y, alpha):
     """Brute-force ridge via np.linalg.solve on the explicit normal equations.
 
     Intercept handled by augmenting with a ones column and zeroing its
     penalty entry, which is algebraically the same as centre-and-recover.
     """
     n, p = Phi.shape
-    if fit_intercept:
-        A = np.column_stack([Phi, np.ones(n)])
-        P = np.eye(p + 1) * alpha
-        P[p, p] = 0.0
-        coef = np.linalg.solve(A.T @ A + P, A.T @ y)
-        return coef[:p], coef[p]
-    coef = np.linalg.solve(Phi.T @ Phi + alpha * np.eye(p), Phi.T @ y)
-    return coef, 0.0
+    A = np.column_stack([Phi, np.ones(n)])
+    P = np.eye(p + 1) * alpha
+    P[p, p] = 0.0
+    coef = np.linalg.solve(A.T @ A + P, A.T @ y)
+    return coef[:p], coef[p]
 
 
 def test_ridge_matches_normal_equations_oracle():
@@ -51,20 +48,20 @@ def test_ridge_matches_normal_equations_oracle():
         alpha = float(rng.choice([0.0, 0.3, 10.0]))
         if alpha == 0.0 and n <= p:
             alpha = 0.3  # keep the oracle's unpenalised solve well-posed
-        for fit_intercept in (True, False):
-            w, b = ridge_solve(Phi, y, alpha, fit_intercept=fit_intercept)
-            w_ref, b_ref = ridge_oracle(Phi, y, alpha, fit_intercept)
-            scale = max(1.0, np.linalg.norm(w_ref))
-            assert np.linalg.norm(w - w_ref) / scale < 1e-8
-            assert abs(b - b_ref) / max(1.0, abs(b_ref)) < 1e-8
+        w, b = ridge_solve(Phi, y, alpha)
+        w_ref, b_ref = ridge_oracle(Phi, y, alpha)
+        scale = max(1.0, np.linalg.norm(w_ref))
+        assert np.linalg.norm(w - w_ref) / scale < 1e-8
+        assert abs(b - b_ref) / max(1.0, abs(b_ref)) < 1e-8
 
 
 def test_ridge_exact_interpolation_without_penalty():
-    # alpha=0 on a square well-conditioned system reproduces y exactly
+    # alpha=0 with one row more than columns: [Phi, 1] is square and
+    # well-conditioned, so weights plus intercept reproduce y exactly
     rng = np.random.default_rng(1)
-    Phi = rng.normal(size=(6, 6)) + 3 * np.eye(6)
-    y = rng.normal(size=6)
-    w, b = ridge_solve(Phi, y, alpha=0.0, fit_intercept=False)
+    Phi = rng.normal(size=(7, 6)) + 3 * np.eye(7, 6)
+    y = rng.normal(size=7)
+    w, b = ridge_solve(Phi, y, alpha=0.0)
     assert np.allclose(Phi @ w + b, y, atol=1e-8)
 
 
@@ -78,9 +75,8 @@ def test_ridge_shrinkage_monotonicity():
         y = rng.normal(size=n)
         a1 = float(rng.uniform(0.0, 5.0))
         a2 = a1 + float(rng.uniform(0.01, 20.0))
-        fit_intercept = bool(rng.integers(2))
-        w1, _ = ridge_solve(Phi, y, a1 if n > p else a1 + 0.1, fit_intercept=fit_intercept)
-        w2, _ = ridge_solve(Phi, y, a2, fit_intercept=fit_intercept)
+        w1, _ = ridge_solve(Phi, y, a1 if n > p else a1 + 0.1)
+        w2, _ = ridge_solve(Phi, y, a2)
         assert np.linalg.norm(w2) <= np.linalg.norm(w1) + 1e-10
 
 
@@ -89,21 +85,24 @@ def test_ridge_intercept_is_unpenalised():
     rng = np.random.default_rng(3)
     Phi = rng.normal(size=(50, 3))
     y = Phi @ np.array([1.0, -2.0, 0.5]) + 1e4
-    _, b = ridge_solve(Phi, y, alpha=100.0, fit_intercept=True)
+    _, b = ridge_solve(Phi, y, alpha=100.0)
     assert abs(b - 1e4) < 1.0
 
 
 def test_ridge_singular_jitter_rescue_and_hard_failure():
-    # rank-deficient normal matrix with alpha=0: the one-shot diagonal jitter
+    # three equal columns give a rank-1 centred normal matrix with alpha=0:
+    # the first factorisation fails, and the one-shot diagonal jitter
     # (1e-10 * trace / p) makes the retry succeed with finite weights
-    Phi = np.ones((10, 3))
-    y = np.arange(10.0)
-    w, _ = ridge_solve(Phi, y, alpha=0.0, fit_intercept=False)
+    Phi = np.column_stack([np.arange(10.0)] * 3)
+    Xc = Phi - Phi.mean(axis=0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(Xc.T @ Xc)
+    w, _ = ridge_solve(Phi, np.arange(10.0), alpha=0.0)
     assert np.isfinite(w).all()
     # an all-zero design has trace 0, so the jitter is 0 and the retry also
     # fails; that is the hard-error path
     with pytest.raises(np.linalg.LinAlgError):
-        ridge_solve(np.zeros((5, 2)), np.zeros(5), alpha=0.0, fit_intercept=False)
+        ridge_solve(np.zeros((5, 2)), np.zeros(5), alpha=0.0)
 
 
 def test_ridge_input_validation():
@@ -228,10 +227,8 @@ def test_kmeans_handles_duplicate_points():
 # knn_indices
 
 
-def knn_oracle(X, point, k, exclude=None):
+def knn_oracle(X, point, k):
     d2 = ((X - point) ** 2).sum(axis=1)
-    if exclude is not None:
-        d2[exclude] = np.inf
     return np.argsort(d2, kind="stable")[:k]
 
 
@@ -242,15 +239,8 @@ def test_knn_matches_brute_force():
         d = int(rng.integers(1, 4))
         X = rng.normal(size=(n, d))
         k = int(rng.integers(1, n))
-        if rng.integers(2):
-            q = int(rng.integers(n))
-            got = knn_indices(X, q, k, exclude_self=True)
-            want = knn_oracle(X.copy(), X[q], k, exclude=q)
-        else:
-            point = rng.normal(size=d)
-            got = knn_indices(X, point, k)
-            want = knn_oracle(X, point, k)
-        assert np.array_equal(got, want)
+        point = rng.normal(size=d)
+        assert np.array_equal(knn_indices(X, point, k), knn_oracle(X, point, k))
 
 
 def test_knn_tie_breaks_to_lower_index():
@@ -259,20 +249,12 @@ def test_knn_tie_breaks_to_lower_index():
     assert got.tolist() == [0, 1, 2]
 
 
-def test_knn_self_query_includes_self_unless_excluded():
-    X = np.array([[0.0], [1.0], [2.0]])
-    assert knn_indices(X, 1, 1).tolist() == [1]
-    assert knn_indices(X, 1, 2, exclude_self=True).tolist() == [0, 2]
-
-
 def test_knn_validation():
     X = np.zeros((3, 1))
     with pytest.raises(ValueError):
-        knn_indices(X, 0, 3, exclude_self=True)  # k > n-1
+        knn_indices(X, np.zeros(1), 4)  # k > n
     with pytest.raises(ValueError):
-        knn_indices(X, 0, 0)
-    with pytest.raises(ValueError):
-        knn_indices(X, np.zeros(1), 1, exclude_self=True)
+        knn_indices(X, np.zeros(1), 0)
 
 
 # ---------------------------------------------------------------------------
