@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# Runs the README quick start from this source checkout, in a temporary
+# directory, as `python -m smoothbench.cli`; stops at the first command that
+# fails. It also checks that a --param the model does not have exits 1.
+#
+# Usage: scripts/quickstart.sh   (needs python with numpy)
+set -euo pipefail
+export PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+smoothbench() { python -m smoothbench.cli "$@"; }
+
+smoothbench gen --kind friedman1 --n 300 --seed 0 --out train.csv
+smoothbench fit --model chebypoly --data train.csv --target y \
+    --param complexity=6 --param alpha=0.01 --out model.json
+smoothbench fit --model erbf --data train.csv --target y --tune --budget 2 \
+    --seed 0 --out tuned.json
+smoothbench fit --model erbf --data train.csv --target y \
+    --param n_rbf_mode=fixed --param n_rbf=8 --out erbf.json
+smoothbench predict --model-file tuned.json --data train.csv --out preds.csv
+smoothbench predict --model-file model.json --data train.csv --out poly-preds.csv
+smoothbench predict --model-file erbf.json --data train.csv --out erbf-preds.csv
+cat > bench.json <<'JSON'
+{"datasets": [{"synthetic": "friedman1", "n": 150, "seed": 0}],
+ "models": ["ridge", "dt"], "outer_k": 3,
+ "trial_budgets": {"ridge": 2, "dt": 2}}
+JSON
+smoothbench bench --config bench.json --out-dir results/
+smoothbench report --results results/results.jsonl --out-dir rebuilt/
+
+# a misspelt hyperparameter is refused, not ignored
+status=0
+smoothbench fit --model chebypoly --data train.csv --target y \
+    --param complexty=6 --out typo.json || status=$?
+if [ "$status" -ne 1 ] || [ -e typo.json ]; then
+    echo "fit --param complexty=6 exited $status; expected 1 and no model file" >&2
+    exit 1
+fi
+echo "quick start: every command behaved as documented"

@@ -25,10 +25,10 @@ from .data import (
     load_csv,
     write_csv,
 )
-from .erbf import ErbfConfig, ErbfModel, auto_k, fit_erbf
+from .erbf import ErbfModel, auto_k, fit_erbf
 from .linear import RidgeModel, fit_ridge
 from .numkit import OptimResult, kmeans, knn_indices, lbfgs_minimize, ridge_solve
-from .registry import MODEL_KINDS, fit_model, model_from_dict, predict_model
+from .registry import MODEL_KINDS, fit_model, hyperparameters, model_from_dict, predict_model
 from .synth import CATALOG, clean_target, gen
 
 __all__ = [
@@ -40,9 +40,9 @@ __all__ = [
     "Dataset", "FoldPlan", "MinMaxScaler", "Standardizer",
     "drop_quasi_constant", "impute_median", "inner_fold_count",
     "kfold_split", "load_csv", "write_csv",
-    "ErbfConfig", "ErbfModel", "auto_k", "fit_erbf",
+    "ErbfModel", "auto_k", "fit_erbf",
     "RidgeModel", "fit_ridge",
     "OptimResult", "kmeans", "knn_indices", "lbfgs_minimize", "ridge_solve",
-    "MODEL_KINDS", "fit_model", "model_from_dict", "predict_model",
+    "MODEL_KINDS", "fit_model", "hyperparameters", "model_from_dict", "predict_model",
     "CATALOG", "clean_target", "gen",
 ]

@@ -128,7 +128,7 @@ def _node_indices(d: dict, name: str) -> np.ndarray:
 def cart_fit(
     X: np.ndarray,
     y: np.ndarray,
-    max_depth: int,
+    max_depth: int = 10,
     min_samples_leaf: Count = 1,
     min_samples_split: Count = 2,
 ) -> RegressionTree:
@@ -144,6 +144,8 @@ def cart_fit(
         raise ValueError("X must be (n, d) and y (n,) with matching n")
     if X.shape[0] < 1:
         raise ValueError("need at least one training row")
+    if isinstance(max_depth, bool) or not isinstance(max_depth, (int, np.integer)):
+        raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     n = X.shape[0]

@@ -19,7 +19,6 @@ from .numkit import ridge_solve
 @dataclass
 class ChebyPolyModel:
     basis: BasisConfig
-    alpha: float
     scaler: MinMaxScaler
     interaction_feats: tuple[int, ...]
     weights: np.ndarray
@@ -42,7 +41,6 @@ class ChebyPolyModel:
                 "include_interactions": self.basis.include_interactions,
                 "max_interaction_complexity": self.basis.max_interaction_complexity,
             },
-            "alpha": self.alpha,
             "scaler": self.scaler.to_dict(),
             "interaction_feats": list(self.interaction_feats),
             "weights": self.weights.tolist(),
@@ -55,7 +53,6 @@ class ChebyPolyModel:
     def from_dict(cls, d: dict) -> "ChebyPolyModel":
         model = cls(
             basis=BasisConfig(**d["basis"]),
-            alpha=float(d["alpha"]),
             scaler=MinMaxScaler.from_dict(d["scaler"]),
             interaction_feats=tuple(int(i) for i in d["interaction_feats"]),
             weights=np.asarray(d["weights"], dtype=np.float64),
@@ -75,8 +72,7 @@ class ChebyPolyModel:
         if w.shape != (p,):
             raise ValueError(f"chebypoly model: weights has {w.size} entries, expected {p}")
         check_finite("chebypoly model", mins=mins, ranges=ranges, weights=w,
-                     intercept=model.intercept, alpha=model.alpha, y_mean=model.y_mean,
-                     y_std=model.y_std)
+                     intercept=model.intercept, y_mean=model.y_mean, y_std=model.y_std)
         return model
 
     def check_width(self, d: int) -> None:
@@ -89,8 +85,8 @@ class ChebyPolyModel:
 def fit_chebypoly(
     X: np.ndarray,
     y: np.ndarray,
-    complexity: int,
-    alpha: float,
+    complexity: int = 3,
+    alpha: float = 1.0,
     include_interactions: bool = False,
     max_interaction_complexity: int = 1,
 ) -> ChebyPolyModel:
@@ -113,7 +109,6 @@ def fit_chebypoly(
     weights, intercept = ridge_solve(design.matrix, y, alpha)
     return ChebyPolyModel(
         basis=basis,
-        alpha=float(alpha),
         scaler=scaler,
         interaction_feats=tuple(feats),
         weights=weights,

@@ -10,13 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
-
-# column descriptors: ("const",) | ("cheb", feature, degree) | ("inter", i, j, degree)
-ColumnDesc = Tuple
-
 
 # above this many features only the top half by variance gets interaction terms
 HIGH_DIM_THRESHOLD = 30
@@ -42,6 +38,9 @@ class BasisConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.include_interactions, (bool, np.bool_)):
+            raise ValueError(f"include_interactions must be true or false, "
+                             f"got {self.include_interactions!r}")
         if self.complexity < 1:
             raise ValueError("complexity must be >= 1")
         if self.max_interaction_complexity not in (1, 2):
@@ -105,7 +104,6 @@ def n_columns(d: int, cfg: BasisConfig, n_inter_feats: int) -> int:
 @dataclass(frozen=True)
 class DesignMatrix:
     matrix: np.ndarray
-    columns: tuple[ColumnDesc, ...]
 
 
 def build_design_matrix(
@@ -130,14 +128,11 @@ def build_design_matrix(
     p = n_columns(d, cfg, len(feats))
 
     out = np.empty((n, p))
-    cols: list[ColumnDesc] = []
     out[:, 0] = 1.0
-    cols.append(("const",))
     pos = 1
     for f in range(d):
         van = cheb_vander(X_scaled[:, f], c)
         out[:, pos:pos + c] = van[:, 1:]
-        cols.extend(("cheb", f, deg) for deg in range(1, c + 1))
         pos += c
     if cfg.include_interactions:
         for a_idx in range(len(feats)):
@@ -145,11 +140,9 @@ def build_design_matrix(
                 i, j = feats[a_idx], feats[b_idx]
                 prod = X_scaled[:, i] * X_scaled[:, j]
                 out[:, pos] = prod
-                cols.append(("inter", i, j, 1))
                 pos += 1
                 if cfg.max_interaction_complexity == 2:
                     out[:, pos] = 2.0 * prod * prod - 1.0
-                    cols.append(("inter", i, j, 2))
                     pos += 1
     assert pos == p
-    return DesignMatrix(matrix=out, columns=tuple(cols))
+    return DesignMatrix(matrix=out)

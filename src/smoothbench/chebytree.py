@@ -36,7 +36,6 @@ class ChebyTreeModel:
     tree: RegressionTree
     leaf_models: Dict[int, Union[ChebyPolyModel, float]]
     complexity: int
-    alpha: float
     y_mean: float
     y_std: float
 
@@ -82,7 +81,6 @@ class ChebyTreeModel:
             "tree": self.tree.to_dict(),
             "leaf_models": leaves,
             "complexity": self.complexity,
-            "alpha": self.alpha,
             "y_mean": self.y_mean,
             "y_std": self.y_std,
         }
@@ -103,7 +101,6 @@ class ChebyTreeModel:
             tree=RegressionTree.from_dict(d["tree"]),
             leaf_models=leaf_models,
             complexity=int(d["complexity"]),
-            alpha=float(d["alpha"]),
             y_mean=float(d["y_mean"]),
             y_std=float(d["y_std"]),
         )
@@ -111,8 +108,8 @@ class ChebyTreeModel:
         return model
 
     def _validate(self) -> None:
-        if not all(math.isfinite(v) for v in (self.alpha, self.y_mean, self.y_std)):
-            raise ValueError("chebytree model: alpha, y_mean and y_std must be finite")
+        if not (math.isfinite(self.y_mean) and math.isfinite(self.y_std)):
+            raise ValueError("chebytree model: y_mean and y_std must be finite")
         tree_leaves = set(self.tree.leaf_ids)
         if set(self.leaf_models) != tree_leaves:
             raise ValueError(
@@ -153,9 +150,9 @@ class ChebyTreeModel:
 def fit_chebytree(
     X: np.ndarray,
     y: np.ndarray,
-    complexity: int,
-    alpha: float,
-    max_depth: int,
+    complexity: int = 2,
+    alpha: float = 1.0,
+    max_depth: int = 4,
     min_samples_leaf: Count = 1,
 ) -> ChebyTreeModel:
     """Grow the routing tree on raw features, then fit one polynomial per leaf.
@@ -166,6 +163,7 @@ def fit_chebytree(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    basis = BasisConfig(complexity=complexity)  # rejects a non-integer complexity
     tree = cart_fit(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
                     min_samples_split=2)
     threshold = leaf_fallback_threshold(complexity)
@@ -182,14 +180,12 @@ def fit_chebytree(
         ranges = np.maximum.reduceat(Xp, bounds[:-1], axis=0) - mins
         Xs = minmax_scale(Xp, np.repeat(mins, sizes, axis=0),
                           np.repeat(ranges, sizes, axis=0))
-        basis = BasisConfig(complexity=complexity)
         design = build_design_matrix(Xs, basis, ())
         weights, intercepts = ridge_solve_segments(design.matrix, yp, bounds, alpha)
         for j, leaf in enumerate(poly):
             y_leaf = yp[bounds[j]:bounds[j + 1]]
             polys[leaf] = ChebyPolyModel(
                 basis=basis,
-                alpha=float(alpha),
                 scaler=MinMaxScaler(mins=mins[j], ranges=ranges[j]),
                 interaction_feats=(),
                 weights=weights[j],
@@ -205,7 +201,6 @@ def fit_chebytree(
         tree=tree,
         leaf_models=leaf_models,
         complexity=int(complexity),
-        alpha=float(alpha),
         y_mean=float(y.mean()),
         y_std=float(y.std()),
     )

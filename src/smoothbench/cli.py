@@ -30,10 +30,10 @@ from .harness import (
     write_report_files,
     write_results_jsonl,
 )
-from .registry import MODEL_KINDS, fit_model, model_from_dict, predict_model
+from .registry import MODEL_KINDS, fit_model, hyperparameters, model_from_dict, predict_model
 from .synth import CATALOG, gen
 
-MODEL_FILE_SCHEMA = 3
+MODEL_FILE_SCHEMA = 4
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -67,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--budget", type=int, default=None,
                        help="override the trial budget used with --tune")
     p_fit.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                       help="explicit hyperparameter (repeatable), e.g. --param alpha=0.5")
+                       help="explicit hyperparameter (repeatable), e.g. --param alpha=0.5; "
+                            "the names are the keyword parameters of the model's fit")
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="predict with a saved model JSON")
@@ -138,8 +139,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "target": ds.target_name,
         "feature_names": list(ds.feature_names),
         "medians": medians,
-        "params": params,
+        # every hyperparameter value the fit used, defaults included
+        "params": {**hyperparameters(args.model), **params},
         "tuned": bool(args.tune),
+        "seed": args.seed,
         # the bound the benchmark clips scored predictions to, for predict to apply
         "clip": list(clip_bounds(ds.y)),
         "model": model.to_dict(),
@@ -156,10 +159,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     with open(args.model_file, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file: expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema_version") != MODEL_FILE_SCHEMA:
         raise ValueError(f"model file schema {doc.get('schema_version')!r} is not supported: "
                          f"predict reads schema {MODEL_FILE_SCHEMA}; refit the model")
+    for key in ("kind", "model", "feature_names", "medians"):
+        if key not in doc:
+            raise ValueError(f"model file: missing field {key!r}")
     kind = doc["kind"]
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"model file: kind must be one of {MODEL_KINDS}, got {kind!r}")
     model = model_from_dict(kind, doc["model"])
     clip = doc.get("clip")
     if not (isinstance(clip, list) and len(clip) == 2

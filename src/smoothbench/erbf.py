@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,30 +28,11 @@ from .numkit import OptimResult, kmeans, knn_indices, lbfgs_minimize, ridge_solv
 WIDTH_FLOOR = 1e-6
 WIDTH_CAP = 1e3
 
-CENTER_MODES = ("lipschitz", "kmeans")
 WIDTH_MODES = ("local_ridge", "local_variance")
 
 
-@dataclass(frozen=True)
-class ErbfConfig:
-    n_rbf: Union[int, str] = "auto"
-    alpha: float = 1.0
-    center_init: str = "lipschitz"
-    width_init: str = "local_ridge"
-    width_optim_iters: int = 30
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.center_init not in CENTER_MODES:
-            raise ValueError(f"center_init must be one of {CENTER_MODES}")
-        if self.width_init not in WIDTH_MODES:
-            raise ValueError(f"width_init must be one of {WIDTH_MODES}")
-        if self.n_rbf != "auto" and (not isinstance(self.n_rbf, (int, np.integer)) or self.n_rbf < 1):
-            raise ValueError("n_rbf must be 'auto' or a positive integer")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if self.width_optim_iters < 0:
-            raise ValueError("width_optim_iters must be >= 0")
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def auto_k(n: int, d: int) -> int:
@@ -240,7 +221,6 @@ def erbf_loss_and_grad(
 
 @dataclass
 class ErbfModel:
-    config: ErbfConfig
     standardizer: Standardizer
     centers: np.ndarray
     sigma: np.ndarray
@@ -259,14 +239,6 @@ class ErbfModel:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "n_rbf": self.config.n_rbf,
-                "alpha": self.config.alpha,
-                "center_init": self.config.center_init,
-                "width_init": self.config.width_init,
-                "width_optim_iters": self.config.width_optim_iters,
-                "seed": self.config.seed,
-            },
             "standardizer": self.standardizer.to_dict(),
             "centers": self.centers.tolist(),
             "sigma": self.sigma.tolist(),
@@ -277,17 +249,7 @@ class ErbfModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ErbfModel":
-        cfg = d["config"]
-        n_rbf = cfg["n_rbf"]
         model = cls(
-            config=ErbfConfig(
-                n_rbf=n_rbf if n_rbf == "auto" else int(n_rbf),
-                alpha=float(cfg["alpha"]),
-                center_init=cfg["center_init"],
-                width_init=cfg["width_init"],
-                width_optim_iters=int(cfg["width_optim_iters"]),
-                seed=int(cfg["seed"]),
-            ),
             standardizer=Standardizer.from_dict(d["standardizer"]),
             centers=np.asarray(d["centers"], dtype=np.float64),
             sigma=np.asarray(d["sigma"], dtype=np.float64),
@@ -318,10 +280,22 @@ class ErbfModel:
                              f"for {d} input features")
 
 
-def fit_erbf(X: np.ndarray, y: np.ndarray, config: Optional[ErbfConfig] = None) -> ErbfModel:
-    """Run the three-stage pipeline and return the fitted network."""
-    if config is None:
-        config = ErbfConfig()
+def fit_erbf(X: np.ndarray, y: np.ndarray, n_rbf_mode: str = "auto",
+             n_rbf: Optional[int] = None, alpha: float = 1.0, center_init: str = "lipschitz",
+             width_init: str = "local_ridge", width_optim_iters: int = 30,
+             seed: int = 0) -> ErbfModel:
+    """Run the three-stage pipeline and return the fitted network.
+
+    n_rbf_mode "auto" sizes the network by auto_k and takes no n_rbf; "fixed"
+    needs n_rbf, a positive integer. center_init is "lipschitz" or "kmeans",
+    width_init "local_ridge" or "local_variance".
+    """
+    fixed = n_rbf_mode == "fixed" and _is_int(n_rbf) and n_rbf >= 1
+    if not (fixed or (n_rbf_mode == "auto" and n_rbf is None)):
+        raise ValueError(f"n_rbf_mode={n_rbf_mode!r} with n_rbf={n_rbf!r}: 'auto' takes no "
+                         "n_rbf and 'fixed' needs a positive integer n_rbf")
+    if not (_is_int(width_optim_iters) and width_optim_iters >= 0):
+        raise ValueError(f"width_optim_iters must be an integer >= 0, got {width_optim_iters!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -329,22 +303,22 @@ def fit_erbf(X: np.ndarray, y: np.ndarray, config: Optional[ErbfConfig] = None) 
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("fit_erbf requires finite inputs; impute first")
     n, d = X.shape
-    K = auto_k(n, d) if config.n_rbf == "auto" else int(config.n_rbf)
+    K = int(n_rbf) if fixed else auto_k(n, d)
     if K > n:
         raise ValueError(f"n_rbf={K} exceeds the number of training rows n={n}")
 
     std = Standardizer.fit(X)
     Xs = std.apply(X)
 
-    centers = place_centers(Xs, y, K, mode=config.center_init, seed=config.seed)
-    sigma0 = init_widths(Xs, y, centers, mode=config.width_init)
+    centers = place_centers(Xs, y, K, mode=center_init, seed=seed)
+    sigma0 = init_widths(Xs, y, centers, mode=width_init)
 
     Phi0 = erbf_activations(Xs, centers, sigma0)
-    w0, b0 = ridge_solve(Phi0, y, config.alpha)
+    w0, b0 = ridge_solve(Phi0, y, alpha)
     r0 = Phi0 @ w0 + b0 - y
     mse_before = float(r0 @ r0) / n
 
-    if config.width_optim_iters > 0:
+    if width_optim_iters > 0:
         def objective(theta):
             try:
                 return erbf_loss_and_grad(theta, Xs, y, centers, w0, b0)
@@ -354,7 +328,7 @@ def fit_erbf(X: np.ndarray, y: np.ndarray, config: Optional[ErbfConfig] = None) 
                 return np.inf, np.zeros_like(theta)
 
         res: OptimResult = lbfgs_minimize(
-            objective, np.log(sigma0).ravel(), max_iter=config.width_optim_iters
+            objective, np.log(sigma0).ravel(), max_iter=width_optim_iters
         )
         sigma = np.exp(res.x.reshape(K, d))
         mse_after = res.loss
@@ -365,10 +339,9 @@ def fit_erbf(X: np.ndarray, y: np.ndarray, config: Optional[ErbfConfig] = None) 
         iters, converged = 0, False
 
     Phi = erbf_activations(Xs, centers, sigma)
-    weights, bias = ridge_solve(Phi, y, config.alpha)
+    weights, bias = ridge_solve(Phi, y, alpha)
 
     return ErbfModel(
-        config=config,
         standardizer=std,
         centers=centers,
         sigma=sigma,

@@ -86,8 +86,11 @@ def build_report(
 
     A pair in failures gets no score and no gap even if some of its folds
     completed, so it ranks last and the gap analysis skips it: scores, ranks
-    and gaps all rest on complete pairs. timing still averages every
-    completed fold, failed pairs' included, because it measures cost.
+    and gaps all rest on complete pairs. So does a pair that lacks a fold
+    which another pair on its dataset has (a truncated results file); the
+    report lists it under failures with the missing folds. timing still
+    averages every completed fold, failed pairs' included, because it
+    measures cost.
     """
     datasets = dataset_order or _first_seen(
         [fr.dataset for fr in fold_results] + [k[0] for k in failures])
@@ -95,8 +98,11 @@ def build_report(
         [fr.model for fr in fold_results] + [k[1] for k in failures])
 
     by_pair: Dict[Tuple[str, str], List[FoldResult]] = {}
+    ds_folds: Dict[str, set] = {}
     for fr in fold_results:
         by_pair.setdefault((fr.dataset, fr.model), []).append(fr)
+        ds_folds.setdefault(fr.dataset, set()).add(fr.fold)
+    failures = dict(failures)
 
     scores: Dict[str, Dict[str, Optional[float]]] = {}
     gaps: Dict[str, Dict[str, Optional[float]]] = {}
@@ -107,6 +113,9 @@ def build_report(
         failed[ds_name] = {}
         for m in models:
             frs = by_pair.get((ds_name, m), [])
+            missing = sorted(ds_folds.get(ds_name, set()) - {fr.fold for fr in frs})
+            if missing and (ds_name, m) not in failures:
+                failures[(ds_name, m)] = f"missing folds {missing}"
             is_failed = (ds_name, m) in failures or not frs
             failed[ds_name][m] = is_failed
             if is_failed:

@@ -103,63 +103,43 @@ def random_search(
 
 
 # ---------------------------------------------------------------------------
-# Per-model spaces (budgets are the benchmark trial counts)
+# Per-model spaces (budgets are the benchmark trial counts); every name is a
+# keyword parameter of the kind's fit function (registry.hyperparameters)
 
-
-def ridge_space() -> SearchSpace:
-    return SearchSpace({
+SPACES: Dict[str, SearchSpace] = {
+    "ridge": SearchSpace({
         "alpha": Param("log_uniform", lo=1e-3, hi=1e3),
-    }, budget=20)
-
-
-def dt_space() -> SearchSpace:
-    return SearchSpace({
+    }, budget=20),
+    "dt": SearchSpace({
         "max_depth": Param("int", lo=1, hi=20),
         "min_samples_leaf": Param("uniform", lo=0.005, hi=0.1),
         "min_samples_split": Param("uniform", lo=0.01, hi=0.1),
-    }, budget=25)
-
-
-def erbf_space() -> SearchSpace:
-    return SearchSpace({
+    }, budget=25),
+    "erbf": SearchSpace({
         "n_rbf_mode": Param("categorical", choices=("auto", "fixed")),
         "n_rbf": Param("int", lo=10, hi=80, parent="n_rbf_mode", active_when="fixed"),
         "alpha": Param("log_uniform", lo=1e-3, hi=1e3),
         "center_init": Param("categorical", choices=("lipschitz", "kmeans")),
         "width_init": Param("categorical", choices=("local_ridge", "local_variance")),
-    }, budget=30)
-
-
-def chebypoly_space() -> SearchSpace:
-    return SearchSpace({
+    }, budget=30),
+    "chebypoly": SearchSpace({
         "complexity": Param("int", lo=1, hi=14),
         "alpha": Param("log_uniform", lo=1e-3, hi=1e3),
         "include_interactions": Param("categorical", choices=(True, False)),
         "max_interaction_complexity": Param(
             "categorical", choices=(1, 2),
             parent="include_interactions", active_when=True),
-    }, budget=30)
-
-
-def chebytree_space() -> SearchSpace:
-    return SearchSpace({
+    }, budget=30),
+    "chebytree": SearchSpace({
         "complexity": Param("int", lo=1, hi=6),
         "alpha": Param("log_uniform", lo=1e-3, hi=1e3),
         "max_depth": Param("int", lo=1, hi=12),
         "min_samples_leaf": Param("uniform", lo=0.01, hi=0.1),
-    }, budget=30)
-
-
-SPACES: Dict[str, Callable[[], SearchSpace]] = {
-    "ridge": ridge_space,
-    "dt": dt_space,
-    "erbf": erbf_space,
-    "chebypoly": chebypoly_space,
-    "chebytree": chebytree_space,
+    }, budget=30),
 }
 
 
 def search_space(kind: str) -> SearchSpace:
     if kind not in SPACES:
         raise ValueError(f"no search space for model kind {kind!r}")
-    return SPACES[kind]()
+    return SPACES[kind]

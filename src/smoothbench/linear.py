@@ -15,7 +15,6 @@ class RidgeModel:
     standardizer: Standardizer
     weights: np.ndarray
     intercept: float
-    alpha: float
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.standardizer.apply(X) @ self.weights + self.intercept
@@ -25,7 +24,6 @@ class RidgeModel:
             "standardizer": self.standardizer.to_dict(),
             "weights": self.weights.tolist(),
             "intercept": self.intercept,
-            "alpha": self.alpha,
         }
 
     @classmethod
@@ -34,13 +32,12 @@ class RidgeModel:
             standardizer=Standardizer.from_dict(d["standardizer"]),
             weights=np.asarray(d["weights"], dtype=np.float64),
             intercept=float(d["intercept"]),
-            alpha=float(d["alpha"]),
         )
         w, means, stds = model.weights, model.standardizer.means, model.standardizer.stds
         if not (w.ndim == 1 and w.shape == means.shape == stds.shape):
             raise ValueError(f"ridge model: weights, means and stds have shapes {w.shape}, "
                              f"{means.shape} and {stds.shape}; they need one equal length")
-        check_finite("ridge model", weights=w, intercept=model.intercept, alpha=model.alpha)
+        check_finite("ridge model", weights=w, intercept=model.intercept)
         return model
 
     def check_width(self, d: int) -> None:
@@ -50,11 +47,10 @@ class RidgeModel:
                              f"for {d} input features")
 
 
-def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:
+def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> RidgeModel:
     """Standardize features, then solve ridge with an unpenalised intercept."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     std = Standardizer.fit(X)
     weights, intercept = ridge_solve(std.apply(X), y, alpha)
-    return RidgeModel(standardizer=std, weights=weights,
-                      intercept=float(intercept), alpha=float(alpha))
+    return RidgeModel(standardizer=std, weights=weights, intercept=float(intercept))

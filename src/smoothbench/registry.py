@@ -3,75 +3,34 @@
 The benchmark feeds every model raw (imputed) features: ridge standardizes
 them inside fit_ridge, the tree baseline consumes them directly and the smooth
 models run their own internal scaling.
+
+A kind's hyperparameters are the keyword parameters of its fit function, with
+their defaults; there is no second list of them.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from typing import Any, Dict
 
 import numpy as np
 
+# the fit functions are called by name from this namespace (see fit_model)
 from .cart import RegressionTree, cart_fit
 from .chebypoly import ChebyPolyModel, fit_chebypoly
 from .chebytree import ChebyTreeModel, fit_chebytree
-from .erbf import ErbfConfig, ErbfModel, fit_erbf
+from .erbf import ErbfModel, fit_erbf
 from .linear import RidgeModel, fit_ridge
 
-
-def _fit_ridge(X, y, params, seed):
-    return fit_ridge(X, y, alpha=params.get("alpha", 1.0))
-
-
-def _fit_dt(X, y, params, seed):
-    return cart_fit(
-        X, y,
-        max_depth=int(params.get("max_depth", 10)),
-        min_samples_leaf=params.get("min_samples_leaf", 1),
-        min_samples_split=params.get("min_samples_split", 2),
-    )
-
-
-def _fit_chebypoly(X, y, params, seed):
-    return fit_chebypoly(
-        X, y,
-        complexity=int(params.get("complexity", 3)),
-        alpha=params.get("alpha", 1.0),
-        include_interactions=bool(params.get("include_interactions", False)),
-        max_interaction_complexity=int(params.get("max_interaction_complexity", 1)),
-    )
-
-
-def _fit_chebytree(X, y, params, seed):
-    return fit_chebytree(
-        X, y,
-        complexity=int(params.get("complexity", 2)),
-        alpha=params.get("alpha", 1.0),
-        max_depth=int(params.get("max_depth", 4)),
-        min_samples_leaf=params.get("min_samples_leaf", 1),
-    )
-
-
-def _fit_erbf(X, y, params, seed):
-    n_rbf = params.get("n_rbf", "auto")
-    config = ErbfConfig(
-        n_rbf=n_rbf if n_rbf == "auto" else int(n_rbf),
-        alpha=params.get("alpha", 1.0),
-        center_init=params.get("center_init", "lipschitz"),
-        width_init=params.get("width_init", "local_ridge"),
-        width_optim_iters=int(params.get("width_optim_iters", 30)),
-        seed=seed,
-    )
-    return fit_erbf(X, y, config)
-
-
-# kind -> (fit from search-space params,
+# kind -> (name of the fit function in this module,
 #          model class with predict, to_dict, from_dict and check_width)
 _MODELS = {
-    "ridge": (_fit_ridge, RidgeModel),
-    "dt": (_fit_dt, RegressionTree),
-    "chebypoly": (_fit_chebypoly, ChebyPolyModel),
-    "chebytree": (_fit_chebytree, ChebyTreeModel),
-    "erbf": (_fit_erbf, ErbfModel),
+    "ridge": ("fit_ridge", RidgeModel),
+    "dt": ("cart_fit", RegressionTree),
+    "chebypoly": ("fit_chebypoly", ChebyPolyModel),
+    "chebytree": ("fit_chebytree", ChebyTreeModel),
+    "erbf": ("fit_erbf", ErbfModel),
 }
 
 MODEL_KINDS = tuple(_MODELS)
@@ -84,9 +43,31 @@ def _entry(kind: str):
         raise ValueError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}") from None
 
 
+@functools.cache
+def _signature(kind: str) -> tuple:
+    """({hyperparameter: default}, whether the fit takes a seed), read once per kind."""
+    params = inspect.signature(globals()[_entry(kind)[0]]).parameters
+    return ({name: p.default for name, p in params.items() if name not in ("X", "y", "seed")},
+            "seed" in params)
+
+
+def hyperparameters(kind: str) -> Dict[str, Any]:
+    """The kind's hyperparameter names and defaults, from its fit signature."""
+    return dict(_signature(kind)[0])
+
+
 def fit_model(kind: str, X: np.ndarray, y: np.ndarray, params: Dict[str, Any], seed: int = 0):
-    """Fit a model of the given kind with search-space parameters."""
-    return _entry(kind)[0](X, y, params, seed)
+    """Fit a model of the given kind; params may hold only its fit's hyperparameters."""
+    names, takes_seed = _signature(kind)
+    for key in params:
+        if key not in names:
+            raise ValueError(f"{kind} has no hyperparameter {key!r}; choose from {list(names)}")
+    # looked up on each call, so a function patched into this module is the one called
+    fit = globals()[_MODELS[kind][0]]
+    try:
+        return fit(X, y, **params, **({"seed": seed} if takes_seed else {}))
+    except TypeError as exc:  # a hyperparameter of the wrong type
+        raise ValueError(f"{kind}: {exc}") from None
 
 
 def predict_model(kind: str, model, X: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from smoothbench.cart import (
     cart_route,
     resolve_count,
 )
-from smoothbench.harness.search import chebytree_space, dt_space
+from smoothbench.harness.search import SPACES
 from smoothbench.synth import gen
 
 
@@ -413,7 +413,7 @@ def test_trees_equal_the_reference_grower_on_search_space_draws():
     rng = np.random.default_rng(83)
     for n, kind in ((667, "friedman1"), (1000, "synthetic_step")):
         ds = gen(kind, n=n, seed=n)
-        for space in (dt_space(), chebytree_space()):
+        for space in (SPACES["dt"], SPACES["chebytree"]):
             for _ in range(12):
                 p = space.sample_trial(rng)
                 args = (p["max_depth"], p["min_samples_leaf"], p.get("min_samples_split", 2))

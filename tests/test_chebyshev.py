@@ -71,7 +71,6 @@ def test_n_columns_formula_no_interactions():
         dm = build_design_matrix(X, cfg)
         assert dm.matrix.shape[1] == 1 + d * c
         assert n_columns(d, cfg, 0) == 1 + d * c
-        assert len(dm.columns) == dm.matrix.shape[1]
 
 
 def test_n_columns_with_interactions():
@@ -96,14 +95,12 @@ def test_design_matrix_layout_and_values():
                       max_interaction_complexity=2)
     dm = build_design_matrix(X, cfg)
 
-    assert dm.columns[0] == ("const",)
     assert np.array_equal(dm.matrix[:, 0], np.ones(20))
 
     # per-feature blocks in feature order, degrees 1..c
     pos = 1
     for f in range(3):
         for deg in range(1, 4):
-            assert dm.columns[pos] == ("cheb", f, deg)
             assert np.allclose(dm.matrix[:, pos], np.cos(deg * np.arccos(X[:, f])),
                                atol=1e-12)
             pos += 1
@@ -111,10 +108,8 @@ def test_design_matrix_layout_and_values():
     # interactions: pairs (0,1), (0,2), (1,2); product then T2(product)
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         prod = X[:, i] * X[:, j]
-        assert dm.columns[pos] == ("inter", i, j, 1)
         assert np.array_equal(dm.matrix[:, pos], prod)
         pos += 1
-        assert dm.columns[pos] == ("inter", i, j, 2)
         assert np.allclose(dm.matrix[:, pos], 2 * prod ** 2 - 1, atol=1e-15)
         pos += 1
     assert pos == dm.matrix.shape[1]
@@ -162,8 +157,10 @@ def test_design_matrix_honours_pinned_interaction_feats():
     X = np.random.default_rng(9).uniform(-1, 1, size=(15, 5))
     cfg = BasisConfig(complexity=1, include_interactions=True)
     dm = build_design_matrix(X, cfg, interaction_feats=(0, 3))
-    inter_cols = [c for c in dm.columns if c[0] == "inter"]
-    assert inter_cols == [("inter", 0, 3, 1)]
+    # the constant, 5 degree-1 columns, then the one pair's product
+    assert dm.matrix.shape[1] == 1 + 5 + 1
+    assert np.array_equal(dm.matrix[:, 1:6], X)
+    assert np.array_equal(dm.matrix[:, 6], X[:, 0] * X[:, 3])
 
 
 # ---------------------------------------------------------------------------

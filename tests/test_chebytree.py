@@ -15,7 +15,7 @@ from smoothbench.chebytree import (
 )
 from smoothbench.cart import cart_fit, cart_route
 from smoothbench.chebyshev import build_design_matrix
-from smoothbench.harness.search import chebytree_space
+from smoothbench.harness.search import SPACES
 from smoothbench.synth import gen
 
 
@@ -202,7 +202,7 @@ def _per_leaf_reference(X, y, complexity, alpha, max_depth, min_samples_leaf=1):
         else:
             models[leaf] = float(y[rows].mean())
     return ChebyTreeModel(tree=tree, leaf_models=models, complexity=complexity,
-                          alpha=alpha, y_mean=float(y.mean()), y_std=float(y.std()))
+                          y_mean=float(y.mean()), y_std=float(y.std()))
 
 
 def _per_leaf_predict(model, Q):
@@ -241,7 +241,7 @@ def _assert_matches_reference(X, y, Q, **params):
 
 
 def test_batched_fit_matches_per_leaf_reference_on_search_space_trials():
-    space = chebytree_space()
+    space = SPACES["chebytree"]
     rng = np.random.default_rng(107)
     trials = 0
     for kind in ("friedman1", "synthetic_step"):

@@ -27,6 +27,11 @@ def _write_dataset(path, kind="friedman1", n=60, noise_std=0.2, seed=11):
     return ds
 
 
+def _wrap_in_list(doc):
+    """Replace the whole model document by a JSON list that holds it."""
+    return [doc]
+
+
 def _drop_last_feature(doc):
     """Make a model file list one feature name (and median) fewer than its model uses."""
     doc["feature_names"].pop()
@@ -81,6 +86,7 @@ class TestFitPredict:
         assert doc["target"] == "y"
         assert doc["params"] == {"alpha": 0.5}
         assert doc["tuned"] is False
+        assert doc["seed"] == 0
         assert doc["feature_names"] == [f"x{j}" for j in range(5)]
         assert len(doc["medians"]) == 5
 
@@ -144,17 +150,36 @@ class TestFitPredict:
                      "--param", "alpha=0.1"])
         assert code == 0
         doc = json.loads(model_path.read_text())
+        # the defaults of the parameters not given are recorded too
         assert doc["params"] == {"complexity": 2, "include_interactions": True,
-                                 "alpha": 0.1}
+                                 "alpha": 0.1, "max_interaction_complexity": 1}
 
         model_path2 = tmp_path / "model2.json"
         code = main(["fit", "--model", "erbf", "--data", str(data),
                      "--target", "y", "--out", str(model_path2),
-                     "--param", "center_init=kmeans", "--param", "n_rbf=5"])
+                     "--param", "center_init=kmeans", "--param", "n_rbf_mode=fixed",
+                     "--param", "n_rbf=5"])
         assert code == 0
         doc = json.loads(model_path2.read_text())
         assert doc["params"]["center_init"] == "kmeans"  # bare string kept
         assert doc["params"]["n_rbf"] == 5
+
+    @pytest.mark.parametrize("kind, param, message", [
+        ("chebypoly", "complexty=9", "chebypoly has no hyperparameter 'complexty'"),
+        ("dt", "max_depth=2.7", "max_depth must be an integer, got 2.7"),
+        ("erbf", "n_rbf_mode=fixed", "n_rbf_mode='fixed' with n_rbf=None"),
+        # the seed comes from --seed, not from a hyperparameter
+        ("erbf", "seed=3", "erbf has no hyperparameter 'seed'"),
+    ], ids=["misspelt-name", "fractional-depth", "fixed-size-without-size", "seed"])
+    def test_fit_rejects_a_param_the_model_does_not_take(self, tmp_path, capsys, kind,
+                                                         param, message):
+        data = tmp_path / "train.csv"
+        _write_dataset(data, n=50)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--model", kind, "--data", str(data), "--target", "y",
+                     "--out", str(model_path), "--param", param]) == 1
+        assert message in capsys.readouterr().err
+        assert not model_path.exists()
 
     def test_max_samples_subsamples_training_data(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
@@ -306,7 +331,7 @@ class TestFitPredict:
         ("dt", {"max_depth": 4, "min_samples_leaf": 2}),
         ("chebypoly", {"complexity": 3, "alpha": 0.1, "include_interactions": True}),
         ("chebytree", {"complexity": 2, "alpha": 0.1, "max_depth": 2}),
-        ("erbf", {"n_rbf": 6, "alpha": 0.1, "width_optim_iters": 3}),
+        ("erbf", {"n_rbf_mode": "fixed", "n_rbf": 6, "alpha": 0.1, "width_optim_iters": 3}),
     ])
     def test_served_predictions_equal_scored_ones(self, tmp_path, kind, params):
         data = tmp_path / "train.csv"
@@ -404,9 +429,19 @@ class TestFitPredict:
          "left[0] = 1.5 is not an integer"),
         ("dt", lambda d: d["model"]["right"].__setitem__(0, float("nan")),
          "right[0] = nan is not an integer"),
-        # schema 2 still carried the keys schema 3 dropped; it is refused, not read
+        # older schemas carried keys the current one dropped; they are refused, not read
         ("chebypoly", lambda d: d.__setitem__("schema_version", 2),
          "model file schema 2 is not supported"),
+        ("erbf", lambda d: d.__setitem__("schema_version", 3),
+         "model file schema 3 is not supported"),
+        # the file's top level
+        ("ridge", _wrap_in_list, "model file: expected a JSON object, got list"),
+        ("ridge", lambda d: d.__setitem__("kind", ["ridge"]),
+         "model file: kind must be one of"),
+        ("ridge", lambda d: d.pop("kind"), "model file: missing field 'kind'"),
+        ("ridge", lambda d: d.pop("medians"), "model file: missing field 'medians'"),
+        ("ridge", lambda d: d.pop("feature_names"), "model file: missing field 'feature_names'"),
+        ("ridge", lambda d: d.pop("model"), "model file: missing field 'model'"),
     ], ids=["dt-short-left", "dt-child-out-of-range", "dt-child-loops-back",
             "dt-feature-below-leaf-mark", "dt-inf-threshold", "dt-nan-value",
             "ridge-short-weights", "ridge-nan-means", "ridge-zero-std",
@@ -422,7 +457,8 @@ class TestFitPredict:
             "chebypoly-fractional-complexity", "chebypoly-bool-interaction-complexity",
             "chebypoly-no-weights", "ridge-list-intercept", "ridge-null-standardizer",
             "ridge-model-not-object", "feature-names-not-list", "dt-fractional-feature",
-            "dt-fractional-left", "dt-nan-right", "schema-2"])
+            "dt-fractional-left", "dt-nan-right", "schema-2", "schema-3", "file-is-list",
+            "kind-is-list", "no-kind", "no-medians", "no-feature-names", "no-model"])
     def test_predict_rejects_corrupted_model_file(self, tmp_path, capsys, kind,
                                                   corrupt, message):
         data = tmp_path / "train.csv"
@@ -431,8 +467,8 @@ class TestFitPredict:
         assert main(["fit", "--model", kind, "--data", str(data), "--target", "y",
                      "--out", str(model_path)]) == 0
         doc = json.loads(model_path.read_text())
-        corrupt(doc)
-        model_path.write_text(json.dumps(doc))
+        replaced = corrupt(doc)
+        model_path.write_text(json.dumps(replaced if corrupt is _wrap_in_list else doc))
         out = tmp_path / "p.csv"
         assert main(["predict", "--model-file", str(model_path),
                      "--data", str(data), "--out", str(out)]) == 1

@@ -32,6 +32,7 @@ from smoothbench.harness.report import (
     write_results_jsonl,
 )
 from smoothbench.harness.search import (
+    SPACES,
     Param,
     SearchSpace,
     random_search,
@@ -44,6 +45,7 @@ from smoothbench.harness.stats import (
     nemenyi_cd,
     rank_matrix,
 )
+from smoothbench.registry import MODEL_KINDS, fit_model, hyperparameters
 from smoothbench.synth import gen
 
 # ---------------------------------------------------------------------------
@@ -324,6 +326,23 @@ class TestRandomSearch:
             assert set(space.params) == names[kind]
         with pytest.raises(ValueError):
             search_space("boosted_stump")
+
+    def test_every_space_name_is_a_fit_hyperparameter(self):
+        assert set(SPACES) == set(MODEL_KINDS)
+        for kind, space in SPACES.items():
+            names = hyperparameters(kind)
+            assert set(space.params) <= set(names), kind
+            assert not {"X", "y", "seed"} & set(names)
+
+    def test_fit_model_without_params_uses_the_fit_defaults(self):
+        import smoothbench.registry as registry
+
+        ds = gen("friedman1", n=80, seed=4)
+        for kind in MODEL_KINDS:
+            fit = getattr(registry, registry._MODELS[kind][0])
+            direct = fit(ds.X, ds.y)  # erbf's own seed default is 0, as here
+            via = fit_model(kind, ds.X, ds.y, {}, seed=0)
+            assert json.dumps(via.to_dict()) == json.dumps(direct.to_dict()), kind
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +808,29 @@ class TestBuildReport:
         assert pair["matched"] == 0 and pair["fraction"] is None
         # timing measures cost, so it keeps the completed folds
         assert report["timing"]["chebypoly"]["tune_seconds_mean"] == 0.5
+
+    def test_pair_missing_a_fold_is_unscored_and_listed_as_failed(self):
+        # a truncated results file: chebypoly lost its fold-2 record on ds1, and
+        # its two remaining folds alone would rank it first and match dt
+        rows = []
+        for ds in ("ds1", "ds2", "ds3"):
+            rows += [_fold(ds, "dt", f, adj=0.80, gap=0.10) for f in range(3)]
+            rows += [_fold(ds, "chebypoly", f, adj=(0.81, 0.81, 0.50)[f], gap=0.01)
+                     for f in range(3) if (ds, f) != ("ds1", 2)]
+        report = build_report(rows, {}, dataset_order=["ds1", "ds2", "ds3"],
+                              model_order=["chebypoly", "dt"])
+        assert report["scores"]["ds1"]["chebypoly"] is None
+        assert report["gaps"]["ds1"]["chebypoly"] is None
+        assert report["ranks"]["ds1"] == {"chebypoly": 2.0, "dt": 1.0}
+        assert report["failures"] == {"ds1/chebypoly": "missing folds [2]"}
+        # ds2 and ds3 are complete: chebypoly scores 0.7067 there, unmatched
+        (pair,) = report["matched_gap"]["pairs"]
+        assert pair["matched"] == 0
+        # the file's own failure record keeps its message
+        report = build_report(rows, {("ds1", "chebypoly"): "fold 2: boom"},
+                              dataset_order=["ds1", "ds2", "ds3"],
+                              model_order=["chebypoly", "dt"])
+        assert report["failures"] == {"ds1/chebypoly": "fold 2: boom"}
 
     def test_first_seen_order_without_explicit_order(self):
         rows = [_fold("zzz", "m2", 0, adj=0.5), _fold("aaa", "m1", 0, adj=0.5)]
