@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Runs the README quick start from this source checkout, in a temporary
 # directory, as `python -m smoothbench.cli`; stops at the first command that
-# fails. It also checks that a --param the model does not have exits 1.
+# fails. It also checks that `report` rebuilds `bench`'s three report files
+# byte for byte, that a --param the model does not have exits 1, and that a
+# bench config with a misspelt key exits 1 and writes no results.
 #
 # Usage: scripts/quickstart.sh   (needs python with numpy)
 set -euo pipefail
@@ -28,6 +30,9 @@ cat > bench.json <<'JSON'
 JSON
 smoothbench bench --config bench.json --out-dir results/
 smoothbench report --results results/results.jsonl --out-dir rebuilt/
+for f in report.json rank_table.csv scores_table.csv; do
+    cmp "results/$f" "rebuilt/$f"
+done
 
 # a misspelt hyperparameter is refused, not ignored
 status=0
@@ -35,6 +40,15 @@ smoothbench fit --model chebypoly --data train.csv --target y \
     --param complexty=6 --out typo.json || status=$?
 if [ "$status" -ne 1 ] || [ -e typo.json ]; then
     echo "fit --param complexty=6 exited $status; expected 1 and no model file" >&2
+    exit 1
+fi
+
+# a misspelt bench config key is refused, not ignored
+sed 's/"outer_k"/"outer_kk"/' bench.json > typo-bench.json
+status=0
+smoothbench bench --config typo-bench.json --out-dir typo-results/ || status=$?
+if [ "$status" -ne 1 ] || [ -e typo-results/results.jsonl ]; then
+    echo "bench with key outer_kk exited $status; expected 1 and no results.jsonl" >&2
     exit 1
 fi
 echo "quick start: every command behaved as documented"

@@ -18,9 +18,16 @@ Count = Union[int, float]
 
 
 def resolve_count(value: Count, n: int) -> int:
-    """Resolve a row-count parameter: fractions become ceil(frac * n), floor 1."""
+    """Resolve a row-count parameter: fractions become ceil(frac * n), floor 1.
+
+    An integer must be at least 1; a float of 1.0 or more is a count.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"count parameter must be a number, got {value}")
     if isinstance(value, (int, np.integer)):
-        return max(1, int(value))
+        if value < 1:
+            raise ValueError(f"count parameter must be at least 1, got {value}")
+        return int(value)
     v = float(value)
     if not 0.0 < v:
         raise ValueError(f"count parameter must be positive, got {value}")

@@ -163,6 +163,8 @@ def fit_chebytree(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if alpha < 0:  # checked here too, as leaves may all end up constant
+        raise ValueError("alpha must be non-negative")
     basis = BasisConfig(complexity=complexity)  # rejects a non-integer complexity
     tree = cart_fit(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
                     min_samples_split=2)

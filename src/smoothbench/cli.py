@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -202,17 +203,64 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_bench_config(path: str) -> dict:
+# bench config keys besides BenchRunConfig's fields, and each dataset entry kind's keys
+BENCH_KEYS = ("datasets", "models", "parallel", "max_samples")
+DATASET_KEYS = {"synthetic": ("synthetic", "name", "n", "noise_std", "seed"),
+                "path": ("path", "target", "name")}
+# lower bounds of the integer values (a model kind's value is its trial budget);
+# max_samples may also be null, for no subsampling
+INT_KEYS = {"outer_k": 2, "outer_seed": 0, "search_seed": 0, "parallel": 1,
+            "max_samples": 1, "n": 2, "seed": 0, **{kind: 1 for kind in MODEL_KINDS}}
+STR_KEYS = ("synthetic", "path", "target", "name")
+
+
+def _check_keys(where: str, obj: Any, allowed: List[str]) -> None:
+    """Refuse a non-object, an unknown key, or a value of the wrong type for its key."""
+    name = where.rstrip(".") or "the file"
+    if not isinstance(obj, dict):
+        raise ValueError(f"bench config: {name} must be a JSON object, got {obj!r}")
+    unknown = [key for key in obj if key not in allowed]
+    if unknown:
+        raise ValueError(f"bench config: unknown key(s) {unknown} in {name}; "
+                         f"expected some of {allowed}")
+    for key, value in obj.items():
+        low = INT_KEYS.get(key)
+        if low is not None and not (key == "max_samples" and value is None) and (
+                isinstance(value, bool) or not isinstance(value, int) or value < low):
+            raise ValueError(f"bench config: {where}{key} must be an integer >= {low}, "
+                             f"got {value!r}")
+        if key in STR_KEYS and not isinstance(value, str):
+            raise ValueError(f"bench config: {where}{key} must be a string, got {value!r}")
+        if key == "noise_std" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ValueError(f"bench config: {where}{key} must be a number, got {value!r}")
+
+
+def _load_bench_config(path: str) -> Tuple[dict, BenchRunConfig]:
+    """The checked config, and a BenchRunConfig from its keys named like its fields.
+
+    An unknown key or a value of the wrong type raises ValueError naming the key.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    if "datasets" not in cfg or not cfg["datasets"]:
+    run_keys = [f.name for f in fields(BenchRunConfig)]
+    _check_keys("", cfg, list(BENCH_KEYS) + run_keys)
+    if not isinstance(cfg.get("datasets"), list) or not cfg["datasets"]:
         raise ValueError("bench config needs a non-empty 'datasets' list")
-    models = cfg.get("models", list(MODEL_KINDS))
+    for i, entry in enumerate(cfg["datasets"]):
+        kind = next((k for k in DATASET_KEYS if isinstance(entry, dict) and k in entry), None)
+        if kind is None:
+            raise ValueError(f"bench config: datasets[{i}] needs either 'synthetic' or 'path'")
+        _check_keys(f"datasets[{i}].", entry, list(DATASET_KEYS[kind]))
+        if kind == "path" and "target" not in entry:
+            raise ValueError(f"dataset entry for {entry['path']!r} needs a 'target'")
+    _check_keys("trial_budgets.", cfg.get("trial_budgets", {}), list(MODEL_KINDS))
+    models = cfg.setdefault("models", list(MODEL_KINDS))
+    if not isinstance(models, list):
+        raise ValueError(f"bench config: models must be a list, got {models!r}")
     for m in models:
         if m not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {m!r} in config; choose from {MODEL_KINDS}")
-    cfg["models"] = models
-    return cfg
+    return cfg, BenchRunConfig(**{key: cfg[key] for key in run_keys if key in cfg})
 
 
 def _materialize_dataset(entry: dict, max_samples: Optional[int], seed: int) -> Tuple[str, Dataset]:
@@ -221,13 +269,9 @@ def _materialize_dataset(entry: dict, max_samples: Optional[int], seed: int) -> 
         name = entry.get("name", kind)
         ds = gen(kind, n=entry.get("n"), noise_std=entry.get("noise_std"),
                  seed=entry.get("seed", 0))
-    elif "path" in entry:
-        if "target" not in entry:
-            raise ValueError(f"dataset entry for {entry['path']!r} needs a 'target'")
+    else:
         name = entry.get("name") or os.path.splitext(os.path.basename(entry["path"]))[0]
         ds = load_csv(entry["path"], entry["target"])
-    else:
-        raise ValueError("each dataset entry needs either 'synthetic' or 'path'")
     ds = drop_quasi_constant(ds)
     if max_samples is not None:
         ds = subsample(ds, max_samples, seed)
@@ -235,41 +279,26 @@ def _materialize_dataset(entry: dict, max_samples: Optional[int], seed: int) -> 
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _load_bench_config(args.config)
-    run_config = BenchRunConfig(
-        outer_k=int(cfg.get("outer_k", 5)),
-        outer_seed=int(cfg.get("outer_seed", 42)),
-        search_seed=int(cfg.get("search_seed", 0)),
-        trial_budgets=cfg.get("trial_budgets"),
-    )
-    max_samples = cfg.get("max_samples")
+    cfg, run_config = _load_bench_config(args.config)
     datasets = [
-        _materialize_dataset(entry, max_samples, run_config.outer_seed)
+        _materialize_dataset(entry, cfg.get("max_samples"), run_config.outer_seed)
         for entry in cfg["datasets"]
     ]
-    names = [name for name, _ in datasets]
-    if len(set(names)) != len(names):
-        raise ValueError(f"dataset names must be unique, got {names}")
-    parallel = args.parallel if args.parallel is not None else int(cfg.get("parallel", 1))
+    parallel = args.parallel if args.parallel is not None else cfg.get("parallel", 1)
 
-    results, failures = run_benchmark(datasets, cfg["models"], run_config,
-                                      parallel=max(1, parallel))
+    results, failures = run_benchmark(datasets, cfg["models"], run_config, parallel)
     os.makedirs(args.out_dir, exist_ok=True)
-    results_path = os.path.join(args.out_dir, "results.jsonl")
-    write_results_jsonl(results_path, results, failures)
-    report = build_report(results, failures, dataset_order=names,
-                          model_order=list(cfg["models"]))
+    write_results_jsonl(os.path.join(args.out_dir, "results.jsonl"), results, failures)
+    report = build_report(results, failures)
     write_report_files(args.out_dir, report)
 
-    print(f"benchmark: {len(names)} dataset(s) x {len(cfg['models'])} model(s), "
+    print(f"benchmark: {len(datasets)} dataset(s) x {len(cfg['models'])} model(s), "
           f"outer_k={run_config.outer_k}")
     for m in sorted(report["mean_ranks"], key=report["mean_ranks"].get):
         print(f"  {m}: mean rank {report['mean_ranks'][m]:.2f}")
-    if failures:
-        for (d, m), msg in failures.items():
-            print(f"FAILED {d}/{m}: {msg}", file=sys.stderr)
-        return 1
-    return 0
+    for (d, m), msg in failures.items():
+        print(f"FAILED {d}/{m}: {msg}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -4,13 +4,14 @@ Outer folds estimate generalisation; each outer training split runs its own
 random hyperparameter search scored by inner cross-validation, then refits the
 winning configuration on the full outer training split. All per-fold work is
 independent and deterministic given the config seeds, so folds can run in
-parallel processes and merge by key.
+parallel processes; results are collected in cell order either way.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -27,13 +28,8 @@ class BenchRunConfig:
     outer_k: int = 5
     outer_seed: int = 42
     search_seed: int = 0
-    # optional per-model trial budget overrides (handy for smoke tests)
-    trial_budgets: Optional[Dict[str, int]] = None
-
-    def budget_for(self, kind: str) -> Optional[int]:
-        if self.trial_budgets is None:
-            return None
-        return self.trial_budgets.get(kind)
+    # per-model trial budget overrides (handy for smoke tests)
+    trial_budgets: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -109,7 +105,7 @@ def run_outer_fold(
 
     t0 = time.perf_counter()
     best_params = tune(kind, X_tr, y_tr, inner_plan, fit_seed,
-                       config.search_seed + fold, config.budget_for(kind))
+                       config.search_seed + fold, config.trial_budgets.get(kind))
     tune_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -139,6 +135,16 @@ def run_outer_fold(
     )
 
 
+def _finished(fn, *args) -> Future:
+    """Call fn(*args) in this process and return its outcome as a finished Future."""
+    fut: Future = Future()
+    try:
+        fut.set_result(fn(*args))
+    except Exception as exc:  # noqa: BLE001
+        fut.set_exception(exc)
+    return fut
+
+
 def run_benchmark(
     datasets: List[Tuple[str, Dataset]],
     kinds: List[str],
@@ -147,54 +153,31 @@ def run_benchmark(
 ) -> Tuple[List[FoldResult], Dict[Tuple[str, str], str]]:
     """Run every (dataset, model, outer fold) cell, optionally in parallel.
 
-    Returns fold results sorted by (dataset order, model order, fold) plus a
-    map of failed (dataset, model) pairs to their first error message.
+    Cells run and are collected in the given order: datasets, then models,
+    then folds. Returns the fold results in that order plus the failed
+    (dataset, model) pairs, in the same order, each with its first error.
+    Dataset names and model kinds must be unique.
     """
-    tasks = []
-    plans = {}
+    names = [name for name, _ in datasets]
+    for what, items in (("dataset names", names), ("model kinds", list(kinds))):
+        if len(set(items)) != len(items):
+            raise ValueError(f"{what} must be unique, got {items}")
+    cells = []
     for name, ds in datasets:
-        plans[name] = kfold_split(ds.n, config.outer_k, config.outer_seed)
-        for kind in kinds:
-            for fold in range(config.outer_k):
-                tasks.append((name, ds, kind, fold))
+        assignments = kfold_split(ds.n, config.outer_k, config.outer_seed).assignments
+        cells += [(name, ds, kind, fold, assignments)
+                  for kind in kinds for fold in range(config.outer_k)]
 
-    outcomes: Dict[Tuple[str, str, int], FoldResult] = {}
+    results: List[FoldResult] = []
     failures: Dict[Tuple[str, str], str] = {}
-
-    def record_failure(name: str, kind: str, fold: int, exc: Exception) -> None:
-        key = (name, kind)
-        if key not in failures:
-            failures[key] = f"fold {fold}: {exc}"
-
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            futures = {
-                pool.submit(run_outer_fold, name, ds, kind, fold,
-                            plans[name].assignments, config): (name, kind, fold)
-                for name, ds, kind, fold in tasks
-            }
-            for fut, (name, kind, fold) in futures.items():
-                try:
-                    outcomes[(name, kind, fold)] = fut.result()
-                except Exception as exc:  # noqa: BLE001
-                    record_failure(name, kind, fold, exc)
-    else:
-        for name, ds, kind, fold in tasks:
+    # a serial run calls run_outer_fold in this process through this module's global
+    # name, so a wrapper patched over it sees every cell
+    with ProcessPoolExecutor(max_workers=parallel) if parallel > 1 else nullcontext() as pool:
+        submit = pool.submit if pool is not None else _finished
+        futures = [submit(run_outer_fold, *cell, config) for cell in cells]
+        for (name, _, kind, fold, _), fut in zip(cells, futures):
             try:
-                outcomes[(name, kind, fold)] = run_outer_fold(
-                    name, ds, kind, fold, plans[name].assignments, config)
+                results.append(fut.result())
             except Exception as exc:  # noqa: BLE001
-                record_failure(name, kind, fold, exc)
-
-    ds_order = {name: i for i, (name, _) in enumerate(datasets)}
-    kind_order = {k: i for i, k in enumerate(kinds)}
-    results = [
-        outcomes[key] for key in sorted(
-            outcomes, key=lambda k: (ds_order[k[0]], kind_order[k[1]], k[2]))
-    ]
-    # keep failure ordering deterministic too
-    failures = {
-        key: failures[key] for key in sorted(
-            failures, key=lambda k: (ds_order[k[0]], kind_order[k[1]]))
-    }
+                failures.setdefault((name, kind), f"fold {fold}: {exc}")
     return results, failures

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import asdict, fields
 from typing import Dict, List, Optional, Tuple
 
@@ -28,46 +29,58 @@ def write_results_jsonl(
     fold_results: List[FoldResult],
     failures: Dict[Tuple[str, str], str],
 ) -> None:
-    """One JSON object per line: fold records first, then failure records.
+    """One JSON object per line: fold records, then failure records, each in the given order.
 
-    Records are sorted by (dataset, model, fold) so the file bytes are
-    independent of execution order.
+    run_benchmark returns both in cell order, so the files of identical runs
+    differ only in their timing fields.
     """
-    fold_lines = sorted(fold_results, key=lambda fr: (fr.dataset, fr.model, fr.fold))
+    head = {"schema_version": SCHEMA_VERSION}
     with open(path, "w", encoding="utf-8") as fh:
-        for fr in fold_lines:
-            rec = {"record": "fold", "schema_version": SCHEMA_VERSION}
-            rec.update(asdict(fr))
-            fh.write(json.dumps(rec, sort_keys=False) + "\n")
-        for (ds_name, model) in sorted(failures):
-            rec = {
-                "record": "failure",
-                "schema_version": SCHEMA_VERSION,
-                "dataset": ds_name,
-                "model": model,
-                "error": failures[(ds_name, model)],
-            }
-            fh.write(json.dumps(rec) + "\n")
+        for fr in fold_results:
+            fh.write(json.dumps({"record": "fold", **head, **asdict(fr)}) + "\n")
+        for (ds_name, model), error in failures.items():
+            fh.write(json.dumps({"record": "failure", **head, "dataset": ds_name,
+                                 "model": model, "error": error}) + "\n")
+
+
+# the keys each record type must carry
+RECORD_KEYS = {
+    "fold": tuple(f.name for f in fields(FoldResult)),
+    "failure": ("dataset", "model", "error"),
+}
 
 
 def read_results_jsonl(path: str) -> Tuple[List[FoldResult], Dict[Tuple[str, str], str]]:
+    """Fold records and failures, in file order.
+
+    A malformed line raises ValueError naming path:line.
+    """
     fold_results: List[FoldResult] = []
     failures: Dict[Tuple[str, str], str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
+            where = f"{path}:{lineno}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: not a JSON record ({exc})") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{where}: expected a JSON object, got {type(rec).__name__}")
             if rec.get("schema_version") != SCHEMA_VERSION:
-                raise ValueError(f"unsupported results schema: {rec.get('schema_version')}")
-            if rec["record"] == "fold":
-                fold_results.append(FoldResult(**{f.name: rec[f.name]
-                                                  for f in fields(FoldResult)}))
-            elif rec["record"] == "failure":
-                failures[(rec["dataset"], rec["model"])] = rec["error"]
+                raise ValueError(f"{where}: unsupported results schema: "
+                                 f"{rec.get('schema_version')!r}")
+            kind = rec.get("record")
+            if kind not in RECORD_KEYS:
+                raise ValueError(f"{where}: unknown record type {kind!r}")
+            missing = [key for key in RECORD_KEYS[kind] if key not in rec]
+            if missing:
+                raise ValueError(f"{where}: {kind} record is missing {missing}")
+            if kind == "fold":
+                fold_results.append(FoldResult(**{key: rec[key] for key in RECORD_KEYS[kind]}))
             else:
-                raise ValueError(f"unknown record type {rec['record']!r}")
+                failures[(rec["dataset"], rec["model"])] = rec["error"]
     return fold_results, failures
 
 
@@ -91,6 +104,9 @@ def build_report(
     report lists it under failures with the missing folds. timing still
     averages every completed fold, failed pairs' included, because it
     measures cost.
+
+    Without explicit orders, datasets and models are listed in the order they
+    are first seen in fold_results, then in failures.
     """
     datasets = dataset_order or _first_seen(
         [fr.dataset for fr in fold_results] + [k[0] for k in failures])
@@ -106,19 +122,15 @@ def build_report(
 
     scores: Dict[str, Dict[str, Optional[float]]] = {}
     gaps: Dict[str, Dict[str, Optional[float]]] = {}
-    failed: Dict[str, Dict[str, bool]] = {}
     for ds_name in datasets:
         scores[ds_name] = {}
         gaps[ds_name] = {}
-        failed[ds_name] = {}
         for m in models:
             frs = by_pair.get((ds_name, m), [])
             missing = sorted(ds_folds.get(ds_name, set()) - {fr.fold for fr in frs})
             if missing and (ds_name, m) not in failures:
                 failures[(ds_name, m)] = f"missing folds {missing}"
-            is_failed = (ds_name, m) in failures or not frs
-            failed[ds_name][m] = is_failed
-            if is_failed:
+            if (ds_name, m) in failures or not frs:
                 scores[ds_name][m] = None
                 gaps[ds_name][m] = None
             else:
@@ -130,22 +142,15 @@ def build_report(
     score_table = np.array(
         [[(scores[d][m] if scores[d][m] is not None else -np.inf) for m in models]
          for d in datasets], dtype=np.float64)
-    failed_table = np.array(
-        [[failed[d][m] for m in models] for d in datasets], dtype=bool)
-    ranks = rank_matrix(score_table, failed_table) if n_ds and k else np.zeros((0, k))
+    # a score of None (failed) is the only -inf in the table
+    ranks = rank_matrix(score_table, np.isinf(score_table)) if n_ds and k else np.zeros((0, k))
     mean_ranks = {m: float(ranks[:, j].mean()) for j, m in enumerate(models)} if n_ds else {}
     rank1 = {m: int(np.sum(ranks[:, j] == 1.0)) for j, m in enumerate(models)}
     rank2 = {m: int(np.sum(ranks[:, j] == 2.0)) for j, m in enumerate(models)}
 
     friedman = None
     if k >= 2 and n_ds >= 2 and (k - 1) <= 10:
-        fr_res = friedman_test(ranks)
-        friedman = {
-            "statistic": fr_res.statistic,
-            "df": fr_res.df,
-            "critical_value": fr_res.critical_value,
-            "significant": fr_res.significant,
-        }
+        friedman = asdict(friedman_test(ranks))
     cd = nemenyi_cd(k, n_ds) if (2 <= k <= 10 and n_ds >= 1) else None
 
     matched = None
@@ -155,13 +160,7 @@ def build_report(
         summaries = matched_gap_wins(scores, gaps, pairs)
         matched = {
             "threshold": MATCH_THRESHOLD,
-            "pairs": [
-                {
-                    "smooth": s.smooth, "tree": s.tree, "matched": s.matched,
-                    "smooth_wins": s.smooth_wins, "fraction": s.fraction,
-                }
-                for s in summaries
-            ],
+            "pairs": [asdict(s) for s in summaries],
             "matched_total": int(sum(s.matched for s in summaries)),
             "smooth_wins_total": float(sum(s.smooth_wins for s in summaries)),
         }
@@ -170,7 +169,6 @@ def build_report(
             matched["smooth_wins_total"] / total if total else None)
 
     # fsum is exactly rounded, so these means do not depend on record order
-    # (a report rebuilt from sorted JSONL must equal the original)
     timing: Dict[str, dict] = {}
     for m in models:
         frs = [fr for fr in fold_results if fr.model == m]
@@ -215,34 +213,22 @@ def report_model_columns(report: dict) -> List[str]:
 
 def write_report_files(out_dir: str, report: dict) -> List[str]:
     """Write report.json plus rank/score CSV tables; returns the paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
     report_path = os.path.join(out_dir, "report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    paths.append(report_path)
+    paths = [report_path]
 
     cols = report_model_columns(report)
-    rank_path = os.path.join(out_dir, "rank_table.csv")
-    with open(rank_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset"] + cols)
-        for d in report["datasets"]:
-            writer.writerow([d] + [repr(report["ranks"][d][m]) for m in cols])
-    paths.append(rank_path)
-
-    scores_path = os.path.join(out_dir, "scores_table.csv")
-    with open(scores_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset"] + cols)
-        for d in report["datasets"]:
-            row = [d]
-            for m in cols:
-                v = report["scores"][d][m]
-                row.append("" if v is None else repr(v))
-            writer.writerow(row)
-    paths.append(scores_path)
+    for fname, table in (("rank_table.csv", report["ranks"]),
+                         ("scores_table.csv", report["scores"])):
+        path = os.path.join(out_dir, fname)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["dataset"] + cols)
+            for d in report["datasets"]:
+                writer.writerow([d] + ["" if table[d][m] is None else repr(table[d][m])
+                                       for m in cols])
+        paths.append(path)
     return paths

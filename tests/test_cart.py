@@ -17,6 +17,7 @@ from smoothbench.cart import (
     resolve_count,
 )
 from smoothbench.harness.search import SPACES
+from smoothbench.registry import fit_model
 from smoothbench.synth import gen
 
 
@@ -263,6 +264,19 @@ def test_fraction_parameters_resolve_by_ceil():
     y = rng.normal(size=40)
     tree = cart_fit(X, y, max_depth=8, min_samples_leaf=0.1)
     assert min(rows.size for rows in tree.leaf_rows.values()) >= 4
+
+
+@pytest.mark.parametrize("value", [-1, 0, True, np.int64(0)])
+def test_count_below_one_or_bool_is_refused(value):
+    # an integer count below 1 used to become 1, so min_samples_leaf=-1 fitted a tree
+    with pytest.raises(ValueError, match="count parameter"):
+        resolve_count(value, 45)
+    rng = np.random.default_rng(62)
+    X = rng.normal(size=(40, 2))
+    y = rng.normal(size=40)
+    for key in ("min_samples_leaf", "min_samples_split"):
+        with pytest.raises(ValueError, match="count parameter"):
+            fit_model("dt", X, y, {key: value})
 
 
 def test_routing_is_le_left_convention():

@@ -48,6 +48,18 @@ def test_undersized_leaves_fall_back_to_constants():
             assert model.leaf_models[leaf] == float(y[rows].mean())
 
 
+def test_negative_alpha_is_refused_even_when_every_leaf_is_constant():
+    rng = np.random.default_rng(30)
+    X = rng.normal(size=(40, 3))
+    y = rng.normal(size=40)
+    # depth 6 on these 40 rows leaves no leaf big enough for a polynomial, so
+    # the ridge solve that also checks alpha never runs
+    model = fit_chebytree(X, y, alpha=1.0, max_depth=6)
+    assert all(isinstance(m, float) for m in model.leaf_models.values())
+    with pytest.raises(ValueError, match="alpha must be non-negative"):
+        fit_chebytree(X, y, alpha=-5.0, max_depth=6)
+
+
 def test_single_leaf_equals_global_chebypoly():
     rng = np.random.default_rng(73)
     for case in range(25):

@@ -170,7 +170,9 @@ class TestFitPredict:
         ("erbf", "n_rbf_mode=fixed", "n_rbf_mode='fixed' with n_rbf=None"),
         # the seed comes from --seed, not from a hyperparameter
         ("erbf", "seed=3", "erbf has no hyperparameter 'seed'"),
-    ], ids=["misspelt-name", "fractional-depth", "fixed-size-without-size", "seed"])
+        ("dt", "min_samples_leaf=-1", "count parameter must be at least 1, got -1"),
+    ], ids=["misspelt-name", "fractional-depth", "fixed-size-without-size", "seed",
+            "leaf-count-below-one"])
     def test_fit_rejects_a_param_the_model_does_not_take(self, tmp_path, capsys, kind,
                                                          param, message):
         data = tmp_path / "train.csv"
@@ -523,9 +525,9 @@ def _bench_config(tmp_path, csv_path):
              "noise_std": 0.3, "seed": 3},
             {"path": str(csv_path), "target": "y", "name": "filed"},
         ],
-        # alphabetical model order so a rebuilt report (which orders models
-        # by first appearance in the sorted results file) matches exactly
-        "models": ["dt", "ridge"],
+        # neither list is alphabetical, so a rebuilt report that reorders
+        # names cannot match the original
+        "models": ["ridge", "dt"],
         "outer_k": 3,
         "outer_seed": 5,
         "search_seed": 2,
@@ -547,7 +549,7 @@ class TestBenchReport:
             assert (out_dir / fname).is_file()
         report = json.loads((out_dir / "report.json").read_text())
         assert report["datasets"] == ["syn", "filed"]
-        assert report["models"] == ["dt", "ridge"]
+        assert report["models"] == ["ridge", "dt"]
         assert report["failures"] == {}
         n_lines = len((out_dir / "results.jsonl").read_text().splitlines())
         assert n_lines == 2 * 2 * 3  # datasets x models x folds
@@ -564,17 +566,11 @@ class TestBenchReport:
         redo = tmp_path / "redo"
         assert main(["report", "--results", str(out_dir / "results.jsonl"),
                      "--out-dir", str(redo)]) == 0
-        original = json.loads((out_dir / "report.json").read_text())
-        rebuilt = json.loads((redo / "report.json").read_text())
-        # dataset order: 'filed' < 'syn' alphabetically, so the rebuilt
-        # first-seen order differs from the config order; everything that
-        # depends only on the data must agree exactly
-        assert sorted(rebuilt["datasets"]) == sorted(original["datasets"])
-        assert rebuilt["models"] == original["models"]
-        for key in ("scores", "gaps", "ranks", "mean_ranks", "rank1_counts",
-                    "rank2_counts", "friedman", "nemenyi_cd", "matched_gap",
-                    "failures", "timing"):
-            assert rebuilt[key] == original[key], key
+        for fname in ("report.json", "rank_table.csv", "scores_table.csv"):
+            assert (redo / fname).read_bytes() == (out_dir / fname).read_bytes(), fname
+        report = json.loads((redo / "report.json").read_text())
+        assert report["datasets"] == ["syn", "filed"]
+        assert report["models"] == ["ridge", "dt"]
 
     def test_two_runs_identical_after_masking_timings(self, tmp_path):
         csv_path = tmp_path / "file_ds.csv"
@@ -664,3 +660,50 @@ class TestBenchReport:
         assert main(["bench", "--config", str(bad),
                      "--out-dir", str(tmp_path / "o")]) == 1
         assert "target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"datasets": ["synthetic"]}, "datasets[0] needs either 'synthetic' or 'path'"),
+        ({"trial_budgets": [2]}, "trial_budgets must be a JSON object, got [2]"),
+        ({"trial_budgets": {"ridge": "2"}}, "trial_budgets.ridge must be an integer >= 1"),
+        ({"trial_budgets": {"ridg": 2}}, "unknown key(s) ['ridg'] in trial_budgets;"),
+        ({"outer_kk": 3}, "unknown key(s) ['outer_kk']"),
+        ({"trial_budget": {"ridge": 2}}, "unknown key(s) ['trial_budget']"),
+        ({"datasets": [{"synthetic": "friedman1", "n_samples": 45}]},
+         "unknown key(s) ['n_samples'] in datasets[0];"),
+        ({"outer_k": 3.7}, "outer_k must be an integer >= 2, got 3.7"),
+        ({"outer_seed": True}, "outer_seed must be an integer >= 0, got True"),
+        ({"datasets": [{"synthetic": "friedman1", "n": 45.5}]},
+         "datasets[0].n must be an integer >= 2"),
+        ({"datasets": [{"path": 3, "target": "y"}]}, "datasets[0].path must be a string"),
+        ({"models": ["ridge", "ridge"]}, "model kinds must be unique"),
+    ], ids=["dataset-not-object", "budgets-not-object", "budget-not-int",
+            "budget-unknown-kind", "misspelt-outer_k", "misspelt-trial_budgets",
+            "misspelt-dataset-n", "fractional-outer_k", "bool-seed", "fractional-n",
+            "path-not-string", "duplicate-model"])
+    def test_malformed_config_exits_1_naming_the_key(self, tmp_path, capsys, edit, message):
+        cfg = {"datasets": [{"synthetic": "friedman1", "n": 45}], "models": ["ridge"],
+               "outer_k": 2, "trial_budgets": {"ridge": 1}}
+        cfg.update(edit)
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main(["bench", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out_dir / "results.jsonl").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("[]", ":2: expected a JSON object, got list"),
+        ("{not json", ":2: not a JSON record"),
+        ('{"record": "fold", "schema_version": 1, "dataset": "d", "fold": 0}',
+         ":2: fold record is missing ['model', "),
+        ('{"record": "failure", "schema_version": 1, "dataset": "d", "model": "m"}',
+         ":2: failure record is missing ['error']"),
+    ], ids=["list", "not-json", "fold-without-model", "failure-without-error"])
+    def test_report_on_malformed_results_exits_1_naming_the_line(self, tmp_path, capsys,
+                                                                 line, message):
+        results = tmp_path / "results.jsonl"
+        results.write_text('{"record": "failure", "schema_version": 1, "dataset": "d", '
+                           '"model": "m", "error": "boom"}\n' + line + "\n")
+        assert main(["report", "--results", str(results),
+                     "--out-dir", str(tmp_path / "rep")]) == 1
+        assert f"{results}{message}" in capsys.readouterr().err

@@ -587,11 +587,23 @@ class TestNestedCV:
             assert fr.train_seconds >= 0.0
             assert fr.predict_ms_per_1k >= 0.0
 
-    def test_budget_for(self):
-        cfg = BenchRunConfig(trial_budgets={"ridge": 3})
-        assert cfg.budget_for("ridge") == 3
-        assert cfg.budget_for("dt") is None
-        assert BenchRunConfig().budget_for("ridge") is None
+    def test_budget_for(self, monkeypatch):
+        # a kind listed in trial_budgets runs that many trials; any other kind
+        # runs its space's own budget (the search gets None)
+        import smoothbench.harness.nested_cv as ncv
+        assert BenchRunConfig().trial_budgets == {}
+        budgets = []
+
+        def spy(objective, space, seed, budget):
+            budgets.append(budget)
+            return random_search(objective, space, seed=seed, budget=1)
+
+        monkeypatch.setattr(ncv, "random_search", spy)
+        ds = gen("friedman1", n=45, noise_std=0.3, seed=3)
+        cfg = BenchRunConfig(outer_k=2, trial_budgets={"ridge": 3})
+        _, failures = run_benchmark([("f1", ds)], ["ridge", "dt"], cfg)
+        assert failures == {}
+        assert budgets == [3, 3, None, None]  # ridge's two folds, then dt's
 
 
 class TestNestedCVParallel:
@@ -603,6 +615,41 @@ class TestNestedCVParallel:
         para, f2 = run_benchmark(datasets, ["ridge", "dt"], cfg, parallel=2)
         assert f1 == f2 == {}
         assert [_strip_timing(fr) for fr in serial] == [_strip_timing(fr) for fr in para]
+
+    def test_parallel_matches_serial_with_failed_cells(self):
+        # x0 is known only on the rows of outer test fold 0, so fold 0's
+        # training split has nothing to impute x0 from: that cell fails for
+        # every model of the dataset, and folds 1 and 2 still complete
+        cfg = BenchRunConfig(outer_k=3, outer_seed=5, search_seed=2,
+                             trial_budgets={"ridge": 2, "dt": 2})
+        holes = gen("friedman1", n=45, noise_std=0.3, seed=4)
+        plan = kfold_split(holes.n, cfg.outer_k, cfg.outer_seed)
+        holes.X[plan.assignments != 0, 0] = np.nan
+        datasets = [("whole", gen("friedman1", n=45, noise_std=0.3, seed=3)),
+                    ("holes", holes)]
+        kinds = ["ridge", "dt"]
+        serial, f1 = run_benchmark(datasets, kinds, cfg, parallel=1)
+        para, f2 = run_benchmark(datasets, kinds, cfg, parallel=2)
+        error = "fold 0: column 'x0' is entirely missing in the training split"
+        assert list(f1.items()) == list(f2.items()) == [
+            (("holes", "ridge"), error), (("holes", "dt"), error)]
+        assert [_strip_timing(fr) for fr in serial] == [_strip_timing(fr) for fr in para]
+        assert [(fr.dataset, fr.model, fr.fold) for fr in serial] == (
+            [("whole", k, f) for k in kinds for f in range(3)]
+            + [("holes", k, f) for k in kinds for f in (1, 2)])
+
+
+class TestNestedCVInputs:
+    @pytest.mark.parametrize("names, kinds, message", [
+        (["f", "f"], ["ridge"], "dataset names must be unique"),
+        (["f", "g"], ["ridge", "dt", "ridge"], "model kinds must be unique"),
+    ], ids=["dataset", "model"])
+    def test_duplicates_raise(self, names, kinds, message):
+        # two datasets named alike once shared one fold plan, and a result was lost
+        datasets = [(name, gen("friedman1", n=30 + 15 * i, seed=i))
+                    for i, name in enumerate(names)]
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(datasets, kinds, BenchRunConfig(outer_k=2))
 
 
 class TestNestedCVFailure:
@@ -683,8 +730,9 @@ class TestResultsJsonl:
         path = str(tmp_path / "results.jsonl")
         write_results_jsonl(path, results, failures)
         back, back_failures = read_results_jsonl(path)
-        assert back == sorted(results, key=lambda fr: (fr.dataset, fr.model, fr.fold))
-        assert back_failures == failures
+        # both come back in the order they were written
+        assert back == results
+        assert list(back_failures.items()) == list(failures.items())
 
     def test_line_format_and_order(self, tmp_path):
         results = [_fold("b", "m", 0, adj=0.5), _fold("a", "m", 0, adj=0.5)]
@@ -693,7 +741,7 @@ class TestResultsJsonl:
         with open(path) as fh:
             lines = [json.loads(line) for line in fh]
         assert [rec["record"] for rec in lines] == ["fold", "fold", "failure"]
-        assert [rec["dataset"] for rec in lines] == ["a", "b", "a"]
+        assert [rec["dataset"] for rec in lines] == ["b", "a", "a"]
         assert all(rec["schema_version"] == SCHEMA_VERSION for rec in lines)
 
     def test_schema_version_guard(self, tmp_path):
