@@ -2,8 +2,10 @@
 # Runs the README quick start from this source checkout, in a temporary
 # directory, as `python -m smoothbench.cli`; stops at the first command that
 # fails. It also checks that `report` rebuilds `bench`'s three report files
-# byte for byte, that a --param the model does not have exits 1, and that a
-# bench config with a misspelt key exits 1 and writes no results.
+# byte for byte, that a --param the model does not have exits 1, that a
+# bench config with a misspelt key exits 1 and writes no results, and that
+# predict refuses a model file with a feature name dropped or a ragged erbf
+# centers row, naming the field and writing no predictions.
 #
 # Usage: scripts/quickstart.sh   (needs python with numpy)
 set -euo pipefail
@@ -51,4 +53,27 @@ if [ "$status" -ne 1 ] || [ -e typo-results/results.jsonl ]; then
     echo "bench with key outer_kk exited $status; expected 1 and no results.jsonl" >&2
     exit 1
 fi
+# a model file that does not match its feature names, or holds a ragged
+# array, is refused with the field named, and no predictions are written
+python - <<'PY'
+import json
+for name, corrupt in (("short-names", lambda d: d["feature_names"].pop()),
+                      ("ragged-centers", lambda d: d["model"]["centers"][0].pop())):
+    with open("erbf.json") as fh:
+        doc = json.load(fh)
+    corrupt(doc)
+    with open(f"{name}.json", "w") as fh:
+        json.dump(doc, fh)
+PY
+for broken in short-names ragged-centers; do
+    status=0
+    smoothbench predict --model-file "$broken.json" --data train.csv \
+        --out "$broken-preds.csv" 2> "$broken.err" || status=$?
+    if [ "$status" -ne 1 ] || [ -e "$broken-preds.csv" ] \
+            || ! grep -q "erbf model: centers" "$broken.err"; then
+        echo "predict on $broken.json exited $status; expected 1, a message naming" \
+             "erbf model: centers, and no predictions" >&2
+        exit 1
+    fi
+done
 echo "quick start: every command behaved as documented"

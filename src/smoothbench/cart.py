@@ -14,6 +14,8 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
+from .data import read_array
+
 Count = Union[int, float]
 
 
@@ -73,62 +75,45 @@ class RegressionTree:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RegressionTree":
-        tree = cls(
-            feature=_node_indices(d, "feature"),
-            threshold=np.asarray(d["threshold"], dtype=np.float64),
-            left=_node_indices(d, "left"),
-            right=_node_indices(d, "right"),
-            value=np.asarray(d["value"], dtype=np.float64),
-        )
-        tree._validate()
-        return tree
-
-    def check_width(self, d: int) -> None:
-        """Reject a tree that splits on a feature index outside d input features."""
-        bad = np.flatnonzero(self.feature >= d)
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"tree: feature[{i}] = {self.feature[i]} is not one of "
-                             f"the {d} input features")
-
-    def _validate(self) -> None:
-        """Reject arrays that routing could crash or loop forever on."""
-        n = self.n_nodes
+    def from_dict(cls, d: dict, n_features: int) -> "RegressionTree":
+        """Rebuild a tree, rejecting arrays that routing could crash or loop forever on."""
+        feature = _node_indices(d, "feature", None)
+        n = feature.shape[0]
         if n == 0:
             raise ValueError("tree: feature is empty")
-        for name in ("feature", "threshold", "left", "right", "value"):
-            shape = getattr(self, name).shape
-            if shape != (n,):
-                raise ValueError(f"tree: {name} has shape {shape}, expected ({n},)")
-        bad = np.flatnonzero(self.feature < -1)
+        left, right = _node_indices(d, "left", n), _node_indices(d, "right", n)
+        try:  # not read_array's: a leaf's threshold is NaN
+            threshold = np.asarray(d["threshold"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError("tree: threshold is not a regular array of numbers") from None
+        if threshold.shape != (n,):
+            raise ValueError(f"tree: threshold has shape {threshold.shape}, expected ({n},)")
+        bad = np.flatnonzero((feature < -1) | (feature >= n_features))
         if bad.size:
             i = int(bad[0])
-            raise ValueError(f"tree: feature[{i}] = {self.feature[i]} is neither a split "
-                             "feature (>= 0) nor the leaf mark -1")
-        split = self.feature >= 0
-        for name in ("left", "right"):
-            child = getattr(self, name)
+            raise ValueError(f"tree: feature[{i}] = {feature[i]} is neither the leaf mark -1 "
+                             f"nor one of the {n_features} input features")
+        split = feature >= 0
+        for name, child in (("left", left), ("right", right)):
             # cart_fit numbers children after their parent, so routing always ends
             bad = np.flatnonzero(split & ((child <= np.arange(n)) | (child >= n)))
             if bad.size:
                 i = int(bad[0])
                 raise ValueError(f"tree: {name}[{i}] = {child[i]} is not a node "
                                  f"in {i + 1}..{n - 1}")
-        if not np.isfinite(self.threshold[split]).all():
+        if not np.isfinite(threshold[split]).all():
             raise ValueError("tree: threshold of a split node is not finite")
-        if not np.isfinite(self.value).all():
-            raise ValueError("tree: value holds a non-finite number")
+        return cls(feature=feature, threshold=threshold, left=left, right=right,
+                   value=read_array("tree", d, "value", (n,)))
 
 
-def _node_indices(d: dict, name: str) -> np.ndarray:
-    """d[name] as int64, rejecting entries that a cast would truncate or wrap."""
-    values = np.asarray(d[name])
-    if values.dtype.kind == "f":
-        bad = np.flatnonzero(~(np.abs(values) < 2.0 ** 63) | (values != np.trunc(values)))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"tree: {name}[{i}] = {float(values[i])} is not an integer")
+def _node_indices(d: dict, name: str, n: Optional[int]) -> np.ndarray:
+    """d[name] as int64 of shape (n,), rejecting entries that a cast would truncate or wrap."""
+    values = read_array("tree", d, name, (n,))
+    bad = np.flatnonzero(~(np.abs(values) < 2.0 ** 63) | (values != np.trunc(values)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"tree: {name}[{i}] = {values[i]} is not an integer")
     return values.astype(np.int64)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import BasisConfig, build_design_matrix, interaction_feature_set, n_columns
-from .data import MinMaxScaler, check_finite
+from .data import MinMaxScaler, read_array
 from .numkit import ridge_solve
 
 
@@ -50,36 +50,22 @@ class ChebyPolyModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ChebyPolyModel":
-        model = cls(
-            basis=BasisConfig(**d["basis"]),
-            scaler=MinMaxScaler.from_dict(d["scaler"]),
-            interaction_feats=tuple(int(i) for i in d["interaction_feats"]),
-            weights=np.asarray(d["weights"], dtype=np.float64),
-            intercept=float(d["intercept"]),
-            y_mean=float(d["y_mean"]),
-            y_std=float(d["y_std"]),
+    def from_dict(cls, d: dict, n_features: int) -> "ChebyPolyModel":
+        basis = BasisConfig(**d["basis"])
+        feats = tuple(int(i) for i in d["interaction_feats"])
+        if not all(0 <= i < n_features for i in feats):
+            raise ValueError(f"chebypoly model: interaction_feats {list(feats)} are not all "
+                             f"feature indices below {n_features}")
+        owner = "chebypoly model"
+        return cls(
+            basis=basis,
+            scaler=MinMaxScaler.from_dict(d["scaler"], n_features),
+            interaction_feats=feats,
+            weights=read_array(owner, d, "weights", (n_columns(n_features, basis, len(feats)),)),
+            intercept=float(read_array(owner, d, "intercept", ())),
+            y_mean=float(read_array(owner, d, "y_mean", ())),
+            y_std=float(read_array(owner, d, "y_std", ())),
         )
-        mins, ranges, w = model.scaler.mins, model.scaler.ranges, model.weights
-        if not (mins.ndim == 1 and mins.shape == ranges.shape):
-            raise ValueError(f"chebypoly model: scaler has {mins.size} mins but "
-                             f"{ranges.size} ranges")
-        n_feats = mins.shape[0]
-        if not all(0 <= i < n_feats for i in model.interaction_feats):
-            raise ValueError(f"chebypoly model: interaction_feats {list(model.interaction_feats)}"
-                             f" are not all feature indices below {n_feats}")
-        p = n_columns(n_feats, model.basis, len(model.interaction_feats))
-        if w.shape != (p,):
-            raise ValueError(f"chebypoly model: weights has {w.size} entries, expected {p}")
-        check_finite("chebypoly model", mins=mins, ranges=ranges, weights=w,
-                     intercept=model.intercept, y_mean=model.y_mean, y_std=model.y_std)
-        return model
-
-    def check_width(self, d: int) -> None:
-        """Reject a model fitted on another number of input features than d."""
-        if self.scaler.mins.shape[0] != d:
-            raise ValueError(f"chebypoly model: scaler mins has {self.scaler.mins.shape[0]} "
-                             f"entries for {d} input features")
 
 
 def fit_chebypoly(
@@ -104,7 +90,7 @@ def fit_chebypoly(
     )
     scaler = MinMaxScaler.fit(X)
     Xs = scaler.apply(X)
-    feats = interaction_feature_set(Xs, basis) if include_interactions else ()
+    feats = interaction_feature_set(Xs) if include_interactions else ()
     design = build_design_matrix(Xs, basis, feats)
     weights, intercept = ridge_solve(design.matrix, y, alpha)
     return ChebyPolyModel(

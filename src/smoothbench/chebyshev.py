@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,7 +75,7 @@ def cheb_vander(x: np.ndarray, max_degree: int) -> np.ndarray:
     return out
 
 
-def interaction_feature_set(X_scaled: np.ndarray, cfg: BasisConfig) -> tuple[int, ...]:
+def interaction_feature_set(X_scaled: np.ndarray) -> tuple[int, ...]:
     """Feature indices eligible for interaction terms.
 
     All features when d <= HIGH_DIM_THRESHOLD, otherwise the top ceil(d/2) by
@@ -109,21 +109,20 @@ class DesignMatrix:
 def build_design_matrix(
     X_scaled: np.ndarray,
     cfg: BasisConfig,
-    interaction_feats: Optional[Sequence[int]] = None,
+    interaction_feats: Sequence[int],
 ) -> DesignMatrix:
     """Expand scaled features into the Chebyshev design matrix.
 
     Column order: the constant column, then T_1..T_c per feature in feature
     order, then per eligible pair (i, j) in lexicographic order the product
     x_i * x_j followed (if max_interaction_complexity is 2) by T_2 of it.
-    interaction_feats pins the eligible set chosen at fit time; when omitted it
-    is derived from X_scaled itself.
+    interaction_feats is the eligible set chosen at fit time
+    (interaction_feature_set of the training features); it is ignored
+    without interactions.
     """
     X_scaled = np.asarray(X_scaled, dtype=np.float64)
     n, d = X_scaled.shape
     c = cfg.complexity
-    if cfg.include_interactions and interaction_feats is None:
-        interaction_feats = interaction_feature_set(X_scaled, cfg)
     feats = tuple(interaction_feats) if cfg.include_interactions else ()
     p = n_columns(d, cfg, len(feats))
 

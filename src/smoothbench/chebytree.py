@@ -13,7 +13,6 @@ memory is O(N*p + L*p^2) for N rows, L polynomial leaves and p columns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Union
 
@@ -22,7 +21,7 @@ import numpy as np
 from .cart import Count, RegressionTree, cart_fit, cart_route
 from .chebypoly import ChebyPolyModel
 from .chebyshev import BasisConfig, build_design_matrix
-from .data import MinMaxScaler, minmax_scale
+from .data import MinMaxScaler, minmax_scale, read_array
 from .numkit import ridge_solve_segments
 
 
@@ -86,65 +85,34 @@ class ChebyTreeModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ChebyTreeModel":
-        """Rebuild a model, rejecting leaves that the batched predict cannot stack."""
+    def from_dict(cls, d: dict, n_features: int) -> "ChebyTreeModel":
+        """Rebuild a model, reading the tree and every leaf at n_features so leaves stack."""
+        tree = RegressionTree.from_dict(d["tree"], n_features)
+        c = int(d["complexity"])
         leaf_models: Dict[int, Union[ChebyPolyModel, float]] = {}
         for key, entry in d["leaf_models"].items():
             if entry["kind"] == "constant":
-                leaf_models[int(key)] = float(entry["value"])
+                leaf_models[int(key)] = float(read_array(f"chebytree leaf {key}", entry,
+                                                         "value", ()))
                 continue
             try:
-                leaf_models[int(key)] = ChebyPolyModel.from_dict(entry["model"])
+                m = ChebyPolyModel.from_dict(entry["model"], n_features)
             except ValueError as exc:
                 raise ValueError(f"chebytree leaf {key}: {exc}") from None
-        model = cls(
-            tree=RegressionTree.from_dict(d["tree"]),
+            if m.basis.complexity != c or m.basis.include_interactions:
+                raise ValueError(f"chebytree leaf {key}: basis is not the model's "
+                                 f"interaction-free complexity {c}")
+            leaf_models[int(key)] = m
+        if set(leaf_models) != set(tree.leaf_ids):
+            raise ValueError(f"chebytree model: leaf models {sorted(leaf_models)} do not "
+                             f"match the tree's leaves {tree.leaf_ids}")
+        return cls(
+            tree=tree,
             leaf_models=leaf_models,
-            complexity=int(d["complexity"]),
-            y_mean=float(d["y_mean"]),
-            y_std=float(d["y_std"]),
+            complexity=c,
+            y_mean=float(read_array("chebytree model", d, "y_mean", ())),
+            y_std=float(read_array("chebytree model", d, "y_std", ())),
         )
-        model._validate()
-        return model
-
-    def _validate(self) -> None:
-        if not (math.isfinite(self.y_mean) and math.isfinite(self.y_std)):
-            raise ValueError("chebytree model: y_mean and y_std must be finite")
-        tree_leaves = set(self.tree.leaf_ids)
-        if set(self.leaf_models) != tree_leaves:
-            raise ValueError(
-                f"chebytree model: leaf models {sorted(self.leaf_models)} do not match "
-                f"the tree's leaves {sorted(tree_leaves)}"
-            )
-        c = self.complexity
-        split_feats = self.tree.feature[self.tree.feature >= 0]
-        n_features = None
-        for leaf, m in self.leaf_models.items():
-            if isinstance(m, float):
-                if not math.isfinite(m):
-                    raise ValueError(f"chebytree leaf {leaf}: constant value is not finite")
-                continue
-            # ChebyPolyModel.from_dict checked the leaf's own shapes and numbers
-            d = len(m.scaler.mins)
-            if n_features is None:
-                n_features = d
-            problem = None
-            if d != n_features:
-                problem = f"has {d} features where other leaves have {n_features}"
-            elif split_feats.size and split_feats.max() >= d:
-                problem = f"has {d} features but the tree splits on feature {split_feats.max()}"
-            elif m.basis.complexity != c or m.basis.include_interactions:
-                problem = f"basis is not the model's interaction-free complexity {c}"
-            if problem:
-                raise ValueError(f"chebytree leaf {leaf}: {problem}")
-
-    def check_width(self, d: int) -> None:
-        """Reject a model fitted on another number of input features than d."""
-        for leaf, m in self.leaf_models.items():
-            if not isinstance(m, float) and m.scaler.mins.shape[0] != d:
-                raise ValueError(f"chebytree leaf {leaf}: scaler mins has "
-                                 f"{m.scaler.mins.shape[0]} entries for {d} input features")
-        self.tree.check_width(d)
 
 
 def fit_chebytree(

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -18,12 +17,11 @@ import numpy as np
 
 from . import __version__
 from .data import (Dataset, drop_quasi_constant, impute_median, inner_fold_count, kfold_split,
-                   load_csv, subsample, write_csv, write_table)
+                   load_csv, read_array, subsample, write_csv, write_table)
 from .harness import (
     BenchRunConfig,
     build_report,
     clip_bounds,
-    clip_predictions,
     r2,
     read_results_jsonl,
     run_benchmark,
@@ -133,6 +131,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     else:
         params = _parse_params(args.param)
     model = fit_model(args.model, ds.X, ds.y, params, seed=args.seed)
+    clip = clip_bounds(ds.y)
 
     doc = {
         "schema_version": MODEL_FILE_SCHEMA,
@@ -145,13 +144,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "tuned": bool(args.tune),
         "seed": args.seed,
         # the bound the benchmark clips scored predictions to, for predict to apply
-        "clip": list(clip_bounds(ds.y)),
+        "clip": list(clip),
         "model": model.to_dict(),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
-    preds = clip_predictions(predict_model(args.model, model, ds.X), ds.y)
+    preds = predict_model(args.model, model, ds.X, clip)
     print(f"fit {args.model} on {args.data}: n={ds.n} d={ds.d} "
           f"train_r2={r2(ds.y, preds):.4f} -> {args.out}")
     return 0
@@ -165,29 +164,23 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if doc.get("schema_version") != MODEL_FILE_SCHEMA:
         raise ValueError(f"model file schema {doc.get('schema_version')!r} is not supported: "
                          f"predict reads schema {MODEL_FILE_SCHEMA}; refit the model")
-    for key in ("kind", "model", "feature_names", "medians"):
+    for key in ("kind", "model", "feature_names", "medians", "clip"):
         if key not in doc:
             raise ValueError(f"model file: missing field {key!r}")
     kind = doc["kind"]
     if kind not in MODEL_KINDS:
         raise ValueError(f"model file: kind must be one of {MODEL_KINDS}, got {kind!r}")
-    model = model_from_dict(kind, doc["model"])
-    clip = doc.get("clip")
-    if not (isinstance(clip, list) and len(clip) == 2
-            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in clip)
-            and clip[0] <= clip[1]):
-        raise ValueError(f"model file: clip must be two finite numbers lo <= hi, got {clip!r}")
     names = doc["feature_names"]
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise ValueError(f"model file: feature_names must be a list of strings, got {names!r}")
-    model.check_width(len(names))
-    medians = np.asarray(doc["medians"], dtype=np.float64)
-    if medians.shape != (len(names),) or not np.isfinite(medians).all():
-        raise ValueError(f"model file: medians must be {len(names)} finite numbers, "
-                         "one per feature_names entry")
+    model = model_from_dict(kind, doc["model"], len(names))
+    clip = read_array("model file", doc, "clip", (2,))
+    if not clip[0] <= clip[1]:
+        raise ValueError(f"model file: clip must be lo <= hi, got {doc['clip']!r}")
+    medians = read_array("model file", doc, "medians", (len(names),))
     X = load_csv(args.data, columns=names).X
     X = np.where(np.isnan(X), medians, X)
-    preds = np.clip(predict_model(kind, model, X), *clip)
+    preds = predict_model(kind, model, X, clip)
     write_table(args.out, ["prediction"], preds[:, None])
     print(f"wrote {len(preds)} predictions -> {args.out}")
     return 0

@@ -274,8 +274,12 @@ def impute_median(train: Dataset, apply_to: Dataset) -> Dataset:
     return Dataset(X, apply_to.y, apply_to.feature_names, apply_to.target_name)
 
 
-def drop_quasi_constant(ds: Dataset, threshold: float = 0.95) -> Dataset:
-    """Drop features whose most frequent value covers > threshold of the rows.
+# the largest share of the rows that one value of a kept feature may cover
+QUASI_CONSTANT_THRESHOLD = 0.95
+
+
+def drop_quasi_constant(ds: Dataset) -> Dataset:
+    """Drop features whose most frequent value covers > QUASI_CONSTANT_THRESHOLD of the rows.
 
     The boundary is strict: a column at exactly the threshold fraction is kept.
     NaNs do not count as a value. Dropping every feature is an error.
@@ -288,11 +292,11 @@ def drop_quasi_constant(ds: Dataset, threshold: float = 0.95) -> Dataset:
             keep.append(j)  # all-missing column: imputation's problem, not ours
             continue
         _, counts = np.unique(finite, return_counts=True)
-        if counts.max() / ds.n <= threshold:
+        if counts.max() / ds.n <= QUASI_CONSTANT_THRESHOLD:
             keep.append(j)
     if not keep:
         raise ValueError("every feature is quasi-constant at threshold "
-                         f"{threshold}; nothing left to model")
+                         f"{QUASI_CONSTANT_THRESHOLD}; nothing left to model")
     names = tuple(ds.feature_names[j] for j in keep)
     return Dataset(ds.X[:, keep], ds.y, names, ds.target_name)
 
@@ -358,23 +362,37 @@ class Standardizer:
         return {"means": self.means.tolist(), "stds": self.stds.tolist()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Standardizer":
-        means = np.asarray(d["means"], dtype=np.float64)
-        stds = np.asarray(d["stds"], dtype=np.float64)
-        if not (means.ndim == 1 and means.shape == stds.shape):
-            raise ValueError(f"standardizer: means and stds have shapes {means.shape} and "
-                             f"{stds.shape}; they need one equal length")
-        check_finite("standardizer", means=means, stds=stds)
+    def from_dict(cls, d: dict, n_features: int) -> "Standardizer":
+        means = read_array("standardizer", d, "means", (n_features,))
+        stds = read_array("standardizer", d, "stds", (n_features,))
         if not (stds > 0).all():
             raise ValueError("standardizer: stds must be > 0")
         return cls(means=means, stds=stds)
 
 
-def check_finite(owner: str, **fields) -> None:
-    """Raise a ValueError naming the first field that holds a non-finite number."""
-    for name, value in fields.items():
-        if not np.isfinite(value).all():
-            raise ValueError(f"{owner}: {name} holds a non-finite number")
+def read_array(owner: str, d: dict, key: str, shape: tuple) -> np.ndarray:
+    """d[key] as a float64 array of the given shape, every entry finite.
+
+    In shape, None matches any length and () means a scalar. A value of
+    another shape, a non-finite entry, or a value that is not a number or a
+    regular array of numbers (ragged, a string, null, an object) raises a
+    ValueError naming owner and key. A missing key raises KeyError.
+    """
+    value = d[key]
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting, on numpy versions that refuse it
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
+        raise ValueError(f"{owner}: {key} is not a number or a regular array of numbers: "
+                         f"{value!r:.60}")
+    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        want = str(tuple(shape)).replace("None", "n")
+        raise ValueError(f"{owner}: {key} has shape {a.shape}, expected {want}")
+    a = a.astype(np.float64, copy=False)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{owner}: {key} holds a non-finite number")
+    return a
 
 
 def minmax_scale(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray) -> np.ndarray:
@@ -413,9 +431,9 @@ class MinMaxScaler:
         return {"mins": self.mins.tolist(), "ranges": self.ranges.tolist()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MinMaxScaler":
-        return cls(mins=np.asarray(d["mins"], dtype=np.float64),
-                   ranges=np.asarray(d["ranges"], dtype=np.float64))
+    def from_dict(cls, d: dict, n_features: int) -> "MinMaxScaler":
+        return cls(mins=read_array("scaler", d, "mins", (n_features,)),
+                   ranges=read_array("scaler", d, "ranges", (n_features,)))
 
 
 def subsample(ds: Dataset, max_samples: int, seed: int) -> Dataset:

@@ -22,13 +22,18 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .data import Standardizer, check_finite
+from .data import Standardizer, read_array
 from .numkit import OptimResult, kmeans, knn_indices, lbfgs_minimize, ridge_solve
 
 WIDTH_FLOOR = 1e-6
 WIDTH_CAP = 1e3
 
 WIDTH_MODES = ("local_ridge", "local_variance")
+
+# local_lipschitz: neighbours per point, distance guard, and the percentile cap
+LIPSCHITZ_K = 5
+LIPSCHITZ_EPS = 1e-12
+LIPSCHITZ_CLIP_PERCENTILE = 99.0
 
 
 def _is_int(value) -> bool:
@@ -47,24 +52,19 @@ def auto_k(n: int, d: int) -> int:
     return min(max(v, lo), hi)
 
 
-def local_lipschitz(
-    X: np.ndarray,
-    y: np.ndarray,
-    k: int = 5,
-    eps: float = 1e-12,
-    clip_percentile: float = 99.0,
-) -> np.ndarray:
+def local_lipschitz(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-point local Lipschitz estimate of the target.
 
-    L_i = max over the k nearest neighbours of |y_i - y_j| / (||x_i - x_j|| + eps),
-    then capped at the given percentile to tame outliers.
+    L_i = max over the LIPSCHITZ_K nearest neighbours of
+    |y_i - y_j| / (||x_i - x_j|| + LIPSCHITZ_EPS), then capped at the
+    LIPSCHITZ_CLIP_PERCENTILE percentile to tame outliers.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
     if n < 2:
         raise ValueError("need at least 2 rows")
-    kk = min(k, n - 1)
+    kk = min(LIPSCHITZ_K, n - 1)
     L = np.empty(n)
     sq_norms = (X * X).sum(axis=1)
     chunk = max(1, int(2_000_000 // max(1, n)))
@@ -76,8 +76,8 @@ def local_lipschitz(
         d2[local, start + local] = np.inf
         nb = np.argpartition(d2, kk - 1, axis=1)[:, :kk]
         dists = np.sqrt(np.take_along_axis(d2, nb, axis=1))
-        L[rows] = np.max(np.abs(y[rows, None] - y[nb]) / (dists + eps), axis=1)
-    cap = np.percentile(L, clip_percentile)
+        L[rows] = np.max(np.abs(y[rows, None] - y[nb]) / (dists + LIPSCHITZ_EPS), axis=1)
+    cap = np.percentile(L, LIPSCHITZ_CLIP_PERCENTILE)
     return np.minimum(L, cap)
 
 
@@ -248,36 +248,21 @@ class ErbfModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ErbfModel":
-        model = cls(
-            standardizer=Standardizer.from_dict(d["standardizer"]),
-            centers=np.asarray(d["centers"], dtype=np.float64),
-            sigma=np.asarray(d["sigma"], dtype=np.float64),
-            weights=np.asarray(d["weights"], dtype=np.float64),
-            bias=float(d["bias"]),
+    def from_dict(cls, d: dict, n_features: int) -> "ErbfModel":
+        owner = "erbf model"
+        centers = read_array(owner, d, "centers", (None, n_features))
+        K = centers.shape[0]
+        sigma = read_array(owner, d, "sigma", (K, n_features))
+        if not (sigma > 0).all():
+            raise ValueError("erbf model: sigma must be > 0")
+        return cls(
+            standardizer=Standardizer.from_dict(d["standardizer"], n_features),
+            centers=centers,
+            sigma=sigma,
+            weights=read_array(owner, d, "weights", (K,)),
+            bias=float(read_array(owner, d, "bias", ())),
             fit_info=dict(d.get("fit_info", {})),
         )
-        c, s, w = model.centers, model.sigma, model.weights
-        if c.ndim != 2:
-            raise ValueError(f"erbf model: centers has shape {c.shape}, expected (K, d)")
-        if s.shape != c.shape:
-            raise ValueError(f"erbf model: centers has shape {c.shape} but sigma {s.shape}")
-        if w.shape != (c.shape[0],):
-            raise ValueError(f"erbf model: weights has {w.size} entries for "
-                             f"{c.shape[0]} centers")
-        if model.standardizer.means.shape != (c.shape[1],):
-            raise ValueError(f"erbf model: standardizer has {model.standardizer.means.size} "
-                             f"means for centers with {c.shape[1]} columns")
-        check_finite("erbf model", centers=c, sigma=s, weights=w, bias=model.bias)
-        if not (s > 0).all():
-            raise ValueError("erbf model: sigma must be > 0")
-        return model
-
-    def check_width(self, d: int) -> None:
-        """Reject a model fitted on another number of input features than d."""
-        if self.centers.shape[1] != d:
-            raise ValueError(f"erbf model: centers has {self.centers.shape[1]} columns "
-                             f"for {d} input features")
 
 
 def fit_erbf(X: np.ndarray, y: np.ndarray, n_rbf_mode: str = "auto",

@@ -1,6 +1,6 @@
 """Benchmark harness: metrics, random search, nested CV, rank statistics, reports."""
 
-from .metrics import FAILURE_SCORE, adjusted_r2, clip_bounds, clip_predictions, r2
+from .metrics import FAILURE_SCORE, adjusted_r2, clip_bounds, r2
 from .nested_cv import BenchRunConfig, FoldResult, run_benchmark, run_outer_fold, tune
 from .report import (
     SCHEMA_VERSION,
@@ -23,7 +23,7 @@ from .stats import (
 )
 
 __all__ = [
-    "FAILURE_SCORE", "adjusted_r2", "clip_bounds", "clip_predictions", "r2",
+    "FAILURE_SCORE", "adjusted_r2", "clip_bounds", "r2",
     "BenchRunConfig", "FoldResult", "run_benchmark", "run_outer_fold", "tune",
     "SCHEMA_VERSION", "TIMING_FIELDS", "build_report", "read_results_jsonl",
     "report_model_columns", "write_report_files", "write_results_jsonl",

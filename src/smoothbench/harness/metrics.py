@@ -1,4 +1,4 @@
-"""Accuracy metrics and the prediction clipping rule used across the harness."""
+"""Accuracy metrics and the prediction clipping bound used across the harness."""
 
 from __future__ import annotations
 
@@ -40,8 +40,3 @@ def clip_bounds(y_train: np.ndarray) -> tuple[float, float]:
     y_train = np.asarray(y_train, dtype=np.float64)
     sd = float(y_train.std())
     return float(y_train.min()) - 3.0 * sd, float(y_train.max()) + 3.0 * sd
-
-
-def clip_predictions(preds: np.ndarray, y_train: np.ndarray) -> np.ndarray:
-    """Clamp predictions to clip_bounds(y_train). Idempotent by construction."""
-    return np.clip(np.asarray(preds, dtype=np.float64), *clip_bounds(y_train))

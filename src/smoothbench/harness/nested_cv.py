@@ -19,7 +19,7 @@ import numpy as np
 
 from ..data import Dataset, FoldPlan, impute_median, inner_fold_count, kfold_split
 from ..registry import fit_model, predict_model
-from .metrics import FAILURE_SCORE, adjusted_r2, clip_predictions, r2
+from .metrics import FAILURE_SCORE, adjusted_r2, clip_bounds, r2
 from .search import random_search, search_space
 
 
@@ -66,7 +66,7 @@ def tune(kind: str, X: np.ndarray, y: np.ndarray, plan: FoldPlan, fit_seed: int,
         for fold in range(plan.outer_k):
             itr, ival = plan.train_indices(fold), plan.test_indices(fold)
             model = fit_model(kind, X[itr], y[itr], params, seed=fit_seed)
-            preds = clip_predictions(predict_model(kind, model, X[ival]), y[itr])
+            preds = predict_model(kind, model, X[ival], clip_bounds(y[itr]))
             scores.append(adjusted_r2(r2(y[ival], preds), len(ival), d))
         return float(np.mean(scores))
 
@@ -112,12 +112,12 @@ def run_outer_fold(
     model = fit_model(kind, X_tr, y_tr, best_params, seed=fit_seed)
     train_seconds = time.perf_counter() - t0
 
+    bounds = clip_bounds(y_tr)
     t0 = time.perf_counter()
-    preds_te = predict_model(kind, model, X_te)
+    preds_te = predict_model(kind, model, X_te, bounds)
     predict_ms_per_1k = (time.perf_counter() - t0) * 1e6 / max(1, len(y_te))
 
-    preds_te = clip_predictions(preds_te, y_tr)
-    preds_tr = clip_predictions(predict_model(kind, model, X_tr), y_tr)
+    preds_tr = predict_model(kind, model, X_tr, bounds)
     train_r2 = r2(y_tr, preds_tr)
     test_r2 = r2(y_te, preds_te)
     return FoldResult(

@@ -43,17 +43,22 @@ def write_results_jsonl(
                                  "model": model, "error": error}) + "\n")
 
 
-# the keys each record type must carry
+# JSON types, with their names, of FoldResult's field annotations
+_JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+               "float": ((int, float), "a number"), "Dict[str, Any]": (dict, "an object")}
+
+# the keys each record type must carry, and the JSON type of each value
 RECORD_KEYS = {
-    "fold": tuple(f.name for f in fields(FoldResult)),
-    "failure": ("dataset", "model", "error"),
+    "fold": {f.name: _JSON_TYPES[f.type] for f in fields(FoldResult)},
+    "failure": {key: _JSON_TYPES["str"] for key in ("dataset", "model", "error")},
 }
 
 
 def read_results_jsonl(path: str) -> Tuple[List[FoldResult], Dict[Tuple[str, str], str]]:
     """Fold records and failures, in file order.
 
-    A malformed line raises ValueError naming path:line.
+    A malformed line, or a value of the wrong JSON type for its key (a bool
+    is not a number), raises ValueError naming path:line and the key.
     """
     fold_results: List[FoldResult] = []
     failures: Dict[Tuple[str, str], str] = {}
@@ -77,6 +82,9 @@ def read_results_jsonl(path: str) -> Tuple[List[FoldResult], Dict[Tuple[str, str
             missing = [key for key in RECORD_KEYS[kind] if key not in rec]
             if missing:
                 raise ValueError(f"{where}: {kind} record is missing {missing}")
+            for key, (types, what) in RECORD_KEYS[kind].items():
+                if isinstance(rec[key], bool) or not isinstance(rec[key], types):
+                    raise ValueError(f"{where}: {key} must be {what}, got {rec[key]!r}")
             if kind == "fold":
                 fold_results.append(FoldResult(**{key: rec[key] for key in RECORD_KEYS[kind]}))
             else:

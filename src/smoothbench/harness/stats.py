@@ -123,12 +123,11 @@ def matched_gap_wins(
     mean_scores: Dict[str, Dict[str, float]],
     mean_gaps: Dict[str, Dict[str, float]],
     pairs: List[Tuple[str, str]],
-    threshold: float = MATCH_THRESHOLD,
 ) -> List[GapPairSummary]:
     """Generalisation-gap win counts on accuracy-matched datasets.
 
     A dataset is matched for a (smooth, tree) pair when their mean adjusted
-    R^2 differ by at most the threshold. On matched datasets the model with
+    R^2 differ by at most MATCH_THRESHOLD. On matched datasets the model with
     the strictly smaller mean gap wins; exact ties score half a win each.
     mean_scores / mean_gaps map dataset -> model -> value; datasets where
     either side is missing (e.g. failed) are skipped.
@@ -143,7 +142,7 @@ def matched_gap_wins(
             s_score, t_score = row[smooth], row[tree]
             if s_score is None or t_score is None:
                 continue
-            if abs(s_score - t_score) > threshold:
+            if abs(s_score - t_score) > MATCH_THRESHOLD:
                 continue
             matched += 1
             s_gap = mean_gaps[ds_name][smooth]

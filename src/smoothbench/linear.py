@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Standardizer, check_finite
+from .data import Standardizer, read_array
 from .numkit import ridge_solve
 
 
@@ -27,24 +27,12 @@ class RidgeModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RidgeModel":
-        model = cls(
-            standardizer=Standardizer.from_dict(d["standardizer"]),
-            weights=np.asarray(d["weights"], dtype=np.float64),
-            intercept=float(d["intercept"]),
+    def from_dict(cls, d: dict, n_features: int) -> "RidgeModel":
+        return cls(
+            weights=read_array("ridge model", d, "weights", (n_features,)),
+            standardizer=Standardizer.from_dict(d["standardizer"], n_features),
+            intercept=float(read_array("ridge model", d, "intercept", ())),
         )
-        w, means, stds = model.weights, model.standardizer.means, model.standardizer.stds
-        if not (w.ndim == 1 and w.shape == means.shape == stds.shape):
-            raise ValueError(f"ridge model: weights, means and stds have shapes {w.shape}, "
-                             f"{means.shape} and {stds.shape}; they need one equal length")
-        check_finite("ridge model", weights=w, intercept=model.intercept)
-        return model
-
-    def check_width(self, d: int) -> None:
-        """Reject a model fitted on another number of input features than d."""
-        if self.weights.shape[0] != d:
-            raise ValueError(f"ridge model: weights has {self.weights.shape[0]} entries "
-                             f"for {d} input features")
 
 
 def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> RidgeModel:

@@ -136,12 +136,10 @@ def _cho_solve_stacked(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 # k-means clustering
 
 
-def kmeans(
-    X: np.ndarray,
-    n_clusters: int,
-    seed: int,
-    max_iter: int = 100,
-) -> Tuple[np.ndarray, np.ndarray]:
+KMEANS_MAX_ITER = 100  # Lloyd iterations at most
+
+
+def kmeans(X: np.ndarray, n_clusters: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with distance-squared-weighted (k-means++ style) seeding.
 
     Returns (centroids, labels). Assignment ties go to the lower centroid
@@ -155,7 +153,7 @@ def kmeans(
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(X, n_clusters, rng)
     labels = _assign(X, centers)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         centers = _update_means(X, labels, centers)
         new_labels = _assign(X, centers)
         changed = bool((new_labels != labels).any())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import inspect
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .erbf import ErbfModel, fit_erbf
 from .linear import RidgeModel, fit_ridge
 
 # kind -> (name of the fit function in this module,
-#          model class with predict, to_dict, from_dict and check_width)
+#          model class with predict, to_dict and from_dict(d, n_features))
 _MODELS = {
     "ridge": ("fit_ridge", RidgeModel),
     "dt": ("cart_fit", RegressionTree),
@@ -70,15 +70,16 @@ def fit_model(kind: str, X: np.ndarray, y: np.ndarray, params: Dict[str, Any], s
         raise ValueError(f"{kind}: {exc}") from None
 
 
-def predict_model(kind: str, model, X: np.ndarray) -> np.ndarray:
-    return model.predict(X)
+def predict_model(kind: str, model, X: np.ndarray, bounds: Tuple[float, float]) -> np.ndarray:
+    """The model's predictions for X clipped to bounds: clip_bounds(y_train) or a file's clip."""
+    return np.clip(model.predict(X), *bounds)
 
 
-def model_from_dict(kind: str, d: dict):
-    """Rebuild a fitted model from its to_dict form; a malformed one raises ValueError."""
+def model_from_dict(kind: str, d: dict, n_features: int):
+    """Rebuild a fitted model of n_features inputs; a malformed one raises ValueError."""
     cls = _entry(kind)[1]
     try:
-        return cls.from_dict(d)
+        return cls.from_dict(d, n_features)
     except KeyError as exc:
         raise ValueError(f"{kind} model: missing field {exc.args[0]!r}") from None
     except TypeError as exc:

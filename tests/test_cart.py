@@ -314,7 +314,7 @@ def test_serialization_round_trip():
     X = rng.normal(size=(60, 2))
     y = rng.normal(size=60)
     tree = cart_fit(X, y, max_depth=3, min_samples_leaf=2)
-    back = RegressionTree.from_dict(tree.to_dict())
+    back = RegressionTree.from_dict(tree.to_dict(), 2)
     Q = rng.normal(size=(40, 2))
     assert np.array_equal(tree.predict(Q), back.predict(Q))
     assert np.array_equal(cart_route(tree, Q), cart_route(back, Q))

@@ -136,7 +136,7 @@ def test_serialization_round_trip():
     model = fit_chebypoly(X, y, complexity=3, alpha=0.5,
                           include_interactions=True,
                           max_interaction_complexity=2)
-    back = ChebyPolyModel.from_dict(model.to_dict())
+    back = ChebyPolyModel.from_dict(model.to_dict(), 4)
     Q = rng.normal(size=(30, 4)) * 2
     assert np.array_equal(model.predict(Q), back.predict(Q))
 
@@ -175,6 +175,6 @@ def test_ridge_baseline_serialization():
     X = rng.normal(size=(40, 2))
     y = rng.normal(size=40)
     model = fit_ridge(X, y, alpha=0.3)
-    back = RidgeModel.from_dict(model.to_dict())
+    back = RidgeModel.from_dict(model.to_dict(), 2)
     Q = rng.normal(size=(9, 2))
     assert np.array_equal(model.predict(Q), back.predict(Q))

@@ -68,7 +68,7 @@ def test_n_columns_formula_no_interactions():
         c = int(rng.integers(1, 15))
         cfg = BasisConfig(complexity=c)
         X = rng.uniform(-1, 1, size=(5, d))
-        dm = build_design_matrix(X, cfg)
+        dm = build_design_matrix(X, cfg, ())
         assert dm.matrix.shape[1] == 1 + d * c
         assert n_columns(d, cfg, 0) == 1 + d * c
 
@@ -80,8 +80,9 @@ def test_n_columns_with_interactions():
                        max_interaction_complexity=1)
     cfg2 = BasisConfig(complexity=2, include_interactions=True,
                        max_interaction_complexity=2)
-    assert build_design_matrix(X, cfg1).matrix.shape[1] == 1 + 8 + 6
-    assert build_design_matrix(X, cfg2).matrix.shape[1] == 1 + 8 + 12
+    feats = interaction_feature_set(X)
+    assert build_design_matrix(X, cfg1, feats).matrix.shape[1] == 1 + 8 + 6
+    assert build_design_matrix(X, cfg2, feats).matrix.shape[1] == 1 + 8 + 12
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ def test_design_matrix_layout_and_values():
     X = rng.uniform(-1, 1, size=(20, 3))
     cfg = BasisConfig(complexity=3, include_interactions=True,
                       max_interaction_complexity=2)
-    dm = build_design_matrix(X, cfg)
+    dm = build_design_matrix(X, cfg, interaction_feature_set(X))
 
     assert np.array_equal(dm.matrix[:, 0], np.ones(20))
 
@@ -122,7 +123,7 @@ def test_design_matrix_interaction_values_stay_bounded():
     X = rng.uniform(-1, 1, size=(200, 6))
     cfg = BasisConfig(complexity=1, include_interactions=True,
                       max_interaction_complexity=2)
-    dm = build_design_matrix(X, cfg)
+    dm = build_design_matrix(X, cfg, interaction_feature_set(X))
     assert np.abs(dm.matrix).max() <= 1.0 + 1e-12
 
 
@@ -132,8 +133,7 @@ def test_design_matrix_interaction_values_stay_bounded():
 
 def test_interaction_feature_set_low_dim_takes_all():
     X = np.random.default_rng(1).uniform(-1, 1, size=(10, 30))
-    cfg = BasisConfig(complexity=1, include_interactions=True)
-    assert interaction_feature_set(X, cfg) == tuple(range(30))
+    assert interaction_feature_set(X) == tuple(range(30))
 
 
 def test_interaction_feature_set_high_dim_takes_top_half_by_variance():
@@ -141,8 +141,7 @@ def test_interaction_feature_set_high_dim_takes_top_half_by_variance():
     d = 31
     scales = rng.permutation(np.linspace(0.01, 1.0, d))
     X = rng.uniform(-1, 1, size=(400, d)) * scales
-    cfg = BasisConfig(complexity=1, include_interactions=True)
-    feats = interaction_feature_set(X, cfg)
+    feats = interaction_feature_set(X)
     assert len(feats) == 16  # ceil(31/2)
     # chosen set = the 16 largest sample variances
     var = X.var(axis=0)
@@ -172,7 +171,7 @@ def test_chebyshev_design_is_much_better_conditioned_than_monomials():
     # is at least 100x smaller than the monomial Vandermonde on the same nodes
     k = np.arange(200)
     nodes = np.cos((2 * k + 1) * np.pi / (2 * 200))
-    cheb = build_design_matrix(nodes[:, None], BasisConfig(complexity=12)).matrix
+    cheb = build_design_matrix(nodes[:, None], BasisConfig(complexity=12), ()).matrix
     mono = np.vander(nodes, 13, increasing=True)
     assert np.linalg.cond(cheb) <= np.linalg.cond(mono) / 100.0
 

@@ -176,7 +176,7 @@ def test_serialization_round_trip():
     X = rng.normal(size=(120, 2))
     y = np.sin(X[:, 0]) + rng.normal(size=120) * 0.1
     model = fit_chebytree(X, y, complexity=2, alpha=0.01, max_depth=3)
-    back = ChebyTreeModel.from_dict(model.to_dict())
+    back = ChebyTreeModel.from_dict(model.to_dict(), 2)
     Q = rng.normal(size=(50, 2)) * 2
     assert np.array_equal(model.predict(Q), back.predict(Q))
     # both constant and polynomial leaves survive the round trip
@@ -306,7 +306,7 @@ def test_batched_fit_jitter_retry_matches_per_leaf_reference():
     left_leaf = model.tree.leaf_ids[0]
     left_model = model.leaf_models[left_leaf]
     Xs = left_model.scaler.apply(X[model.tree.leaf_rows[left_leaf]])
-    design = build_design_matrix(Xs, left_model.basis).matrix
+    design = build_design_matrix(Xs, left_model.basis, ()).matrix
     assert np.unique(design, axis=0).shape[0] == 2
     centred = design - design.mean(axis=0)
     with pytest.raises(np.linalg.LinAlgError):
@@ -348,7 +348,7 @@ def test_batched_predict_equals_per_leaf_recomposition_bit_for_bit():
     Q = rng.uniform(-0.2, 1.2, size=(10_000, ds.d))
     assert np.array_equal(model.predict(Q), _per_leaf_predict(model, Q))
     # the served path: a model read back from its file
-    back = ChebyTreeModel.from_dict(model.to_dict())
+    back = ChebyTreeModel.from_dict(model.to_dict(), ds.d)
     assert np.array_equal(back.predict(Q), _per_leaf_predict(back, Q))
     assert np.array_equal(back.predict(Q), model.predict(Q))
 
@@ -360,7 +360,7 @@ def test_batched_predict_equals_per_leaf_recomposition_bit_for_bit():
      "do not match the tree's leaves"),
     (lambda d, leaf: d.__setitem__("complexity", 3), "complexity 3"),
     (lambda d, leaf: d["leaf_models"][leaf]["model"]["scaler"]["mins"].pop(),
-     "mins but"),
+     "mins has shape"),
     (lambda d, leaf: d["leaf_models"][leaf]["model"]["weights"].append(0.0),
      "weights has"),
     (lambda d, leaf: d["leaf_models"][leaf]["model"].__setitem__("intercept", np.inf),
@@ -376,4 +376,4 @@ def test_from_dict_rejects_corrupted_leaves(corrupt, message):
     leaf = next(k for k, v in d["leaf_models"].items() if v["kind"] == "chebypoly")
     corrupt(d, leaf)
     with pytest.raises(ValueError, match=message):
-        ChebyTreeModel.from_dict(d)
+        ChebyTreeModel.from_dict(d, 2)

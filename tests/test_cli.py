@@ -16,7 +16,7 @@ import pytest
 
 from smoothbench.cli import main
 from smoothbench.data import load_csv, write_csv
-from smoothbench.harness import clip_bounds, clip_predictions
+from smoothbench.harness import clip_bounds
 from smoothbench.registry import fit_model, model_from_dict, predict_model
 from smoothbench.synth import gen
 
@@ -30,6 +30,21 @@ def _write_dataset(path, kind="friedman1", n=60, noise_std=0.2, seed=11):
 def _wrap_in_list(doc):
     """Replace the whole model document by a JSON list that holds it."""
     return [doc]
+
+
+def _fold_line(**values):
+    """A results.jsonl fold record line, with the given values replaced."""
+    rec = {"record": "fold", "schema_version": 1, "dataset": "d", "model": "m", "fold": 0,
+           "train_r2": 0.9, "test_r2": 0.8, "test_r2_adj": 0.75, "gap": 0.1,
+           "tune_seconds": 0.5, "train_seconds": 0.25, "predict_ms_per_1k": 2.0,
+           "best_params": {"alpha": 0.5}}
+    return json.dumps({**rec, **values})
+
+
+def _poly_leaf(model):
+    """The first polynomial leaf model of a chebytree model dict."""
+    leaves = model["leaf_models"]
+    return next(v["model"] for v in leaves.values() if v["kind"] == "chebypoly")
 
 
 def _drop_last_feature(doc):
@@ -100,8 +115,8 @@ class TestFitPredict:
         got = np.array([float(r[0]) for r in rows[1:]])
 
         ds = load_csv(str(data), "y")
-        model = model_from_dict("ridge", doc["model"])
-        want = predict_model("ridge", model, ds.X)
+        model = model_from_dict("ridge", doc["model"], ds.d)
+        want = predict_model("ridge", model, ds.X, doc["clip"])
         assert np.array_equal(got, want)
 
     def test_fit_with_tuning(self, tmp_path):
@@ -215,12 +230,12 @@ class TestFitPredict:
             rows = list(csv.reader(fh))
         got = np.array([float(r[0]) for r in rows[1:]])
 
-        model = model_from_dict("ridge", doc["model"])
+        model = model_from_dict("ridge", doc["model"], 5)
         X = np.array([
             [0.2, 0.3, 0.1, 0.4, 0.5],
             [0.2, doc["medians"][1], 0.1, 0.4, 0.5],
         ])
-        want = predict_model("ridge", model, X)
+        want = predict_model("ridge", model, X, doc["clip"])
         assert np.array_equal(got, want)
 
     def test_predict_missing_feature_column_fails(self, tmp_path, capsys):
@@ -280,7 +295,7 @@ class TestFitPredict:
         with open(out, newline="") as fh:
             got = [float(r[0]) for r in list(csv.reader(fh))[1:]]
         X = np.array([[0.1, doc["medians"][1], 0.3, 0.4, 0.5]])
-        want = predict_model("ridge", model_from_dict("ridge", doc["model"]), X)
+        want = predict_model("ridge", model_from_dict("ridge", doc["model"], 5), X, doc["clip"])
         assert got == want.tolist()
 
         query.write_text("x0,x1,x2,x3,x4\n")
@@ -308,6 +323,7 @@ class TestFitPredict:
         assert got == [hi, lo]
 
     def test_prediction_file_bytes_equal_csv_writer(self, tmp_path, monkeypatch):
+        # the model's own predict is replaced, so predict_model's clip still applies
         data = tmp_path / "train.csv"
         ds = _write_dataset(data, n=60)
         model_path = tmp_path / "model.json"
@@ -316,7 +332,7 @@ class TestFitPredict:
         lo, hi = clip_bounds(ds.y)
         special = [np.nan, -0.0, 5e-324, 0.1, np.inf, -np.inf, 1.0 / 3.0]
         raw = np.resize(special, ds.n)
-        monkeypatch.setattr("smoothbench.cli.predict_model", lambda kind, model, X: raw)
+        monkeypatch.setattr("smoothbench.linear.RidgeModel.predict", lambda self, X: raw)
         out = tmp_path / "preds.csv"
         assert main(["predict", "--model-file", str(model_path),
                      "--data", str(data), "--out", str(out)]) == 0
@@ -348,10 +364,10 @@ class TestFitPredict:
         with open(out, newline="") as fh:
             served = np.array([float(r[0]) for r in list(csv.reader(fh))[1:]])
 
-        # the harness path: fit_model, predict_model, clip_predictions
+        # the harness path: fit_model, then predict_model clipped to clip_bounds(y)
         ds = load_csv(str(data), "y")
         model = fit_model(kind, ds.X, ds.y, params, seed=3)
-        scored = clip_predictions(predict_model(kind, model, ds.X), ds.y)
+        scored = predict_model(kind, model, ds.X, clip_bounds(ds.y))
         assert np.array_equal(served, scored)
 
     @pytest.mark.parametrize("kind, corrupt, message", [
@@ -362,7 +378,8 @@ class TestFitPredict:
         ("dt", lambda d: d["model"]["threshold"].__setitem__(0, float("inf")),
          "threshold"),
         ("dt", lambda d: d["model"]["value"].__setitem__(1, float("nan")), "value"),
-        ("ridge", lambda d: d["model"]["weights"].pop(), "weights, means and stds"),
+        ("ridge", lambda d: d["model"]["weights"].pop(),
+         "ridge model: weights has shape (4,), expected (5,)"),
         ("ridge", lambda d: d["model"]["standardizer"]["means"].__setitem__(
             0, float("nan")), "means holds a non-finite"),
         ("ridge", lambda d: d["model"]["standardizer"]["stds"].__setitem__(0, 0.0),
@@ -373,17 +390,20 @@ class TestFitPredict:
         ("ridge", lambda d: d["medians"].pop(), "medians"),
         # the model's input width against the file's feature_names
         ("dt", lambda d: d["model"]["feature"].__setitem__(0, 7),
-         "feature[0] = 7 is not one of the 5 input features"),
-        ("ridge", _drop_last_feature, "weights has 5 entries for 4 input features"),
-        ("chebypoly", _drop_last_feature, "scaler mins has 5 entries for 4 input features"),
-        ("chebytree", _drop_last_feature, "scaler mins has 5 entries for 4 input features"),
-        ("erbf", _drop_last_feature, "centers has 5 columns for 4 input features"),
+         "feature[0] = 7 is neither the leaf mark -1 nor one of the 5 input features"),
+        ("ridge", _drop_last_feature, "ridge model: weights has shape (5,), expected (4,)"),
+        ("chebypoly", _drop_last_feature, "scaler: mins has shape (5,), expected (4,)"),
+        ("chebytree", _drop_last_feature,
+         "tree: feature[3] = 4 is neither the leaf mark -1 nor one of the 4 input features"),
+        ("erbf", _drop_last_feature, "centers has shape (6, 5), expected (n, 4)"),
         # chebypoly shapes and numbers
-        ("chebypoly", lambda d: d["model"]["weights"].pop(), "weights has 15 entries, expected 16"),
+        ("chebypoly", lambda d: d["model"]["weights"].pop(),
+         "chebypoly model: weights has shape (15,), expected (16,)"),
         ("chebypoly", lambda d: d["model"].update(
             basis=dict(d["model"]["basis"], include_interactions=True),
-            interaction_feats=[0, 1, 2, 3, 4]), "weights has 16 entries, expected 26"),
-        ("chebypoly", lambda d: d["model"]["scaler"]["ranges"].pop(), "5 mins but 4 ranges"),
+            interaction_feats=[0, 1, 2, 3, 4]), "weights has shape (16,), expected (26,)"),
+        ("chebypoly", lambda d: d["model"]["scaler"]["ranges"].pop(),
+         "scaler: ranges has shape (4,), expected (5,)"),
         ("chebypoly", lambda d: d["model"].update(
             basis=dict(d["model"]["basis"], include_interactions=True),
             interaction_feats=[0, 5]), "interaction_feats [0, 5]"),
@@ -394,11 +414,12 @@ class TestFitPredict:
         ("chebypoly", lambda d: d["model"].__setitem__("y_std", float("inf")),
          "y_std holds a non-finite"),
         # erbf shapes and numbers
-        ("erbf", lambda d: d["model"]["centers"].pop(), "centers has shape (5, 5) but sigma"),
-        ("erbf", lambda d: d["model"]["weights"].pop(), "weights has 5 entries for 6 centers"),
+        ("erbf", lambda d: d["model"]["centers"].pop(), "sigma has shape (6, 5), expected (5, 5)"),
+        ("erbf", lambda d: d["model"]["weights"].pop(), "weights has shape (5,), expected (6,)"),
         ("erbf", lambda d: [d["model"]["standardizer"][k].pop() for k in ("means", "stds")],
-         "standardizer has 4 means"),
-        ("erbf", lambda d: d["model"]["standardizer"]["stds"].pop(), "means and stds"),
+         "standardizer: means has shape (4,), expected (5,)"),
+        ("erbf", lambda d: d["model"]["standardizer"]["stds"].pop(),
+         "standardizer: stds has shape (4,), expected (5,)"),
         ("erbf", lambda d: d["model"]["sigma"][2].__setitem__(1, 0.0), "sigma must be > 0"),
         ("erbf", lambda d: d["model"]["centers"][0].__setitem__(0, float("nan")),
          "centers holds a non-finite"),
@@ -417,7 +438,7 @@ class TestFitPredict:
         ("chebypoly", lambda d: d["model"].pop("weights"),
          "chebypoly model: missing field 'weights'"),
         ("ridge", lambda d: d["model"].__setitem__("intercept", [1]),
-         "ridge model: float() argument must be"),
+         "ridge model: intercept has shape (1,), expected ()"),
         ("ridge", lambda d: d["model"].__setitem__("standardizer", None),
          "ridge model: 'NoneType' object is not subscriptable"),
         ("ridge", lambda d: d.__setitem__("model", []),
@@ -430,7 +451,7 @@ class TestFitPredict:
         ("dt", lambda d: d["model"]["left"].__setitem__(0, 1.5),
          "left[0] = 1.5 is not an integer"),
         ("dt", lambda d: d["model"]["right"].__setitem__(0, float("nan")),
-         "right[0] = nan is not an integer"),
+         "tree: right holds a non-finite number"),
         # older schemas carried keys the current one dropped; they are refused, not read
         ("chebypoly", lambda d: d.__setitem__("schema_version", 2),
          "model file schema 2 is not supported"),
@@ -475,6 +496,41 @@ class TestFitPredict:
         assert main(["predict", "--model-file", str(model_path),
                      "--data", str(data), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, corrupt, field", [
+        ("ridge", lambda m: m["weights"].__setitem__(0, [1.0, 2.0]), "ridge model: weights"),
+        ("ridge", lambda m: m["weights"].__setitem__(0, "abc"), "ridge model: weights"),
+        ("dt", lambda m: m["value"].__setitem__(0, [1.0, 2.0]), "tree: value"),
+        ("dt", lambda m: m["value"].__setitem__(0, "abc"), "tree: value"),
+        ("dt", lambda m: m["feature"].__setitem__(0, "abc"), "tree: feature"),
+        ("chebypoly", lambda m: m["weights"].__setitem__(0, [1.0, 2.0]),
+         "chebypoly model: weights"),
+        ("chebypoly", lambda m: m["weights"].__setitem__(0, "abc"), "chebypoly model: weights"),
+        ("chebytree", lambda m: _poly_leaf(m)["weights"].__setitem__(0, [1.0, 2.0]),
+         "chebypoly model: weights"),
+        ("chebytree", lambda m: _poly_leaf(m)["weights"].__setitem__(0, "abc"),
+         "chebypoly model: weights"),
+        ("erbf", lambda m: m["centers"][2].pop(), "erbf model: centers"),
+        ("erbf", lambda m: m["centers"][2].__setitem__(0, "abc"), "erbf model: centers"),
+    ], ids=["ridge-ragged", "ridge-string", "dt-ragged", "dt-string", "dt-string-index",
+            "chebypoly-ragged", "chebypoly-string", "chebytree-ragged", "chebytree-string",
+            "erbf-ragged", "erbf-string"])
+    def test_predict_names_the_field_of_a_ragged_or_string_array(self, tmp_path, capsys,
+                                                                 kind, corrupt, field):
+        data = tmp_path / "train.csv"
+        _write_dataset(data, n=80)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--model", kind, "--data", str(data), "--target", "y",
+                     "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        corrupt(doc["model"])
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model-file", str(model_path),
+                     "--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{field} is not a number or a regular array of numbers" in err
         assert not out.exists()
 
     def test_predict_rejects_wrong_schema(self, tmp_path, capsys):
@@ -698,7 +754,19 @@ class TestBenchReport:
          ":2: fold record is missing ['model', "),
         ('{"record": "failure", "schema_version": 1, "dataset": "d", "model": "m"}',
          ":2: failure record is missing ['error']"),
-    ], ids=["list", "not-json", "fold-without-model", "failure-without-error"])
+        # values of the wrong JSON type, checked against FoldResult's annotations
+        (_fold_line(test_r2_adj="0.7"), ":2: test_r2_adj must be a number, got '0.7'"),
+        (_fold_line(fold="0"), ":2: fold must be an integer, got '0'"),
+        (_fold_line(fold=1.0), ":2: fold must be an integer, got 1.0"),
+        (_fold_line(fold=False), ":2: fold must be an integer, got False"),
+        (_fold_line(gap=True), ":2: gap must be a number, got True"),
+        (_fold_line(model=3), ":2: model must be a string, got 3"),
+        (_fold_line(best_params=[]), ":2: best_params must be an object, got []"),
+        ('{"record": "failure", "schema_version": 1, "dataset": "d", "model": "m", '
+         '"error": 5}', ":2: error must be a string, got 5"),
+    ], ids=["list", "not-json", "fold-without-model", "failure-without-error", "string-score",
+            "string-fold", "float-fold", "bool-fold", "bool-gap", "number-model",
+            "list-params", "number-error"])
     def test_report_on_malformed_results_exits_1_naming_the_line(self, tmp_path, capsys,
                                                                  line, message):
         results = tmp_path / "results.jsonl"
@@ -707,3 +775,12 @@ class TestBenchReport:
         assert main(["report", "--results", str(results),
                      "--out-dir", str(tmp_path / "rep")]) == 1
         assert f"{results}{message}" in capsys.readouterr().err
+
+    def test_report_refuses_a_string_fold_beside_an_integer_one(self, tmp_path, capsys):
+        # "0" and 0 would make two folds, and score both pairs null as missing folds
+        results = tmp_path / "results.jsonl"
+        results.write_text(_fold_line(model="a") + "\n" + _fold_line(model="b", fold="0") + "\n")
+        assert main(["report", "--results", str(results),
+                     "--out-dir", str(tmp_path / "rep")]) == 1
+        assert f"{results}:2: fold must be an integer, got '0'" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()

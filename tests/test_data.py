@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from smoothbench import data
 from smoothbench.data import (
     BLOCK_ROWS,
     Dataset,
@@ -22,6 +23,7 @@ from smoothbench.data import (
     inner_fold_count,
     kfold_split,
     load_csv,
+    read_array,
     subsample,
     write_csv,
     write_table,
@@ -459,30 +461,34 @@ def test_impute_median_schema_mismatch():
 # Quasi-constant filter
 
 
-def test_drop_quasi_constant_boundary():
+def test_drop_quasi_constant_boundary(monkeypatch):
     # 19 of 20 rows share a value -> 0.95 fraction: kept at the default
     # threshold (strict inequality), dropped just above it.
     col = np.ones(20)
     col[0] = 2.0
     X = np.column_stack([col, np.arange(20.0)])
     ds = Dataset(X, np.zeros(20), ("q", "ramp"))
-    assert drop_quasi_constant(ds, threshold=0.95).feature_names == ("q", "ramp")
-    assert drop_quasi_constant(ds, threshold=0.9499).feature_names == ("ramp",)
+    assert data.QUASI_CONSTANT_THRESHOLD == 0.95
+    assert drop_quasi_constant(ds).feature_names == ("q", "ramp")
+    monkeypatch.setattr(data, "QUASI_CONSTANT_THRESHOLD", 0.9499)
+    assert drop_quasi_constant(ds).feature_names == ("ramp",)
 
 
-def test_drop_quasi_constant_nan_not_a_value():
+def test_drop_quasi_constant_nan_not_a_value(monkeypatch):
     # NaNs never count toward the mode; a half-NaN constant column still has
     # mode fraction 10/20 = 0.5 and survives a 0.6 threshold.
     col = np.full(20, 7.0)
     col[10:] = np.nan
     ds = Dataset(np.column_stack([col, np.arange(20.0)]), np.zeros(20), ("h", "r"))
-    assert drop_quasi_constant(ds, threshold=0.6).feature_names == ("h", "r")
+    monkeypatch.setattr(data, "QUASI_CONSTANT_THRESHOLD", 0.6)
+    assert drop_quasi_constant(ds).feature_names == ("h", "r")
 
 
-def test_drop_quasi_constant_all_dropped_errors():
+def test_drop_quasi_constant_all_dropped_errors(monkeypatch):
     ds = Dataset(np.ones((10, 2)), np.zeros(10), ("a", "b"))
+    monkeypatch.setattr(data, "QUASI_CONSTANT_THRESHOLD", 0.5)
     with pytest.raises(ValueError, match="quasi-constant"):
-        drop_quasi_constant(ds, threshold=0.5)
+        drop_quasi_constant(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +566,7 @@ def test_standardizer_constant_column_floor():
 def test_standardizer_serialization():
     X = np.random.default_rng(0).normal(size=(10, 3))
     s = Standardizer.fit(X)
-    s2 = Standardizer.from_dict(s.to_dict())
+    s2 = Standardizer.from_dict(s.to_dict(), 3)
     assert np.allclose(s.apply(X), s2.apply(X))
 
 
@@ -591,10 +597,54 @@ def test_minmax_constant_column_maps_to_zero():
     assert Z[0, 0] == 0.0 and Z[1, 0] == 0.0
 
 
+# ---------------------------------------------------------------------------
+# The model-file array reader
+
+
+def test_read_array_returns_float64_of_the_shape():
+    d = {"w": [1, 2.5, -3], "c": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], "b": 7}
+    w = read_array("m", d, "w", (3,))
+    assert w.dtype == np.float64 and w.tolist() == [1.0, 2.5, -3.0]
+    # None matches any length
+    assert read_array("m", d, "c", (None, 2)).shape == (3, 2)
+    assert read_array("m", d, "w", (None,)).shape == (3,)
+    # () is a scalar
+    b = read_array("m", d, "b", ())
+    assert b.shape == () and b.dtype == np.float64 and float(b) == 7.0
+    assert read_array("m", {"e": []}, "e", (None,)).shape == (0,)
+
+
+@pytest.mark.parametrize("value, shape, message", [
+    ([1.0, 2.0], (3,), "m: w has shape (2,), expected (3,)"),
+    ([[1.0, 2.0]], (None, 3), "m: w has shape (1, 2), expected (n, 3)"),
+    ([1.0], (), "m: w has shape (1,), expected ()"),
+    (1.0, (None,), "m: w has shape (), expected (n,)"),
+    ([1.0, float("nan")], (2,), "m: w holds a non-finite number"),
+    (float("inf"), (), "m: w holds a non-finite number"),
+    ([[1.0, 2.0], [3.0]], (None, 2), "m: w is not a number or a regular array of numbers"),
+    ([1.0, [2.0, 3.0]], (2,), "m: w is not a number or a regular array of numbers"),
+    ([1.0, "abc"], (2,), "m: w is not a number or a regular array of numbers"),
+    ("1.5", (), "m: w is not a number or a regular array of numbers"),
+    ([1.0, None], (2,), "m: w is not a number or a regular array of numbers"),
+    (True, (), "m: w is not a number or a regular array of numbers"),
+    ({"a": 1.0}, (), "m: w is not a number or a regular array of numbers"),
+], ids=["short", "wide", "list-for-scalar", "scalar-for-list", "nan", "inf", "ragged-rows",
+        "ragged-entry", "string-entry", "string-scalar", "null-entry", "bool", "object"])
+def test_read_array_rejects_naming_owner_and_key(value, shape, message):
+    with pytest.raises(ValueError) as exc:
+        read_array("m", {"w": value}, "w", shape)
+    assert message in str(exc.value)
+
+
+def test_read_array_missing_key_is_a_key_error():
+    with pytest.raises(KeyError):
+        read_array("m", {}, "w", (2,))
+
+
 def test_minmax_serialization():
     X = np.random.default_rng(1).normal(size=(8, 2))
     s = MinMaxScaler.fit(X)
-    s2 = MinMaxScaler.from_dict(s.to_dict())
+    s2 = MinMaxScaler.from_dict(s.to_dict(), 2)
     Q = np.random.default_rng(2).normal(size=(5, 2)) * 10
     assert np.array_equal(s.apply(Q), s2.apply(Q))
 

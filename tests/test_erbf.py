@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from smoothbench import erbf
 from smoothbench.erbf import (
     ErbfModel,
     WIDTH_CAP,
@@ -220,18 +221,19 @@ def test_local_lipschitz_flags_steep_region():
     assert L[near].mean() > 10 * max(L[far].mean(), 1e-12)
 
 
-def test_local_lipschitz_percentile_cap():
+def test_local_lipschitz_percentile_cap(monkeypatch):
     rng = np.random.default_rng(139)
     x = rng.uniform(-1, 1, 300)
     y = (x > 0).astype(float)
-    L = local_lipschitz(x[:, None], y, clip_percentile=50.0)
+    monkeypatch.setattr(erbf, "LIPSCHITZ_CLIP_PERCENTILE", 50.0)
+    L = local_lipschitz(x[:, None], y)
     assert (L == L.max()).sum() >= 150  # at least half the points sit at the cap
 
 
 def test_local_lipschitz_matches_brute_force_across_chunks():
     # n = 1500 puts the rows in two distance chunks
     rng = np.random.default_rng(149)
-    n, k = 1500, 5
+    n, k = 1500, erbf.LIPSCHITZ_K
     X = rng.normal(size=(n, 3))
     y = np.sin(2 * X[:, 0]) + X[:, 1] * X[:, 2]
     want = np.empty(n)
@@ -241,7 +243,7 @@ def test_local_lipschitz_matches_brute_force_across_chunks():
         nb = np.argsort(dist)[:k]
         want[i] = np.max(np.abs(y[i] - y[nb]) / (dist[nb] + 1e-12))
     want = np.minimum(want, np.percentile(want, 99.0))
-    L = local_lipschitz(X, y, k=k)
+    L = local_lipschitz(X, y)
     # distances come from the Gram expansion here, from differences above
     np.testing.assert_allclose(L, want, rtol=1e-9, atol=0)
 
@@ -465,7 +467,7 @@ def test_serialization_round_trip():
     X = rng.normal(size=(90, 2))
     y = np.cos(X[:, 0]) + rng.normal(size=90) * 0.05
     model = fit_erbf(X, y, n_rbf_mode="fixed", n_rbf=6, alpha=0.01, seed=9)
-    back = ErbfModel.from_dict(model.to_dict())
+    back = ErbfModel.from_dict(model.to_dict(), 2)
     Q = rng.normal(size=(40, 2))
     assert np.array_equal(model.predict(Q), back.predict(Q))
     assert back.fit_info == model.fit_info

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from smoothbench.data import kfold_split
-from smoothbench.harness.metrics import FAILURE_SCORE, adjusted_r2, clip_predictions, r2
+from smoothbench.harness.metrics import FAILURE_SCORE, adjusted_r2, clip_bounds, r2
 from smoothbench.harness.nested_cv import (
     BenchRunConfig,
     FoldResult,
@@ -31,6 +31,7 @@ from smoothbench.harness.report import (
     write_report_files,
     write_results_jsonl,
 )
+from smoothbench.harness import stats
 from smoothbench.harness.search import (
     SPACES,
     Param,
@@ -45,7 +46,7 @@ from smoothbench.harness.stats import (
     nemenyi_cd,
     rank_matrix,
 )
-from smoothbench.registry import MODEL_KINDS, fit_model, hyperparameters
+from smoothbench.registry import MODEL_KINDS, fit_model, hyperparameters, predict_model
 from smoothbench.synth import gen
 
 # ---------------------------------------------------------------------------
@@ -105,6 +106,21 @@ class TestAdjustedR2:
                 assert adjusted_r2(1.0, n, d) == 1.0
             else:
                 assert adj == r
+
+
+class _Returns:
+    """A stand-in model whose predict returns fixed values."""
+
+    def __init__(self, preds):
+        self.preds = preds
+
+    def predict(self, X):
+        return self.preds
+
+
+def clip_predictions(preds, y_train):
+    """registry.predict_model on a model that predicts preds, clipped to y_train's bound."""
+    return predict_model("ridge", _Returns(preds), None, clip_bounds(y_train))
 
 
 class TestClipPredictions:
@@ -482,12 +498,13 @@ class TestMatchedGapWins:
         assert summary.smooth_wins == 1.5
         assert summary.fraction == 0.5
 
-    def test_threshold_boundary_inclusive(self):
+    def test_threshold_boundary_inclusive(self, monkeypatch):
         # |diff| exactly equal to the threshold still counts as matched
         # (values on the 2^-k grid keep the arithmetic exact)
         scores = {"A": {"s": 1.0, "t": 1.25}, "B": {"s": 1.0, "t": 1.3125}}
         gaps = {"A": {"s": 0.0, "t": 1.0}, "B": {"s": 0.0, "t": 1.0}}
-        (summary,) = matched_gap_wins(scores, gaps, [("s", "t")], threshold=0.25)
+        monkeypatch.setattr(stats, "MATCH_THRESHOLD", 0.25)
+        (summary,) = matched_gap_wins(scores, gaps, [("s", "t")])
         assert summary.matched == 1
         assert summary.smooth_wins == 1.0
 

@@ -9,6 +9,7 @@ minima (quadratics, Rosenbrock).
 import numpy as np
 import pytest
 
+from smoothbench import numkit
 from smoothbench.numkit import (
     OptimResult,
     kmeans,
@@ -176,8 +177,8 @@ def test_kmeans_exact_clusters():
     assert len(set(labels.tolist())) == 3
 
 
-def test_kmeans_sse_non_increasing_across_lloyd_iterations():
-    # kmeans is deterministic for a seed, and max_iter=m stops the same
+def test_kmeans_sse_non_increasing_across_lloyd_iterations(monkeypatch):
+    # kmeans is deterministic for a seed, and KMEANS_MAX_ITER=m stops the same
     # trajectory after m update steps, so sweeping m exposes per-iteration SSE
     rng = np.random.default_rng(17)
     for case in range(25):
@@ -188,7 +189,8 @@ def test_kmeans_sse_non_increasing_across_lloyd_iterations():
         seed = int(rng.integers(1 << 30))
         prev = None
         for m in range(1, 8):
-            centers, labels = kmeans(X, k, seed=seed, max_iter=m)
+            monkeypatch.setattr(numkit, "KMEANS_MAX_ITER", m)
+            centers, labels = kmeans(X, k, seed=seed)
             cur = sse_of(X, centers, labels)
             if prev is not None:
                 assert cur <= prev + 1e-9
