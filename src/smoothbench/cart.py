@@ -14,7 +14,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .data import read_array
+from .data import read_array, read_int_array
 
 Count = Union[int, float]
 
@@ -77,11 +77,12 @@ class RegressionTree:
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "RegressionTree":
         """Rebuild a tree, rejecting arrays that routing could crash or loop forever on."""
-        feature = _node_indices(d, "feature", None)
+        feature = read_int_array("tree", d, "feature", (None,))
         n = feature.shape[0]
         if n == 0:
             raise ValueError("tree: feature is empty")
-        left, right = _node_indices(d, "left", n), _node_indices(d, "right", n)
+        left = read_int_array("tree", d, "left", (n,))
+        right = read_int_array("tree", d, "right", (n,))
         try:  # not read_array's: a leaf's threshold is NaN
             threshold = np.asarray(d["threshold"], dtype=np.float64)
         except (TypeError, ValueError):
@@ -105,16 +106,6 @@ class RegressionTree:
             raise ValueError("tree: threshold of a split node is not finite")
         return cls(feature=feature, threshold=threshold, left=left, right=right,
                    value=read_array("tree", d, "value", (n,)))
-
-
-def _node_indices(d: dict, name: str, n: Optional[int]) -> np.ndarray:
-    """d[name] as int64 of shape (n,), rejecting entries that a cast would truncate or wrap."""
-    values = read_array("tree", d, name, (n,))
-    bad = np.flatnonzero(~(np.abs(values) < 2.0 ** 63) | (values != np.trunc(values)))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"tree: {name}[{i}] = {values[i]} is not an integer")
-    return values.astype(np.int64)
 
 
 def cart_fit(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import BasisConfig, build_design_matrix, interaction_feature_set, n_columns
-from .data import MinMaxScaler, read_array
+from .data import MinMaxScaler, read_array, read_int_array
 from .numkit import ridge_solve
 
 
@@ -51,12 +51,12 @@ class ChebyPolyModel:
 
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "ChebyPolyModel":
+        owner = "chebypoly model"
         basis = BasisConfig(**d["basis"])
-        feats = tuple(int(i) for i in d["interaction_feats"])
+        feats = tuple(int(i) for i in read_int_array(owner, d, "interaction_feats", (None,)))
         if not all(0 <= i < n_features for i in feats):
             raise ValueError(f"chebypoly model: interaction_feats {list(feats)} are not all "
                              f"feature indices below {n_features}")
-        owner = "chebypoly model"
         return cls(
             basis=basis,
             scaler=MinMaxScaler.from_dict(d["scaler"], n_features),

@@ -21,7 +21,7 @@ import numpy as np
 from .cart import Count, RegressionTree, cart_fit, cart_route
 from .chebypoly import ChebyPolyModel
 from .chebyshev import BasisConfig, build_design_matrix
-from .data import MinMaxScaler, minmax_scale, read_array
+from .data import MinMaxScaler, minmax_scale, read_array, read_int_array
 from .numkit import ridge_solve_segments
 
 
@@ -88,7 +88,7 @@ class ChebyTreeModel:
     def from_dict(cls, d: dict, n_features: int) -> "ChebyTreeModel":
         """Rebuild a model, reading the tree and every leaf at n_features so leaves stack."""
         tree = RegressionTree.from_dict(d["tree"], n_features)
-        c = int(d["complexity"])
+        c = int(read_int_array("chebytree model", d, "complexity", ()))
         leaf_models: Dict[int, Union[ChebyPolyModel, float]] = {}
         for key, entry in d["leaf_models"].items():
             if entry["kind"] == "constant":

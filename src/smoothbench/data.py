@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -376,14 +377,16 @@ def read_array(owner: str, d: dict, key: str, shape: tuple) -> np.ndarray:
     In shape, None matches any length and () means a scalar. A value of
     another shape, a non-finite entry, or a value that is not a number or a
     regular array of numbers (ragged, a string, null, an object) raises a
-    ValueError naming owner and key. A missing key raises KeyError.
+    ValueError naming owner and key; so does a bool at any depth, which numpy
+    would otherwise promote to 0 or 1 beside numbers. A missing key raises
+    KeyError.
     """
     value = d[key]
     try:
         a = np.asarray(value)
     except ValueError:  # ragged nesting, on numpy versions that refuse it
         a = None
-    if a is None or a.dtype.kind not in "iuf":
+    if a is None or a.dtype.kind not in "iuf" or _holds_bool(value):
         raise ValueError(f"{owner}: {key} is not a number or a regular array of numbers: "
                          f"{value!r:.60}")
     if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
@@ -393,6 +396,37 @@ def read_array(owner: str, d: dict, key: str, shape: tuple) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{owner}: {key} holds a non-finite number")
     return a
+
+
+def _holds_bool(value) -> bool:
+    """Whether a regular nest of lists (or a scalar) holds a bool.
+
+    One C-level type scan per depth, not one Python call per entry.
+    """
+    level = [value]
+    while level:
+        types = set(map(type, level))
+        if bool in types or np.bool_ in types:
+            return True
+        if list not in types and tuple not in types:
+            return False
+        level = list(chain.from_iterable(level))
+    return False
+
+
+def read_int_array(owner: str, d: dict, key: str, shape: tuple) -> np.ndarray:
+    """read_array's scalar or 1-D d[key] as int64.
+
+    An entry that an int cast would truncate or wrap (a fraction, or beyond
+    the int64 range) raises a ValueError naming owner, key and the entry.
+    """
+    values = read_array(owner, d, key, shape)
+    bad = np.flatnonzero(~(np.abs(values) < 2.0 ** 63) | (values != np.trunc(values)))
+    if bad.size:
+        i = int(bad[0])
+        at = f"[{i}]" if values.ndim else ""
+        raise ValueError(f"{owner}: {key}{at} = {values.flat[i]} is not an integer")
+    return values.astype(np.int64)
 
 
 def minmax_scale(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray) -> np.ndarray:

@@ -9,9 +9,12 @@ from local neighbourhood statistics. Stage 3 refines log-widths by L-BFGS
 against training MSE with the output layer held fixed; the output layer is
 then re-solved by ridge on the final activations.
 
-Activations, loss and gradient accumulate the quadratic form one feature at
-a time into (n, K) buffers, so fit and predict hold O(n K) working memory
-rather than (rows, K, d) tensors.
+Activations accumulate the quadratic form one feature at a time into one
+(n, K) buffer. The loss and its gradient make one pass over row blocks: a
+block's d scaled squares are formed once, into a (d, B, K) buffer of at most
+LOSS_BLOCK_BYTES, and serve both the activations and the gradient. Fit and
+predict so hold O(n K) working memory plus that block, never (n, K, d)
+tensors.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ WIDTH_MODES = ("local_ridge", "local_variance")
 LIPSCHITZ_K = 5
 LIPSCHITZ_EPS = 1e-12
 LIPSCHITZ_CLIP_PERCENTILE = 99.0
+
+# erbf_loss_and_grad: bytes of the (d, B, K) scaled-square block it holds
+LOSS_BLOCK_BYTES = 4 * 1024 * 1024
 
 
 def _is_int(value) -> bool:
@@ -164,18 +170,23 @@ def erbf_activations(X: np.ndarray, centers: np.ndarray, sigma: np.ndarray) -> n
     # the resulting inf/underflow arithmetic is well defined, so keep it quiet
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         for j in range(d):
-            _scaled_sq(X, centers, sigma, j, out=z)
+            _scaled_sq(X[:, j, None], centers[:, j], sigma[:, j], out=z)
             Phi += z
         Phi *= -0.5
         np.exp(Phi, out=Phi)
     return Phi
 
 
-def _scaled_sq(X: np.ndarray, centers: np.ndarray, sigma: np.ndarray, j: int,
-               out: np.ndarray) -> None:
-    """Write out[i, k] = ((x_ij - c_kj) / sigma_kj)^2 for one feature j."""
-    np.subtract(X[:, j, None], centers[:, j], out=out)
-    out /= sigma[:, j]
+def _scaled_sq(x: np.ndarray, c: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
+    """Write out = ((x - c) / s)^2, broadcasting x down out's last axis.
+
+    x is a column of inputs, c and s rows of centre and width coordinates.
+    Copying x first and subtracting in place is faster than one broadcast
+    subtract and gives the same bits.
+    """
+    np.copyto(out, x)
+    out -= c
+    out /= s
     out *= out
 
 
@@ -192,25 +203,49 @@ def erbf_loss_and_grad(
     theta is log(sigma) flattened to length K*d; centres, output weights and
     bias are held fixed. d mse / d theta_kj =
     (2/n) sum_i r_i w_k Phi_ik (x_ij - c_kj)^2 / sigma_kj^2.
+
+    One pass over blocks of B = LOSS_BLOCK_BYTES // (8 K d) rows: a block's
+    scaled squares z_j go once into a (d, B, K) buffer and serve both Phi
+    (summed in feature order from zeros, as erbf_activations does, so Phi
+    has the same bits) and the gradient. With one block the result equals
+    the two-pass kernel's bit for bit; with more, the gradient's sums over
+    rows run block by block.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     K, d = centers.shape
     n = X.shape[0]
+    B = max(1, min(n, LOSS_BLOCK_BYTES // (8 * K * d)))
+    Xt = np.ascontiguousarray(X.T)[:, :, None]
+    Ct = np.ascontiguousarray(centers.T)[:, None, :]
+    Z = np.empty((d, B, K))
+    Phi = np.empty((B, K))
+    r = np.empty(n)
+    Gt = np.empty((d, K))
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         sigma = np.exp(np.asarray(theta, dtype=np.float64).reshape(K, d))
-        Phi = erbf_activations(X, centers, sigma)
-        r = Phi @ weights + bias - y
+        St = np.ascontiguousarray(sigma.T)[:, None, :]
+        for s in range(0, n, B):
+            e = min(s + B, n)
+            Zb, Pb, rb = Z[:, :e - s], Phi[:e - s], r[s:e]
+            _scaled_sq(Xt[:, s:e], Ct, St, out=Zb)
+            Pb.fill(0.0)
+            for j in range(d):
+                Pb += Zb[j]
+            Pb *= -0.5
+            np.exp(Pb, out=Pb)
+            np.matmul(Pb, weights, out=rb)
+            rb += bias
+            rb -= y[s:e]
+            Pb *= rb[:, None]  # A = r Phi; Phi is not needed past it
+            np.minimum(Zb, 1e30, out=Zb)  # keep 0 * inf out of the contraction
+            if s == 0:
+                np.einsum("ik,jik->jk", Pb, Zb, out=Gt)
+            else:
+                Gt += np.einsum("ik,jik->jk", Pb, Zb)
         mse = float(r @ r) / n
-        G = np.empty((K, d))
-        A = r[:, None] * Phi
-        z2 = Phi  # Phi is not needed past A: reuse its buffer
-        for j in range(d):
-            _scaled_sq(X, centers, sigma, j, out=z2)
-            np.minimum(z2, 1e30, out=z2)  # keep 0 * inf out of the contraction
-            G[:, j] = np.einsum("ik,ik->k", A, z2)
-        G *= (2.0 / n) * weights[:, None]
-    grad = G.ravel()
+        Gt *= (2.0 / n) * weights
+    grad = Gt.T.ravel()
     if not math.isfinite(mse):
         raise ValueError("non-finite training loss in width optimisation")
     bad = np.flatnonzero(~np.isfinite(grad))

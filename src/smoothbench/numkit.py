@@ -43,15 +43,21 @@ def ridge_solve(Phi: np.ndarray, y: np.ndarray, alpha: float) -> Tuple[np.ndarra
 def _ridge_cholesky(A: np.ndarray, alpha: float) -> np.ndarray:
     """Lower Cholesky factor of A + alpha I, retried once with a jittered diagonal.
 
-    The retry adds 1e-10 * trace(A) / p to alpha; a second failure raises.
+    alpha is added to A's diagonal in place. The retry adds
+    1e-10 * trace(A) / p to alpha, on the original diagonal; a second
+    failure raises.
     """
     p = A.shape[0]
+    idx = np.arange(p)
+    diag = A[idx, idx]
+    A[idx, idx] = diag + alpha
     try:
-        return np.linalg.cholesky(A + alpha * np.eye(p))
+        return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        jitter = 1e-10 * np.trace(A) / p if p else 0.0
+        jitter = 1e-10 * diag.sum() / p if p else 0.0
+        A[idx, idx] = diag + (alpha + jitter)
         try:
-            return np.linalg.cholesky(A + (alpha + jitter) * np.eye(p))
+            return np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
             raise np.linalg.LinAlgError(
                 "normal matrix is singular; a positive alpha is required here"
@@ -93,9 +99,13 @@ def ridge_solve_segments(
         Xc = Phi[s:e] - col_means[j]
         A[j] = Xc.T @ Xc
         b[j] = Xc.T @ (y[s:e] - y_means[j])
+    idx = np.arange(p)
+    diag = A[:, idx, idx]
+    A[:, idx, idx] = diag + alpha
     try:
-        L = np.linalg.cholesky(A + alpha * np.eye(p))
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
+        A[:, idx, idx] = diag  # each segment retries from its own Gram matrix
         L = np.stack([_ridge_cholesky(a, alpha) for a in A])
     w = _cho_solve_stacked(L, b)
     intercepts = y_means - np.matmul(col_means[:, None, :], w[:, :, None])[:, 0, 0]

@@ -435,6 +435,18 @@ class TestFitPredict:
         ("chebypoly", lambda d: d["model"]["basis"].__setitem__(
             "max_interaction_complexity", True),
          "max_interaction_complexity must be an integer, got True"),
+        ("chebypoly", lambda d: d["model"].update(
+            basis=dict(d["model"]["basis"], include_interactions=True),
+            interaction_feats=[0, 1.7, "2"]),
+         "chebypoly model: interaction_feats is not a number or a regular array of numbers"),
+        ("chebypoly", lambda d: d["model"].update(
+            basis=dict(d["model"]["basis"], include_interactions=True),
+            interaction_feats=[0, 1.7]),
+         "chebypoly model: interaction_feats[1] = 1.7 is not an integer"),
+        ("chebytree", lambda d: d["model"].__setitem__("complexity", 2.9),
+         "chebytree model: complexity = 2.9 is not an integer"),
+        ("chebypoly", lambda d: d["model"]["weights"].__setitem__(0, True),
+         "chebypoly model: weights is not a number or a regular array of numbers"),
         ("chebypoly", lambda d: d["model"].pop("weights"),
          "chebypoly model: missing field 'weights'"),
         ("ridge", lambda d: d["model"].__setitem__("intercept", [1]),
@@ -478,7 +490,8 @@ class TestFitPredict:
             "erbf-short-stds", "erbf-zero-width", "erbf-nan-center", "erbf-inf-bias",
             "chebypoly-unknown-basis-key", "chebypoly-string-complexity",
             "chebypoly-fractional-complexity", "chebypoly-bool-interaction-complexity",
-            "chebypoly-no-weights", "ridge-list-intercept", "ridge-null-standardizer",
+            "chebypoly-string-interaction-feat", "chebypoly-fractional-interaction-feat",
+            "chebytree-fractional-complexity", "chebypoly-bool-weight", "chebypoly-no-weights", "ridge-list-intercept", "ridge-null-standardizer",
             "ridge-model-not-object", "feature-names-not-list", "dt-fractional-feature",
             "dt-fractional-left", "dt-nan-right", "schema-2", "schema-3", "file-is-list",
             "kind-is-list", "no-kind", "no-medians", "no-feature-names", "no-model"])

@@ -24,6 +24,7 @@ from smoothbench.data import (
     kfold_split,
     load_csv,
     read_array,
+    read_int_array,
     subsample,
     write_csv,
     write_table,
@@ -627,13 +628,33 @@ def test_read_array_returns_float64_of_the_shape():
     ("1.5", (), "m: w is not a number or a regular array of numbers"),
     ([1.0, None], (2,), "m: w is not a number or a regular array of numbers"),
     (True, (), "m: w is not a number or a regular array of numbers"),
+    ([1.0, True], (2,), "m: w is not a number or a regular array of numbers"),
+    ([[1.0], [False]], (2, 1), "m: w is not a number or a regular array of numbers"),
     ({"a": 1.0}, (), "m: w is not a number or a regular array of numbers"),
 ], ids=["short", "wide", "list-for-scalar", "scalar-for-list", "nan", "inf", "ragged-rows",
-        "ragged-entry", "string-entry", "string-scalar", "null-entry", "bool", "object"])
+        "ragged-entry", "string-entry", "string-scalar", "null-entry", "bool", "bool-entry",
+        "nested-bool", "object"])
 def test_read_array_rejects_naming_owner_and_key(value, shape, message):
     with pytest.raises(ValueError) as exc:
         read_array("m", {"w": value}, "w", shape)
     assert message in str(exc.value)
+
+
+def test_read_int_array_reads_integers_and_refuses_the_rest():
+    got = read_int_array("m", {"w": [0, 3.0, -2]}, "w", (None,))
+    assert got.dtype == np.int64 and got.tolist() == [0, 3, -2]
+    assert read_int_array("m", {"c": 2}, "c", ()).tolist() == 2
+    for value, shape, message in [
+        ([0, 1.7, 2], (None,), "m: w[1] = 1.7 is not an integer"),
+        (2.9, (), "m: w = 2.9 is not an integer"),
+        ([0, 1, 2.0 ** 63], (None,), "m: w[2] = 9.223372036854776e+18 is not an integer"),
+        ([0, 1.7, "2"], (None,), "m: w is not a number or a regular array of numbers"),
+        ([0, True], (None,), "m: w is not a number or a regular array of numbers"),
+        (True, (), "m: w is not a number or a regular array of numbers"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            read_int_array("m", {"w": value}, "w", shape)
+        assert message in str(exc.value)
 
 
 def test_read_array_missing_key_is_a_key_error():

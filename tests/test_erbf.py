@@ -134,7 +134,8 @@ def _loss_and_grad_reference(theta, X, y, centers, w, b):
     return float(r @ r) / len(y), G.ravel()
 
 
-@pytest.mark.parametrize("n,K,d", [(50, 6, 2), (60, 12, 9), (40, 9, 20), (1000, 70, 5)])
+@pytest.mark.parametrize("n,K,d", [(50, 6, 2), (60, 12, 9), (40, 9, 20), (1000, 70, 5),
+                                   (300, 40, 100)])
 def test_loss_and_grad_match_3d_reference(n, K, d):
     rng = np.random.default_rng(2000 + d)
     X = rng.normal(size=(n, d))
@@ -148,6 +149,90 @@ def test_loss_and_grad_match_3d_reference(n, K, d):
     # only the order of the float sums may differ: a few ulps of the result
     assert abs(mse - want_mse) <= 1e-13 * want_mse
     assert np.abs(grad - want_grad).max() <= 1e-13 * np.abs(want_grad).max()
+
+
+def _two_pass_loss_and_grad(theta, X, y, centers, w, b):
+    """The loss and gradient as two passes over (n, K) buffers.
+
+    The activations are summed over features, then each feature's scaled
+    square is formed again for its gradient column: the kernel that the
+    fused pass replaced, kept to pin that one row block gives its bits.
+    """
+    K, d = centers.shape
+    n = X.shape[0]
+    sigma = np.exp(theta.reshape(K, d))
+    Phi = np.zeros((n, K))
+    z = np.empty((n, K))
+
+    def scaled_sq(j):
+        np.subtract(X[:, j, None], centers[:, j], out=z)
+        np.divide(z, sigma[:, j], out=z)
+        np.multiply(z, z, out=z)
+
+    for j in range(d):
+        scaled_sq(j)
+        Phi += z
+    Phi *= -0.5
+    np.exp(Phi, out=Phi)
+    r = Phi @ w + b - y
+    A = r[:, None] * Phi
+    G = np.empty((K, d))
+    for j in range(d):
+        scaled_sq(j)
+        np.minimum(z, 1e30, out=z)
+        G[:, j] = np.einsum("ik,ik->k", A, z)
+    G *= (2.0 / n) * w[:, None]
+    return float(r @ r) / n, G.ravel()
+
+
+def _random_problem(n, K, d, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = rng.normal(size=n)
+    centers = X[rng.choice(n, size=K, replace=False)]
+    w = rng.normal(size=K)
+    b = float(rng.normal())
+    theta = np.log(rng.uniform(0.3, 3.0, size=K * d) * math.sqrt(d))
+    return theta, X, y, centers, w, b
+
+
+@pytest.mark.parametrize("n,K,d", [(667, 40, 5), (1000, 80, 5), (1067, 70, 5)])
+def test_one_block_equals_two_pass_kernel_bit_for_bit(n, K, d):
+    # the friedman1 fit shapes fit in one row block, where the fused pass
+    # must not move a bit: the width optimisation then follows the same path
+    assert n * K * d * 8 <= erbf.LOSS_BLOCK_BYTES
+    args = _random_problem(n, K, d, seed=n + K)
+    mse, grad = erbf_loss_and_grad(*args)
+    want_mse, want_grad = _two_pass_loss_and_grad(*args)
+    assert mse == want_mse
+    assert np.array_equal(grad, want_grad)
+
+
+def test_several_row_blocks_match_references(monkeypatch):
+    n, K, d = 50, 6, 3
+    # 16-row blocks: 16 + 16 + 16 + a ragged 2
+    monkeypatch.setattr(erbf, "LOSS_BLOCK_BYTES", 16 * 8 * K * d)
+    args = _random_problem(n, K, d, seed=31)
+    mse, grad = erbf_loss_and_grad(*args)
+    want_mse, want_grad = _loss_and_grad_reference(*args)
+    assert abs(mse - want_mse) <= 1e-13 * want_mse
+    assert np.abs(grad - want_grad).max() <= 1e-13 * np.abs(want_grad).max()
+    fd = central_difference_grad(*args)
+    assert np.abs(grad - fd).max() / max(1e-8, float(np.abs(fd).max())) < 1e-5
+
+
+def test_degenerate_row_in_last_block_raises(monkeypatch):
+    n, K, d = 50, 6, 3
+    monkeypatch.setattr(erbf, "LOSS_BLOCK_BYTES", 16 * 8 * K * d)
+    theta, X, y, centers, w, b = _random_problem(n, K, d, seed=37)
+    theta.reshape(K, d)[0] = -800.0  # centre 0's widths underflow to zero
+    centers[0] = X.max(axis=0) + 1.0  # no row shares a coordinate with it
+    X[-1] = centers[0] + 1.0
+    mse, grad = erbf_loss_and_grad(theta, X, y, centers, w, b)  # off the centre: finite
+    assert math.isfinite(mse) and np.isfinite(grad).all()
+    X[-1] = centers[0]  # row 49, in the ragged last block, now sits on it: 0/0
+    with pytest.raises(ValueError):
+        erbf_loss_and_grad(theta, X, y, centers, w, b)
 
 
 def test_gradient_zero_when_weights_zero():
