@@ -3,9 +3,11 @@
 # directory, as `python -m smoothbench.cli`; stops at the first command that
 # fails. It also checks that `report` rebuilds `bench`'s three report files
 # byte for byte, that a --param the model does not have exits 1, that a
-# bench config with a misspelt key exits 1 and writes no results, and that
-# predict refuses a model file with a feature name dropped or a ragged erbf
-# centers row, naming the field and writing no predictions.
+# bench config with a misspelt key exits 1 and writes no results, that every
+# model file is strict JSON (no NaN or Infinity token), and that predict
+# refuses a model file with a feature name dropped, a ragged erbf centers row
+# or a truncated chebytree weights row, naming the field and writing no
+# predictions.
 #
 # Usage: scripts/quickstart.sh   (needs python with numpy)
 set -euo pipefail
@@ -25,6 +27,24 @@ smoothbench fit --model erbf --data train.csv --target y \
 smoothbench predict --model-file tuned.json --data train.csv --out preds.csv
 smoothbench predict --model-file model.json --data train.csv --out poly-preds.csv
 smoothbench predict --model-file erbf.json --data train.csv --out erbf-preds.csv
+smoothbench fit --model chebytree --data train.csv --target y \
+    --param complexity=2 --param max_depth=4 --out tree.json
+smoothbench predict --model-file tree.json --data train.csv --out tree-preds.csv
+smoothbench fit --model dt --data train.csv --target y --out dt.json
+# every model file is strict JSON: a NaN or Infinity token fails here
+python - model.json tuned.json erbf.json tree.json dt.json <<'PY'
+import json
+import sys
+
+
+def refuse(token):
+    raise ValueError(f"non-finite token {token}")
+
+
+for path in sys.argv[1:]:
+    with open(path) as fh:
+        json.load(fh, parse_constant=refuse)
+PY
 cat > bench.json <<'JSON'
 {"datasets": [{"synthetic": "friedman1", "n": 150, "seed": 0}],
  "models": ["ridge", "dt"], "outer_k": 3,
@@ -57,22 +77,26 @@ fi
 # array, is refused with the field named, and no predictions are written
 python - <<'PY'
 import json
-for name, corrupt in (("short-names", lambda d: d["feature_names"].pop()),
-                      ("ragged-centers", lambda d: d["model"]["centers"][0].pop())):
-    with open("erbf.json") as fh:
+for name, source, corrupt in (
+        ("short-names", "erbf.json", lambda d: d["feature_names"].pop()),
+        ("ragged-centers", "erbf.json", lambda d: d["model"]["centers"][0].pop()),
+        ("short-weights-row", "tree.json", lambda d: d["model"]["weights"][0].pop())):
+    with open(source) as fh:
         doc = json.load(fh)
     corrupt(doc)
     with open(f"{name}.json", "w") as fh:
         json.dump(doc, fh)
 PY
-for broken in short-names ragged-centers; do
+for case in "short-names:erbf model: centers" "ragged-centers:erbf model: centers" \
+        "short-weights-row:chebytree model: weights"; do
+    broken="${case%%:*}" field="${case#*:}"
     status=0
     smoothbench predict --model-file "$broken.json" --data train.csv \
         --out "$broken-preds.csv" 2> "$broken.err" || status=$?
     if [ "$status" -ne 1 ] || [ -e "$broken-preds.csv" ] \
-            || ! grep -q "erbf model: centers" "$broken.err"; then
+            || ! grep -q "$field" "$broken.err"; then
         echo "predict on $broken.json exited $status; expected 1, a message naming" \
-             "erbf model: centers, and no predictions" >&2
+             "$field, and no predictions" >&2
         exit 1
     fi
 done

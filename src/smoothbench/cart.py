@@ -31,8 +31,8 @@ def resolve_count(value: Count, n: int) -> int:
             raise ValueError(f"count parameter must be at least 1, got {value}")
         return int(value)
     v = float(value)
-    if not 0.0 < v:
-        raise ValueError(f"count parameter must be positive, got {value}")
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"count parameter must be positive and finite, got {value}")
     if v < 1.0:
         return max(1, math.ceil(v * n))
     return max(1, int(round(v)))
@@ -41,6 +41,8 @@ def resolve_count(value: Count, n: int) -> int:
 @dataclass
 class RegressionTree:
     """Flat-array tree. feature[i] == -1 marks node i as a leaf.
+
+    A leaf's threshold is 0.0; routing stops at the leaf mark and never reads it.
 
     value[i] is the training mean of the rows at node i (the prediction, for
     leaves). leaf_rows maps each leaf's node index to its training-row indices;
@@ -83,12 +85,7 @@ class RegressionTree:
             raise ValueError("tree: feature is empty")
         left = read_int_array("tree", d, "left", (n,))
         right = read_int_array("tree", d, "right", (n,))
-        try:  # not read_array's: a leaf's threshold is NaN
-            threshold = np.asarray(d["threshold"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError("tree: threshold is not a regular array of numbers") from None
-        if threshold.shape != (n,):
-            raise ValueError(f"tree: threshold has shape {threshold.shape}, expected ({n},)")
+        threshold = read_array("tree", d, "threshold", (n,))
         bad = np.flatnonzero((feature < -1) | (feature >= n_features))
         if bad.size:
             i = int(bad[0])
@@ -102,8 +99,6 @@ class RegressionTree:
                 i = int(bad[0])
                 raise ValueError(f"tree: {name}[{i}] = {child[i]} is not a node "
                                  f"in {i + 1}..{n - 1}")
-        if not np.isfinite(threshold[split]).all():
-            raise ValueError("tree: threshold of a split node is not finite")
         return cls(feature=feature, threshold=threshold, left=left, right=right,
                    value=read_array("tree", d, "value", (n,)))
 
@@ -153,7 +148,7 @@ def cart_fit(
         m = rows.shape[0]
         mu = yn.sum() / m  # bitwise yn.mean(): np.mean is add.reduce over the count
         feature.append(-1)
-        threshold.append(math.nan)
+        threshold.append(0.0)
         left.append(-1)
         right.append(-1)
         value.append(float(mu))

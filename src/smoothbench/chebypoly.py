@@ -13,7 +13,7 @@ import numpy as np
 
 from .chebyshev import BasisConfig, build_design_matrix, interaction_feature_set, n_columns
 from .data import MinMaxScaler, read_array, read_int_array
-from .numkit import ridge_solve
+from .numkit import check_alpha, ridge_solve
 
 
 @dataclass
@@ -81,8 +81,7 @@ def fit_chebypoly(
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] != y.shape[0] or X.shape[0] < 2:
         raise ValueError("need matching X, y with at least 2 rows")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    check_alpha(alpha)
     basis = BasisConfig(
         complexity=complexity,
         include_interactions=include_interactions,

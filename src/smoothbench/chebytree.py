@@ -1,14 +1,20 @@
 """Chebyshev model tree: CART routing with a Chebyshev polynomial per leaf.
 
 Each leaf that holds enough rows gets its own interaction-free Chebyshev
-regressor (with its own per-leaf feature scaler); undersized leaves fall back
-to their training mean. Final predictions are clipped to the whole training
-target's mean +/- 3 standard deviations.
+regressor (with its own per-leaf feature scaling, clipped to its own target
+mean +/- 3 standard deviations); undersized leaves fall back to their training
+mean. Final predictions are clipped to the whole training target's mean +/- 3
+standard deviations.
 
-Fit and predict handle all polynomial leaves in one batched pass: rows are
-grouped by leaf, scaled with their own leaf's ranges, expanded by one design
-matrix call, and the per-leaf ridge systems are solved stacked. Working
-memory is O(N*p + L*p^2) for N rows, L polynomial leaves and p columns.
+The leaves are stored stacked, one row per leaf in tree.leaf_ids order: the
+scaling's mins and ranges, the weights, the intercept and the clip bounds lo
+and hi. A constant leaf is a row of zero mins, ranges and weights with
+intercept = lo = hi = its mean, so it predicts its mean bit for bit.
+
+Fit and predict handle all leaves in one batched pass: rows are grouped by
+leaf, scaled with their own leaf's ranges, expanded by one design matrix call,
+and the per-leaf ridge systems are solved stacked. Working memory is
+O(N*p + L*p^2) for N rows, L polynomial leaves and p columns.
 """
 
 from __future__ import annotations
@@ -19,10 +25,12 @@ from typing import Dict, Union
 import numpy as np
 
 from .cart import Count, RegressionTree, cart_fit, cart_route
-from .chebypoly import ChebyPolyModel
-from .chebyshev import BasisConfig, build_design_matrix
-from .data import MinMaxScaler, minmax_scale, read_array, read_int_array
-from .numkit import ridge_solve_segments
+from .chebyshev import BasisConfig, build_design_matrix, n_columns
+from .data import minmax_scale, read_array, read_int_array
+from .numkit import check_alpha, ridge_solve_segments
+
+# the stacked leaf arrays, each with one row per leaf
+LEAF_FIELDS = ("mins", "ranges", "weights", "intercepts", "lo", "hi")
 
 
 def leaf_fallback_threshold(complexity: int) -> int:
@@ -32,87 +40,75 @@ def leaf_fallback_threshold(complexity: int) -> int:
 
 @dataclass
 class ChebyTreeModel:
+    """Row j of mins, ranges (L, d), weights (L, p), intercepts, lo and hi (L,)
+    belongs to the leaf tree.leaf_ids[j]."""
+
     tree: RegressionTree
-    leaf_models: Dict[int, Union[ChebyPolyModel, float]]
     complexity: int
+    mins: np.ndarray
+    ranges: np.ndarray
+    weights: np.ndarray
+    intercepts: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     y_mean: float
     y_std: float
+
+    @property
+    def leaf_models(self) -> Dict[int, Union[np.ndarray, float]]:
+        """Leaf id -> its weight row, or its mean as a float if the row is all zero.
+
+        Kept only for perfbench's constant-leaf counter, which counts the float
+        values; delete it with the next change to perfbench.
+        """
+        return {leaf: w if w.any() else float(b)
+                for leaf, w, b in zip(self.tree.leaf_ids, self.weights, self.intercepts)}
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         leaves = cart_route(self.tree, X)
         order = np.argsort(leaves, kind="stable")
-        groups, starts = np.unique(leaves[order], return_index=True)
-        bounds = np.append(starts, X.shape[0])
-        out = np.empty(X.shape[0])
-        poly = []  # (leaf model, rows of X) per polynomial leaf
-        for j, leaf in enumerate(groups):
-            model = self.leaf_models[int(leaf)]
-            rows = order[bounds[j]:bounds[j + 1]]
-            if isinstance(model, float):
-                out[rows] = model
-            else:
-                poly.append((model, rows))
-        if poly:
-            sizes = [rows.shape[0] for _, rows in poly]
-            mins = np.repeat([m.scaler.mins for m, _ in poly], sizes, axis=0)
-            ranges = np.repeat([m.scaler.ranges for m, _ in poly], sizes, axis=0)
-            Xs = minmax_scale(X[np.concatenate([rows for _, rows in poly])], mins, ranges)
-            design = build_design_matrix(Xs, BasisConfig(self.complexity), ()).matrix
-            s = 0
-            for (model, leaf_rows), m in zip(poly, sizes):
-                raw = design[s:s + m] @ model.weights + model.intercept
-                out[leaf_rows] = np.clip(raw, model.y_mean - 3.0 * model.y_std,
-                                         model.y_mean + 3.0 * model.y_std)
-                s += m
-        lo = self.y_mean - 3.0 * self.y_std
-        hi = self.y_mean + 3.0 * self.y_std
-        return np.clip(out, lo, hi)
+        groups, starts, sizes = np.unique(leaves[order], return_index=True,
+                                          return_counts=True)
+        rows = np.searchsorted(self.tree.leaf_ids, groups)  # each group's leaf row
+        at = np.repeat(rows, sizes)  # each sorted row's leaf row
+        Xs = minmax_scale(X[order], self.mins[at], self.ranges[at])
+        design = build_design_matrix(Xs, BasisConfig(self.complexity), ()).matrix
+        raw = np.empty(X.shape[0])
+        for j, s, e in zip(rows, starts, starts + sizes):  # a gathered einsum changes bits
+            np.matmul(design[s:e], self.weights[j], out=raw[s:e])
+        out = np.empty_like(raw)
+        out[order] = np.clip(raw + self.intercepts[at], self.lo[at], self.hi[at])
+        return np.clip(out, self.y_mean - 3.0 * self.y_std, self.y_mean + 3.0 * self.y_std)
 
     def to_dict(self) -> dict:
-        leaves = {}
-        for leaf, model in self.leaf_models.items():
-            if isinstance(model, float):
-                leaves[str(leaf)] = {"kind": "constant", "value": model}
-            else:
-                leaves[str(leaf)] = {"kind": "chebypoly", "model": model.to_dict()}
         return {
             "tree": self.tree.to_dict(),
-            "leaf_models": leaves,
             "complexity": self.complexity,
+            **{name: getattr(self, name).tolist() for name in LEAF_FIELDS},
             "y_mean": self.y_mean,
             "y_std": self.y_std,
         }
 
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "ChebyTreeModel":
-        """Rebuild a model, reading the tree and every leaf at n_features so leaves stack."""
+        """Rebuild a model, reading each leaf array at the shape its tree and basis give."""
+        owner = "chebytree model"
         tree = RegressionTree.from_dict(d["tree"], n_features)
-        c = int(read_int_array("chebytree model", d, "complexity", ()))
-        leaf_models: Dict[int, Union[ChebyPolyModel, float]] = {}
-        for key, entry in d["leaf_models"].items():
-            if entry["kind"] == "constant":
-                leaf_models[int(key)] = float(read_array(f"chebytree leaf {key}", entry,
-                                                         "value", ()))
-                continue
-            try:
-                m = ChebyPolyModel.from_dict(entry["model"], n_features)
-            except ValueError as exc:
-                raise ValueError(f"chebytree leaf {key}: {exc}") from None
-            if m.basis.complexity != c or m.basis.include_interactions:
-                raise ValueError(f"chebytree leaf {key}: basis is not the model's "
-                                 f"interaction-free complexity {c}")
-            leaf_models[int(key)] = m
-        if set(leaf_models) != set(tree.leaf_ids):
-            raise ValueError(f"chebytree model: leaf models {sorted(leaf_models)} do not "
-                             f"match the tree's leaves {tree.leaf_ids}")
-        return cls(
-            tree=tree,
-            leaf_models=leaf_models,
-            complexity=c,
-            y_mean=float(read_array("chebytree model", d, "y_mean", ())),
-            y_std=float(read_array("chebytree model", d, "y_std", ())),
-        )
+        c = int(read_int_array(owner, d, "complexity", ()))
+        if c < 1:
+            raise ValueError(f"{owner}: complexity must be >= 1, got {c}")
+        L, p = len(tree.leaf_ids), n_columns(n_features, BasisConfig(c), 0)
+        shapes = {"mins": (L, n_features), "ranges": (L, n_features), "weights": (L, p)}
+        leaf = {name: read_array(owner, d, name, shapes.get(name, (L,))) for name in LEAF_FIELDS}
+        bad = np.flatnonzero(~(leaf["lo"] <= leaf["hi"]))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"{owner}: lo[{i}] = {leaf['lo'][i]} is above "
+                             f"hi[{i}] = {leaf['hi'][i]}")
+        return cls(tree=tree, complexity=c, **leaf,
+                   y_mean=float(read_array(owner, d, "y_mean", ())),
+                   y_std=float(read_array(owner, d, "y_std", ())))
 
 
 def fit_chebytree(
@@ -131,46 +127,45 @@ def fit_chebytree(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if alpha < 0:  # checked here too, as leaves may all end up constant
-        raise ValueError("alpha must be non-negative")
+    check_alpha(alpha)  # checked here too, as leaves may all end up constant
     basis = BasisConfig(complexity=complexity)  # rejects a non-integer complexity
     tree = cart_fit(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
                     min_samples_split=2)
+    leaves = tree.leaf_ids
+    mins = np.zeros((len(leaves), X.shape[1]))
+    ranges = np.zeros_like(mins)
+    weights = np.zeros((len(leaves), n_columns(X.shape[1], basis, 0)))
+    intercepts = tree.value[leaves]  # each leaf's mean: a constant leaf's row is done
+    lo, hi = intercepts.copy(), intercepts.copy()
     threshold = leaf_fallback_threshold(complexity)
-    poly = [leaf for leaf in tree.leaf_ids if tree.leaf_rows[leaf].shape[0] >= threshold]
-    polys: Dict[int, ChebyPolyModel] = {}
+    poly = [j for j, leaf in enumerate(leaves) if tree.leaf_rows[leaf].shape[0] >= threshold]
     if poly:
         # leaf_rows are ascending, so concatenating them groups rows stably by leaf
-        rows = [tree.leaf_rows[leaf] for leaf in poly]
+        rows = [tree.leaf_rows[leaves[j]] for j in poly]
         sizes = [r.shape[0] for r in rows]
         rows = np.concatenate(rows)
         bounds = np.concatenate([[0], np.cumsum(sizes)])
         Xp, yp = X[rows], y[rows]
-        mins = np.minimum.reduceat(Xp, bounds[:-1], axis=0)
-        ranges = np.maximum.reduceat(Xp, bounds[:-1], axis=0) - mins
-        Xs = minmax_scale(Xp, np.repeat(mins, sizes, axis=0),
-                          np.repeat(ranges, sizes, axis=0))
+        mins[poly] = np.minimum.reduceat(Xp, bounds[:-1], axis=0)
+        ranges[poly] = np.maximum.reduceat(Xp, bounds[:-1], axis=0) - mins[poly]
+        Xs = minmax_scale(Xp, np.repeat(mins[poly], sizes, axis=0),
+                          np.repeat(ranges[poly], sizes, axis=0))
         design = build_design_matrix(Xs, basis, ())
-        weights, intercepts = ridge_solve_segments(design.matrix, yp, bounds, alpha)
-        for j, leaf in enumerate(poly):
-            y_leaf = yp[bounds[j]:bounds[j + 1]]
-            polys[leaf] = ChebyPolyModel(
-                basis=basis,
-                scaler=MinMaxScaler(mins=mins[j], ranges=ranges[j]),
-                interaction_feats=(),
-                weights=weights[j],
-                intercept=float(intercepts[j]),
-                y_mean=float(y_leaf.mean()),
-                y_std=float(y_leaf.std()),
-            )
-    leaf_models: Dict[int, Union[ChebyPolyModel, float]] = {
-        leaf: polys[leaf] if leaf in polys else float(y[tree.leaf_rows[leaf]].mean())
-        for leaf in tree.leaf_ids
-    }
+        weights[poly], intercepts[poly] = ridge_solve_segments(design.matrix, yp, bounds,
+                                                               alpha)
+        for k, j in enumerate(poly):
+            y_leaf = yp[bounds[k]:bounds[k + 1]]
+            mu, sd = y_leaf.mean(), y_leaf.std()
+            lo[j], hi[j] = mu - 3.0 * sd, mu + 3.0 * sd
     return ChebyTreeModel(
         tree=tree,
-        leaf_models=leaf_models,
         complexity=int(complexity),
+        mins=mins,
+        ranges=ranges,
+        weights=weights,
+        intercepts=intercepts,
+        lo=lo,
+        hi=hi,
         y_mean=float(y.mean()),
         y_std=float(y.std()),
     )

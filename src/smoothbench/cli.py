@@ -32,7 +32,7 @@ from .harness import (
 from .registry import MODEL_KINDS, fit_model, hyperparameters, model_from_dict, predict_model
 from .synth import CATALOG, gen
 
-MODEL_FILE_SCHEMA = 4
+MODEL_FILE_SCHEMA = 5
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -147,9 +147,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "clip": list(clip),
         "model": model.to_dict(),
     }
+    try:  # strict JSON: a NaN or infinity is refused before --out is touched
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"model file: {exc}; {args.out} not written") from None
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
     preds = predict_model(args.model, model, ds.X, clip)
     print(f"fit {args.model} on {args.data}: n={ds.n} d={ds.d} "
           f"train_r2={r2(ds.y, preds):.4f} -> {args.out}")

@@ -290,13 +290,16 @@ class ErbfModel:
         sigma = read_array(owner, d, "sigma", (K, n_features))
         if not (sigma > 0).all():
             raise ValueError("erbf model: sigma must be > 0")
+        fit_info = d.get("fit_info", {})
+        if not isinstance(fit_info, dict):
+            raise ValueError(f"erbf model: fit_info is not an object: {fit_info!r:.60}")
         return cls(
             standardizer=Standardizer.from_dict(d["standardizer"], n_features),
             centers=centers,
             sigma=sigma,
             weights=read_array(owner, d, "weights", (K,)),
             bias=float(read_array(owner, d, "bias", ())),
-            fit_info=dict(d.get("fit_info", {})),
+            fit_info=dict(fit_info),
         )
 
 

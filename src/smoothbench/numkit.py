@@ -15,6 +15,12 @@ import numpy as np
 # Ridge regression via Cholesky-factored normal equations
 
 
+def check_alpha(alpha: float) -> None:
+    """Refuse a ridge penalty that is negative, NaN or infinite."""
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be non-negative and finite, got {alpha}")
+
+
 def ridge_solve(Phi: np.ndarray, y: np.ndarray, alpha: float) -> Tuple[np.ndarray, float]:
     """Solve min_w ||Phi w + b - y||^2 + alpha ||w||^2; the intercept b is unpenalised.
 
@@ -30,8 +36,7 @@ def ridge_solve(Phi: np.ndarray, y: np.ndarray, alpha: float) -> Tuple[np.ndarra
         raise ValueError("Phi must be (n, p) and y must be (n,) with matching n")
     if not np.isfinite(Phi).all() or not np.isfinite(y).all():
         raise ValueError("ridge_solve requires finite inputs")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    check_alpha(alpha)
 
     col_means = Phi.mean(axis=0)
     y_mean = float(y.mean())
@@ -82,8 +87,7 @@ def ridge_solve_segments(
     y = np.asarray(y, dtype=np.float64)
     if Phi.ndim != 2 or y.ndim != 1 or Phi.shape[0] != y.shape[0]:
         raise ValueError("Phi must be (n, p) and y must be (n,) with matching n")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    check_alpha(alpha)
     if not np.isfinite(Phi).all() or not np.isfinite(y).all():
         raise ValueError("ridge_solve requires finite inputs")
 

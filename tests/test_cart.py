@@ -5,8 +5,6 @@ every admissible (feature, adjacent-distinct-value midpoint) candidate with
 direct SSE computation, mirroring the documented tie-break order.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -257,6 +255,10 @@ def test_fraction_parameters_resolve_by_ceil():
     assert resolve_count(1.0, 45) == 1      # 1.0 is a count, not a fraction
     with pytest.raises(ValueError):
         resolve_count(-0.5, 10)
+    # an infinite count used to die in int(round(inf)) with an OverflowError
+    for value in (float("inf"), 1e400, float("nan")):
+        with pytest.raises(ValueError, match=f"count parameter must be positive.*got {value}"):
+            resolve_count(value, 10)
 
     # through the fit API: n=40, min_samples_leaf=0.1 -> 4 rows minimum
     rng = np.random.default_rng(61)
@@ -338,7 +340,7 @@ def reference_cart_fit(X, y, max_depth, min_samples_leaf=1, min_samples_split=2)
     def new_node(rows):
         idx = len(feature)
         feature.append(-1)
-        threshold.append(math.nan)
+        threshold.append(0.0)  # the leaf mark, as in cart_fit
         left.append(-1)
         right.append(-1)
         value.append(float(y[rows].mean()))
@@ -417,7 +419,7 @@ def _reference_restrict_order(order, keep):
 
 def assert_trees_identical(got, want):
     for name in ("feature", "threshold", "left", "right", "value"):
-        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.leaf_rows.keys() == want.leaf_rows.keys()
     for leaf, rows in want.leaf_rows.items():
         assert np.array_equal(got.leaf_rows[leaf], rows)

@@ -2,21 +2,46 @@
 equivalence with the global polynomial, per-leaf affine structure, and the
 piecewise-linear recovery case the routing + linear-leaf combination is built
 for.
+
+The model stores its leaves stacked, one row per leaf in tree.leaf_ids order;
+a constant leaf is a row of zero weights. The per-leaf oracle below fits
+fit_chebypoly on each leaf's rows and predicts with ChebyPolyModel.predict.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from smoothbench.chebypoly import ChebyPolyModel, fit_chebypoly
+from smoothbench.chebypoly import fit_chebypoly
 from smoothbench.chebytree import (
+    LEAF_FIELDS,
     ChebyTreeModel,
     fit_chebytree,
     leaf_fallback_threshold,
 )
 from smoothbench.cart import cart_fit, cart_route
-from smoothbench.chebyshev import build_design_matrix
+from smoothbench.chebyshev import BasisConfig, build_design_matrix
+from smoothbench.data import minmax_scale
 from smoothbench.harness.search import SPACES
+from smoothbench.registry import model_from_dict
 from smoothbench.synth import gen
+
+
+def _leaf_kinds(model):
+    """{True} if every leaf is a polynomial, {False} if every leaf is constant, else both."""
+    return set(model.weights.any(axis=1).tolist())
+
+
+def _leaf_predict(model, leaf, Q):
+    """One leaf's row applied to Q on its own: a constant leaf's mean, or the
+    scale, expand, multiply and clip of ChebyPolyModel.predict."""
+    j = model.tree.leaf_ids.index(leaf)
+    if not model.weights[j].any():
+        return np.full(Q.shape[0], model.intercepts[j])
+    Xs = minmax_scale(Q, model.mins[j], model.ranges[j])
+    design = build_design_matrix(Xs, BasisConfig(model.complexity), ()).matrix
+    return np.clip(design @ model.weights[j] + model.intercepts[j], model.lo[j], model.hi[j])
 
 
 def test_leaf_fallback_threshold_formula():
@@ -38,14 +63,26 @@ def test_undersized_leaves_fall_back_to_constants():
 
     leaves = model.tree.leaf_ids
     assert len(leaves) == 2
-    sizes = {leaf: model.tree.leaf_rows[leaf].size for leaf in leaves}
-    for leaf in leaves:
-        if sizes[leaf] >= 10:
-            assert isinstance(model.leaf_models[leaf], ChebyPolyModel)
+    for j, leaf in enumerate(leaves):
+        rows = model.tree.leaf_rows[leaf]
+        if rows.size >= 10:
+            assert model.weights[j].any()
         else:
-            assert isinstance(model.leaf_models[leaf], float)
-            rows = model.tree.leaf_rows[leaf]
-            assert model.leaf_models[leaf] == float(y[rows].mean())
+            # zero mins, ranges and weights; intercept, lo and hi all the mean
+            assert not (model.mins[j].any() or model.ranges[j].any() or model.weights[j].any())
+            mean = float(y[rows].mean())
+            assert model.intercepts[j] == model.lo[j] == model.hi[j] == mean
+    assert _leaf_kinds(model) == {True, False}
+
+
+def test_leaf_models_counts_zero_weight_rows_as_constant_leaves():
+    # perfbench reads leaf_models and counts its float values as constant leaves
+    ds = gen("friedman1", n=300, seed=3)
+    model = fit_chebytree(ds.X, ds.y, complexity=2, alpha=0.1, max_depth=8)
+    leaves = model.leaf_models
+    assert list(leaves) == model.tree.leaf_ids
+    const = [isinstance(m, float) for m in leaves.values()]
+    assert const == (~model.weights.any(axis=1)).tolist() and 0 < sum(const) < len(const)
 
 
 def test_negative_alpha_is_refused_even_when_every_leaf_is_constant():
@@ -55,9 +92,11 @@ def test_negative_alpha_is_refused_even_when_every_leaf_is_constant():
     # depth 6 on these 40 rows leaves no leaf big enough for a polynomial, so
     # the ridge solve that also checks alpha never runs
     model = fit_chebytree(X, y, alpha=1.0, max_depth=6)
-    assert all(isinstance(m, float) for m in model.leaf_models.values())
-    with pytest.raises(ValueError, match="alpha must be non-negative"):
-        fit_chebytree(X, y, alpha=-5.0, max_depth=6)
+    assert _leaf_kinds(model) == {False}
+    # NaN and infinity are refused too; NaN used to fit and score train_r2=nan
+    for alpha in (-5.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="alpha must be non-negative"):
+            fit_chebytree(X, y, alpha=alpha, max_depth=6)
 
 
 def test_single_leaf_equals_global_chebypoly():
@@ -95,7 +134,7 @@ def test_leaf_predictions_are_affine_with_complexity_one():
     checked = 0
     for leaf in model.tree.leaf_ids:
         rows = np.flatnonzero(leaves == leaf)
-        if rows.size < 4 or isinstance(model.leaf_models[leaf], float):
+        if rows.size < 4 or not model.weights[model.tree.leaf_ids.index(leaf)].any():
             continue
         A = np.column_stack([X[rows], np.ones(rows.size)])
         coef, *_ = np.linalg.lstsq(A, preds[rows], rcond=None)
@@ -138,8 +177,7 @@ def test_every_query_uses_exactly_one_leaf_model():
     manual = np.empty(80)
     for leaf in np.unique(leaves):
         rows = np.flatnonzero(leaves == leaf)
-        m = model.leaf_models[int(leaf)]
-        manual[rows] = m if isinstance(m, float) else m.predict(Q[rows])
+        manual[rows] = _leaf_predict(model, int(leaf), Q[rows])
     manual = np.clip(manual, model.y_mean - 3 * model.y_std,
                      model.y_mean + 3 * model.y_std)
     assert np.array_equal(model.predict(Q), manual)
@@ -147,8 +185,7 @@ def test_every_query_uses_exactly_one_leaf_model():
     # row-at-a-time recomposition agrees up to BLAS accumulation order
     single = np.empty(80)
     for i in range(80):
-        m = model.leaf_models[int(leaves[i])]
-        single[i] = m if isinstance(m, float) else m.predict(Q[i:i + 1])[0]
+        single[i] = _leaf_predict(model, int(leaves[i]), Q[i:i + 1])[0]
     single = np.clip(single, model.y_mean - 3 * model.y_std,
                      model.y_mean + 3 * model.y_std)
     assert np.abs(model.predict(Q) - single).max() < 1e-9
@@ -179,9 +216,10 @@ def test_serialization_round_trip():
     back = ChebyTreeModel.from_dict(model.to_dict(), 2)
     Q = rng.normal(size=(50, 2)) * 2
     assert np.array_equal(model.predict(Q), back.predict(Q))
-    # both constant and polynomial leaves survive the round trip
-    kinds = {type(m) for m in model.leaf_models.values()}
-    assert kinds == {type(m) for m in back.leaf_models.values()}
+    # both constant and polynomial leaves survive the round trip, bit for bit
+    assert _leaf_kinds(model) == {True, False}
+    for name in LEAF_FIELDS:
+        assert np.array_equal(getattr(back, name), getattr(model, name)), name
 
 
 def test_beats_single_polynomial_on_stepwise_target():
@@ -202,7 +240,10 @@ def test_beats_single_polynomial_on_stepwise_target():
 
 
 def _per_leaf_reference(X, y, complexity, alpha, max_depth, min_samples_leaf=1):
-    """The one-leaf-at-a-time algorithm: fit_chebypoly on each leaf's rows."""
+    """The one-leaf-at-a-time algorithm: fit_chebypoly on each leaf's rows.
+
+    leaf_models maps each leaf to its ChebyPolyModel, or to its mean as a float.
+    """
     tree = cart_fit(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
                     min_samples_split=2)
     models = {}
@@ -213,18 +254,23 @@ def _per_leaf_reference(X, y, complexity, alpha, max_depth, min_samples_leaf=1):
                                          alpha=alpha, include_interactions=False)
         else:
             models[leaf] = float(y[rows].mean())
-    return ChebyTreeModel(tree=tree, leaf_models=models, complexity=complexity,
-                          y_mean=float(y.mean()), y_std=float(y.std()))
+    return SimpleNamespace(tree=tree, leaf_models=models, y_mean=float(y.mean()),
+                           y_std=float(y.std()))
 
 
-def _per_leaf_predict(model, Q):
-    """Route, predict each leaf's rows with its own model, then clip globally."""
+def _reference_leaf_predict(ref, leaf, Q):
+    m = ref.leaf_models[leaf]
+    return np.full(Q.shape[0], m) if isinstance(m, float) else m.predict(Q)
+
+
+def _per_leaf_predict(model, Q, leaf_predict=_leaf_predict):
+    """Route, predict each leaf's rows with leaf_predict(model, leaf, rows of Q),
+    then clip globally."""
     leaves = cart_route(model.tree, Q)
     out = np.empty(Q.shape[0])
     for leaf in np.unique(leaves):
         rows = np.flatnonzero(leaves == leaf)
-        m = model.leaf_models[int(leaf)]
-        out[rows] = m if isinstance(m, float) else m.predict(Q[rows])
+        out[rows] = leaf_predict(model, int(leaf), Q[rows])
     return np.clip(out, model.y_mean - 3 * model.y_std, model.y_mean + 3 * model.y_std)
 
 
@@ -235,20 +281,21 @@ def _rel(a, b):
 def _assert_matches_reference(X, y, Q, **params):
     got = fit_chebytree(X, y, **params)
     ref = _per_leaf_reference(X, y, **params)
-    assert list(got.leaf_models) == list(ref.leaf_models)
-    for leaf, want in ref.leaf_models.items():
-        have = got.leaf_models[leaf]
-        assert type(have) is type(want)
+    assert got.tree.leaf_ids == list(ref.leaf_models)
+    for j, want in enumerate(ref.leaf_models.values()):
         if isinstance(want, float):
-            assert have == want
+            assert not (got.mins[j].any() or got.ranges[j].any() or got.weights[j].any())
+            assert got.intercepts[j] == got.lo[j] == got.hi[j] == want
             continue
-        assert np.array_equal(have.scaler.mins, want.scaler.mins)
-        assert np.array_equal(have.scaler.ranges, want.scaler.ranges)
-        assert have.basis == want.basis and have.interaction_feats == ()
-        assert (have.y_mean, have.y_std) == (want.y_mean, want.y_std)
-        assert _rel(have.weights, want.weights) < 1e-10
-        assert _rel(np.array([have.intercept]), np.array([want.intercept])) < 1e-10
-    assert _rel(got.predict(Q), _per_leaf_predict(ref, Q)) < 1e-10
+        assert np.array_equal(got.mins[j], want.scaler.mins)
+        assert np.array_equal(got.ranges[j], want.scaler.ranges)
+        assert want.basis == BasisConfig(got.complexity) and want.interaction_feats == ()
+        # the leaf's clip bounds, from its y_mean and y_std bit for bit
+        assert got.lo[j] == want.y_mean - 3.0 * want.y_std
+        assert got.hi[j] == want.y_mean + 3.0 * want.y_std
+        assert _rel(got.weights[j], want.weights) < 1e-10
+        assert _rel(got.intercepts[j:j + 1], np.array([want.intercept])) < 1e-10
+    assert _rel(got.predict(Q), _per_leaf_predict(ref, Q, _reference_leaf_predict)) < 1e-10
     return got
 
 
@@ -288,9 +335,7 @@ def test_batched_fit_edge_cases_match_per_leaf_reference():
     Xc[Xc[:, 0] <= 0.0, 1] = 0.25
     model = _assert_matches_reference(Xc, y + 3.0 * (Xc[:, 0] > 0), Q,
                                       complexity=2, alpha=0.1, max_depth=1)
-    ranges = [m.scaler.ranges for m in model.leaf_models.values()
-              if isinstance(m, ChebyPolyModel)]
-    assert any((r == 0).any() for r in ranges)
+    assert (model.ranges[model.weights.any(axis=1)] == 0).any()
 
 
 def test_batched_fit_jitter_retry_matches_per_leaf_reference():
@@ -302,11 +347,10 @@ def test_batched_fit_jitter_retry_matches_per_leaf_reference():
     y = np.concatenate([np.repeat([0.0, 1.0], 10), rng.normal(size=30) + 9.0])
     X = x[:, None]
     model = fit_chebytree(X, y, complexity=3, alpha=0.0, max_depth=1)
-    assert all(isinstance(m, ChebyPolyModel) for m in model.leaf_models.values())
-    left_leaf = model.tree.leaf_ids[0]
-    left_model = model.leaf_models[left_leaf]
-    Xs = left_model.scaler.apply(X[model.tree.leaf_rows[left_leaf]])
-    design = build_design_matrix(Xs, left_model.basis, ()).matrix
+    assert _leaf_kinds(model) == {True}
+    Xs = minmax_scale(X[model.tree.leaf_rows[model.tree.leaf_ids[0]]],
+                      model.mins[0], model.ranges[0])
+    design = build_design_matrix(Xs, BasisConfig(3), ()).matrix
     assert np.unique(design, axis=0).shape[0] == 2
     centred = design - design.mean(axis=0)
     with pytest.raises(np.linalg.LinAlgError):
@@ -329,6 +373,8 @@ def test_batched_fit_raises_what_the_per_leaf_fit_raises():
         (X, y_nan, 0.1, ValueError),
         (X_inf, rng.normal(size=40), 0.1, ValueError),
         (X, rng.normal(size=40), -1.0, ValueError),
+        (X, rng.normal(size=40), np.nan, ValueError),
+        (X, rng.normal(size=40), np.inf, ValueError),
     ]
     for Xc, yc, alpha, exc in cases:
         with pytest.raises(exc) as want, np.errstate(invalid="ignore"):
@@ -343,8 +389,7 @@ def test_batched_predict_equals_per_leaf_recomposition_bit_for_bit():
     rng = np.random.default_rng(131)
     model = fit_chebytree(ds.X, ds.y, complexity=3, alpha=0.05, max_depth=8,
                           min_samples_leaf=3)
-    kinds = {type(m) for m in model.leaf_models.values()}
-    assert kinds == {ChebyPolyModel, float}
+    assert _leaf_kinds(model) == {True, False}
     Q = rng.uniform(-0.2, 1.2, size=(10_000, ds.d))
     assert np.array_equal(model.predict(Q), _per_leaf_predict(model, Q))
     # the served path: a model read back from its file
@@ -353,27 +398,38 @@ def test_batched_predict_equals_per_leaf_recomposition_bit_for_bit():
     assert np.array_equal(back.predict(Q), model.predict(Q))
 
 
+def _old_layout(d, j):
+    """The schema-4 layout: a leaf_models dict in place of the stacked arrays."""
+    for name in LEAF_FIELDS:
+        d.pop(name)
+    d["leaf_models"] = {"1": {"kind": "constant", "value": 0.0}}
+
+
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda d, leaf: d["leaf_models"].pop(leaf), "do not match the tree's leaves"),
-    (lambda d, leaf: d["leaf_models"].__setitem__("999", {"kind": "constant",
-                                                          "value": 0.0}),
-     "do not match the tree's leaves"),
-    (lambda d, leaf: d.__setitem__("complexity", 3), "complexity 3"),
-    (lambda d, leaf: d["leaf_models"][leaf]["model"]["scaler"]["mins"].pop(),
-     "mins has shape"),
-    (lambda d, leaf: d["leaf_models"][leaf]["model"]["weights"].append(0.0),
-     "weights has"),
-    (lambda d, leaf: d["leaf_models"][leaf]["model"].__setitem__("intercept", np.inf),
-     "non-finite"),
+    (lambda d, j: d["intercepts"].pop(), r"intercepts has shape \(\d+,\), expected"),
+    (lambda d, j: d["weights"].append(d["weights"][j]), r"weights has shape \(\d+, 5\)"),
+    (lambda d, j: d.__setitem__("complexity", 3), r"weights has shape \(\d+, 5\), expected "
+                                                  r"\(\d+, 7\)"),
+    (lambda d, j: [row.pop() for row in d["mins"]], r"mins has shape \(\d+, 1\), expected "
+                                                     r"\(\d+, 2\)"),
+    (lambda d, j: d["weights"][j].append(0.0),
+     "weights is not a number or a regular array of numbers"),
+    (lambda d, j: d["intercepts"].__setitem__(j, np.inf), "intercepts holds a non-finite"),
+    (lambda d, j: d["ranges"][j].__setitem__(0, np.nan), "ranges holds a non-finite"),
+    (lambda d, j: d.__setitem__("hi", "abc"), "hi is not a number"),
+    (lambda d, j: d.update(lo=d["hi"], hi=d["lo"]), r"lo\[\d+\] = .* is above hi"),
+    (lambda d, j: d.__setitem__("complexity", 0), "complexity must be >= 1, got 0"),
+    (_old_layout, "missing field 'mins'"),
 ], ids=["missing-leaf", "extra-leaf", "complexity", "feature-count", "weights-length",
-        "inf-intercept"])
+        "inf-intercept", "nan-range", "string-hi", "lo-above-hi", "zero-complexity",
+        "old-layout"])
 def test_from_dict_rejects_corrupted_leaves(corrupt, message):
     rng = np.random.default_rng(137)
     X = rng.normal(size=(120, 2))
     model = fit_chebytree(X, X[:, 0] - X[:, 1] ** 2, complexity=2, alpha=0.01,
                           max_depth=2)
     d = model.to_dict()
-    leaf = next(k for k, v in d["leaf_models"].items() if v["kind"] == "chebypoly")
-    corrupt(d, leaf)
-    with pytest.raises(ValueError, match=message):
-        ChebyTreeModel.from_dict(d, 2)
+    j = int(np.flatnonzero(model.weights.any(axis=1))[0])  # a polynomial leaf's row
+    corrupt(d, j)
+    with pytest.raises(ValueError, match="chebytree model: " + message):
+        model_from_dict("chebytree", d, 2)

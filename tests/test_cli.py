@@ -41,10 +41,24 @@ def _fold_line(**values):
     return json.dumps({**rec, **values})
 
 
-def _poly_leaf(model):
-    """The first polynomial leaf model of a chebytree model dict."""
-    leaves = model["leaf_models"]
-    return next(v["model"] for v in leaves.values() if v["kind"] == "chebypoly")
+def _poly_row(model):
+    """The row of the first polynomial leaf in a chebytree model dict's leaf arrays."""
+    return next(j for j, w in enumerate(model["weights"]) if any(w))
+
+
+def _to_leaf_models_layout(model, row):
+    """Put a chebytree model dict back in the schema-4 layout: one entry per leaf."""
+    for name in ("mins", "ranges", "weights", "intercepts", "lo", "hi"):
+        model.pop(name)
+    model["leaf_models"] = {"1": {"kind": "constant", "value": 0.0},
+                            "2": {"kind": "constant", "value": 1.0}}
+
+
+def _strict_json(text):
+    """Parse JSON that must hold no NaN, Infinity or -Infinity token."""
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def _drop_last_feature(doc):
@@ -186,8 +200,16 @@ class TestFitPredict:
         # the seed comes from --seed, not from a hyperparameter
         ("erbf", "seed=3", "erbf has no hyperparameter 'seed'"),
         ("dt", "min_samples_leaf=-1", "count parameter must be at least 1, got -1"),
+        # an infinite count used to end in an OverflowError traceback
+        ("dt", "min_samples_leaf=Infinity", "count parameter must be positive and finite, got inf"),
+        ("dt", "min_samples_split=1e400", "count parameter must be positive and finite, got inf"),
+        # a NaN alpha used to fit and print train_r2=nan; an infinite one wrote Infinity
+        ("chebypoly", "alpha=NaN", "alpha must be non-negative and finite, got nan"),
+        ("ridge", "alpha=Infinity", "alpha must be non-negative and finite, got inf"),
+        ("chebytree", "alpha=-Infinity", "alpha must be non-negative and finite, got -inf"),
     ], ids=["misspelt-name", "fractional-depth", "fixed-size-without-size", "seed",
-            "leaf-count-below-one"])
+            "leaf-count-below-one", "infinite-leaf-count", "overflowing-split-count",
+            "nan-alpha", "infinite-alpha", "minus-infinite-alpha"])
     def test_fit_rejects_a_param_the_model_does_not_take(self, tmp_path, capsys, kind,
                                                          param, message):
         data = tmp_path / "train.csv"
@@ -196,6 +218,18 @@ class TestFitPredict:
         assert main(["fit", "--model", kind, "--data", str(data), "--target", "y",
                      "--out", str(model_path), "--param", param]) == 1
         assert message in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_fit_refuses_a_non_finite_model_and_writes_no_file(self, tmp_path, capsys,
+                                                              monkeypatch):
+        data = tmp_path / "train.csv"
+        _write_dataset(data, n=50)
+        monkeypatch.setattr("smoothbench.linear.RidgeModel.to_dict",
+                            lambda self: {"weights": [float("nan")]})
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--model", "ridge", "--data", str(data), "--target", "y",
+                     "--out", str(model_path)]) == 1
+        assert "model file: Out of range float values" in capsys.readouterr().err
         assert not model_path.exists()
 
     def test_max_samples_subsamples_training_data(self, tmp_path, capsys):
@@ -254,10 +288,18 @@ class TestFitPredict:
         assert "missing feature columns" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda leaf: leaf["weights"].pop(), "weights has"),
-        (lambda leaf: leaf["scaler"]["mins"].__setitem__(0, float("nan")),
-         "non-finite"),
-    ], ids=["truncated-weights", "nan-mins"])
+        # a row of the wrong width
+        (lambda m, j: m["weights"][j].pop(),
+         "weights is not a number or a regular array of numbers"),
+        (lambda m, j: m["mins"][j].__setitem__(0, float("nan")), "mins holds a non-finite"),
+        # a stacked field one row short
+        (lambda m, j: m["intercepts"].pop(), "intercepts has shape (1,), expected (2,)"),
+        (lambda m, j: m["lo"].__setitem__(j, "abc"),
+         "lo is not a number or a regular array of numbers"),
+        (lambda m, j: m["lo"].__setitem__(j, m["hi"][j] + 1.0), "lo["),
+        (_to_leaf_models_layout, "missing field 'mins'"),
+    ], ids=["truncated-weights", "nan-mins", "short-intercepts", "string-lo", "lo-above-hi",
+            "old-leaf-models-layout"])
     def test_predict_rejects_corrupted_chebytree_leaf(self, tmp_path, capsys,
                                                       corrupt, message):
         data = tmp_path / "train.csv"
@@ -267,15 +309,12 @@ class TestFitPredict:
                      "--target", "y", "--out", str(model_path),
                      "--param", "max_depth=1", "--param", "complexity=1"]) == 0
         doc = json.loads(model_path.read_text())
-        leaves = doc["model"]["leaf_models"]
-        key = next(k for k, v in leaves.items() if v["kind"] == "chebypoly")
-        corrupt(leaves[key]["model"])
+        corrupt(doc["model"], _poly_row(doc["model"]))
         model_path.write_text(json.dumps(doc))
         out = tmp_path / "p.csv"
         assert main(["predict", "--model-file", str(model_path),
                      "--data", str(data), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"chebytree leaf {key}" in err and message in err
+        assert f"chebytree model: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_predict_reads_only_the_feature_columns(self, tmp_path, capsys):
@@ -358,6 +397,7 @@ class TestFitPredict:
         flags = [a for k, v in params.items() for a in ("--param", f"{k}={json.dumps(v)}")]
         assert main(["fit", "--model", kind, "--data", str(data), "--target", "y",
                      "--seed", "3", "--out", str(model_path)] + flags) == 0
+        _strict_json(model_path.read_text())  # a leaf's tree threshold used to be NaN
         out = tmp_path / "preds.csv"
         assert main(["predict", "--model-file", str(model_path),
                      "--data", str(data), "--out", str(out)]) == 0
@@ -469,6 +509,8 @@ class TestFitPredict:
          "model file schema 2 is not supported"),
         ("erbf", lambda d: d.__setitem__("schema_version", 3),
          "model file schema 3 is not supported"),
+        ("chebytree", lambda d: d.__setitem__("schema_version", 4),
+         "model file schema 4 is not supported: predict reads schema 5; refit the model"),
         # the file's top level
         ("ridge", _wrap_in_list, "model file: expected a JSON object, got list"),
         ("ridge", lambda d: d.__setitem__("kind", ["ridge"]),
@@ -477,6 +519,8 @@ class TestFitPredict:
         ("ridge", lambda d: d.pop("medians"), "model file: missing field 'medians'"),
         ("ridge", lambda d: d.pop("feature_names"), "model file: missing field 'feature_names'"),
         ("ridge", lambda d: d.pop("model"), "model file: missing field 'model'"),
+        ("erbf", lambda d: d["model"].__setitem__("fit_info", "ab"),
+         "erbf model: fit_info is not an object: 'ab'"),
     ], ids=["dt-short-left", "dt-child-out-of-range", "dt-child-loops-back",
             "dt-feature-below-leaf-mark", "dt-inf-threshold", "dt-nan-value",
             "ridge-short-weights", "ridge-nan-means", "ridge-zero-std",
@@ -493,8 +537,10 @@ class TestFitPredict:
             "chebypoly-string-interaction-feat", "chebypoly-fractional-interaction-feat",
             "chebytree-fractional-complexity", "chebypoly-bool-weight", "chebypoly-no-weights", "ridge-list-intercept", "ridge-null-standardizer",
             "ridge-model-not-object", "feature-names-not-list", "dt-fractional-feature",
-            "dt-fractional-left", "dt-nan-right", "schema-2", "schema-3", "file-is-list",
-            "kind-is-list", "no-kind", "no-medians", "no-feature-names", "no-model"])
+            "dt-fractional-left", "dt-nan-right", "schema-2", "schema-3", "schema-4",
+            "file-is-list",
+            "kind-is-list", "no-kind", "no-medians", "no-feature-names", "no-model",
+            "erbf-string-fit-info"])
     def test_predict_rejects_corrupted_model_file(self, tmp_path, capsys, kind,
                                                   corrupt, message):
         data = tmp_path / "train.csv"
@@ -520,10 +566,10 @@ class TestFitPredict:
         ("chebypoly", lambda m: m["weights"].__setitem__(0, [1.0, 2.0]),
          "chebypoly model: weights"),
         ("chebypoly", lambda m: m["weights"].__setitem__(0, "abc"), "chebypoly model: weights"),
-        ("chebytree", lambda m: _poly_leaf(m)["weights"].__setitem__(0, [1.0, 2.0]),
-         "chebypoly model: weights"),
-        ("chebytree", lambda m: _poly_leaf(m)["weights"].__setitem__(0, "abc"),
-         "chebypoly model: weights"),
+        ("chebytree", lambda m: m["weights"].__setitem__(_poly_row(m), [1.0, 2.0]),
+         "chebytree model: weights"),
+        ("chebytree", lambda m: m["weights"][_poly_row(m)].__setitem__(0, "abc"),
+         "chebytree model: weights"),
         ("erbf", lambda m: m["centers"][2].pop(), "erbf model: centers"),
         ("erbf", lambda m: m["centers"][2].__setitem__(0, "abc"), "erbf model: centers"),
     ], ids=["ridge-ragged", "ridge-string", "dt-ragged", "dt-string", "dt-string-index",
