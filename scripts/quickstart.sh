@@ -5,9 +5,9 @@
 # byte for byte, that a --param the model does not have exits 1, that a
 # bench config with a misspelt key exits 1 and writes no results, that every
 # model file is strict JSON (no NaN or Infinity token), and that predict
-# refuses a model file with a feature name dropped, a ragged erbf centers row
-# or a truncated chebytree weights row, naming the field and writing no
-# predictions.
+# refuses a model file with a feature name dropped, a ragged erbf centers row,
+# a truncated chebytree weights row or a negative chebypoly range, naming the
+# field and writing no predictions.
 #
 # Usage: scripts/quickstart.sh   (needs python with numpy)
 set -euo pipefail
@@ -31,8 +31,12 @@ smoothbench fit --model chebytree --data train.csv --target y \
     --param complexity=2 --param max_depth=4 --out tree.json
 smoothbench predict --model-file tree.json --data train.csv --out tree-preds.csv
 smoothbench fit --model dt --data train.csv --target y --out dt.json
+smoothbench fit --model chebypoly --data train.csv --target y \
+    --param complexity=2 --param include_interactions=true \
+    --param max_interaction_complexity=2 --out pairs.json
+smoothbench predict --model-file pairs.json --data train.csv --out pairs-preds.csv
 # every model file is strict JSON: a NaN or Infinity token fails here
-python - model.json tuned.json erbf.json tree.json dt.json <<'PY'
+python - model.json tuned.json erbf.json tree.json dt.json pairs.json <<'PY'
 import json
 import sys
 
@@ -80,7 +84,9 @@ import json
 for name, source, corrupt in (
         ("short-names", "erbf.json", lambda d: d["feature_names"].pop()),
         ("ragged-centers", "erbf.json", lambda d: d["model"]["centers"][0].pop()),
-        ("short-weights-row", "tree.json", lambda d: d["model"]["weights"][0].pop())):
+        ("short-weights-row", "tree.json", lambda d: d["model"]["weights"][0].pop()),
+        ("negative-range", "pairs.json",
+         lambda d: d["model"]["ranges"][0].__setitem__(1, -0.5))):
     with open(source) as fh:
         doc = json.load(fh)
     corrupt(doc)
@@ -88,7 +94,8 @@ for name, source, corrupt in (
         json.dump(doc, fh)
 PY
 for case in "short-names:erbf model: centers" "ragged-centers:erbf model: centers" \
-        "short-weights-row:chebytree model: weights"; do
+        "short-weights-row:chebyshev model: weights" \
+        "negative-range:chebyshev model: ranges"; do
     broken="${case%%:*}" field="${case#*:}"
     status=0
     smoothbench predict --model-file "$broken.json" --data train.csv \

@@ -10,13 +10,12 @@ average ranks and the Friedman/Nemenyi comparison.
 __version__ = "0.1.0"
 
 from .cart import RegressionTree, cart_fit, cart_route
-from .chebypoly import ChebyPolyModel, fit_chebypoly
-from .chebyshev import BasisConfig, build_design_matrix, cheb_eval, cheb_vander
+from .chebypoly import fit_chebypoly
+from .chebyshev import BasisConfig, build_design_matrix, cheb_eval
 from .chebytree import ChebyTreeModel, fit_chebytree
 from .data import (
     Dataset,
     FoldPlan,
-    MinMaxScaler,
     Standardizer,
     drop_quasi_constant,
     impute_median,
@@ -34,10 +33,10 @@ from .synth import CATALOG, clean_target, gen
 __all__ = [
     "__version__",
     "RegressionTree", "cart_fit", "cart_route",
-    "ChebyPolyModel", "fit_chebypoly",
-    "BasisConfig", "build_design_matrix", "cheb_eval", "cheb_vander",
+    "fit_chebypoly",
+    "BasisConfig", "build_design_matrix", "cheb_eval",
     "ChebyTreeModel", "fit_chebytree",
-    "Dataset", "FoldPlan", "MinMaxScaler", "Standardizer",
+    "Dataset", "FoldPlan", "Standardizer",
     "drop_quasi_constant", "impute_median", "inner_fold_count",
     "kfold_split", "load_csv", "write_csv",
     "ErbfModel", "auto_k", "fit_erbf",

@@ -42,9 +42,13 @@ class BasisConfig:
             raise ValueError(f"include_interactions must be true or false, "
                              f"got {self.include_interactions!r}")
         if self.complexity < 1:
-            raise ValueError("complexity must be >= 1")
+            raise ValueError(f"complexity must be >= 1, got {self.complexity}")
         if self.max_interaction_complexity not in (1, 2):
             raise ValueError("max_interaction_complexity must be 1 or 2")
+        # plain Python values, so that a model file holding them is JSON
+        for name, kind in (("complexity", int), ("include_interactions", bool),
+                           ("max_interaction_complexity", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 def cheb_eval(degree: int, x: np.ndarray) -> np.ndarray:
@@ -59,20 +63,6 @@ def cheb_eval(degree: int, x: np.ndarray) -> np.ndarray:
     for _ in range(degree - 1):
         t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
     return t_cur
-
-
-def cheb_vander(x: np.ndarray, max_degree: int) -> np.ndarray:
-    """Columns [T_0(x), T_1(x), ..., T_max_degree(x)] for a 1-d input."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty((x.shape[0], max_degree + 1))
-    out[:, 0] = 1.0
-    if max_degree >= 1:
-        out[:, 1] = x
-    for n in range(2, max_degree + 1):
-        out[:, n] = 2.0 * x * out[:, n - 1] - out[:, n - 2]
-    return out
 
 
 def interaction_feature_set(X_scaled: np.ndarray) -> tuple[int, ...]:
@@ -128,20 +118,23 @@ def build_design_matrix(
 
     out = np.empty((n, p))
     out[:, 0] = 1.0
-    pos = 1
-    for f in range(d):
-        van = cheb_vander(X_scaled[:, f], c)
-        out[:, pos:pos + c] = van[:, 1:]
-        pos += c
+    # T[:, f, k] is column 1 + f*c + k of out: T_{k+1} of feature f
+    T = out[:, 1:1 + d * c].reshape(n, d, c)
+    T[:, :, 0] = X_scaled
+    for k in range(1, c):  # T_{k+1} = 2 x T_k - T_{k-1}, with T_0 = 1
+        T[:, :, k] = 2.0 * X_scaled * T[:, :, k - 1] - (T[:, :, k - 2] if k > 1 else 1.0)
     if cfg.include_interactions:
-        for a_idx in range(len(feats)):
-            for b_idx in range(a_idx + 1, len(feats)):
-                i, j = feats[a_idx], feats[b_idx]
-                prod = X_scaled[:, i] * X_scaled[:, j]
-                out[:, pos] = prod
-                pos += 1
-                if cfg.max_interaction_complexity == 2:
-                    out[:, pos] = 2.0 * prod * prod - 1.0
-                    pos += 1
-    assert pos == p
+        # pairs (i, j), i < j, in lexicographic order, len(feats) pairs at a
+        # time so that the gathered columns stay n x len(feats)
+        a, b = np.triu_indices(len(feats), k=1)
+        F = np.asarray(feats, dtype=np.intp)
+        pairs = out[:, 1 + d * c:].reshape(n, a.size, cfg.max_interaction_complexity)
+        step = max(1, len(feats))
+        for s in range(0, a.size, step):
+            block = slice(s, s + step)
+            u = np.multiply(X_scaled[:, F[a[block]]], X_scaled[:, F[b[block]]],
+                            out=pairs[:, block, 0])
+            if cfg.max_interaction_complexity == 2:
+                np.multiply(2.0 * u, u, out=pairs[:, block, 1])  # T_2(u) = 2 u u - 1
+                pairs[:, block, 1] -= 1.0
     return DesignMatrix(matrix=out)

@@ -1,15 +1,18 @@
 """Chebyshev model tree: CART routing with a Chebyshev polynomial per leaf.
 
-Each leaf that holds enough rows gets its own interaction-free Chebyshev
+One model class serves both Chebyshev kinds. fit_chebytree grows the tree and
+gives each leaf that holds enough rows its own interaction-free Chebyshev
 regressor (with its own per-leaf feature scaling, clipped to its own target
 mean +/- 3 standard deviations); undersized leaves fall back to their training
-mean. Final predictions are clipped to the whole training target's mean +/- 3
-standard deviations.
+mean. fit_chebypoly is the same model with one root leaf and, optionally,
+interaction columns. Final predictions are clipped to the whole training
+target's mean +/- 3 standard deviations.
 
 The leaves are stored stacked, one row per leaf in tree.leaf_ids order: the
 scaling's mins and ranges, the weights, the intercept and the clip bounds lo
 and hi. A constant leaf is a row of zero mins, ranges and weights with
-intercept = lo = hi = its mean, so it predicts its mean bit for bit.
+intercept = lo = hi = its mean, so it predicts its mean bit for bit. Every
+leaf shares the model's basis and interaction_feats.
 
 Fit and predict handle all leaves in one batched pass: rows are grouped by
 leaf, scaled with their own leaf's ranges, expanded by one design matrix call,
@@ -19,7 +22,7 @@ O(N*p + L*p^2) for N rows, L polynomial leaves and p columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, Union
 
 import numpy as np
@@ -29,6 +32,8 @@ from .chebyshev import BasisConfig, build_design_matrix, n_columns
 from .data import minmax_scale, read_array, read_int_array
 from .numkit import check_alpha, ridge_solve_segments
 
+# the basis, stored as top-level fields of a model file
+BASIS_FIELDS = tuple(f.name for f in fields(BasisConfig))
 # the stacked leaf arrays, each with one row per leaf
 LEAF_FIELDS = ("mins", "ranges", "weights", "intercepts", "lo", "hi")
 
@@ -41,10 +46,11 @@ def leaf_fallback_threshold(complexity: int) -> int:
 @dataclass
 class ChebyTreeModel:
     """Row j of mins, ranges (L, d), weights (L, p), intercepts, lo and hi (L,)
-    belongs to the leaf tree.leaf_ids[j]."""
+    belongs to the leaf tree.leaf_ids[j]; p is the basis's column count."""
 
     tree: RegressionTree
-    complexity: int
+    basis: BasisConfig
+    interaction_feats: tuple[int, ...]
     mins: np.ndarray
     ranges: np.ndarray
     weights: np.ndarray
@@ -56,12 +62,16 @@ class ChebyTreeModel:
 
     @property
     def leaf_models(self) -> Dict[int, Union[np.ndarray, float]]:
-        """Leaf id -> its weight row, or its mean as a float if the row is all zero.
+        """Leaf id -> its weight row, or its mean as a float for a constant leaf.
 
-        Kept only for perfbench's constant-leaf counter, which counts the float
-        values; delete it with the next change to perfbench.
+        A leaf is constant when fit_chebytree gave it fewer rows than
+        leaf_fallback_threshold, so this reads the fit's tree.leaf_rows, which
+        a model read from a file does not have. Kept only for perfbench's
+        constant-leaf counter, which counts the float values; delete it with
+        the next change to perfbench.
         """
-        return {leaf: w if w.any() else float(b)
+        threshold = leaf_fallback_threshold(self.basis.complexity)
+        return {leaf: w if self.tree.leaf_rows[leaf].shape[0] >= threshold else float(b)
                 for leaf, w, b in zip(self.tree.leaf_ids, self.weights, self.intercepts)}
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -73,7 +83,7 @@ class ChebyTreeModel:
         rows = np.searchsorted(self.tree.leaf_ids, groups)  # each group's leaf row
         at = np.repeat(rows, sizes)  # each sorted row's leaf row
         Xs = minmax_scale(X[order], self.mins[at], self.ranges[at])
-        design = build_design_matrix(Xs, BasisConfig(self.complexity), ()).matrix
+        design = build_design_matrix(Xs, self.basis, self.interaction_feats).matrix
         raw = np.empty(X.shape[0])
         for j, s, e in zip(rows, starts, starts + sizes):  # a gathered einsum changes bits
             np.matmul(design[s:e], self.weights[j], out=raw[s:e])
@@ -84,7 +94,8 @@ class ChebyTreeModel:
     def to_dict(self) -> dict:
         return {
             "tree": self.tree.to_dict(),
-            "complexity": self.complexity,
+            **asdict(self.basis),
+            "interaction_feats": list(self.interaction_feats),
             **{name: getattr(self, name).tolist() for name in LEAF_FIELDS},
             "y_mean": self.y_mean,
             "y_std": self.y_std,
@@ -93,20 +104,29 @@ class ChebyTreeModel:
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "ChebyTreeModel":
         """Rebuild a model, reading each leaf array at the shape its tree and basis give."""
-        owner = "chebytree model"
+        owner = "chebyshev model"
         tree = RegressionTree.from_dict(d["tree"], n_features)
-        c = int(read_int_array(owner, d, "complexity", ()))
-        if c < 1:
-            raise ValueError(f"{owner}: complexity must be >= 1, got {c}")
-        L, p = len(tree.leaf_ids), n_columns(n_features, BasisConfig(c), 0)
+        try:
+            basis = BasisConfig(**{name: d[name] for name in BASIS_FIELDS})
+        except ValueError as exc:
+            raise ValueError(f"{owner}: {exc}") from None
+        feats = read_int_array(owner, d, "interaction_feats", (None,))
+        if not ((feats >= 0) & (feats < n_features)).all() or (np.diff(feats) <= 0).any():
+            raise ValueError(f"{owner}: interaction_feats {feats.tolist()} are not ascending "
+                             f"feature indices below {n_features}")
+        L, p = len(tree.leaf_ids), n_columns(n_features, basis, feats.size)
         shapes = {"mins": (L, n_features), "ranges": (L, n_features), "weights": (L, p)}
         leaf = {name: read_array(owner, d, name, shapes.get(name, (L,))) for name in LEAF_FIELDS}
+        neg = np.argwhere(leaf["ranges"] < 0)  # would scale its feature to 0
+        if neg.size:
+            j, f = neg[0]
+            raise ValueError(f"{owner}: ranges[{j}, {f}] = {leaf['ranges'][j, f]} is negative")
         bad = np.flatnonzero(~(leaf["lo"] <= leaf["hi"]))
         if bad.size:
             i = int(bad[0])
             raise ValueError(f"{owner}: lo[{i}] = {leaf['lo'][i]} is above "
                              f"hi[{i}] = {leaf['hi'][i]}")
-        return cls(tree=tree, complexity=c, **leaf,
+        return cls(tree=tree, basis=basis, interaction_feats=tuple(feats.tolist()), **leaf,
                    y_mean=float(read_array(owner, d, "y_mean", ())),
                    y_std=float(read_array(owner, d, "y_std", ())))
 
@@ -159,7 +179,8 @@ def fit_chebytree(
             lo[j], hi[j] = mu - 3.0 * sd, mu + 3.0 * sd
     return ChebyTreeModel(
         tree=tree,
-        complexity=int(complexity),
+        basis=basis,
+        interaction_feats=(),
         mins=mins,
         ranges=ranges,
         weights=weights,

@@ -32,7 +32,7 @@ from .harness import (
 from .registry import MODEL_KINDS, fit_model, hyperparameters, model_from_dict, predict_model
 from .synth import CATALOG, gen
 
-MODEL_FILE_SCHEMA = 5
+MODEL_FILE_SCHEMA = 6
 
 
 def main(argv: Optional[List[str]] = None) -> int:

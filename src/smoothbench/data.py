@@ -435,39 +435,13 @@ def minmax_scale(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray) -> np.ndar
     mins and ranges broadcast against X: one entry per column, or one row of
     them per row of X (rows scaled by different fits).
     """
-    X = np.asarray(X, dtype=np.float64)
     nz = ranges > 0
-    out = np.where(nz, 2.0 * (X - mins) / np.where(nz, ranges, 1.0) - 1.0, 0.0)
+    out = np.subtract(X, mins, dtype=np.float64)  # then in place: one (n, d) buffer
+    out *= 2.0
+    out /= np.where(nz, ranges, 1.0)
+    out -= 1.0
+    np.copyto(out, 0.0, where=~nz)
     return np.clip(out, -1.0, 1.0, out=out)
-
-
-@dataclass
-class MinMaxScaler:
-    """Per-column affine map of the training range onto [-1, 1].
-
-    Constant columns map to 0, and out-of-range queries are clamped to
-    [-1, 1] after the affine map.
-    """
-
-    mins: np.ndarray
-    ranges: np.ndarray
-
-    @classmethod
-    def fit(cls, X: np.ndarray) -> "MinMaxScaler":
-        X = np.asarray(X, dtype=np.float64)
-        mins = X.min(axis=0)
-        return cls(mins=mins, ranges=X.max(axis=0) - mins)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return minmax_scale(X, self.mins, self.ranges)
-
-    def to_dict(self) -> dict:
-        return {"mins": self.mins.tolist(), "ranges": self.ranges.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict, n_features: int) -> "MinMaxScaler":
-        return cls(mins=read_array("scaler", d, "mins", (n_features,)),
-                   ranges=read_array("scaler", d, "ranges", (n_features,)))
 
 
 def subsample(ds: Dataset, max_samples: int, seed: int) -> Dataset:

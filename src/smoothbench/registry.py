@@ -2,7 +2,9 @@
 
 The benchmark feeds every model raw (imputed) features: ridge standardizes
 them inside fit_ridge, the tree baseline consumes them directly and the smooth
-models run their own internal scaling.
+models run their own internal scaling. chebypoly and chebytree share one model
+class, ChebyTreeModel, and one model-file layout: a chebypoly fit is a
+Chebyshev model tree with a single leaf.
 
 A kind's hyperparameters are the keyword parameters of its fit function, with
 their defaults; there is no second list of them.
@@ -18,7 +20,7 @@ import numpy as np
 
 # the fit functions are called by name from this namespace (see fit_model)
 from .cart import RegressionTree, cart_fit
-from .chebypoly import ChebyPolyModel, fit_chebypoly
+from .chebypoly import fit_chebypoly
 from .chebytree import ChebyTreeModel, fit_chebytree
 from .erbf import ErbfModel, fit_erbf
 from .linear import RidgeModel, fit_ridge
@@ -28,7 +30,7 @@ from .linear import RidgeModel, fit_ridge
 _MODELS = {
     "ridge": ("fit_ridge", RidgeModel),
     "dt": ("cart_fit", RegressionTree),
-    "chebypoly": ("fit_chebypoly", ChebyPolyModel),
+    "chebypoly": ("fit_chebypoly", ChebyTreeModel),
     "chebytree": ("fit_chebytree", ChebyTreeModel),
     "erbf": ("fit_erbf", ErbfModel),
 }

@@ -2,20 +2,33 @@
 
 Recovery oracles use targets built from known Chebyshev expansions of the
 scaled features, so the fitted coefficients and predictions have closed-form
-expectations.
+expectations. A chebypoly fit is a one-leaf ChebyTreeModel; the bitwise
+oracle below rebuilds its prediction from the scaling, the design matrix and
+the ridge solve directly.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from smoothbench.chebypoly import ChebyPolyModel, fit_chebypoly
-from smoothbench.data import MinMaxScaler
+from smoothbench.chebypoly import fit_chebypoly
+from smoothbench.chebyshev import BasisConfig, build_design_matrix, interaction_feature_set
+from smoothbench.chebytree import ChebyTreeModel
+from smoothbench.data import minmax_scale
 from smoothbench.linear import RidgeModel, fit_ridge
 from smoothbench.numkit import ridge_solve
+from smoothbench.registry import model_from_dict
 
 
 def cheb_t(deg, x):
     return np.cos(deg * np.arccos(np.clip(x, -1, 1)))
+
+
+def scale(X):
+    """X min-max scaled by its own column ranges, as the fit scales it."""
+    mins = X.min(axis=0)
+    return minmax_scale(X, mins, X.max(axis=0) - mins)
 
 
 def test_recovers_polynomial_target_exactly():
@@ -36,8 +49,7 @@ def test_multifeature_additive_recovery():
     X = rng.uniform(-1, 1, size=(500, 3))
     # scaled feature values depend on per-column min/max; compute them the
     # same way the model will
-    scaler = MinMaxScaler.fit(X)
-    Z = scaler.apply(X)
+    Z = scale(X)
     y = 1.0 + Z[:, 0] + (2 * Z[:, 1] ** 2 - 1) - 0.5 * Z[:, 2]
     model = fit_chebypoly(X, y, complexity=2, alpha=1e-10)
     assert np.abs(model.predict(X) - y).max() < 1e-6
@@ -46,8 +58,7 @@ def test_multifeature_additive_recovery():
 def test_interaction_target_needs_interactions():
     rng = np.random.default_rng(7)
     X = rng.uniform(-1, 1, size=(600, 2))
-    scaler = MinMaxScaler.fit(X)
-    Z = scaler.apply(X)
+    Z = scale(X)
     y = Z[:, 0] * Z[:, 1]
     plain = fit_chebypoly(X, y, complexity=3, alpha=1e-8)
     inter = fit_chebypoly(X, y, complexity=1, alpha=1e-8,
@@ -93,7 +104,7 @@ def test_determinism_bitwise():
         m1 = fit_chebypoly(X, y, complexity=3, alpha=0.1)
         m2 = fit_chebypoly(X, y, complexity=3, alpha=0.1)
         assert np.array_equal(m1.weights.view(np.uint64), m2.weights.view(np.uint64))
-        assert m1.intercept == m2.intercept
+        assert np.array_equal(m1.intercepts.view(np.uint64), m2.intercepts.view(np.uint64))
 
 
 def test_weight_norm_shrinks_with_alpha():
@@ -122,7 +133,7 @@ def test_complexity_one_equals_ridge_on_scaled_features():
         alpha = float(rng.uniform(0.01, 10))
         model = fit_chebypoly(X, y, complexity=1, alpha=alpha)
 
-        Z = MinMaxScaler.fit(X).apply(X)
+        Z = scale(X)
         w_ref, b_ref = ridge_solve(Z, y, alpha)
         raw_ref = Z @ w_ref + b_ref
         clip_ref = np.clip(raw_ref, y.mean() - 3 * y.std(), y.mean() + 3 * y.std())
@@ -136,9 +147,60 @@ def test_serialization_round_trip():
     model = fit_chebypoly(X, y, complexity=3, alpha=0.5,
                           include_interactions=True,
                           max_interaction_complexity=2)
-    back = ChebyPolyModel.from_dict(model.to_dict(), 4)
+    back = ChebyTreeModel.from_dict(json.loads(json.dumps(model.to_dict())), 4)
     Q = rng.normal(size=(30, 4)) * 2
     assert np.array_equal(model.predict(Q), back.predict(Q))
+    assert back.basis == model.basis and back.interaction_feats == (0, 1, 2, 3)
+    for name in ("mins", "ranges", "weights", "intercepts", "lo", "hi"):
+        assert np.array_equal(getattr(back, name), getattr(model, name)), name
+
+
+def test_model_is_a_one_leaf_chebytree_clipped_to_the_global_bounds():
+    rng = np.random.default_rng(24)
+    X = rng.normal(size=(40, 3))
+    y = rng.normal(size=40) * 2.0 + 1.0
+    model = fit_chebypoly(X, y, complexity=2, alpha=0.1)
+    assert isinstance(model, ChebyTreeModel)
+    assert model.tree.n_nodes == 1 and model.tree.leaf_ids == [0]
+    assert model.basis == BasisConfig(2) and model.interaction_feats == ()
+    assert model.mins.shape == model.ranges.shape == (1, 3)
+    assert model.weights.shape == (1, 7) and model.intercepts.shape == (1,)
+    assert model.lo.tolist() == [model.y_mean - 3.0 * model.y_std]
+    assert model.hi.tolist() == [model.y_mean + 3.0 * model.y_std]
+
+
+@pytest.mark.parametrize("params", [
+    {"complexity": 3},
+    {"complexity": 1, "include_interactions": True},
+    {"complexity": 2, "include_interactions": True, "max_interaction_complexity": 2},
+], ids=["no-interactions", "pairs", "pairs-and-t2"])
+def test_predictions_equal_the_design_matrix_oracle_bit_for_bit(params):
+    # the global regressor written out: scale by the training range, expand,
+    # solve the ridge system, then clip to the target mean +/- 3 std
+    rng = np.random.default_rng(25)
+    for case in range(20):
+        n, d = int(rng.integers(2, 200)), int(rng.integers(1, 8))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10)
+        y = np.sin(X[:, 0]) + rng.normal(size=n)
+        if case % 2:
+            X, y = np.round(X, 1), np.round(y, 1)
+        alpha = float(rng.uniform(1e-6, 1.0))
+        model = fit_chebypoly(X, y, alpha=alpha, **params)
+
+        mins = X.min(axis=0)
+        ranges = X.max(axis=0) - mins
+        basis = BasisConfig(**params)
+        Xs = minmax_scale(X, mins, ranges)
+        feats = interaction_feature_set(Xs) if basis.include_interactions else ()
+        w, b = ridge_solve(build_design_matrix(Xs, basis, feats).matrix, y, alpha)
+        lo, hi = y.mean() - 3.0 * y.std(), y.mean() + 3.0 * y.std()
+
+        Q = np.concatenate([X, rng.normal(size=(30, d)) * 20])  # in and out of range
+        want = np.clip(build_design_matrix(minmax_scale(Q, mins, ranges), basis,
+                                           feats).matrix @ w + b, lo, hi)
+        assert np.array_equal(model.predict(Q), want)
+        back = model_from_dict("chebypoly", json.loads(json.dumps(model.to_dict())), d)
+        assert np.array_equal(back.predict(Q), want)
 
 
 def test_fit_validation():

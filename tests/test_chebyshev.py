@@ -2,6 +2,9 @@
 interaction eligibility, and the conditioning advantage over raw monomials.
 """
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from smoothbench.chebyshev import (
     BasisConfig,
     build_design_matrix,
     cheb_eval,
-    cheb_vander,
     interaction_feature_set,
     n_columns,
 )
@@ -48,13 +50,30 @@ def test_cheb_eval_validation():
         cheb_eval(-1, np.zeros(3))
 
 
-def test_cheb_vander_columns_match_cheb_eval():
+def test_design_columns_match_cheb_eval():
+    # column 1 + f*c + k holds T_{k+1} of feature f, bit for bit, and each pair
+    # column the product of its two scaled features
     rng = np.random.default_rng(2)
-    x = rng.uniform(-1, 1, 50)
-    V = cheb_vander(x, 8)
-    assert V.shape == (50, 9)
-    for degree in range(9):
-        assert np.array_equal(V[:, degree], cheb_eval(degree, x))
+    for n, d, c in ((50, 1, 8), (1, 4, 3), (0, 3, 2), (37, 6, 14), (20, 12, 1)):
+        X = rng.uniform(-1, 1, size=(n, d))
+        for mic in (1, 2):
+            cfg = BasisConfig(complexity=c, include_interactions=True,
+                              max_interaction_complexity=mic)
+            D = build_design_matrix(X, cfg, tuple(range(d))).matrix
+            assert D.shape == (n, n_columns(d, cfg, d))
+            assert np.array_equal(D[:, 0], np.ones(n))
+            for f in range(d):
+                for k in range(c):
+                    assert np.array_equal(D[:, 1 + f * c + k], cheb_eval(k + 1, X[:, f]))
+            pos = 1 + d * c
+            for i in range(d):
+                for j in range(i + 1, d):
+                    prod = X[:, i] * X[:, j]
+                    assert np.array_equal(D[:, pos], prod)
+                    if mic == 2:
+                        assert np.array_equal(D[:, pos + 1], 2.0 * prod * prod - 1.0)
+                    pos += mic
+            assert pos == D.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +193,14 @@ def test_chebyshev_design_is_much_better_conditioned_than_monomials():
     cheb = build_design_matrix(nodes[:, None], BasisConfig(complexity=12), ()).matrix
     mono = np.vander(nodes, 13, increasing=True)
     assert np.linalg.cond(cheb) <= np.linalg.cond(mono) / 100.0
+
+
+def test_basis_config_holds_plain_python_values():
+    # numpy scalars from a caller would make a model's to_dict unwritable as JSON
+    cfg = BasisConfig(np.int64(2), np.bool_(True), np.int64(2))
+    assert cfg == BasisConfig(2, True, 2)
+    assert [type(v) for v in asdict(cfg).values()] == [int, bool, int]
+    assert json.loads(json.dumps(asdict(cfg))) == asdict(cfg)
 
 
 def test_basis_config_validation():

@@ -5,7 +5,7 @@ for.
 
 The model stores its leaves stacked, one row per leaf in tree.leaf_ids order;
 a constant leaf is a row of zero weights. The per-leaf oracle below fits
-fit_chebypoly on each leaf's rows and predicts with ChebyPolyModel.predict.
+fit_chebypoly on each leaf's rows and predicts with that one-leaf model.
 """
 
 from types import SimpleNamespace
@@ -24,7 +24,7 @@ from smoothbench.cart import cart_fit, cart_route
 from smoothbench.chebyshev import BasisConfig, build_design_matrix
 from smoothbench.data import minmax_scale
 from smoothbench.harness.search import SPACES
-from smoothbench.registry import model_from_dict
+from smoothbench.registry import fit_model, model_from_dict
 from smoothbench.synth import gen
 
 
@@ -35,12 +35,12 @@ def _leaf_kinds(model):
 
 def _leaf_predict(model, leaf, Q):
     """One leaf's row applied to Q on its own: a constant leaf's mean, or the
-    scale, expand, multiply and clip of ChebyPolyModel.predict."""
+    scale, expand, multiply and clip of a global polynomial's prediction."""
     j = model.tree.leaf_ids.index(leaf)
     if not model.weights[j].any():
         return np.full(Q.shape[0], model.intercepts[j])
     Xs = minmax_scale(Q, model.mins[j], model.ranges[j])
-    design = build_design_matrix(Xs, BasisConfig(model.complexity), ()).matrix
+    design = build_design_matrix(Xs, model.basis, model.interaction_feats).matrix
     return np.clip(design @ model.weights[j] + model.intercepts[j], model.lo[j], model.hi[j])
 
 
@@ -75,14 +75,27 @@ def test_undersized_leaves_fall_back_to_constants():
     assert _leaf_kinds(model) == {True, False}
 
 
-def test_leaf_models_counts_zero_weight_rows_as_constant_leaves():
+def test_leaf_models_counts_undersized_leaves_as_constant():
     # perfbench reads leaf_models and counts its float values as constant leaves
     ds = gen("friedman1", n=300, seed=3)
     model = fit_chebytree(ds.X, ds.y, complexity=2, alpha=0.1, max_depth=8)
     leaves = model.leaf_models
     assert list(leaves) == model.tree.leaf_ids
     const = [isinstance(m, float) for m in leaves.values()]
-    assert const == (~model.weights.any(axis=1)).tolist() and 0 < sum(const) < len(const)
+    small = [model.tree.leaf_rows[leaf].size < leaf_fallback_threshold(2) for leaf in leaves]
+    assert const == small and 0 < sum(const) < len(const)
+
+
+def test_leaf_models_counts_a_constant_target_polynomial_leaf_as_polynomial():
+    # the left leaf has 12 rows of one target value: a polynomial leaf whose
+    # ridge weights are all zero, which is still not a constant leaf
+    x = np.concatenate([np.linspace(-2.0, -1.0, 12), np.linspace(1.0, 2.0, 12)])
+    y = np.concatenate([np.full(12, 3.0), 10.0 + x[12:]])
+    model = fit_chebytree(x[:, None], y, complexity=2, alpha=0.1, max_depth=1)
+    assert [model.tree.leaf_rows[leaf].size for leaf in model.tree.leaf_ids] == [12, 12]
+    assert not model.weights[0].any() and model.weights[1].any()
+    assert model.ranges[0].tolist() == [1.0]  # fitted as a polynomial leaf
+    assert not any(isinstance(m, float) for m in model.leaf_models.values())
 
 
 def test_negative_alpha_is_refused_even_when_every_leaf_is_constant():
@@ -242,7 +255,8 @@ def test_beats_single_polynomial_on_stepwise_target():
 def _per_leaf_reference(X, y, complexity, alpha, max_depth, min_samples_leaf=1):
     """The one-leaf-at-a-time algorithm: fit_chebypoly on each leaf's rows.
 
-    leaf_models maps each leaf to its ChebyPolyModel, or to its mean as a float.
+    leaf_models maps each leaf to its one-leaf fit_chebypoly model, or to its
+    mean as a float.
     """
     tree = cart_fit(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
                     min_samples_split=2)
@@ -287,14 +301,14 @@ def _assert_matches_reference(X, y, Q, **params):
             assert not (got.mins[j].any() or got.ranges[j].any() or got.weights[j].any())
             assert got.intercepts[j] == got.lo[j] == got.hi[j] == want
             continue
-        assert np.array_equal(got.mins[j], want.scaler.mins)
-        assert np.array_equal(got.ranges[j], want.scaler.ranges)
-        assert want.basis == BasisConfig(got.complexity) and want.interaction_feats == ()
+        assert np.array_equal(got.mins[j], want.mins[0])
+        assert np.array_equal(got.ranges[j], want.ranges[0])
+        assert want.basis == got.basis and want.interaction_feats == got.interaction_feats == ()
         # the leaf's clip bounds, from its y_mean and y_std bit for bit
         assert got.lo[j] == want.y_mean - 3.0 * want.y_std
         assert got.hi[j] == want.y_mean + 3.0 * want.y_std
-        assert _rel(got.weights[j], want.weights) < 1e-10
-        assert _rel(got.intercepts[j:j + 1], np.array([want.intercept])) < 1e-10
+        assert _rel(got.weights[j], want.weights[0]) < 1e-10
+        assert _rel(got.intercepts[j:j + 1], want.intercepts) < 1e-10
     assert _rel(got.predict(Q), _per_leaf_predict(ref, Q, _reference_leaf_predict)) < 1e-10
     return got
 
@@ -405,31 +419,46 @@ def _old_layout(d, j):
     d["leaf_models"] = {"1": {"kind": "constant", "value": 0.0}}
 
 
-@pytest.mark.parametrize("corrupt, message", [
-    (lambda d, j: d["intercepts"].pop(), r"intercepts has shape \(\d+,\), expected"),
-    (lambda d, j: d["weights"].append(d["weights"][j]), r"weights has shape \(\d+, 5\)"),
-    (lambda d, j: d.__setitem__("complexity", 3), r"weights has shape \(\d+, 5\), expected "
-                                                  r"\(\d+, 7\)"),
-    (lambda d, j: [row.pop() for row in d["mins"]], r"mins has shape \(\d+, 1\), expected "
-                                                     r"\(\d+, 2\)"),
-    (lambda d, j: d["weights"][j].append(0.0),
-     "weights is not a number or a regular array of numbers"),
-    (lambda d, j: d["intercepts"].__setitem__(j, np.inf), "intercepts holds a non-finite"),
-    (lambda d, j: d["ranges"][j].__setitem__(0, np.nan), "ranges holds a non-finite"),
-    (lambda d, j: d.__setitem__("hi", "abc"), "hi is not a number"),
-    (lambda d, j: d.update(lo=d["hi"], hi=d["lo"]), r"lo\[\d+\] = .* is above hi"),
-    (lambda d, j: d.__setitem__("complexity", 0), "complexity must be >= 1, got 0"),
-    (_old_layout, "missing field 'mins'"),
+@pytest.mark.parametrize("kind, corrupt, message", [
+    ("chebytree", lambda d, j: d["intercepts"].pop(),
+     r"chebyshev model: intercepts has shape \(\d+,\), expected"),
+    ("chebytree", lambda d, j: d["weights"].append(d["weights"][j]),
+     r"chebyshev model: weights has shape \(\d+, 5\)"),
+    ("chebytree", lambda d, j: d.__setitem__("complexity", 3),
+     r"chebyshev model: weights has shape \(\d+, 5\), expected \(\d+, 7\)"),
+    ("chebytree", lambda d, j: [row.pop() for row in d["mins"]],
+     r"chebyshev model: mins has shape \(\d+, 1\), expected \(\d+, 2\)"),
+    ("chebytree", lambda d, j: d["weights"][j].append(0.0),
+     "chebyshev model: weights is not a number or a regular array of numbers"),
+    ("chebytree", lambda d, j: d["intercepts"].__setitem__(j, np.inf),
+     "chebyshev model: intercepts holds a non-finite"),
+    ("chebytree", lambda d, j: d["ranges"][j].__setitem__(0, np.nan),
+     "chebyshev model: ranges holds a non-finite"),
+    ("chebytree", lambda d, j: d.__setitem__("hi", "abc"), "chebyshev model: hi is not a number"),
+    ("chebytree", lambda d, j: d.update(lo=d["hi"], hi=d["lo"]),
+     r"chebyshev model: lo\[\d+\] = .* is above hi"),
+    ("chebytree", lambda d, j: d.__setitem__("complexity", 0),
+     "chebyshev model: complexity must be >= 1, got 0"),
+    # a missing field is named by registry.model_from_dict, with the kind
+    ("chebytree", _old_layout, "chebytree model: missing field 'mins'"),
+    # a negative range would scale its feature to 0 and predict wrong numbers
+    ("chebytree", lambda d, j: d["ranges"][j].__setitem__(1, -0.5),
+     r"chebyshev model: ranges\[\d+, 1\] = -0.5 is negative"),
+    ("chebypoly", lambda d, j: d["ranges"][j].__setitem__(1, -0.5),
+     r"chebyshev model: ranges\[0, 1\] = -0.5 is negative"),
 ], ids=["missing-leaf", "extra-leaf", "complexity", "feature-count", "weights-length",
         "inf-intercept", "nan-range", "string-hi", "lo-above-hi", "zero-complexity",
-        "old-layout"])
-def test_from_dict_rejects_corrupted_leaves(corrupt, message):
+        "old-layout", "negative-range", "chebypoly-negative-range"])
+def test_from_dict_rejects_corrupted_leaves(kind, corrupt, message):
     rng = np.random.default_rng(137)
     X = rng.normal(size=(120, 2))
-    model = fit_chebytree(X, X[:, 0] - X[:, 1] ** 2, complexity=2, alpha=0.01,
-                          max_depth=2)
+    params = {"complexity": 2, "alpha": 0.01}
+    if kind == "chebytree":
+        params["max_depth"] = 2
+    model = fit_model(kind, X, X[:, 0] - X[:, 1] ** 2, params)
     d = model.to_dict()
     j = int(np.flatnonzero(model.weights.any(axis=1))[0])  # a polynomial leaf's row
+    model_from_dict(kind, d, 2)  # the file as written reads
     corrupt(d, j)
-    with pytest.raises(ValueError, match="chebytree model: " + message):
-        model_from_dict("chebytree", d, 2)
+    with pytest.raises(ValueError, match=message):
+        model_from_dict(kind, d, 2)

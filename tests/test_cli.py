@@ -54,6 +54,18 @@ def _to_leaf_models_layout(model, row):
                             "2": {"kind": "constant", "value": 1.0}}
 
 
+def _to_schema_5_chebypoly_layout(doc):
+    """Put a chebypoly model back in its schema-5 layout: basis and scaler objects,
+    one weight vector and one intercept, and no tree."""
+    m = doc["model"]
+    doc["model"] = {
+        "basis": {k: m[k] for k in ("complexity", "include_interactions",
+                                    "max_interaction_complexity")},
+        "scaler": {"mins": m["mins"][0], "ranges": m["ranges"][0]},
+        "interaction_feats": m["interaction_feats"], "weights": m["weights"][0],
+        "intercept": m["intercepts"][0], "y_mean": m["y_mean"], "y_std": m["y_std"]}
+
+
 def _strict_json(text):
     """Parse JSON that must hold no NaN, Infinity or -Infinity token."""
     def refuse(token):
@@ -290,14 +302,16 @@ class TestFitPredict:
     @pytest.mark.parametrize("corrupt, message", [
         # a row of the wrong width
         (lambda m, j: m["weights"][j].pop(),
-         "weights is not a number or a regular array of numbers"),
-        (lambda m, j: m["mins"][j].__setitem__(0, float("nan")), "mins holds a non-finite"),
+         "chebyshev model: weights is not a number or a regular array of numbers"),
+        (lambda m, j: m["mins"][j].__setitem__(0, float("nan")),
+         "chebyshev model: mins holds a non-finite"),
         # a stacked field one row short
-        (lambda m, j: m["intercepts"].pop(), "intercepts has shape (1,), expected (2,)"),
+        (lambda m, j: m["intercepts"].pop(),
+         "chebyshev model: intercepts has shape (1,), expected (2,)"),
         (lambda m, j: m["lo"].__setitem__(j, "abc"),
-         "lo is not a number or a regular array of numbers"),
-        (lambda m, j: m["lo"].__setitem__(j, m["hi"][j] + 1.0), "lo["),
-        (_to_leaf_models_layout, "missing field 'mins'"),
+         "chebyshev model: lo is not a number or a regular array of numbers"),
+        (lambda m, j: m["lo"].__setitem__(j, m["hi"][j] + 1.0), "chebyshev model: lo["),
+        (_to_leaf_models_layout, "chebytree model: missing field 'mins'"),
     ], ids=["truncated-weights", "nan-mins", "short-intercepts", "string-lo", "lo-above-hi",
             "old-leaf-models-layout"])
     def test_predict_rejects_corrupted_chebytree_leaf(self, tmp_path, capsys,
@@ -314,7 +328,7 @@ class TestFitPredict:
         out = tmp_path / "p.csv"
         assert main(["predict", "--model-file", str(model_path),
                      "--data", str(data), "--out", str(out)]) == 1
-        assert f"chebytree model: {message}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_predict_reads_only_the_feature_columns(self, tmp_path, capsys):
@@ -432,24 +446,24 @@ class TestFitPredict:
         ("dt", lambda d: d["model"]["feature"].__setitem__(0, 7),
          "feature[0] = 7 is neither the leaf mark -1 nor one of the 5 input features"),
         ("ridge", _drop_last_feature, "ridge model: weights has shape (5,), expected (4,)"),
-        ("chebypoly", _drop_last_feature, "scaler: mins has shape (5,), expected (4,)"),
+        ("chebypoly", _drop_last_feature,
+         "chebyshev model: mins has shape (1, 5), expected (1, 4)"),
         ("chebytree", _drop_last_feature,
          "tree: feature[3] = 4 is neither the leaf mark -1 nor one of the 4 input features"),
         ("erbf", _drop_last_feature, "centers has shape (6, 5), expected (n, 4)"),
         # chebypoly shapes and numbers
-        ("chebypoly", lambda d: d["model"]["weights"].pop(),
-         "chebypoly model: weights has shape (15,), expected (16,)"),
+        ("chebypoly", lambda d: d["model"]["weights"][0].pop(),
+         "chebyshev model: weights has shape (1, 15), expected (1, 16)"),
         ("chebypoly", lambda d: d["model"].update(
-            basis=dict(d["model"]["basis"], include_interactions=True),
-            interaction_feats=[0, 1, 2, 3, 4]), "weights has shape (16,), expected (26,)"),
-        ("chebypoly", lambda d: d["model"]["scaler"]["ranges"].pop(),
-         "scaler: ranges has shape (4,), expected (5,)"),
+            include_interactions=True, interaction_feats=[0, 1, 2, 3, 4]),
+         "weights has shape (1, 16), expected (1, 26)"),
+        ("chebypoly", lambda d: d["model"]["ranges"][0].pop(),
+         "chebyshev model: ranges has shape (1, 4), expected (1, 5)"),
         ("chebypoly", lambda d: d["model"].update(
-            basis=dict(d["model"]["basis"], include_interactions=True),
-            interaction_feats=[0, 5]), "interaction_feats [0, 5]"),
-        ("chebypoly", lambda d: d["model"]["weights"].__setitem__(3, float("nan")),
+            include_interactions=True, interaction_feats=[0, 5]), "interaction_feats [0, 5]"),
+        ("chebypoly", lambda d: d["model"]["weights"][0].__setitem__(3, float("nan")),
          "weights holds a non-finite"),
-        ("chebypoly", lambda d: d["model"]["scaler"]["mins"].__setitem__(0, float("-inf")),
+        ("chebypoly", lambda d: d["model"]["mins"][0].__setitem__(0, float("-inf")),
          "mins holds a non-finite"),
         ("chebypoly", lambda d: d["model"].__setitem__("y_std", float("inf")),
          "y_std holds a non-finite"),
@@ -466,27 +480,23 @@ class TestFitPredict:
         ("erbf", lambda d: d["model"].__setitem__("bias", float("inf")),
          "bias holds a non-finite"),
         # wrong keys and types, reported by registry.model_from_dict
-        ("chebypoly", lambda d: d["model"]["basis"].__setitem__("foo", 1),
-         "unexpected keyword argument 'foo'"),
-        ("chebypoly", lambda d: d["model"]["basis"].__setitem__("complexity", "3"),
-         "complexity must be an integer, got '3'"),
-        ("chebypoly", lambda d: d["model"]["basis"].__setitem__("complexity", 2.5),
-         "complexity must be an integer, got 2.5"),
-        ("chebypoly", lambda d: d["model"]["basis"].__setitem__(
-            "max_interaction_complexity", True),
-         "max_interaction_complexity must be an integer, got True"),
+        ("chebypoly", _to_schema_5_chebypoly_layout, "chebypoly model: missing field 'tree'"),
+        ("chebypoly", lambda d: d["model"].__setitem__("complexity", "3"),
+         "chebyshev model: complexity must be an integer, got '3'"),
+        ("chebypoly", lambda d: d["model"].__setitem__("complexity", 2.5),
+         "chebyshev model: complexity must be an integer, got 2.5"),
+        ("chebypoly", lambda d: d["model"].__setitem__("max_interaction_complexity", True),
+         "chebyshev model: max_interaction_complexity must be an integer, got True"),
         ("chebypoly", lambda d: d["model"].update(
-            basis=dict(d["model"]["basis"], include_interactions=True),
-            interaction_feats=[0, 1.7, "2"]),
-         "chebypoly model: interaction_feats is not a number or a regular array of numbers"),
+            include_interactions=True, interaction_feats=[0, 1.7, "2"]),
+         "chebyshev model: interaction_feats is not a number or a regular array of numbers"),
         ("chebypoly", lambda d: d["model"].update(
-            basis=dict(d["model"]["basis"], include_interactions=True),
-            interaction_feats=[0, 1.7]),
-         "chebypoly model: interaction_feats[1] = 1.7 is not an integer"),
+            include_interactions=True, interaction_feats=[0, 1.7]),
+         "chebyshev model: interaction_feats[1] = 1.7 is not an integer"),
         ("chebytree", lambda d: d["model"].__setitem__("complexity", 2.9),
-         "chebytree model: complexity = 2.9 is not an integer"),
-        ("chebypoly", lambda d: d["model"]["weights"].__setitem__(0, True),
-         "chebypoly model: weights is not a number or a regular array of numbers"),
+         "chebyshev model: complexity must be an integer, got 2.9"),
+        ("chebypoly", lambda d: d["model"]["weights"][0].__setitem__(0, True),
+         "chebyshev model: weights is not a number or a regular array of numbers"),
         ("chebypoly", lambda d: d["model"].pop("weights"),
          "chebypoly model: missing field 'weights'"),
         ("ridge", lambda d: d["model"].__setitem__("intercept", [1]),
@@ -510,7 +520,9 @@ class TestFitPredict:
         ("erbf", lambda d: d.__setitem__("schema_version", 3),
          "model file schema 3 is not supported"),
         ("chebytree", lambda d: d.__setitem__("schema_version", 4),
-         "model file schema 4 is not supported: predict reads schema 5; refit the model"),
+         "model file schema 4 is not supported: predict reads schema 6; refit the model"),
+        ("chebypoly", lambda d: d.__setitem__("schema_version", 5),
+         "model file schema 5 is not supported: predict reads schema 6; refit the model"),
         # the file's top level
         ("ridge", _wrap_in_list, "model file: expected a JSON object, got list"),
         ("ridge", lambda d: d.__setitem__("kind", ["ridge"]),
@@ -521,6 +533,11 @@ class TestFitPredict:
         ("ridge", lambda d: d.pop("model"), "model file: missing field 'model'"),
         ("erbf", lambda d: d["model"].__setitem__("fit_info", "ab"),
          "erbf model: fit_info is not an object: 'ab'"),
+        # a negative range would scale its feature to 0 and predict wrong numbers
+        ("chebypoly", lambda d: d["model"]["ranges"][0].__setitem__(1, -0.5),
+         "chebyshev model: ranges[0, 1] = -0.5 is negative"),
+        ("chebytree", lambda d: d["model"]["ranges"][_poly_row(d["model"])].__setitem__(
+            2, -0.5), "chebyshev model: ranges["),
     ], ids=["dt-short-left", "dt-child-out-of-range", "dt-child-loops-back",
             "dt-feature-below-leaf-mark", "dt-inf-threshold", "dt-nan-value",
             "ridge-short-weights", "ridge-nan-means", "ridge-zero-std",
@@ -532,15 +549,15 @@ class TestFitPredict:
             "chebypoly-inf-min", "chebypoly-inf-y-std",
             "erbf-short-centers", "erbf-short-weights", "erbf-short-standardizer",
             "erbf-short-stds", "erbf-zero-width", "erbf-nan-center", "erbf-inf-bias",
-            "chebypoly-unknown-basis-key", "chebypoly-string-complexity",
+            "chebypoly-old-layout", "chebypoly-string-complexity",
             "chebypoly-fractional-complexity", "chebypoly-bool-interaction-complexity",
             "chebypoly-string-interaction-feat", "chebypoly-fractional-interaction-feat",
             "chebytree-fractional-complexity", "chebypoly-bool-weight", "chebypoly-no-weights", "ridge-list-intercept", "ridge-null-standardizer",
             "ridge-model-not-object", "feature-names-not-list", "dt-fractional-feature",
             "dt-fractional-left", "dt-nan-right", "schema-2", "schema-3", "schema-4",
-            "file-is-list",
+            "schema-5", "file-is-list",
             "kind-is-list", "no-kind", "no-medians", "no-feature-names", "no-model",
-            "erbf-string-fit-info"])
+            "erbf-string-fit-info", "chebypoly-negative-range", "chebytree-negative-range"])
     def test_predict_rejects_corrupted_model_file(self, tmp_path, capsys, kind,
                                                   corrupt, message):
         data = tmp_path / "train.csv"
@@ -563,13 +580,14 @@ class TestFitPredict:
         ("dt", lambda m: m["value"].__setitem__(0, [1.0, 2.0]), "tree: value"),
         ("dt", lambda m: m["value"].__setitem__(0, "abc"), "tree: value"),
         ("dt", lambda m: m["feature"].__setitem__(0, "abc"), "tree: feature"),
-        ("chebypoly", lambda m: m["weights"].__setitem__(0, [1.0, 2.0]),
-         "chebypoly model: weights"),
-        ("chebypoly", lambda m: m["weights"].__setitem__(0, "abc"), "chebypoly model: weights"),
+        ("chebypoly", lambda m: m["weights"][0].__setitem__(0, [1.0, 2.0]),
+         "chebyshev model: weights"),
+        ("chebypoly", lambda m: m["weights"][0].__setitem__(0, "abc"),
+         "chebyshev model: weights"),
         ("chebytree", lambda m: m["weights"].__setitem__(_poly_row(m), [1.0, 2.0]),
-         "chebytree model: weights"),
+         "chebyshev model: weights"),
         ("chebytree", lambda m: m["weights"][_poly_row(m)].__setitem__(0, "abc"),
-         "chebytree model: weights"),
+         "chebyshev model: weights"),
         ("erbf", lambda m: m["centers"][2].pop(), "erbf model: centers"),
         ("erbf", lambda m: m["centers"][2].__setitem__(0, "abc"), "erbf model: centers"),
     ], ids=["ridge-ragged", "ridge-string", "dt-ragged", "dt-string", "dt-string-index",

@@ -6,6 +6,7 @@ cheap to check); oracles are computed independently of the library code.
 
 import csv
 import io
+import json
 import math
 import os
 
@@ -16,13 +17,13 @@ from smoothbench import data
 from smoothbench.data import (
     BLOCK_ROWS,
     Dataset,
-    MinMaxScaler,
     Standardizer,
     drop_quasi_constant,
     impute_median,
     inner_fold_count,
     kfold_split,
     load_csv,
+    minmax_scale,
     read_array,
     read_int_array,
     subsample,
@@ -571,31 +572,48 @@ def test_standardizer_serialization():
     assert np.allclose(s.apply(X), s2.apply(X))
 
 
+def _minmax(X):
+    """The mins and ranges a fit takes from its training rows."""
+    mins = X.min(axis=0)
+    return mins, X.max(axis=0) - mins
+
+
 def test_minmax_maps_training_extremes_to_endpoints():
     X = np.array([[0.0, -5.0], [10.0, 5.0], [5.0, 0.0]])
-    Z = MinMaxScaler.fit(X).apply(X)
+    Z = minmax_scale(X, *_minmax(X))
     assert Z.min(axis=0).tolist() == [-1.0, -1.0]
     assert Z.max(axis=0).tolist() == [1.0, 1.0]
     assert Z[2, 0] == 0.0 and Z[2, 1] == 0.0
 
 
 def test_minmax_clip_property():
-    # with clip on, arbitrary out-of-range queries land in [-1, 1]
+    # arbitrary out-of-range queries land in [-1, 1]
     rng = np.random.default_rng(31)
     for case in range(200):
         n, d = int(rng.integers(2, 30)), int(rng.integers(1, 5))
         X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10)
-        scaler = MinMaxScaler.fit(X)
+        mins, ranges = _minmax(X)
         Q = rng.normal(size=(int(rng.integers(1, 20)), d)) * 100
-        Z = scaler.apply(Q)
+        Z = minmax_scale(Q, mins, ranges)
         assert np.all(Z >= -1.0) and np.all(Z <= 1.0)
 
 
 def test_minmax_constant_column_maps_to_zero():
     X = np.column_stack([np.full(4, 2.0), np.arange(4.0)])
-    scaler = MinMaxScaler.fit(X)
-    Z = scaler.apply(np.array([[2.0, 1.5], [99.0, 1.5]]))
+    Z = minmax_scale(np.array([[2.0, 1.5], [99.0, 1.5]]), *_minmax(X))
     assert Z[0, 0] == 0.0 and Z[1, 0] == 0.0
+
+
+def test_minmax_per_row_scaling_equals_per_column_scaling_of_each_row():
+    # one row of mins and ranges per row of X, as chebytree scales its leaves
+    rng = np.random.default_rng(33)
+    X = rng.normal(size=(30, 3)) * 4
+    mins = rng.normal(size=(30, 3))
+    ranges = rng.uniform(0.0, 2.0, size=(30, 3))
+    ranges[::4, 1] = 0.0
+    Z = minmax_scale(X, mins, ranges)
+    for i in range(30):
+        assert np.array_equal(Z[i], minmax_scale(X[i:i + 1], mins[i], ranges[i])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +681,14 @@ def test_read_array_missing_key_is_a_key_error():
 
 
 def test_minmax_serialization():
+    # mins and ranges as a model file stores them (tolist) and reads them
+    # (read_array) scale queries to the same bits
     X = np.random.default_rng(1).normal(size=(8, 2))
-    s = MinMaxScaler.fit(X)
-    s2 = MinMaxScaler.from_dict(s.to_dict(), 2)
+    mins, ranges = _minmax(X)
+    d = json.loads(json.dumps({"mins": mins.tolist(), "ranges": ranges.tolist()}))
+    back = (read_array("m", d, "mins", (2,)), read_array("m", d, "ranges", (2,)))
     Q = np.random.default_rng(2).normal(size=(5, 2)) * 10
-    assert np.array_equal(s.apply(Q), s2.apply(Q))
+    assert np.array_equal(minmax_scale(Q, mins, ranges), minmax_scale(Q, *back))
 
 
 # ---------------------------------------------------------------------------
