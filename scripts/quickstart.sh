@@ -2,12 +2,14 @@
 # Runs the README quick start from this source checkout, in a temporary
 # directory, as `python -m smoothbench.cli`; stops at the first command that
 # fails. It also checks that `report` rebuilds `bench`'s three report files
-# byte for byte, that a --param the model does not have exits 1, that a
-# bench config with a misspelt key exits 1 and writes no results, that every
-# model file is strict JSON (no NaN or Infinity token), and that predict
-# refuses a model file with a feature name dropped, a ragged erbf centers row,
-# a truncated chebytree weights row or a negative chebypoly range, naming the
-# field and writing no predictions.
+# byte for byte, that an erbf with k-means centres and local-variance widths
+# fits and predicts, that fit and predict fill blank feature cells and write
+# one prediction per input row, that a --param the model does not have exits
+# 1, that a bench config with a misspelt key exits 1 and writes no results,
+# that every model file is strict JSON (no NaN or Infinity token), and that
+# predict refuses a model file with a feature name dropped, a ragged erbf
+# centers row, a truncated chebytree weights row or a negative chebypoly
+# range, naming the field and writing no predictions.
 #
 # Usage: scripts/quickstart.sh   (needs python with numpy)
 set -euo pipefail
@@ -27,6 +29,19 @@ smoothbench fit --model erbf --data train.csv --target y \
 smoothbench predict --model-file tuned.json --data train.csv --out preds.csv
 smoothbench predict --model-file model.json --data train.csv --out poly-preds.csv
 smoothbench predict --model-file erbf.json --data train.csv --out erbf-preds.csv
+smoothbench fit --model erbf --data train.csv --target y \
+    --param center_init=kmeans --param width_init=local_variance --out erbf-km.json
+smoothbench predict --model-file erbf-km.json --data train.csv --out erbf-km-preds.csv
+# blank x1 in every 7th row and x3 in every 11th: fit and predict fill them by medians
+awk -F, -v OFS=, 'NR % 7 == 0 {$2 = ""} NR % 11 == 0 {$4 = ""} {print}' train.csv > blanks.csv
+grep -q ',,' blanks.csv
+smoothbench fit --model ridge --data blanks.csv --target y --out blanks.json
+smoothbench predict --model-file blanks.json --data blanks.csv --out blanks-preds.csv
+if [ "$(wc -l < blanks-preds.csv)" -ne "$(wc -l < blanks.csv)" ]; then
+    echo "predict on blanks.csv wrote $(wc -l < blanks-preds.csv) lines for" \
+         "$(wc -l < blanks.csv) input lines; expected one prediction per row" >&2
+    exit 1
+fi
 smoothbench fit --model chebytree --data train.csv --target y \
     --param complexity=2 --param max_depth=4 --out tree.json
 smoothbench predict --model-file tree.json --data train.csv --out tree-preds.csv
@@ -36,7 +51,8 @@ smoothbench fit --model chebypoly --data train.csv --target y \
     --param max_interaction_complexity=2 --out pairs.json
 smoothbench predict --model-file pairs.json --data train.csv --out pairs-preds.csv
 # every model file is strict JSON: a NaN or Infinity token fails here
-python - model.json tuned.json erbf.json tree.json dt.json pairs.json <<'PY'
+python - model.json tuned.json erbf.json erbf-km.json tree.json dt.json pairs.json \
+    blanks.json <<'PY'
 import json
 import sys
 

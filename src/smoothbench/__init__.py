@@ -17,6 +17,7 @@ from .data import (
     Dataset,
     FoldPlan,
     Standardizer,
+    column_medians,
     drop_quasi_constant,
     impute_median,
     inner_fold_count,
@@ -36,7 +37,7 @@ __all__ = [
     "fit_chebypoly",
     "BasisConfig", "build_design_matrix", "cheb_eval",
     "ChebyTreeModel", "fit_chebytree",
-    "Dataset", "FoldPlan", "Standardizer",
+    "Dataset", "FoldPlan", "Standardizer", "column_medians",
     "drop_quasi_constant", "impute_median", "inner_fold_count",
     "kfold_split", "load_csv", "write_csv",
     "ErbfModel", "auto_k", "fit_erbf",

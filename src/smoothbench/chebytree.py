@@ -17,7 +17,8 @@ leaf shares the model's basis and interaction_feats.
 Fit and predict handle all leaves in one batched pass: rows are grouped by
 leaf, scaled with their own leaf's ranges, expanded by one design matrix call,
 and the per-leaf ridge systems are solved stacked. Working memory is
-O(N*p + L*p^2) for N rows, L polynomial leaves and p columns.
+O(N*p + L*p^2) for N rows, L polynomial leaves and p columns. When every row
+reaches one leaf, as in every chebypoly predict, predict skips the grouping.
 """
 
 from __future__ import annotations
@@ -77,11 +78,15 @@ class ChebyTreeModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         leaves = cart_route(self.tree, X)
-        order = np.argsort(leaves, kind="stable")
-        groups, starts, sizes = np.unique(leaves[order], return_index=True,
-                                          return_counts=True)
-        rows = np.searchsorted(self.tree.leaf_ids, groups)  # each group's leaf row
-        at = np.repeat(rows, sizes)  # each sorted row's leaf row
+        if X.shape[0] and (leaves == leaves[0]).all():  # one leaf: no sort, gathers or unsort
+            order, starts, sizes = slice(None), np.zeros(1, np.int64), np.array([X.shape[0]])
+            rows = at = np.searchsorted(self.tree.leaf_ids, leaves[:1])
+        else:
+            order = np.argsort(leaves, kind="stable")
+            groups, starts, sizes = np.unique(leaves[order], return_index=True,
+                                              return_counts=True)
+            rows = np.searchsorted(self.tree.leaf_ids, groups)  # each group's leaf row
+            at = np.repeat(rows, sizes)  # each sorted row's leaf row
         Xs = minmax_scale(X[order], self.mins[at], self.ranges[at])
         design = build_design_matrix(Xs, self.basis, self.interaction_feats).matrix
         raw = np.empty(X.shape[0])
@@ -126,9 +131,11 @@ class ChebyTreeModel:
             i = int(bad[0])
             raise ValueError(f"{owner}: lo[{i}] = {leaf['lo'][i]} is above "
                              f"hi[{i}] = {leaf['hi'][i]}")
+        y_std = float(read_array(owner, d, "y_std", ()))
+        if y_std < 0:  # the global clip would get lo > hi and predict one constant
+            raise ValueError(f"{owner}: y_std = {y_std} is negative")
         return cls(tree=tree, basis=basis, interaction_feats=tuple(feats.tolist()), **leaf,
-                   y_mean=float(read_array(owner, d, "y_mean", ())),
-                   y_std=float(read_array(owner, d, "y_std", ())))
+                   y_mean=float(read_array(owner, d, "y_mean", ())), y_std=y_std)
 
 
 def fit_chebytree(

@@ -16,8 +16,8 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .data import (Dataset, drop_quasi_constant, impute_median, inner_fold_count, kfold_split,
-                   load_csv, read_array, subsample, write_csv, write_table)
+from .data import (Dataset, column_medians, drop_quasi_constant, impute_median, inner_fold_count,
+                   kfold_split, load_csv, read_array, subsample, write_csv, write_table)
 from .harness import (
     BenchRunConfig,
     build_report,
@@ -121,8 +121,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     ds = drop_quasi_constant(ds)
     if args.max_samples is not None:
         ds = subsample(ds, args.max_samples, args.seed)
-    ds = impute_median(ds, ds)
-    medians = [float(np.median(ds.X[:, j])) for j in range(ds.d)]
+    medians = column_medians(ds)
+    ds = impute_median(ds, medians)
 
     if args.tune:
         plan = kfold_split(ds.n, inner_fold_count(ds.n), seed=args.seed)
@@ -138,7 +138,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "kind": args.model,
         "target": ds.target_name,
         "feature_names": list(ds.feature_names),
-        "medians": medians,
+        "medians": medians.tolist(),
         # every hyperparameter value the fit used, defaults included
         "params": {**hyperparameters(args.model), **params},
         "tuned": bool(args.tune),
@@ -181,8 +181,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not clip[0] <= clip[1]:
         raise ValueError(f"model file: clip must be lo <= hi, got {doc['clip']!r}")
     medians = read_array("model file", doc, "medians", (len(names),))
-    X = load_csv(args.data, columns=names).X
-    X = np.where(np.isnan(X), medians, X)
+    X = impute_median(load_csv(args.data, columns=names), medians).X
     preds = predict_model(kind, model, X, clip)
     write_table(args.out, ["prediction"], preds[:, None])
     print(f"wrote {len(preds)} predictions -> {args.out}")

@@ -252,14 +252,8 @@ def write_table(path: str, header: Sequence[str], values: np.ndarray) -> None:
             fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
 
 
-def impute_median(train: Dataset, apply_to: Dataset) -> Dataset:
-    """Fill NaNs in apply_to with per-column medians computed on train.
-
-    Non-NaN entries pass through bitwise unchanged. A train column that is
-    entirely NaN is an error.
-    """
-    if train.d != apply_to.d:
-        raise ValueError("train and apply_to must share the feature schema")
+def column_medians(train: Dataset) -> np.ndarray:
+    """Per-column medians of train's non-NaN entries; an entirely NaN column is an error."""
     medians = np.empty(train.d)
     for j in range(train.d):
         col = train.X[:, j]
@@ -269,10 +263,17 @@ def impute_median(train: Dataset, apply_to: Dataset) -> Dataset:
                 f"column {train.feature_names[j]!r} is entirely missing in the training split"
             )
         medians[j] = np.median(finite)
-    X = apply_to.X.copy()
+    return medians
+
+
+def impute_median(ds: Dataset, medians: np.ndarray) -> Dataset:
+    """Fill each NaN of ds with its column's entry of medians; other entries keep their bits."""
+    if medians.shape != (ds.d,):
+        raise ValueError(f"medians have shape {medians.shape}, not the feature schema's")
+    X = ds.X.copy()
     mask = np.isnan(X)
     X[mask] = np.broadcast_to(medians, X.shape)[mask]
-    return Dataset(X, apply_to.y, apply_to.feature_names, apply_to.target_name)
+    return Dataset(X, ds.y, ds.feature_names, ds.target_name)
 
 
 # the largest share of the rows that one value of a kept feature may cover

@@ -26,7 +26,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .data import Standardizer, read_array
-from .numkit import OptimResult, kmeans, knn_indices, lbfgs_minimize, ridge_solve
+from .numkit import (OptimResult, kmeans, knn_indices, lbfgs_minimize, ridge_solve,
+                     ridge_solve_segments, sq_dists)
 
 WIDTH_FLOOR = 1e-6
 WIDTH_CAP = 1e3
@@ -72,12 +73,10 @@ def local_lipschitz(X: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError("need at least 2 rows")
     kk = min(LIPSCHITZ_K, n - 1)
     L = np.empty(n)
-    sq_norms = (X * X).sum(axis=1)
     chunk = max(1, int(2_000_000 // max(1, n)))
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
-        d2 = sq_norms[rows, None] + sq_norms[None, :] - 2.0 * (X[rows] @ X.T)
-        np.maximum(d2, 0.0, out=d2)
+        d2 = sq_dists(X[rows], X)
         local = np.arange(d2.shape[0])
         d2[local, start + local] = np.inf
         nb = np.argpartition(d2, kk - 1, axis=1)[:, :kk]
@@ -132,6 +131,7 @@ def init_widths(
     with beta from a lightly regularised local linear fit (|beta| floored at
     1e-8); local_variance sets sigma_kj = std_local(x_j) * sqrt(d). Outputs are
     clamped to [1e-6, 1e3] so every width is strictly positive and finite.
+    The K local fits run as one stacked ridge_solve_segments call: O(K d^2) memory.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -140,18 +140,16 @@ def init_widths(
     if mode not in WIDTH_MODES:
         raise ValueError(f"unknown width mode {mode!r}")
     k_nn = min(n, max(10, min(100, n // K)))
-    sigma = np.empty((K, d))
-    tau = 1.5 * math.sqrt(d)
-    for ki in range(K):
-        nb = knn_indices(X, centers[ki], k_nn)
-        Xnb = X[nb]
-        var = Xnb.var(axis=0)
-        if mode == "local_ridge":
-            beta, _ = ridge_solve(Xnb, y[nb], alpha=1e-3)
-            beta = np.maximum(np.abs(beta), 1e-8)
-            sigma[ki] = tau * np.sqrt(var / beta)
-        else:
-            sigma[ki] = np.sqrt(var) * math.sqrt(d)
+    nb = np.stack([knn_indices(X, c, k_nn) for c in centers])
+    Xnb = X[nb]
+    var = Xnb.var(axis=1)
+    if mode == "local_ridge":
+        beta, _ = ridge_solve_segments(Xnb.reshape(K * k_nn, d), y[nb].ravel(),
+                                       np.arange(0, K * k_nn + 1, k_nn), 1e-3)
+        beta = np.maximum(np.abs(beta), 1e-8)
+        sigma = 1.5 * math.sqrt(d) * np.sqrt(var / beta)
+    else:
+        sigma = np.sqrt(var) * math.sqrt(d)
     return np.clip(sigma, WIDTH_FLOOR, WIDTH_CAP)
 
 

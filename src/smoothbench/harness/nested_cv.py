@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..data import Dataset, FoldPlan, impute_median, inner_fold_count, kfold_split
+from ..data import Dataset, FoldPlan, column_medians, impute_median, inner_fold_count, kfold_split
 from ..registry import fit_model, predict_model
 from .metrics import FAILURE_SCORE, adjusted_r2, clip_bounds, r2
 from .search import random_search, search_space
@@ -90,9 +90,9 @@ def run_outer_fold(
     train_idx = np.flatnonzero(assignments != fold)
     test_idx = np.flatnonzero(assignments == fold)
     train_raw = ds.select_rows(train_idx)
-    test_raw = ds.select_rows(test_idx)
-    train = impute_median(train_raw, train_raw)
-    test = impute_median(train_raw, test_raw)
+    medians = column_medians(train_raw)
+    train = impute_median(train_raw, medians)
+    test = impute_median(ds.select_rows(test_idx), medians)
     train.require_finite()
     test.require_finite()
 

@@ -194,7 +194,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = _sq_dists(X, centers)
+    d2 = sq_dists(X, centers)
     labels = d2.argmin(axis=1)
     # rescue empty clusters: move the centre onto the farthest point
     k = centers.shape[0]
@@ -218,7 +218,7 @@ def _update_means(X: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.
     return out
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, (len(A), len(B)), clipped at 0."""
     d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
     return np.maximum(d2, 0.0)

@@ -446,9 +446,15 @@ def _old_layout(d, j):
      r"chebyshev model: ranges\[\d+, 1\] = -0.5 is negative"),
     ("chebypoly", lambda d, j: d["ranges"][j].__setitem__(1, -0.5),
      r"chebyshev model: ranges\[0, 1\] = -0.5 is negative"),
+    # a negative y_std would turn the global clip around and predict one constant
+    ("chebytree", lambda d, j: d.__setitem__("y_std", -d["y_std"]),
+     r"chebyshev model: y_std = -[\d.e-]+ is negative"),
+    ("chebypoly", lambda d, j: d.__setitem__("y_std", -d["y_std"]),
+     r"chebyshev model: y_std = -[\d.e-]+ is negative"),
 ], ids=["missing-leaf", "extra-leaf", "complexity", "feature-count", "weights-length",
         "inf-intercept", "nan-range", "string-hi", "lo-above-hi", "zero-complexity",
-        "old-layout", "negative-range", "chebypoly-negative-range"])
+        "old-layout", "negative-range", "chebypoly-negative-range", "negative-y-std",
+        "chebypoly-negative-y-std"])
 def test_from_dict_rejects_corrupted_leaves(kind, corrupt, message):
     rng = np.random.default_rng(137)
     X = rng.normal(size=(120, 2))

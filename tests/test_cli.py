@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from smoothbench.cli import main
-from smoothbench.data import load_csv, write_csv
+from smoothbench.data import column_medians, impute_median, load_csv, write_csv
 from smoothbench.harness import clip_bounds
 from smoothbench.registry import fit_model, model_from_dict, predict_model
 from smoothbench.synth import gen
@@ -25,6 +25,23 @@ def _write_dataset(path, kind="friedman1", n=60, noise_std=0.2, seed=11):
     ds = gen(kind, n=n, noise_std=noise_std, seed=seed)
     write_csv(ds, str(path))
     return ds
+
+
+def _write_with_blanks(path, ds, first_row=0):
+    """Write ds as CSV, leaving feature j blank in rows first_row .. first_row + j.
+
+    Column j so loses j + 1 cells: the finite counts alternate odd and even.
+    Returns the feature matrix with NaN where a cell was left blank.
+    """
+    X = ds.X.copy()
+    for j in range(ds.d):
+        X[first_row:first_row + j + 1, j] = np.nan
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(ds.feature_names) + [ds.target_name])
+        for row, target in zip(X.tolist(), ds.y.tolist()):
+            writer.writerow(["" if np.isnan(v) else repr(v) for v in row] + [repr(target)])
+    return X
 
 
 def _wrap_in_list(doc):
@@ -284,6 +301,37 @@ class TestFitPredict:
         want = predict_model("ridge", model, X, doc["clip"])
         assert np.array_equal(got, want)
 
+    def test_model_file_medians_are_the_training_nanmedians(self, tmp_path):
+        data = tmp_path / "train.csv"
+        X = _write_with_blanks(data, gen("friedman1", n=60, noise_std=0.2, seed=11))
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--model", "ridge", "--data", str(data),
+                     "--target", "y", "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        assert [int(np.isfinite(X[:, j]).sum()) for j in range(5)] == [59, 58, 57, 56, 55]
+        assert doc["medians"] == [float(np.nanmedian(X[:, j])) for j in range(5)]
+
+    def test_predict_fills_blank_cells_as_the_benchmark_does(self, tmp_path):
+        data, query = tmp_path / "train.csv", tmp_path / "query.csv"
+        _write_with_blanks(data, gen("friedman1", n=60, noise_std=0.2, seed=11))
+        _write_with_blanks(query, gen("friedman1", n=20, noise_std=0.2, seed=12), first_row=3)
+        model_path, out = tmp_path / "model.json", tmp_path / "preds.csv"
+        assert main(["fit", "--model", "ridge", "--data", str(data),
+                     "--target", "y", "--out", str(model_path)]) == 0
+        assert main(["predict", "--model-file", str(model_path),
+                     "--data", str(query), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            got = np.array([float(r[0]) for r in list(csv.reader(fh))[1:]])
+
+        # the outer fold's imputation: training medians fill both splits
+        train = load_csv(str(data), "y")
+        medians = column_medians(train)
+        X_train = impute_median(train, medians).X
+        X_query = impute_median(load_csv(str(query), "y"), medians).X
+        model = fit_model("ridge", X_train, train.y, {}, seed=0)
+        want = predict_model("ridge", model, X_query, clip_bounds(train.y))
+        assert np.array_equal(got, want)
+
     def test_predict_missing_feature_column_fails(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
         _write_dataset(data, n=50)
@@ -538,6 +586,11 @@ class TestFitPredict:
          "chebyshev model: ranges[0, 1] = -0.5 is negative"),
         ("chebytree", lambda d: d["model"]["ranges"][_poly_row(d["model"])].__setitem__(
             2, -0.5), "chebyshev model: ranges["),
+        # a negative y_std would turn the global clip around and predict one constant
+        ("chebypoly", lambda d: d["model"].__setitem__("y_std", -d["model"]["y_std"]),
+         "chebyshev model: y_std = -"),
+        ("chebytree", lambda d: d["model"].__setitem__("y_std", -d["model"]["y_std"]),
+         "chebyshev model: y_std = -"),
     ], ids=["dt-short-left", "dt-child-out-of-range", "dt-child-loops-back",
             "dt-feature-below-leaf-mark", "dt-inf-threshold", "dt-nan-value",
             "ridge-short-weights", "ridge-nan-means", "ridge-zero-std",
@@ -557,7 +610,8 @@ class TestFitPredict:
             "dt-fractional-left", "dt-nan-right", "schema-2", "schema-3", "schema-4",
             "schema-5", "file-is-list",
             "kind-is-list", "no-kind", "no-medians", "no-feature-names", "no-model",
-            "erbf-string-fit-info", "chebypoly-negative-range", "chebytree-negative-range"])
+            "erbf-string-fit-info", "chebypoly-negative-range", "chebytree-negative-range",
+            "chebypoly-negative-y-std", "chebytree-negative-y-std"])
     def test_predict_rejects_corrupted_model_file(self, tmp_path, capsys, kind,
                                                   corrupt, message):
         data = tmp_path / "train.csv"

@@ -18,6 +18,7 @@ from smoothbench.data import (
     BLOCK_ROWS,
     Dataset,
     Standardizer,
+    column_medians,
     drop_quasi_constant,
     impute_median,
     inner_fold_count,
@@ -416,14 +417,15 @@ def test_impute_median_oracle():
         np.array([[1.0, 10.0], [3.0, np.nan], [5.0, 30.0], [np.nan, 50.0]]),
         np.zeros(4), ("a", "b"))
     test = Dataset(np.array([[np.nan, np.nan]]), np.zeros(1), ("a", "b"))
-    out = impute_median(train, test)
+    out = impute_median(test, column_medians(train))
     assert out.X[0, 0] == 3.0           # median of 1,3,5
     assert out.X[0, 1] == 30.0          # median of 10,30,50
 
 
 def test_impute_median_even_count_is_midpoint_mean():
     train = Dataset(np.array([[1.0], [2.0], [7.0], [100.0]]), np.zeros(4), ("a",))
-    out = impute_median(train, Dataset(np.array([[np.nan]]), np.zeros(1), ("a",)))
+    test = Dataset(np.array([[np.nan]]), np.zeros(1), ("a",))
+    out = impute_median(test, column_medians(train))
     assert out.X[0, 0] == (2.0 + 7.0) / 2.0
 
 
@@ -439,7 +441,7 @@ def test_impute_median_passthrough_bitwise():
         Xm = X.copy()
         Xm[mask] = np.nan
         ds = Dataset(Xm, np.zeros(n), tuple(f"f{j}" for j in range(d)))
-        out = impute_median(ds, ds)
+        out = impute_median(ds, column_medians(ds))
         same = ~mask
         assert np.array_equal(
             out.X[same].view(np.uint64), Xm[same].view(np.uint64))
@@ -449,14 +451,14 @@ def test_impute_median_passthrough_bitwise():
 def test_impute_median_all_missing_column_errors():
     train = Dataset(np.array([[np.nan], [np.nan]]), np.zeros(2), ("a",))
     with pytest.raises(ValueError, match="entirely missing"):
-        impute_median(train, train)
+        column_medians(train)
 
 
 def test_impute_median_schema_mismatch():
     a = Dataset(np.zeros((2, 1)), np.zeros(2), ("a",))
     b = Dataset(np.zeros((2, 2)), np.zeros(2), ("a", "b"))
     with pytest.raises(ValueError, match="schema"):
-        impute_median(a, b)
+        impute_median(b, column_medians(a))
 
 
 # ---------------------------------------------------------------------------

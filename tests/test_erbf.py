@@ -25,6 +25,7 @@ from smoothbench.erbf import (
     local_lipschitz,
     place_centers,
 )
+from smoothbench.numkit import knn_indices, ridge_solve
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +437,40 @@ def test_init_widths_local_ridge_widens_flat_directions():
     centers = X[:5].copy()
     sigma = init_widths(X, y, centers, mode="local_ridge")
     assert np.median(sigma[:, 1]) > 5 * np.median(sigma[:, 0])
+
+
+def _init_widths_per_centre(X, y, centers, mode):
+    """Reference: init_widths with one kNN query and one ridge_solve per centre."""
+    n, d = X.shape
+    K = centers.shape[0]
+    k_nn = min(n, max(10, min(100, n // K)))
+    sigma = np.empty((K, d))
+    for ki in range(K):
+        nb = knn_indices(X, centers[ki], k_nn)
+        var = X[nb].var(axis=0)
+        if mode == "local_ridge":
+            beta, _ = ridge_solve(X[nb], y[nb], alpha=1e-3)
+            sigma[ki] = 1.5 * math.sqrt(d) * np.sqrt(var / np.maximum(np.abs(beta), 1e-8))
+        else:
+            sigma[ki] = np.sqrt(var) * math.sqrt(d)
+    return np.clip(sigma, WIDTH_FLOOR, WIDTH_CAP)
+
+
+def test_init_widths_matches_per_centre_loop_bitwise():
+    # every third case rounds the inputs, so neighbour distances tie
+    rng = np.random.default_rng(179)
+    for case in range(36):
+        n, d = int(rng.integers(30, 400)), int(rng.integers(1, 12))
+        K = int(rng.integers(1, min(60, n // 2) + 1))
+        X = rng.normal(size=(n, d))
+        y = X[:, 0] + rng.normal(size=n)
+        if case % 3 == 0:
+            X, y = np.round(X, 1), np.round(y, 1)
+        centers = X[rng.choice(n, K, replace=False)]
+        for mode in ("local_ridge", "local_variance"):
+            got = init_widths(X, y, centers, mode=mode)
+            want = _init_widths_per_centre(X, y, centers, mode)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (case, mode)
 
 
 def test_init_widths_mode_validation():
