@@ -5,7 +5,8 @@
 # byte for byte, that an erbf with k-means centres and local-variance widths
 # fits and predicts, that fit and predict fill blank feature cells and write
 # one prediction per input row, that a --param the model does not have exits
-# 1, that a bench config with a misspelt key exits 1 and writes no results,
+# 1 (a misspelt name, and n_rbf_mode, which n_rbf replaced), that --budget
+# without --tune exits 2, that a bench config with a misspelt key exits 1 and writes no results,
 # that every model file is strict JSON (no NaN or Infinity token), and that
 # predict refuses a model file with a feature name dropped, a ragged erbf
 # centers row, a truncated chebytree weights row or a negative chebypoly
@@ -25,7 +26,7 @@ smoothbench fit --model chebypoly --data train.csv --target y \
 smoothbench fit --model erbf --data train.csv --target y --tune --budget 2 \
     --seed 0 --out tuned.json
 smoothbench fit --model erbf --data train.csv --target y \
-    --param n_rbf_mode=fixed --param n_rbf=8 --out erbf.json
+    --param n_rbf=8 --out erbf.json
 smoothbench predict --model-file tuned.json --data train.csv --out preds.csv
 smoothbench predict --model-file model.json --data train.csv --out poly-preds.csv
 smoothbench predict --model-file erbf.json --data train.csv --out erbf-preds.csv
@@ -47,8 +48,7 @@ smoothbench fit --model chebytree --data train.csv --target y \
 smoothbench predict --model-file tree.json --data train.csv --out tree-preds.csv
 smoothbench fit --model dt --data train.csv --target y --out dt.json
 smoothbench fit --model chebypoly --data train.csv --target y \
-    --param complexity=2 --param include_interactions=true \
-    --param max_interaction_complexity=2 --out pairs.json
+    --param complexity=2 --param interactions=2 --out pairs.json
 smoothbench predict --model-file pairs.json --data train.csv --out pairs-preds.csv
 # every model file is strict JSON: a NaN or Infinity token fails here
 python - model.json tuned.json erbf.json erbf-km.json tree.json dt.json pairs.json \
@@ -76,12 +76,26 @@ for f in report.json rank_table.csv scores_table.csv; do
     cmp "results/$f" "rebuilt/$f"
 done
 
-# a misspelt hyperparameter is refused, not ignored
+# a misspelt hyperparameter, or one that n_rbf replaced, is refused, not ignored
+for case in "chebypoly:complexty=6" "erbf:n_rbf_mode=fixed"; do
+    model="${case%%:*}" param="${case#*:}"
+    status=0
+    smoothbench fit --model "$model" --data train.csv --target y \
+        --param "$param" --out typo.json || status=$?
+    if [ "$status" -ne 1 ] || [ -e typo.json ]; then
+        echo "fit --model $model --param $param exited $status;" \
+             "expected 1 and no model file" >&2
+        exit 1
+    fi
+done
+
+# --budget without --tune is a usage error, not a silent default fit
 status=0
-smoothbench fit --model chebypoly --data train.csv --target y \
-    --param complexty=6 --out typo.json || status=$?
-if [ "$status" -ne 1 ] || [ -e typo.json ]; then
-    echo "fit --param complexty=6 exited $status; expected 1 and no model file" >&2
+smoothbench fit --model ridge --data train.csv --target y --budget 2 \
+    --out budget.json 2> budget.err || status=$?
+if [ "$status" -ne 2 ] || [ -e budget.json ] || ! grep -q -- "--budget needs --tune" budget.err; then
+    echo "fit --budget 2 without --tune exited $status; expected 2, the message" \
+         "'--budget needs --tune' and no model file" >&2
     exit 1
 fi
 

@@ -25,24 +25,23 @@ def fit_chebypoly(
     y: np.ndarray,
     complexity: int = 3,
     alpha: float = 1.0,
-    include_interactions: bool = False,
-    max_interaction_complexity: int = 1,
+    interactions: int = 0,
 ) -> ChebyTreeModel:
-    """Fit the Chebyshev regressor on raw (unscaled) features."""
+    """Fit the Chebyshev regressor on raw (unscaled) features.
+
+    interactions is 0 (none), 1 (pair products) or 2 (products and their T_2);
+    see BasisConfig.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] != y.shape[0] or X.shape[0] < 2:
         raise ValueError("need matching X, y with at least 2 rows")
     check_alpha(alpha)
-    basis = BasisConfig(
-        complexity=complexity,
-        include_interactions=include_interactions,
-        max_interaction_complexity=max_interaction_complexity,
-    )
+    basis = BasisConfig(complexity=complexity, interactions=interactions)
     mins = X.min(axis=0)
     ranges = X.max(axis=0) - mins
     Xs = minmax_scale(X, mins, ranges)
-    feats = interaction_feature_set(Xs) if include_interactions else ()
+    feats = interaction_feature_set(Xs) if basis.interactions else ()
     design = build_design_matrix(Xs, basis, feats)
     weights, intercept = ridge_solve(design.matrix, y, alpha)
     y_mean, y_std = float(y.mean()), float(y.std())

@@ -22,33 +22,27 @@ HIGH_DIM_THRESHOLD = 30
 class BasisConfig:
     """Basis shape: per-feature degree plus optional pairwise interactions.
 
-    complexity is the Chebyshev truncation degree c >= 1. With interactions
-    enabled, every eligible unordered feature pair (i, j) contributes the raw
-    product x_i * x_j and, when max_interaction_complexity is 2, additionally
-    T_2(x_i * x_j). When the feature count exceeds HIGH_DIM_THRESHOLD only the
-    top ceil(d/2) features by variance stay eligible for interactions.
+    complexity is the Chebyshev truncation degree c >= 1. interactions is 0
+    (no pair columns), 1 (every eligible unordered feature pair (i, j)
+    contributes the raw product x_i * x_j) or 2 (the product and T_2 of it).
+    When the feature count exceeds HIGH_DIM_THRESHOLD only the top ceil(d/2)
+    features by variance stay eligible for interactions.
     """
 
     complexity: int
-    include_interactions: bool = False
-    max_interaction_complexity: int = 1
+    interactions: int = 0
 
     def __post_init__(self):
-        for name in ("complexity", "max_interaction_complexity"):
+        for name in ("complexity", "interactions"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.include_interactions, (bool, np.bool_)):
-            raise ValueError(f"include_interactions must be true or false, "
-                             f"got {self.include_interactions!r}")
+            # a plain Python int, so that a model file holding it is JSON
+            object.__setattr__(self, name, int(value))
         if self.complexity < 1:
             raise ValueError(f"complexity must be >= 1, got {self.complexity}")
-        if self.max_interaction_complexity not in (1, 2):
-            raise ValueError("max_interaction_complexity must be 1 or 2")
-        # plain Python values, so that a model file holding them is JSON
-        for name, kind in (("complexity", int), ("include_interactions", bool),
-                           ("max_interaction_complexity", int)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
+        if self.interactions not in (0, 1, 2):
+            raise ValueError(f"interactions must be 0, 1 or 2, got {self.interactions}")
 
 
 def cheb_eval(degree: int, x: np.ndarray) -> np.ndarray:
@@ -83,12 +77,9 @@ def interaction_feature_set(X_scaled: np.ndarray) -> tuple[int, ...]:
 
 
 def n_columns(d: int, cfg: BasisConfig, n_inter_feats: int) -> int:
-    """Design-matrix width: 1 + d*c + interaction pair columns."""
-    p = 1 + d * cfg.complexity
-    if cfg.include_interactions:
-        pairs = n_inter_feats * (n_inter_feats - 1) // 2
-        p += pairs * cfg.max_interaction_complexity
-    return p
+    """Design-matrix width: 1 + d*c + interactions columns per eligible pair."""
+    pairs = n_inter_feats * (n_inter_feats - 1) // 2
+    return 1 + d * cfg.complexity + pairs * cfg.interactions
 
 
 @dataclass(frozen=True)
@@ -105,7 +96,7 @@ def build_design_matrix(
 
     Column order: the constant column, then T_1..T_c per feature in feature
     order, then per eligible pair (i, j) in lexicographic order the product
-    x_i * x_j followed (if max_interaction_complexity is 2) by T_2 of it.
+    x_i * x_j followed (if interactions is 2) by T_2 of it.
     interaction_feats is the eligible set chosen at fit time
     (interaction_feature_set of the training features); it is ignored
     without interactions.
@@ -113,7 +104,7 @@ def build_design_matrix(
     X_scaled = np.asarray(X_scaled, dtype=np.float64)
     n, d = X_scaled.shape
     c = cfg.complexity
-    feats = tuple(interaction_feats) if cfg.include_interactions else ()
+    feats = tuple(interaction_feats) if cfg.interactions else ()
     p = n_columns(d, cfg, len(feats))
 
     out = np.empty((n, p))
@@ -123,18 +114,18 @@ def build_design_matrix(
     T[:, :, 0] = X_scaled
     for k in range(1, c):  # T_{k+1} = 2 x T_k - T_{k-1}, with T_0 = 1
         T[:, :, k] = 2.0 * X_scaled * T[:, :, k - 1] - (T[:, :, k - 2] if k > 1 else 1.0)
-    if cfg.include_interactions:
+    if cfg.interactions:
         # pairs (i, j), i < j, in lexicographic order, len(feats) pairs at a
         # time so that the gathered columns stay n x len(feats)
         a, b = np.triu_indices(len(feats), k=1)
         F = np.asarray(feats, dtype=np.intp)
-        pairs = out[:, 1 + d * c:].reshape(n, a.size, cfg.max_interaction_complexity)
+        pairs = out[:, 1 + d * c:].reshape(n, a.size, cfg.interactions)
         step = max(1, len(feats))
         for s in range(0, a.size, step):
             block = slice(s, s + step)
             u = np.multiply(X_scaled[:, F[a[block]]], X_scaled[:, F[b[block]]],
                             out=pairs[:, block, 0])
-            if cfg.max_interaction_complexity == 2:
+            if cfg.interactions == 2:
                 np.multiply(2.0 * u, u, out=pairs[:, block, 1])  # T_2(u) = 2 u u - 1
                 pairs[:, block, 1] -= 1.0
     return DesignMatrix(matrix=out)

@@ -32,12 +32,14 @@ from .harness import (
 from .registry import MODEL_KINDS, fit_model, hyperparameters, model_from_dict, predict_model
 from .synth import CATALOG, gen
 
-MODEL_FILE_SCHEMA = 6
+MODEL_FILE_SCHEMA = 7
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "fit" and args.budget is not None and not args.tune:
+        parser.error("--budget needs --tune")
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, np.linalg.LinAlgError) as exc:

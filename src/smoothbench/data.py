@@ -71,9 +71,10 @@ def load_csv(path: str, target_column: Optional[str] = None,
 
     The features are `columns`, matched by header name, or else every column
     but the target. Only they and the target are parsed, so other columns may
-    hold anything. Empty cells and non-finite numbers become NaN; any other
-    cell that does not parse as a number is treated as categorical and
-    rejected with an error naming the column.
+    hold anything and share names. A parsed name must appear once in the
+    header, and `columns` must not repeat a name. Empty cells and non-finite
+    numbers become NaN; any other cell that does not parse as a number is
+    treated as categorical and rejected with an error naming the column.
 
     With a target column, rows whose target is missing (or not a finite
     number) are dropped, at least 2 rows must remain, and a feature column
@@ -111,6 +112,13 @@ def load_csv(path: str, target_column: Optional[str] = None,
                 raise ValueError(f"{path}: missing feature columns {missing}")
             pos = [header.index(c) for c in columns]
         feature_names = tuple(header[i] for i in pos)
+        # a repeated name would read one of its columns in place of another
+        parsed = feature_names + (() if target_column is None else (target_column,))
+        for i, name in enumerate(parsed):
+            if header.count(name) > 1:
+                raise ValueError(f"{path}: column {name!r} appears more than once in the header")
+            if name in parsed[:i]:
+                raise ValueError(f"{path}: feature column {name!r} is listed more than once")
         X_blocks: list[np.ndarray] = []
         y_blocks: list[np.ndarray] = []
         for linenos, records in _record_blocks(reader, len(header), path):

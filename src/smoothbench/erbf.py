@@ -34,6 +34,9 @@ WIDTH_CAP = 1e3
 
 WIDTH_MODES = ("local_ridge", "local_variance")
 
+# stage 3: the L-BFGS iteration cap on the log-widths
+WIDTH_OPTIM_ITERS = 30
+
 # local_lipschitz: neighbours per point, distance guard, and the percentile cap
 LIPSCHITZ_K = 5
 LIPSCHITZ_EPS = 1e-12
@@ -301,22 +304,17 @@ class ErbfModel:
         )
 
 
-def fit_erbf(X: np.ndarray, y: np.ndarray, n_rbf_mode: str = "auto",
-             n_rbf: Optional[int] = None, alpha: float = 1.0, center_init: str = "lipschitz",
-             width_init: str = "local_ridge", width_optim_iters: int = 30,
+def fit_erbf(X: np.ndarray, y: np.ndarray, n_rbf: Optional[int] = None, alpha: float = 1.0,
+             center_init: str = "lipschitz", width_init: str = "local_ridge",
              seed: int = 0) -> ErbfModel:
     """Run the three-stage pipeline and return the fitted network.
 
-    n_rbf_mode "auto" sizes the network by auto_k and takes no n_rbf; "fixed"
-    needs n_rbf, a positive integer. center_init is "lipschitz" or "kmeans",
-    width_init "local_ridge" or "local_variance".
+    n_rbf None sizes the network by auto_k; any other value must be a
+    positive integer. center_init is "lipschitz" or "kmeans", width_init
+    "local_ridge" or "local_variance".
     """
-    fixed = n_rbf_mode == "fixed" and _is_int(n_rbf) and n_rbf >= 1
-    if not (fixed or (n_rbf_mode == "auto" and n_rbf is None)):
-        raise ValueError(f"n_rbf_mode={n_rbf_mode!r} with n_rbf={n_rbf!r}: 'auto' takes no "
-                         "n_rbf and 'fixed' needs a positive integer n_rbf")
-    if not (_is_int(width_optim_iters) and width_optim_iters >= 0):
-        raise ValueError(f"width_optim_iters must be an integer >= 0, got {width_optim_iters!r}")
+    if n_rbf is not None and not (_is_int(n_rbf) and n_rbf >= 1):
+        raise ValueError(f"n_rbf must be a positive integer or None, got {n_rbf!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -324,7 +322,7 @@ def fit_erbf(X: np.ndarray, y: np.ndarray, n_rbf_mode: str = "auto",
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("fit_erbf requires finite inputs; impute first")
     n, d = X.shape
-    K = int(n_rbf) if fixed else auto_k(n, d)
+    K = auto_k(n, d) if n_rbf is None else int(n_rbf)
     if K > n:
         raise ValueError(f"n_rbf={K} exceeds the number of training rows n={n}")
 
@@ -339,25 +337,17 @@ def fit_erbf(X: np.ndarray, y: np.ndarray, n_rbf_mode: str = "auto",
     r0 = Phi0 @ w0 + b0 - y
     mse_before = float(r0 @ r0) / n
 
-    if width_optim_iters > 0:
-        def objective(theta):
-            try:
-                return erbf_loss_and_grad(theta, Xs, y, centers, w0, b0)
-            except ValueError:
-                # infeasible trial widths (e.g. underflowed to zero on a row
-                # that coincides with a centre): let the line search back off
-                return np.inf, np.zeros_like(theta)
+    def objective(theta):
+        try:
+            return erbf_loss_and_grad(theta, Xs, y, centers, w0, b0)
+        except ValueError:
+            # infeasible trial widths (e.g. underflowed to zero on a row
+            # that coincides with a centre): let the line search back off
+            return np.inf, np.zeros_like(theta)
 
-        res: OptimResult = lbfgs_minimize(
-            objective, np.log(sigma0).ravel(), max_iter=width_optim_iters
-        )
-        sigma = np.exp(res.x.reshape(K, d))
-        mse_after = res.loss
-        iters, converged = res.iterations, res.converged
-    else:
-        sigma = sigma0
-        mse_after = mse_before
-        iters, converged = 0, False
+    res: OptimResult = lbfgs_minimize(objective, np.log(sigma0).ravel(),
+                                      max_iter=WIDTH_OPTIM_ITERS)
+    sigma = np.exp(res.x.reshape(K, d))
 
     Phi = erbf_activations(Xs, centers, sigma)
     weights, bias = ridge_solve(Phi, y, alpha)
@@ -371,8 +361,8 @@ def fit_erbf(X: np.ndarray, y: np.ndarray, n_rbf_mode: str = "auto",
         fit_info={
             "resolved_k": K,
             "stage3_mse_before": mse_before,
-            "stage3_mse_after": float(mse_after),
-            "stage3_iterations": int(iters),
-            "stage3_converged": bool(converged),
+            "stage3_mse_after": float(res.loss),
+            "stage3_iterations": int(res.iterations),
+            "stage3_converged": bool(res.converged),
         },
     )

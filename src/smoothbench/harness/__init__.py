@@ -15,7 +15,6 @@ from .search import Param, SearchSpace, Trial, random_search, search_space
 from .stats import (
     FriedmanResult,
     GapPairSummary,
-    average_ranks,
     friedman_test,
     matched_gap_wins,
     nemenyi_cd,
@@ -28,6 +27,6 @@ __all__ = [
     "SCHEMA_VERSION", "TIMING_FIELDS", "build_report", "read_results_jsonl",
     "report_model_columns", "write_report_files", "write_results_jsonl",
     "Param", "SearchSpace", "Trial", "random_search", "search_space",
-    "FriedmanResult", "GapPairSummary", "average_ranks", "friedman_test",
+    "FriedmanResult", "GapPairSummary", "friedman_test",
     "matched_gap_wins", "nemenyi_cd", "rank_matrix",
 ]

@@ -116,10 +116,10 @@ def build_report(
     Without explicit orders, datasets and models are listed in the order they
     are first seen in fold_results, then in failures.
     """
-    datasets = dataset_order or _first_seen(
-        [fr.dataset for fr in fold_results] + [k[0] for k in failures])
-    models = model_order or _first_seen(
-        [fr.model for fr in fold_results] + [k[1] for k in failures])
+    datasets = dataset_order or list(dict.fromkeys(
+        [fr.dataset for fr in fold_results] + [k[0] for k in failures]))
+    models = model_order or list(dict.fromkeys(
+        [fr.model for fr in fold_results] + [k[1] for k in failures]))
 
     by_pair: Dict[Tuple[str, str], List[FoldResult]] = {}
     ds_folds: Dict[str, set] = {}
@@ -204,13 +204,6 @@ def build_report(
         "failures": {f"{d}/{m}": msg for (d, m), msg in sorted(failures.items())},
         "timing": timing,
     }
-
-
-def _first_seen(items: List[str]) -> List[str]:
-    seen: Dict[str, None] = {}
-    for item in items:
-        seen.setdefault(item, None)
-    return list(seen)
 
 
 def report_model_columns(report: dict) -> List[str]:

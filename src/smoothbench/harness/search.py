@@ -1,11 +1,10 @@
 """Random hyperparameter search over declarative parameter spaces.
 
 Each model kind declares a fixed-budget space. Trials sample parameters
-independently in declaration order from one seeded generator; a parameter
-gated on a categorical parent is only drawn (and only consumes randomness)
-when the parent takes its activating value. Failed trials score a large
-negative sentinel instead of aborting the search, and ties keep the earliest
-trial.
+independently in declaration order from one seeded generator. A categorical
+choice may itself be a Param, which is drawn (and consumes randomness) only
+when it is chosen. Failed trials score a large negative sentinel instead of
+aborting the search, and ties keep the earliest trial.
 """
 
 from __future__ import annotations
@@ -23,17 +22,14 @@ from .metrics import FAILURE_SCORE
 class Param:
     """One dimension of a search space.
 
-    kind: 'uniform' | 'log_uniform' | 'int' | 'categorical'.
-    Conditional parameters set parent (another parameter's name) and
-    active_when (the parent value that switches them on).
+    kind: 'uniform' | 'log_uniform' | 'int' | 'categorical'. A categorical
+    choice that is a Param is sampled in turn when it is chosen.
     """
 
     kind: str
     lo: float = 0.0
     hi: float = 0.0
     choices: Tuple[Any, ...] = ()
-    parent: Optional[str] = None
-    active_when: Any = None
 
     def sample(self, rng: np.random.Generator) -> Any:
         if self.kind == "uniform":
@@ -43,7 +39,8 @@ class Param:
         if self.kind == "int":
             return int(rng.integers(int(self.lo), int(self.hi) + 1))
         if self.kind == "categorical":
-            return self.choices[int(rng.integers(len(self.choices)))]
+            choice = self.choices[int(rng.integers(len(self.choices)))]
+            return choice.sample(rng) if isinstance(choice, Param) else choice
         raise ValueError(f"unknown parameter kind {self.kind!r}")
 
 
@@ -53,12 +50,7 @@ class SearchSpace:
     budget: int
 
     def sample_trial(self, rng: np.random.Generator) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        for pname, spec in self.params.items():
-            if spec.parent is not None and out.get(spec.parent) != spec.active_when:
-                continue
-            out[pname] = spec.sample(rng)
-        return out
+        return {pname: spec.sample(rng) for pname, spec in self.params.items()}
 
 
 @dataclass
@@ -116,8 +108,8 @@ SPACES: Dict[str, SearchSpace] = {
         "min_samples_split": Param("uniform", lo=0.01, hi=0.1),
     }, budget=25),
     "erbf": SearchSpace({
-        "n_rbf_mode": Param("categorical", choices=("auto", "fixed")),
-        "n_rbf": Param("int", lo=10, hi=80, parent="n_rbf_mode", active_when="fixed"),
+        # None sizes the network by auto_k
+        "n_rbf": Param("categorical", choices=(None, Param("int", lo=10, hi=80))),
         "alpha": Param("log_uniform", lo=1e-3, hi=1e3),
         "center_init": Param("categorical", choices=("lipschitz", "kmeans")),
         "width_init": Param("categorical", choices=("local_ridge", "local_variance")),
@@ -125,10 +117,8 @@ SPACES: Dict[str, SearchSpace] = {
     "chebypoly": SearchSpace({
         "complexity": Param("int", lo=1, hi=14),
         "alpha": Param("log_uniform", lo=1e-3, hi=1e3),
-        "include_interactions": Param("categorical", choices=(True, False)),
-        "max_interaction_complexity": Param(
-            "categorical", choices=(1, 2),
-            parent="include_interactions", active_when=True),
+        "interactions": Param("categorical",
+                              choices=(Param("categorical", choices=(1, 2)), 0)),
     }, budget=30),
     "chebytree": SearchSpace({
         "complexity": Param("int", lo=1, hi=6),

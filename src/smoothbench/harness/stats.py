@@ -10,7 +10,7 @@ constants for k = 2..10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,41 +30,24 @@ NEMENYI_Q_05 = {
 MATCH_THRESHOLD = 0.02
 
 
-def average_ranks(scores: Sequence[float], failed: Optional[Sequence[bool]] = None) -> np.ndarray:
-    """Ranks for one dataset row: higher score is better, rank 1 is best.
-
-    Ties take the average of the positions they straddle. Entries flagged as
-    failed get rank k (the worst), regardless of any recorded score.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    k = scores.shape[0]
-    if failed is None:
-        failed = [False] * k
-    failed = np.asarray(failed, dtype=bool)
-    ranks = np.empty(k)
-    ok = ~failed
-    for i in range(k):
-        if failed[i]:
-            ranks[i] = k
-            continue
-        higher = int(np.sum(ok & (scores > scores[i])))
-        tied = int(np.sum(ok & (scores == scores[i]))) - 1
-        ranks[i] = 1.0 + higher + 0.5 * tied
-    return ranks
-
-
 def rank_matrix(
     score_table: np.ndarray,
     failed_table: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Row-wise average_ranks over an (n_datasets, k_models) score table."""
-    score_table = np.asarray(score_table, dtype=np.float64)
-    n, k = score_table.shape
-    out = np.empty((n, k))
-    for i in range(n):
-        row_failed = failed_table[i] if failed_table is not None else None
-        out[i] = average_ranks(score_table[i], row_failed)
-    return out
+    """Ranks per row of an (n_datasets, k_models) score table; rank 1 is best.
+
+    A higher score is better, and ties take the average of the positions they
+    straddle. Entries flagged in failed_table get rank k (the worst) whatever
+    their score, and are left out of the other entries' counts.
+    """
+    scores = np.asarray(score_table, dtype=np.float64)
+    n, k = scores.shape
+    ok = np.ones((n, k), bool) if failed_table is None else ~np.asarray(failed_table, bool)
+    # [i, a, b] compares entry b of row i with entry a; only non-failed b count
+    others, own, counted = scores[:, None, :], scores[:, :, None], ok[:, None, :]
+    higher = ((others > own) & counted).sum(axis=2)
+    tied = ((others == own) & counted).sum(axis=2) - 1
+    return np.where(ok, 1.0 + higher + 0.5 * tied, float(k))
 
 
 @dataclass(frozen=True)

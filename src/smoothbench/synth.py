@@ -91,8 +91,8 @@ def gen(kind: str, n: int = None, noise_std: float = None, seed: int = 0) -> Dat
         noise_std = spec.default_noise_std
     if n < 2:
         raise ValueError("n must be at least 2")
-    if noise_std < 0:
-        raise ValueError("noise_std must be non-negative")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std must be non-negative and finite, got {noise_std}")
     rng = np.random.default_rng(seed)
     if spec.uniform01_features:
         X = rng.uniform(0.0, 1.0, size=(n, spec.d))

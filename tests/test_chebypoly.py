@@ -61,8 +61,7 @@ def test_interaction_target_needs_interactions():
     Z = scale(X)
     y = Z[:, 0] * Z[:, 1]
     plain = fit_chebypoly(X, y, complexity=3, alpha=1e-8)
-    inter = fit_chebypoly(X, y, complexity=1, alpha=1e-8,
-                          include_interactions=True)
+    inter = fit_chebypoly(X, y, complexity=1, alpha=1e-8, interactions=1)
     mse_plain = float(np.mean((plain.predict(X) - y) ** 2))
     mse_inter = float(np.mean((inter.predict(X) - y) ** 2))
     assert mse_inter < 1e-10
@@ -144,9 +143,7 @@ def test_serialization_round_trip():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(80, 4))
     y = rng.normal(size=80)
-    model = fit_chebypoly(X, y, complexity=3, alpha=0.5,
-                          include_interactions=True,
-                          max_interaction_complexity=2)
+    model = fit_chebypoly(X, y, complexity=3, alpha=0.5, interactions=2)
     back = ChebyTreeModel.from_dict(json.loads(json.dumps(model.to_dict())), 4)
     Q = rng.normal(size=(30, 4)) * 2
     assert np.array_equal(model.predict(Q), back.predict(Q))
@@ -171,8 +168,8 @@ def test_model_is_a_one_leaf_chebytree_clipped_to_the_global_bounds():
 
 @pytest.mark.parametrize("params", [
     {"complexity": 3},
-    {"complexity": 1, "include_interactions": True},
-    {"complexity": 2, "include_interactions": True, "max_interaction_complexity": 2},
+    {"complexity": 1, "interactions": 1},
+    {"complexity": 2, "interactions": 2},
 ], ids=["no-interactions", "pairs", "pairs-and-t2"])
 def test_predictions_equal_the_design_matrix_oracle_bit_for_bit(params):
     # the global regressor written out: scale by the training range, expand,
@@ -191,7 +188,7 @@ def test_predictions_equal_the_design_matrix_oracle_bit_for_bit(params):
         ranges = X.max(axis=0) - mins
         basis = BasisConfig(**params)
         Xs = minmax_scale(X, mins, ranges)
-        feats = interaction_feature_set(Xs) if basis.include_interactions else ()
+        feats = interaction_feature_set(Xs) if basis.interactions else ()
         w, b = ridge_solve(build_design_matrix(Xs, basis, feats).matrix, y, alpha)
         lo, hi = y.mean() - 3.0 * y.std(), y.mean() + 3.0 * y.std()
 
@@ -210,6 +207,19 @@ def test_fit_validation():
         fit_chebypoly(np.zeros((5, 2)), np.zeros(5), complexity=2, alpha=-1.0)
     with pytest.raises(ValueError):
         fit_chebypoly(np.zeros((5, 2)), np.zeros(5), complexity=0, alpha=1.0)
+    for bad in (3, -1, True, False, 1.0):
+        with pytest.raises(ValueError, match="interactions"):
+            fit_chebypoly(np.zeros((5, 2)), np.zeros(5), interactions=bad)
+
+
+def test_interactions_sets_the_pair_columns():
+    # each value fits its own model: 0 adds no pair columns, 1 one per pair, 2 two
+    rng = np.random.default_rng(26)
+    X = rng.normal(size=(60, 3))
+    y = X[:, 0] * X[:, 1] + rng.normal(size=60)
+    widths = [fit_chebypoly(X, y, complexity=2, interactions=m).weights.shape[1]
+              for m in (0, 1, 2)]
+    assert widths == [1 + 6, 1 + 6 + 3, 1 + 6 + 6]
 
 
 def test_y_std_is_population_convention():

@@ -52,13 +52,12 @@ def test_cheb_eval_validation():
 
 def test_design_columns_match_cheb_eval():
     # column 1 + f*c + k holds T_{k+1} of feature f, bit for bit, and each pair
-    # column the product of its two scaled features
+    # the product of its two scaled features and, at interactions=2, T_2 of it
     rng = np.random.default_rng(2)
     for n, d, c in ((50, 1, 8), (1, 4, 3), (0, 3, 2), (37, 6, 14), (20, 12, 1)):
         X = rng.uniform(-1, 1, size=(n, d))
-        for mic in (1, 2):
-            cfg = BasisConfig(complexity=c, include_interactions=True,
-                              max_interaction_complexity=mic)
+        for inter in (0, 1, 2):
+            cfg = BasisConfig(complexity=c, interactions=inter)
             D = build_design_matrix(X, cfg, tuple(range(d))).matrix
             assert D.shape == (n, n_columns(d, cfg, d))
             assert np.array_equal(D[:, 0], np.ones(n))
@@ -67,12 +66,12 @@ def test_design_columns_match_cheb_eval():
                     assert np.array_equal(D[:, 1 + f * c + k], cheb_eval(k + 1, X[:, f]))
             pos = 1 + d * c
             for i in range(d):
-                for j in range(i + 1, d):
+                for j in range(i + 1, d if inter else i + 1):
                     prod = X[:, i] * X[:, j]
                     assert np.array_equal(D[:, pos], prod)
-                    if mic == 2:
+                    if inter == 2:
                         assert np.array_equal(D[:, pos + 1], 2.0 * prod * prod - 1.0)
-                    pos += mic
+                    pos += inter
             assert pos == D.shape[1]
 
 
@@ -81,27 +80,28 @@ def test_design_columns_match_cheb_eval():
 
 
 def test_n_columns_formula_no_interactions():
+    # interactions=0 adds no columns, whatever eligible set it is given
     rng = np.random.default_rng(7)
     for case in range(200):
         d = int(rng.integers(1, 40))
         c = int(rng.integers(1, 15))
-        cfg = BasisConfig(complexity=c)
+        cfg = BasisConfig(complexity=c, interactions=0)
+        assert cfg == BasisConfig(complexity=c)
         X = rng.uniform(-1, 1, size=(5, d))
-        dm = build_design_matrix(X, cfg, ())
-        assert dm.matrix.shape[1] == 1 + d * c
-        assert n_columns(d, cfg, 0) == 1 + d * c
+        for feats in ((), tuple(range(d))):
+            dm = build_design_matrix(X, cfg, feats)
+            assert dm.matrix.shape[1] == 1 + d * c
+            assert n_columns(d, cfg, len(feats)) == 1 + d * c
 
 
 def test_n_columns_with_interactions():
-    # d=4, all pairs eligible: 6 pairs
+    # d=4, all pairs eligible: 6 pairs, with 0, 1 or 2 columns each
     X = np.random.default_rng(3).uniform(-1, 1, size=(10, 4))
-    cfg1 = BasisConfig(complexity=2, include_interactions=True,
-                       max_interaction_complexity=1)
-    cfg2 = BasisConfig(complexity=2, include_interactions=True,
-                       max_interaction_complexity=2)
     feats = interaction_feature_set(X)
-    assert build_design_matrix(X, cfg1, feats).matrix.shape[1] == 1 + 8 + 6
-    assert build_design_matrix(X, cfg2, feats).matrix.shape[1] == 1 + 8 + 12
+    for inter, width in ((0, 1 + 8), (1, 1 + 8 + 6), (2, 1 + 8 + 12)):
+        cfg = BasisConfig(complexity=2, interactions=inter)
+        assert build_design_matrix(X, cfg, feats).matrix.shape[1] == width
+        assert n_columns(4, cfg, len(feats)) == width
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +111,7 @@ def test_n_columns_with_interactions():
 def test_design_matrix_layout_and_values():
     rng = np.random.default_rng(11)
     X = rng.uniform(-1, 1, size=(20, 3))
-    cfg = BasisConfig(complexity=3, include_interactions=True,
-                      max_interaction_complexity=2)
+    cfg = BasisConfig(complexity=3, interactions=2)
     dm = build_design_matrix(X, cfg, interaction_feature_set(X))
 
     assert np.array_equal(dm.matrix[:, 0], np.ones(20))
@@ -140,8 +139,7 @@ def test_design_matrix_interaction_values_stay_bounded():
     # column is bounded without extra clipping
     rng = np.random.default_rng(13)
     X = rng.uniform(-1, 1, size=(200, 6))
-    cfg = BasisConfig(complexity=1, include_interactions=True,
-                      max_interaction_complexity=2)
+    cfg = BasisConfig(complexity=1, interactions=2)
     dm = build_design_matrix(X, cfg, interaction_feature_set(X))
     assert np.abs(dm.matrix).max() <= 1.0 + 1e-12
 
@@ -173,7 +171,7 @@ def test_interaction_feature_set_high_dim_takes_top_half_by_variance():
 def test_design_matrix_honours_pinned_interaction_feats():
     # at predict time the fit-time eligible set is pinned and must be reused
     X = np.random.default_rng(9).uniform(-1, 1, size=(15, 5))
-    cfg = BasisConfig(complexity=1, include_interactions=True)
+    cfg = BasisConfig(complexity=1, interactions=1)
     dm = build_design_matrix(X, cfg, interaction_feats=(0, 3))
     # the constant, 5 degree-1 columns, then the one pair's product
     assert dm.matrix.shape[1] == 1 + 5 + 1
@@ -197,14 +195,15 @@ def test_chebyshev_design_is_much_better_conditioned_than_monomials():
 
 def test_basis_config_holds_plain_python_values():
     # numpy scalars from a caller would make a model's to_dict unwritable as JSON
-    cfg = BasisConfig(np.int64(2), np.bool_(True), np.int64(2))
-    assert cfg == BasisConfig(2, True, 2)
-    assert [type(v) for v in asdict(cfg).values()] == [int, bool, int]
+    cfg = BasisConfig(np.int64(2), np.int64(2))
+    assert cfg == BasisConfig(2, 2)
+    assert [type(v) for v in asdict(cfg).values()] == [int, int]
     assert json.loads(json.dumps(asdict(cfg))) == asdict(cfg)
 
 
 def test_basis_config_validation():
     with pytest.raises(ValueError):
         BasisConfig(complexity=0)
-    with pytest.raises(ValueError):
-        BasisConfig(complexity=2, max_interaction_complexity=3)
+    for bad in (3, -1, True, 1.5, "1"):
+        with pytest.raises(ValueError, match="interactions"):
+            BasisConfig(complexity=2, interactions=bad)

@@ -122,8 +122,7 @@ def test_single_leaf_equals_global_chebypoly():
         c = int(rng.integers(1, 4))
         alpha = float(rng.uniform(1e-4, 1.0))
         tree_model = fit_chebytree(X, y, complexity=c, alpha=alpha, max_depth=0)
-        poly = fit_chebypoly(X, y, complexity=c, alpha=alpha,
-                             include_interactions=False)
+        poly = fit_chebypoly(X, y, complexity=c, alpha=alpha, interactions=0)
         Q = rng.normal(size=(30, d)) * 2
         assert np.abs(tree_model.predict(Q) - poly.predict(Q)).max() < 1e-10
 
@@ -265,7 +264,7 @@ def _per_leaf_reference(X, y, complexity, alpha, max_depth, min_samples_leaf=1):
         rows = tree.leaf_rows[leaf]
         if rows.size >= leaf_fallback_threshold(complexity):
             models[leaf] = fit_chebypoly(X[rows], y[rows], complexity=complexity,
-                                         alpha=alpha, include_interactions=False)
+                                         alpha=alpha, interactions=0)
         else:
             models[leaf] = float(y[rows].mean())
     return SimpleNamespace(tree=tree, leaf_models=models, y_mean=float(y.mean()),

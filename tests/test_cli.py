@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -76,11 +77,21 @@ def _to_schema_5_chebypoly_layout(doc):
     one weight vector and one intercept, and no tree."""
     m = doc["model"]
     doc["model"] = {
-        "basis": {k: m[k] for k in ("complexity", "include_interactions",
-                                    "max_interaction_complexity")},
+        "basis": {"complexity": m["complexity"], "include_interactions": m["interactions"] > 0,
+                  "max_interaction_complexity": max(m["interactions"], 1)},
         "scaler": {"mins": m["mins"][0], "ranges": m["ranges"][0]},
         "interaction_feats": m["interaction_feats"], "weights": m["weights"][0],
         "intercept": m["intercepts"][0], "y_mean": m["y_mean"], "y_std": m["y_std"]}
+
+
+def _to_schema_6_chebypoly_layout(doc):
+    """Put a chebypoly model file back at schema 6: the two basis flags in place of
+    interactions. Returns the document."""
+    m = doc["model"]
+    inter = m.pop("interactions")
+    m.update(include_interactions=inter > 0, max_interaction_complexity=max(inter, 1))
+    doc["schema_version"] = 6
+    return doc
 
 
 def _strict_json(text):
@@ -123,6 +134,16 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--kind", "nope", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("noise", ["inf", "nan", "-0.5"])
+    def test_non_finite_or_negative_noise_exits_1(self, tmp_path, capsys, noise):
+        # inf used to write infinite targets, and nan silently meant no noise
+        out = tmp_path / "x.csv"
+        assert main(["gen", "--kind", "friedman1", "--n", "20", "--noise-std", noise,
+                     "--out", str(out)]) == 1
+        want = f"noise_std must be non-negative and finite, got {float(noise)}"
+        assert want in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +225,45 @@ class TestFitPredict:
         code = main(["fit", "--model", "chebypoly", "--data", str(data),
                      "--target", "y", "--out", str(model_path),
                      "--param", "complexity=2",
-                     "--param", "include_interactions=true",
-                     "--param", "alpha=0.1"])
+                     "--param", "interactions=2"])
         assert code == 0
         doc = json.loads(model_path.read_text())
         # the defaults of the parameters not given are recorded too
-        assert doc["params"] == {"complexity": 2, "include_interactions": True,
-                                 "alpha": 0.1, "max_interaction_complexity": 1}
+        assert doc["params"] == {"complexity": 2, "alpha": 1.0, "interactions": 2}
+        assert doc["model"]["interactions"] == 2
 
         model_path2 = tmp_path / "model2.json"
         code = main(["fit", "--model", "erbf", "--data", str(data),
                      "--target", "y", "--out", str(model_path2),
-                     "--param", "center_init=kmeans", "--param", "n_rbf_mode=fixed",
-                     "--param", "n_rbf=5"])
+                     "--param", "center_init=kmeans", "--param", "n_rbf=7"])
         assert code == 0
         doc = json.loads(model_path2.read_text())
         assert doc["params"]["center_init"] == "kmeans"  # bare string kept
-        assert doc["params"]["n_rbf"] == 5
+        assert doc["params"]["n_rbf"] == 7
+        assert doc["model"]["fit_info"]["resolved_k"] == 7
+
+        model_path3 = tmp_path / "model3.json"
+        code = main(["fit", "--model", "erbf", "--data", str(data),
+                     "--target", "y", "--out", str(model_path3), "--param", "n_rbf=null"])
+        assert code == 0
+        doc = json.loads(model_path3.read_text())
+        assert doc["params"]["n_rbf"] is None  # sized by auto_k(50, 5) = 5
+        assert doc["model"]["fit_info"]["resolved_k"] == 5
 
     @pytest.mark.parametrize("kind, param, message", [
         ("chebypoly", "complexty=9", "chebypoly has no hyperparameter 'complexty'"),
         ("dt", "max_depth=2.7", "max_depth must be an integer, got 2.7"),
-        ("erbf", "n_rbf_mode=fixed", "n_rbf_mode='fixed' with n_rbf=None"),
+        # the flags that n_rbf and interactions replaced are unknown names now
+        ("erbf", "n_rbf_mode=fixed", "erbf has no hyperparameter 'n_rbf_mode'"),
+        ("erbf", "width_optim_iters=3", "erbf has no hyperparameter 'width_optim_iters'"),
+        ("chebypoly", "include_interactions=true",
+         "chebypoly has no hyperparameter 'include_interactions'"),
+        ("chebypoly", "max_interaction_complexity=2",
+         "chebypoly has no hyperparameter 'max_interaction_complexity'"),
+        ("erbf", "n_rbf=0", "n_rbf must be a positive integer or None, got 0"),
+        ("erbf", "n_rbf=true", "n_rbf must be a positive integer or None, got True"),
+        ("chebypoly", "interactions=3", "interactions must be 0, 1 or 2, got 3"),
+        ("chebypoly", "interactions=false", "interactions must be an integer, got False"),
         # the seed comes from --seed, not from a hyperparameter
         ("erbf", "seed=3", "erbf has no hyperparameter 'seed'"),
         ("dt", "min_samples_leaf=-1", "count parameter must be at least 1, got -1"),
@@ -236,7 +274,9 @@ class TestFitPredict:
         ("chebypoly", "alpha=NaN", "alpha must be non-negative and finite, got nan"),
         ("ridge", "alpha=Infinity", "alpha must be non-negative and finite, got inf"),
         ("chebytree", "alpha=-Infinity", "alpha must be non-negative and finite, got -inf"),
-    ], ids=["misspelt-name", "fractional-depth", "fixed-size-without-size", "seed",
+    ], ids=["misspelt-name", "fractional-depth", "fixed-size-without-size",
+            "width-optim-iters", "include-interactions", "max-interaction-complexity",
+            "zero-rbf", "bool-rbf", "interactions-3", "bool-interactions", "seed",
             "leaf-count-below-one", "infinite-leaf-count", "overflowing-split-count",
             "nan-alpha", "infinite-alpha", "minus-infinite-alpha"])
     def test_fit_rejects_a_param_the_model_does_not_take(self, tmp_path, capsys, kind,
@@ -331,6 +371,35 @@ class TestFitPredict:
         model = fit_model("ridge", X_train, train.y, {}, seed=0)
         want = predict_model("ridge", model, X_query, clip_bounds(train.y))
         assert np.array_equal(got, want)
+
+    def test_fit_refuses_a_repeated_header_name(self, tmp_path, capsys):
+        # two different columns both named x0: the fit used to read both, and
+        # predict then read the first one twice
+        data = tmp_path / "dup.csv"
+        data.write_text("x0,x0,y\n" + "".join(f"{a},{b},{3 * a - 5 * b}\n"
+                                             for a, b in zip(range(12), range(12, 0, -1))))
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--model", "ridge", "--data", str(data), "--target", "y",
+                     "--out", str(model_path)]) == 1
+        assert f"{data}: column 'x0' appears more than once in the header" in \
+            capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_predict_refuses_a_model_file_whose_feature_names_repeat(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        _write_dataset(data, n=50)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--model", "ridge", "--data", str(data), "--target", "y",
+                     "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        doc["feature_names"][1] = "x0"
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model-file", str(model_path), "--data", str(data),
+                     "--out", str(out)]) == 1
+        assert f"{data}: feature column 'x0' is listed more than once" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_predict_missing_feature_column_fails(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
@@ -448,9 +517,9 @@ class TestFitPredict:
     @pytest.mark.parametrize("kind, params", [
         ("ridge", {"alpha": 0.5}),
         ("dt", {"max_depth": 4, "min_samples_leaf": 2}),
-        ("chebypoly", {"complexity": 3, "alpha": 0.1, "include_interactions": True}),
+        ("chebypoly", {"complexity": 3, "alpha": 0.1, "interactions": 1}),
         ("chebytree", {"complexity": 2, "alpha": 0.1, "max_depth": 2}),
-        ("erbf", {"n_rbf_mode": "fixed", "n_rbf": 6, "alpha": 0.1, "width_optim_iters": 3}),
+        ("erbf", {"n_rbf": 6, "alpha": 0.1}),
     ])
     def test_served_predictions_equal_scored_ones(self, tmp_path, kind, params):
         data = tmp_path / "train.csv"
@@ -503,12 +572,12 @@ class TestFitPredict:
         ("chebypoly", lambda d: d["model"]["weights"][0].pop(),
          "chebyshev model: weights has shape (1, 15), expected (1, 16)"),
         ("chebypoly", lambda d: d["model"].update(
-            include_interactions=True, interaction_feats=[0, 1, 2, 3, 4]),
+            interactions=1, interaction_feats=[0, 1, 2, 3, 4]),
          "weights has shape (1, 16), expected (1, 26)"),
         ("chebypoly", lambda d: d["model"]["ranges"][0].pop(),
          "chebyshev model: ranges has shape (1, 4), expected (1, 5)"),
         ("chebypoly", lambda d: d["model"].update(
-            include_interactions=True, interaction_feats=[0, 5]), "interaction_feats [0, 5]"),
+            interactions=1, interaction_feats=[0, 5]), "interaction_feats [0, 5]"),
         ("chebypoly", lambda d: d["model"]["weights"][0].__setitem__(3, float("nan")),
          "weights holds a non-finite"),
         ("chebypoly", lambda d: d["model"]["mins"][0].__setitem__(0, float("-inf")),
@@ -533,13 +602,13 @@ class TestFitPredict:
          "chebyshev model: complexity must be an integer, got '3'"),
         ("chebypoly", lambda d: d["model"].__setitem__("complexity", 2.5),
          "chebyshev model: complexity must be an integer, got 2.5"),
-        ("chebypoly", lambda d: d["model"].__setitem__("max_interaction_complexity", True),
-         "chebyshev model: max_interaction_complexity must be an integer, got True"),
+        ("chebypoly", lambda d: d["model"].__setitem__("interactions", True),
+         "chebyshev model: interactions must be an integer, got True"),
         ("chebypoly", lambda d: d["model"].update(
-            include_interactions=True, interaction_feats=[0, 1.7, "2"]),
+            interactions=1, interaction_feats=[0, 1.7, "2"]),
          "chebyshev model: interaction_feats is not a number or a regular array of numbers"),
         ("chebypoly", lambda d: d["model"].update(
-            include_interactions=True, interaction_feats=[0, 1.7]),
+            interactions=1, interaction_feats=[0, 1.7]),
          "chebyshev model: interaction_feats[1] = 1.7 is not an integer"),
         ("chebytree", lambda d: d["model"].__setitem__("complexity", 2.9),
          "chebyshev model: complexity must be an integer, got 2.9"),
@@ -568,9 +637,14 @@ class TestFitPredict:
         ("erbf", lambda d: d.__setitem__("schema_version", 3),
          "model file schema 3 is not supported"),
         ("chebytree", lambda d: d.__setitem__("schema_version", 4),
-         "model file schema 4 is not supported: predict reads schema 6; refit the model"),
+         "model file schema 4 is not supported: predict reads schema 7; refit the model"),
         ("chebypoly", lambda d: d.__setitem__("schema_version", 5),
-         "model file schema 5 is not supported: predict reads schema 6; refit the model"),
+         "model file schema 5 is not supported: predict reads schema 7; refit the model"),
+        ("chebypoly", _to_schema_6_chebypoly_layout,
+         "model file schema 6 is not supported: predict reads schema 7; refit the model"),
+        # the basis fields of schema 6 in a schema-7 file
+        ("chebypoly", lambda d: _to_schema_6_chebypoly_layout(d).__setitem__(
+            "schema_version", 7), "chebypoly model: missing field 'interactions'"),
         # the file's top level
         ("ridge", _wrap_in_list, "model file: expected a JSON object, got list"),
         ("ridge", lambda d: d.__setitem__("kind", ["ridge"]),
@@ -608,7 +682,7 @@ class TestFitPredict:
             "chebytree-fractional-complexity", "chebypoly-bool-weight", "chebypoly-no-weights", "ridge-list-intercept", "ridge-null-standardizer",
             "ridge-model-not-object", "feature-names-not-list", "dt-fractional-feature",
             "dt-fractional-left", "dt-nan-right", "schema-2", "schema-3", "schema-4",
-            "schema-5", "file-is-list",
+            "schema-5", "schema-6", "schema-6-basis-fields", "file-is-list",
             "kind-is-list", "no-kind", "no-medians", "no-feature-names", "no-model",
             "erbf-string-fit-info", "chebypoly-negative-range", "chebytree-negative-range",
             "chebypoly-negative-y-std", "chebytree-negative-y-std"])
@@ -693,6 +767,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.json")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_budget_without_tune_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        _write_dataset(data, n=50)
+        model_path = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--model", "ridge", "--data", str(data), "--target", "y",
+                  "--budget", "2", "--out", str(model_path)])
+        assert exc.value.code == 2
+        assert "--budget needs --tune" in capsys.readouterr().err
+        assert not model_path.exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -847,6 +932,32 @@ class TestBenchReport:
         assert main(["bench", "--config", str(bad),
                      "--out-dir", str(tmp_path / "o")]) == 1
         assert "target" in capsys.readouterr().err
+
+    def test_bench_refuses_a_path_dataset_with_a_repeated_header_name(self, tmp_path, capsys):
+        data = tmp_path / "dup.csv"
+        data.write_text("a,b,a,y\n" + "".join(f"{i},{i % 3},{i * i % 7},{2 * i}\n"
+                                               for i in range(40)))
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({"datasets": [{"path": str(data), "target": "y"}],
+                                      "models": ["ridge"], "outer_k": 2,
+                                      "trial_budgets": {"ridge": 1}}))
+        out_dir = tmp_path / "out"
+        assert main(["bench", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        assert f"{data}: column 'a' appears more than once in the header" in \
+            capsys.readouterr().err
+        assert not (out_dir / "results.jsonl").exists()
+
+    @pytest.mark.parametrize("noise", [math.inf, math.nan])
+    def test_bench_refuses_a_non_finite_noise_std(self, tmp_path, capsys, noise):
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({
+            "datasets": [{"synthetic": "friedman1", "n": 45, "noise_std": noise}],
+            "models": ["ridge"], "outer_k": 2, "trial_budgets": {"ridge": 1}}))
+        out_dir = tmp_path / "out"
+        assert main(["bench", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        assert f"noise_std must be non-negative and finite, got {noise}" in \
+            capsys.readouterr().err
+        assert not (out_dir / "results.jsonl").exists()
 
     @pytest.mark.parametrize("edit, message", [
         ({"datasets": ["synthetic"]}, "datasets[0] needs either 'synthetic' or 'path'"),

@@ -146,6 +146,31 @@ def test_load_csv_errors(tmp_path):
         load_csv(one_row, "y")
 
 
+def test_load_csv_refuses_a_repeated_parsed_name(tmp_path):
+    # a parsed name read twice would give one of its columns in place of the other
+    def write(name, text):
+        path = os.path.join(tmp_path, name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        return path
+
+    dup = write("dup.csv", "x0,x0,y\n1,2,3\n4,5,6\n")
+    with pytest.raises(ValueError, match=f"{dup}: column 'x0' appears more than once"):
+        load_csv(dup, "y")
+    with pytest.raises(ValueError, match="column 'x0' appears more than once"):
+        load_csv(dup, columns=["x0"])
+    two_targets = write("yy.csv", "y,a,y\n1,2,3\n4,5,6\n")
+    with pytest.raises(ValueError, match="column 'y' appears more than once"):
+        load_csv(two_targets, "y", columns=["a"])
+    plain = write("plain.csv", "a,b,y\n1,2,3\n4,5,6\n")
+    with pytest.raises(ValueError, match=f"{plain}: feature column 'a' is listed more than once"):
+        load_csv(plain, columns=["a", "b", "a"])
+    # columns that are not parsed may share names
+    shared = write("shared.csv", "note,a,note,y\nx,1,z,3\nw,4,v,6\n")
+    ds = load_csv(shared, "y", columns=["a"])
+    assert ds.feature_names == ("a",) and ds.X[:, 0].tolist() == [1.0, 4.0]
+
+
 def test_load_csv_skips_blank_lines(tmp_path):
     path = os.path.join(tmp_path, "blank.csv")
     with open(path, "w") as fh:

@@ -17,6 +17,7 @@ from smoothbench.erbf import (
     ErbfModel,
     WIDTH_CAP,
     WIDTH_FLOOR,
+    WIDTH_OPTIM_ITERS,
     auto_k,
     erbf_activations,
     erbf_loss_and_grad,
@@ -26,6 +27,7 @@ from smoothbench.erbf import (
     place_centers,
 )
 from smoothbench.numkit import knn_indices, ridge_solve
+from smoothbench.registry import fit_model
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +279,15 @@ def test_config_validation():
     X = rng.normal(size=(40, 2))
     y = rng.normal(size=40)
     for bad in ({"center_init": "grid"}, {"width_init": "global"},
-                {"n_rbf_mode": "fixed", "n_rbf": 0}, {"n_rbf_mode": "fixed", "n_rbf": "many"},
-                {"n_rbf_mode": "fixed"}, {"n_rbf": 5}, {"n_rbf_mode": "many"},
-                {"alpha": -0.1}, {"width_optim_iters": -1}, {"width_optim_iters": 2.5}):
+                {"n_rbf": 0}, {"n_rbf": "many"}, {"n_rbf": 2.5}, {"n_rbf": True},
+                {"alpha": -0.1}, {"n_rbf_mode": "fixed"}, {"width_optim_iters": 30}):
         with pytest.raises(ValueError):
-            fit_erbf(X, y, **bad)
+            fit_model("erbf", X, y, bad)
+    with pytest.raises(ValueError, match="n_rbf must be a positive integer or None, got True"):
+        fit_model("erbf", X, y, {"n_rbf": True})
+    for name in ("n_rbf_mode", "width_optim_iters"):
+        with pytest.raises(ValueError, match=f"erbf has no hyperparameter '{name}'"):
+            fit_model("erbf", X, y, {name: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +493,7 @@ def test_recovers_single_gaussian_bump():
     rng = np.random.default_rng(179)
     X = rng.uniform(-2, 2, size=(400, 2))
     y = np.exp(-0.5 * ((X[:, 0] - 0.3) ** 2 / 0.5 ** 2 + (X[:, 1] + 0.2) ** 2 / 0.8 ** 2))
-    model = fit_erbf(X, y, n_rbf_mode="fixed", n_rbf=20, alpha=1e-6, seed=0)
+    model = fit_erbf(X, y, n_rbf=20, alpha=1e-6, seed=0)
     Q = rng.uniform(-1.5, 1.5, size=(300, 2))
     yq = np.exp(-0.5 * ((Q[:, 0] - 0.3) ** 2 / 0.5 ** 2 + (Q[:, 1] + 0.2) ** 2 / 0.8 ** 2))
     pred = model.predict(Q)
@@ -502,7 +508,7 @@ def test_anisotropy_noise_axis_gets_wider_sigma():
     rng = np.random.default_rng(181)
     X = rng.uniform(-1, 1, size=(500, 2))
     y = np.sin(3 * X[:, 0])
-    model = fit_erbf(X, y, n_rbf_mode="fixed", n_rbf=25, alpha=1e-4, seed=1)
+    model = fit_erbf(X, y, n_rbf=25, alpha=1e-4, seed=1)
     assert np.median(model.sigma[:, 1]) > np.median(model.sigma[:, 0])
 
 
@@ -516,7 +522,6 @@ def test_width_positivity_and_stage3_progress():
         X = rng.normal(size=(n, d))
         y = np.sin(X[:, 0]) + 0.1 * rng.normal(size=n)
         cfg = dict(
-            n_rbf_mode="fixed",
             n_rbf=int(rng.integers(3, 12)),
             alpha=float(rng.uniform(1e-4, 1.0)),
             center_init=("lipschitz", "kmeans")[int(rng.integers(2))],
@@ -536,26 +541,17 @@ def test_stage3_actually_improves_on_poor_init():
     rng = np.random.default_rng(193)
     X = rng.uniform(-3, 3, size=(300, 1))
     y = np.exp(-0.5 * X[:, 0] ** 2 / 2.0 ** 2)
-    model = fit_erbf(X, y, n_rbf_mode="fixed", n_rbf=3, alpha=1e-8, seed=5)
+    model = fit_erbf(X, y, n_rbf=3, alpha=1e-8, seed=5)
     info = model.fit_info
     assert info["stage3_mse_after"] < info["stage3_mse_before"]
-
-
-def test_zero_optim_iters_keeps_initial_widths():
-    rng = np.random.default_rng(197)
-    X = rng.normal(size=(60, 2))
-    y = rng.normal(size=60)
-    model = fit_erbf(X, y, n_rbf_mode="fixed", n_rbf=5, width_optim_iters=0, seed=2)
-    info = model.fit_info
-    assert info["stage3_iterations"] == 0
-    assert info["stage3_mse_after"] == info["stage3_mse_before"]
+    assert 1 <= info["stage3_iterations"] <= WIDTH_OPTIM_ITERS
 
 
 def test_fit_determinism():
     rng = np.random.default_rng(199)
     X = rng.normal(size=(80, 3))
     y = rng.normal(size=80)
-    cfg = dict(n_rbf_mode="fixed", n_rbf=8, alpha=0.1, seed=7)
+    cfg = dict(n_rbf=8, alpha=0.1, seed=7)
     m1 = fit_erbf(X, y, **cfg)
     m2 = fit_erbf(X, y, **cfg)
     assert np.array_equal(m1.sigma, m2.sigma)
@@ -572,21 +568,21 @@ def test_auto_k_is_recorded_and_bounded_by_n():
     assert model.n_rbf == 25
 
     with pytest.raises(ValueError):
-        fit_erbf(X[:20], y[:20], n_rbf_mode="fixed", n_rbf=21)
+        fit_erbf(X[:20], y[:20], n_rbf=21)
 
 
 def test_fit_rejects_nonfinite_inputs():
     X = np.ones((30, 2))
     X[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        fit_erbf(X, np.zeros(30), n_rbf_mode="fixed", n_rbf=3)
+        fit_erbf(X, np.zeros(30), n_rbf=3)
 
 
 def test_serialization_round_trip():
     rng = np.random.default_rng(223)
     X = rng.normal(size=(90, 2))
     y = np.cos(X[:, 0]) + rng.normal(size=90) * 0.05
-    model = fit_erbf(X, y, n_rbf_mode="fixed", n_rbf=6, alpha=0.01, seed=9)
+    model = fit_erbf(X, y, n_rbf=6, alpha=0.01, seed=9)
     back = ErbfModel.from_dict(model.to_dict(), 2)
     Q = rng.normal(size=(40, 2))
     assert np.array_equal(model.predict(Q), back.predict(Q))

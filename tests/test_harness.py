@@ -40,7 +40,6 @@ from smoothbench.harness.search import (
     search_space,
 )
 from smoothbench.harness.stats import (
-    average_ranks,
     friedman_test,
     matched_gap_wins,
     nemenyi_cd,
@@ -188,72 +187,119 @@ class TestParamSampling:
             Param("triangular").sample(np.random.default_rng(0))
 
 
+# The search's former gating, kept as the reference for the nested choices
+# that replaced it: a (name, Param, gate) entry with gate = (parent,
+# active_when) was drawn only when parent had taken the value active_when.
+GATED_SPACES = {
+    "erbf": [
+        ("n_rbf_mode", Param("categorical", choices=("auto", "fixed")), None),
+        ("n_rbf", Param("int", lo=10, hi=80), ("n_rbf_mode", "fixed")),
+        ("alpha", Param("log_uniform", lo=1e-3, hi=1e3), None),
+        ("center_init", Param("categorical", choices=("lipschitz", "kmeans")), None),
+        ("width_init", Param("categorical", choices=("local_ridge", "local_variance")), None),
+    ],
+    "chebypoly": [
+        ("complexity", Param("int", lo=1, hi=14), None),
+        ("alpha", Param("log_uniform", lo=1e-3, hi=1e3), None),
+        ("include_interactions", Param("categorical", choices=(True, False)), None),
+        ("max_interaction_complexity", Param("categorical", choices=(1, 2)),
+         ("include_interactions", True)),
+    ],
+}
+
+
+def _gated_trial(spec, rng):
+    out = {}
+    for name, param, gate in spec:
+        if gate is None or out.get(gate[0]) == gate[1]:
+            out[name] = param.sample(rng)
+    return out
+
+
+def _renamed(kind, old):
+    """A gated trial's params under today's names."""
+    new = dict(old)
+    if kind == "erbf":
+        new["n_rbf"] = new.pop("n_rbf", None) if new.pop("n_rbf_mode") == "fixed" else None
+    else:
+        on = new.pop("include_interactions")
+        new["interactions"] = new.pop("max_interaction_complexity") if on else 0
+    return new
+
+
 class TestConditionalParams:
     def test_inactive_param_not_sampled(self):
+        # the nested choice has a kind that raises when sampled, so a trial
+        # draws it exactly when it is chosen
         space = SearchSpace({
-            "p": Param("categorical", choices=("off",)),
-            "q": Param("int", lo=0, hi=100, parent="p", active_when="on"),
+            "p": Param("categorical", choices=("off", Param("triangular"))),
             "r": Param("uniform", lo=0.0, hi=1.0),
         }, budget=5)
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            params = space.sample_trial(rng)
-            assert set(params) == {"p", "r"}
+        outcomes = set()
+        for seed in range(40):
+            try:
+                params = space.sample_trial(np.random.default_rng(seed))
+            except ValueError as exc:
+                assert "unknown parameter kind 'triangular'" in str(exc)
+                outcomes.add("drawn")
+            else:
+                assert params["p"] == "off" and set(params) == {"p", "r"}
+                outcomes.add("off")
+        assert outcomes == {"drawn", "off"}
 
     def test_inactive_param_consumes_no_randomness(self):
-        # with the gate closed, the downstream draws must line up with a
-        # space that does not declare the gated parameter at all
-        with_gate = SearchSpace({
-            "p": Param("categorical", choices=("off",)),
-            "q": Param("int", lo=0, hi=100, parent="p", active_when="on"),
+        # when the nested choice is not chosen, the draws and the generator
+        # state must line up with a space that does not nest it at all
+        nested = SearchSpace({
+            "p": Param("categorical", choices=("off", Param("int", lo=0, hi=100))),
             "r": Param("uniform", lo=0.0, hi=1.0),
         }, budget=5)
-        without = SearchSpace({
-            "p": Param("categorical", choices=("off",)),
+        flat = SearchSpace({
+            "p": Param("categorical", choices=("off", "on")),
             "r": Param("uniform", lo=0.0, hi=1.0),
         }, budget=5)
-        rng_a = np.random.default_rng(99)
-        rng_b = np.random.default_rng(99)
-        for _ in range(20):
-            pa = with_gate.sample_trial(rng_a)
-            pb = without.sample_trial(rng_b)
-            assert pa == pb
+        seen = set()
+        for seed in range(40):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            pa, pb = nested.sample_trial(rng_a), flat.sample_trial(rng_b)
+            if pa["p"] == "off":
+                assert pa == pb
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            else:
+                assert pb["p"] == "on" and 0 <= pa["p"] <= 100
+                assert rng_a.bit_generator.state != rng_b.bit_generator.state
+            seen.add(pb["p"])
+        assert seen == {"off", "on"}
 
     def test_active_param_sampled(self):
         space = SearchSpace({
-            "p": Param("categorical", choices=("on",)),
-            "q": Param("int", lo=3, hi=9, parent="p", active_when="on"),
+            "q": Param("categorical", choices=(Param("int", lo=3, hi=9),)),
         }, budget=5)
         rng = np.random.default_rng(8)
         for _ in range(50):
-            params = space.sample_trial(rng)
-            assert 3 <= params["q"] <= 9
+            q = space.sample_trial(rng)["q"]
+            assert isinstance(q, int) and 3 <= q <= 9
 
     def test_model_space_conditionals(self):
         rng = np.random.default_rng(9)
         erbf = search_space("erbf")
-        saw_auto = saw_fixed = False
-        for _ in range(200):
-            params = erbf.sample_trial(rng)
-            if params["n_rbf_mode"] == "auto":
-                saw_auto = True
-                assert "n_rbf" not in params
-            else:
-                saw_fixed = True
-                assert 10 <= params["n_rbf"] <= 80
-        assert saw_auto and saw_fixed
+        sizes = [erbf.sample_trial(rng)["n_rbf"] for _ in range(200)]
+        assert None in sizes
+        fixed = [k for k in sizes if k is not None]
+        assert fixed and all(isinstance(k, int) and 10 <= k <= 80 for k in fixed)
 
         cheb = search_space("chebypoly")
-        saw_on = saw_off = False
-        for _ in range(200):
-            params = cheb.sample_trial(rng)
-            if params["include_interactions"]:
-                saw_on = True
-                assert params["max_interaction_complexity"] in (1, 2)
-            else:
-                saw_off = True
-                assert "max_interaction_complexity" not in params
-        assert saw_on and saw_off
+        assert {cheb.sample_trial(rng)["interactions"] for _ in range(200)} == {0, 1, 2}
+
+    @pytest.mark.parametrize("kind", sorted(GATED_SPACES))
+    def test_model_spaces_draw_as_the_gated_pairs_did(self, kind):
+        # same trials after renaming, and the same generator state after each search
+        for seed in range(200):
+            rng_old, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(30):
+                old = _renamed(kind, _gated_trial(GATED_SPACES[kind], rng_old))
+                assert SPACES[kind].sample_trial(rng_new) == old
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 class TestRandomSearch:
@@ -331,9 +377,8 @@ class TestRandomSearch:
         names = {
             "ridge": {"alpha"},
             "dt": {"max_depth", "min_samples_leaf", "min_samples_split"},
-            "erbf": {"n_rbf_mode", "n_rbf", "alpha", "center_init", "width_init"},
-            "chebypoly": {"complexity", "alpha", "include_interactions",
-                          "max_interaction_complexity"},
+            "erbf": {"n_rbf", "alpha", "center_init", "width_init"},
+            "chebypoly": {"complexity", "alpha", "interactions"},
             "chebytree": {"complexity", "alpha", "max_depth", "min_samples_leaf"},
         }
         for kind, budget in budgets.items():
@@ -365,25 +410,42 @@ class TestRandomSearch:
 # rank statistics
 
 
+def _row_ranks(scores, failed=None):
+    """rank_matrix of a one-row table, as a list."""
+    return rank_matrix([scores], None if failed is None else [failed])[0].tolist()
+
+
+def _loop_ranks(scores, failed):
+    """One row's ranks, entry by entry, as the former per-row loop computed them."""
+    k = len(scores)
+    ok = ~failed
+    ranks = np.empty(k)
+    for i in range(k):
+        if failed[i]:
+            ranks[i] = k
+            continue
+        higher = int(np.sum(ok & (scores > scores[i])))
+        tied = int(np.sum(ok & (scores == scores[i]))) - 1
+        ranks[i] = 1.0 + higher + 0.5 * tied
+    return ranks
+
+
 class TestAverageRanks:
     def test_basic_and_ties(self):
-        assert average_ranks([0.9, 0.8, 0.7]).tolist() == [1.0, 2.0, 3.0]
-        assert average_ranks([0.7, 0.8, 0.9]).tolist() == [3.0, 2.0, 1.0]
-        assert average_ranks([0.9, 0.9, 0.7]).tolist() == [1.5, 1.5, 3.0]
-        assert average_ranks([0.5, 0.5, 0.5]).tolist() == [2.0, 2.0, 2.0]
-        assert average_ranks([1.0, 2.0, 2.0, 3.0]).tolist() == [4.0, 2.5, 2.5, 1.0]
+        assert _row_ranks([0.9, 0.8, 0.7]) == [1.0, 2.0, 3.0]
+        assert _row_ranks([0.7, 0.8, 0.9]) == [3.0, 2.0, 1.0]
+        assert _row_ranks([0.9, 0.9, 0.7]) == [1.5, 1.5, 3.0]
+        assert _row_ranks([0.5, 0.5, 0.5]) == [2.0, 2.0, 2.0]
+        assert _row_ranks([1.0, 2.0, 2.0, 3.0]) == [4.0, 2.5, 2.5, 1.0]
 
     def test_failures_pinned_to_worst(self):
         # a failed entry takes rank k even with the best recorded score
-        ranks = average_ranks([0.99, 0.5, 0.7], failed=[True, False, False])
-        assert ranks.tolist() == [3.0, 2.0, 1.0]
+        assert _row_ranks([0.99, 0.5, 0.7], failed=[True, False, False]) == [3.0, 2.0, 1.0]
         # multiple failures all take rank k (no averaging among failures)
-        ranks = average_ranks([10.0, 20.0, 30.0, 40.0],
-                              failed=[False, True, True, False])
-        assert ranks.tolist() == [2.0, 4.0, 4.0, 1.0]
+        assert _row_ranks([10.0, 20.0, 30.0, 40.0],
+                          failed=[False, True, True, False]) == [2.0, 4.0, 4.0, 1.0]
         # failed scores are excluded from tie counting
-        ranks = average_ranks([0.5, 0.5], failed=[False, True])
-        assert ranks.tolist() == [1.0, 2.0]
+        assert _row_ranks([0.5, 0.5], failed=[False, True]) == [1.0, 2.0]
 
     def test_rank_sum_identity(self):
         # without failures the ranks of k models always sum to k(k+1)/2,
@@ -395,7 +457,7 @@ class TestAverageRanks:
                 scores = rng.normal(size=k)  # almost surely distinct
             else:
                 scores = rng.integers(0, 3, size=k).astype(float)  # many ties
-            ranks = average_ranks(scores)
+            ranks = np.array(_row_ranks(scores))
             assert ranks.sum() == k * (k + 1) / 2
             assert np.all(ranks >= 1.0) and np.all(ranks <= k)
 
@@ -406,6 +468,20 @@ class TestAverageRanks:
         failed = np.array([[False, False, True], [False, False, False]])
         out = rank_matrix(table, failed)
         assert out.tolist() == [[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]
+
+    def test_rank_matrix_equals_the_per_row_loop_bitwise(self):
+        # rounded scores tie, and -inf entries (a report's failed pairs) tie too
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            n, k = int(rng.integers(0, 8)), int(rng.integers(1, 9))
+            scores = np.round(rng.normal(size=(n, k)), int(rng.integers(0, 3)))
+            scores[rng.random((n, k)) < 0.1] = -np.inf
+            failed = rng.random((n, k)) < 0.2
+            for table_failed in (None, failed):
+                rows = np.zeros((n, k), bool) if table_failed is None else table_failed
+                want = np.array([_loop_ranks(s, f) for s, f in zip(scores, rows)])
+                assert np.array_equal(rank_matrix(scores, table_failed),
+                                      want.reshape(n, k))
 
 
 class TestFriedman:

@@ -147,5 +147,8 @@ def test_gen_validation():
         gen("nope")
     with pytest.raises(ValueError):
         gen("friedman1", n=1)
-    with pytest.raises(ValueError):
-        gen("friedman1", noise_std=-0.5)
+    for bad in (-0.5, math.inf, math.nan):
+        # inf used to give infinite targets, and nan silently meant no noise
+        with pytest.raises(ValueError,
+                           match=f"noise_std must be non-negative and finite, got {bad}"):
+            gen("friedman1", n=20, noise_std=bad)
