@@ -12,9 +12,11 @@ then re-solved by ridge on the final activations.
 Activations accumulate the quadratic form one feature at a time into one
 (n, K) buffer. The loss and its gradient make one pass over row blocks: a
 block's d scaled squares are formed once, into a (d, B, K) buffer of at most
-LOSS_BLOCK_BYTES, and serve both the activations and the gradient. Fit and
-predict so hold O(n K) working memory plus that block, never (n, K, d)
-tensors.
+LOSS_BLOCK_BYTES, and serve both the activations and the gradient. A fit
+forms the first block's differences x - c once and holds them across its
+L-BFGS evaluations, since only the widths change. Predict so holds O(n K)
+working memory, and stage 3 O(n K) plus at most two LOSS_BLOCK_BYTES
+blocks, never (n, K, d) tensors.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ LIPSCHITZ_K = 5
 LIPSCHITZ_EPS = 1e-12
 LIPSCHITZ_CLIP_PERCENTILE = 99.0
 
-# erbf_loss_and_grad: bytes of the (d, B, K) scaled-square block it holds
+# bytes of one (d, B, K) loss block (scaled squares, or a fit's held
+# differences) and of one (m, n, d) block of init_widths' kNN differences
 LOSS_BLOCK_BYTES = 4 * 1024 * 1024
 
 
@@ -134,7 +137,9 @@ def init_widths(
     with beta from a lightly regularised local linear fit (|beta| floored at
     1e-8); local_variance sets sigma_kj = std_local(x_j) * sqrt(d). Outputs are
     clamped to [1e-6, 1e3] so every width is strictly positive and finite.
-    The K local fits run as one stacked ridge_solve_segments call: O(K d^2) memory.
+    The kNN queries run for blocks of centres at once, each block's
+    differences within LOSS_BLOCK_BYTES. The K local fits run as one stacked
+    ridge_solve_segments call: O(K d^2) memory.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -143,7 +148,9 @@ def init_widths(
     if mode not in WIDTH_MODES:
         raise ValueError(f"unknown width mode {mode!r}")
     k_nn = min(n, max(10, min(100, n // K)))
-    nb = np.stack([knn_indices(X, c, k_nn) for c in centers])
+    # each kNN query holds an (m, n, d) difference array: m centres per LOSS_BLOCK_BYTES
+    m = max(1, LOSS_BLOCK_BYTES // (8 * n * d))
+    nb = np.concatenate([knn_indices(X, centers[s:s + m], k_nn) for s in range(0, K, m)])
     Xnb = X[nb]
     var = Xnb.var(axis=1)
     if mode == "local_ridge":
@@ -191,6 +198,23 @@ def _scaled_sq(x: np.ndarray, c: np.ndarray, s: np.ndarray, out: np.ndarray) -> 
     out *= out
 
 
+def held_differences(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The first loss block's differences D = x - c, a (d, B, K) array.
+
+    B = max(1, min(n, LOSS_BLOCK_BYTES // (8 K d))) rows, the block size of
+    erbf_loss_and_grad. Only the widths change between the loss evaluations
+    of one fit, so D is formed once per fit, with _scaled_sq's copy and
+    in-place subtract and so with its bits.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    K, d = centers.shape
+    B = max(1, min(X.shape[0], LOSS_BLOCK_BYTES // (8 * K * d)))
+    D = np.empty((d, B, K))
+    np.copyto(D, X[:B].T[:, :, None])
+    D -= centers.T[:, None, :]
+    return D
+
+
 def erbf_loss_and_grad(
     theta: np.ndarray,
     X: np.ndarray,
@@ -198,6 +222,7 @@ def erbf_loss_and_grad(
     centers: np.ndarray,
     weights: np.ndarray,
     bias: float,
+    held: Optional[np.ndarray] = None,
 ) -> Tuple[float, np.ndarray]:
     """Training MSE and its exact gradient in log-width coordinates.
 
@@ -211,12 +236,15 @@ def erbf_loss_and_grad(
     has the same bits) and the gradient. With one block the result equals
     the two-pass kernel's bit for bit; with more, the gradient's sums over
     rows run block by block.
+
+    held is held_differences(X, centers), built here when omitted: the first
+    block's z_j = (D / sigma)^2.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    K, d = centers.shape
+    D = held_differences(X, centers) if held is None else held
+    d, B, K = D.shape
     n = X.shape[0]
-    B = max(1, min(n, LOSS_BLOCK_BYTES // (8 * K * d)))
     Xt = np.ascontiguousarray(X.T)[:, :, None]
     Ct = np.ascontiguousarray(centers.T)[:, None, :]
     Z = np.empty((d, B, K))
@@ -229,7 +257,11 @@ def erbf_loss_and_grad(
         for s in range(0, n, B):
             e = min(s + B, n)
             Zb, Pb, rb = Z[:, :e - s], Phi[:e - s], r[s:e]
-            _scaled_sq(Xt[:, s:e], Ct, St, out=Zb)
+            if s == 0:
+                np.divide(D, St, out=Zb)
+                Zb *= Zb
+            else:
+                _scaled_sq(Xt[:, s:e], Ct, St, out=Zb)
             Pb.fill(0.0)
             for j in range(d):
                 Pb += Zb[j]
@@ -337,9 +369,11 @@ def fit_erbf(X: np.ndarray, y: np.ndarray, n_rbf: Optional[int] = None, alpha: f
     r0 = Phi0 @ w0 + b0 - y
     mse_before = float(r0 @ r0) / n
 
+    held = held_differences(Xs, centers)
+
     def objective(theta):
         try:
-            return erbf_loss_and_grad(theta, Xs, y, centers, w0, b0)
+            return erbf_loss_and_grad(theta, Xs, y, centers, w0, b0, held)
         except ValueError:
             # infeasible trial widths (e.g. underflowed to zero on a row
             # that coincides with a centre): let the line search back off

@@ -54,11 +54,24 @@ RECORD_KEYS = {
 }
 
 
+def _is_finite(value) -> bool:
+    """False when value is, or holds at any depth, a NaN or infinite number."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(_is_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_is_finite(v) for v in value)
+    return True
+
+
 def read_results_jsonl(path: str) -> Tuple[List[FoldResult], Dict[Tuple[str, str], str]]:
     """Fold records and failures, in file order.
 
-    A malformed line, or a value of the wrong JSON type for its key (a bool
-    is not a number), raises ValueError naming path:line and the key.
+    A malformed line, a value of the wrong JSON type for its key (a bool
+    is not a number) or a non-finite number (NaN, Infinity), also one
+    inside best_params, raises ValueError naming path:line and the key. The
+    record type must be a string and the schema version an integer.
     """
     fold_results: List[FoldResult] = []
     failures: Dict[Tuple[str, str], str] = {}
@@ -73,11 +86,12 @@ def read_results_jsonl(path: str) -> Tuple[List[FoldResult], Dict[Tuple[str, str
                 raise ValueError(f"{where}: not a JSON record ({exc})") from None
             if not isinstance(rec, dict):
                 raise ValueError(f"{where}: expected a JSON object, got {type(rec).__name__}")
-            if rec.get("schema_version") != SCHEMA_VERSION:
-                raise ValueError(f"{where}: unsupported results schema: "
-                                 f"{rec.get('schema_version')!r}")
+            version = rec.get("schema_version")
+            if isinstance(version, bool) or not isinstance(version, int) \
+                    or version != SCHEMA_VERSION:
+                raise ValueError(f"{where}: unsupported results schema: {version!r}")
             kind = rec.get("record")
-            if kind not in RECORD_KEYS:
+            if not isinstance(kind, str) or kind not in RECORD_KEYS:
                 raise ValueError(f"{where}: unknown record type {kind!r}")
             missing = [key for key in RECORD_KEYS[kind] if key not in rec]
             if missing:
@@ -85,6 +99,8 @@ def read_results_jsonl(path: str) -> Tuple[List[FoldResult], Dict[Tuple[str, str
             for key, (types, what) in RECORD_KEYS[kind].items():
                 if isinstance(rec[key], bool) or not isinstance(rec[key], types):
                     raise ValueError(f"{where}: {key} must be {what}, got {rec[key]!r}")
+                if not _is_finite(rec[key]):
+                    raise ValueError(f"{where}: {key} must be finite, got {rec[key]!r}")
             if kind == "fold":
                 fold_results.append(FoldResult(**{key: rec[key] for key in RECORD_KEYS[kind]}))
             else:

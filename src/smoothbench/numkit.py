@@ -5,8 +5,9 @@ Everything here is deterministic given its seed arguments and uses plain numpy.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Deque, Tuple
 
 import numpy as np
 
@@ -210,11 +211,19 @@ def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _update_means(X: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each non-empty cluster's mean, X[labels == c].mean(axis=0) bit for bit.
+
+    One stable sort by label lays every cluster's rows out contiguously in
+    their original order, so each mean is the same axis-0 sum over the same
+    rows, divided by the same count. An empty cluster keeps its centre.
+    """
     out = centers.copy()
-    for c in range(centers.shape[0]):
-        members = labels == c
-        if members.any():
-            out[c] = X[members].mean(axis=0)
+    order = np.argsort(labels, kind="stable")
+    Xs = X[order]
+    counts = np.bincount(labels, minlength=centers.shape[0])
+    ends = np.cumsum(counts)
+    for c in np.flatnonzero(counts):
+        out[c] = np.add.reduce(Xs[ends[c] - counts[c]:ends[c]], axis=0) / counts[c]
     return out
 
 
@@ -228,17 +237,21 @@ def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # k-nearest-neighbour queries
 
 
-def knn_indices(X: np.ndarray, point: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k rows of X nearest to point, nearest first.
+def knn_indices(X: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k rows of X nearest to each query point, nearest first.
 
-    Distance ties break toward the lower row index.
+    points is one point (d,), giving (k,), or a stack of them (m, d), giving
+    (m, k); a stack builds an (m, n, d) difference array. Each point's
+    distances are the same feature sums whether it is queried alone or in a
+    stack. Distance ties break toward the lower row index.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    d2 = ((X - np.asarray(point, dtype=np.float64)) ** 2).sum(axis=1)
-    return np.argsort(d2, kind="stable")[:k]
+    points = np.asarray(points, dtype=np.float64)
+    d2 = ((X - points[..., None, :]) ** 2).sum(axis=-1)
+    return np.argsort(d2, axis=-1, kind="stable")[..., :k]
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +284,14 @@ def lbfgs_minimize(fun: Callable[[np.ndarray], Tuple[float, np.ndarray]], x0: np
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the initial point")
     best_x, best_f = x.copy(), f
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
+    hist: Deque[Tuple[np.ndarray, np.ndarray, float, float]] = deque(maxlen=LBFGS_MEMORY)
     converged = False
     it = 0
     while it < max_iter:
         if np.linalg.norm(g) < LBFGS_GRAD_TOL:
             converged = True
             break
-        d = -_two_loop(g, s_hist, y_hist)
+        d = -_two_loop(g, hist)
         gd = float(g @ d)
         if gd >= 0.0:  # curvature info went bad: fall back to steepest descent
             d = -g
@@ -299,11 +311,8 @@ def lbfgs_minimize(fun: Callable[[np.ndarray], Tuple[float, np.ndarray]], x0: np
         yv = g_new - g
         sy = float(s @ yv)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
-            s_hist.append(s)
-            y_hist.append(yv)
-            if len(s_hist) > LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
+            # rho = 1 / y.s and gamma = s.y / y.y are fixed once the pair is stored
+            hist.append((s, yv, 1.0 / float(yv @ s), sy / float(yv @ yv)))
         x, f, g = x_new, f_new, g_new
         if f < best_f:
             best_f, best_x = f, x.copy()
@@ -316,26 +325,24 @@ def _eval(fun, x):
     return float(f), np.asarray(g, dtype=np.float64)
 
 
-def _two_loop(g: np.ndarray, s_hist: list, y_hist: list) -> np.ndarray:
-    """H_k g via the standard two-loop recursion over stored (s, y) pairs.
+def _two_loop(g: np.ndarray, hist: Deque[Tuple[np.ndarray, np.ndarray, float, float]]
+              ) -> np.ndarray:
+    """H_k g via the standard two-loop recursion over stored (s, y, rho, gamma) pairs.
 
-    With no curvature pairs yet, H_0 = I / max(1, ||g||) keeps the first trial
-    point within unit distance of the start instead of jumping by the raw
-    gradient magnitude.
+    H_0 is gamma I with the newest pair's gamma. With no curvature pairs yet,
+    H_0 = I / max(1, ||g||) keeps the first trial point within unit distance
+    of the start instead of jumping by the raw gradient magnitude.
     """
     q = g.copy()
-    m = len(s_hist)
-    if m == 0:
+    if not hist:
         return q / max(1.0, float(np.linalg.norm(q)))
-    alphas = np.empty(m)
-    rhos = np.empty(m)
-    for i in range(m - 1, -1, -1):
-        rhos[i] = 1.0 / float(y_hist[i] @ s_hist[i])
-        alphas[i] = rhos[i] * float(s_hist[i] @ q)
-        q -= alphas[i] * y_hist[i]
-    gamma = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
-    r = gamma * q
-    for i in range(m):
-        beta = rhos[i] * float(y_hist[i] @ r)
-        r += (alphas[i] - beta) * s_hist[i]
+    alphas = []
+    for s, y, rho, _ in reversed(hist):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    r = hist[-1][3] * q
+    for (s, y, rho, _), alpha in zip(hist, reversed(alphas)):
+        beta = rho * float(y @ r)
+        r += (alpha - beta) * s
     return r

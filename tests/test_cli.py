@@ -1006,9 +1006,22 @@ class TestBenchReport:
         (_fold_line(best_params=[]), ":2: best_params must be an object, got []"),
         ('{"record": "failure", "schema_version": 1, "dataset": "d", "model": "m", '
          '"error": 5}', ":2: error must be a string, got 5"),
+        # a record type that is not a string, a schema version that is a bool
+        (_fold_line(record={"fold": 1}), ":2: unknown record type {'fold': 1}"),
+        (_fold_line(record=["fold"]), ":2: unknown record type ['fold']"),
+        (_fold_line(schema_version=True), ":2: unsupported results schema: True"),
+        # non-finite numbers, which json reads by default and bench never writes
+        (_fold_line(test_r2_adj=float("nan")), ":2: test_r2_adj must be finite, got nan"),
+        (_fold_line(test_r2=float("inf")), ":2: test_r2 must be finite, got inf"),
+        (_fold_line(gap=float("-inf")), ":2: gap must be finite, got -inf"),
+        (_fold_line(best_params={"alpha": float("nan")}),
+         ":2: best_params must be finite, got {'alpha': nan}"),
+        (_fold_line(best_params={"n_rbf": [8, float("inf")]}),
+         ":2: best_params must be finite, got {'n_rbf': [8, inf]}"),
     ], ids=["list", "not-json", "fold-without-model", "failure-without-error", "string-score",
             "string-fold", "float-fold", "bool-fold", "bool-gap", "number-model",
-            "list-params", "number-error"])
+            "list-params", "number-error", "object-record", "list-record", "bool-schema",
+            "nan-score", "inf-score", "minus-inf-gap", "nan-param", "nested-inf-param"])
     def test_report_on_malformed_results_exits_1_naming_the_line(self, tmp_path, capsys,
                                                                  line, message):
         results = tmp_path / "results.jsonl"

@@ -26,7 +26,7 @@ from smoothbench.erbf import (
     local_lipschitz,
     place_centers,
 )
-from smoothbench.numkit import knn_indices, ridge_solve
+from smoothbench.numkit import ridge_solve
 from smoothbench.registry import fit_model
 
 
@@ -238,6 +238,102 @@ def test_degenerate_row_in_last_block_raises(monkeypatch):
         erbf_loss_and_grad(theta, X, y, centers, w, b)
 
 
+def _recomputed_loss_and_grad(theta, X, y, centers, w, b):
+    """The blocked loss that forms every block's x - c again on each call, and
+    always clamps: the kernel that held_differences replaced, kept to pin
+    that the held block gives its bits."""
+    K, d = centers.shape
+    n = X.shape[0]
+    B = max(1, min(n, erbf.LOSS_BLOCK_BYTES // (8 * K * d)))
+    Xt = np.ascontiguousarray(X.T)[:, :, None]
+    Ct = np.ascontiguousarray(centers.T)[:, None, :]
+    Z = np.empty((d, B, K))
+    Phi = np.empty((B, K))
+    r = np.empty(n)
+    Gt = np.empty((d, K))
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        St = np.ascontiguousarray(np.exp(theta.reshape(K, d)).T)[:, None, :]
+        for s in range(0, n, B):
+            e = min(s + B, n)
+            Zb, Pb, rb = Z[:, :e - s], Phi[:e - s], r[s:e]
+            np.copyto(Zb, Xt[:, s:e])
+            Zb -= Ct
+            Zb /= St
+            Zb *= Zb
+            Pb.fill(0.0)
+            for j in range(d):
+                Pb += Zb[j]
+            Pb *= -0.5
+            np.exp(Pb, out=Pb)
+            np.matmul(Pb, w, out=rb)
+            rb += b
+            rb -= y[s:e]
+            Pb *= rb[:, None]
+            np.minimum(Zb, 1e30, out=Zb)
+            if s == 0:
+                np.einsum("ik,jik->jk", Pb, Zb, out=Gt)
+            else:
+                Gt += np.einsum("ik,jik->jk", Pb, Zb)
+        mse = float(r @ r) / n
+        Gt *= (2.0 / n) * w
+    return mse, Gt.T.ravel()
+
+
+def _assert_equals_recomputed(args, held=None):
+    mse, grad = erbf_loss_and_grad(*args, held)
+    want_mse, want_grad = _recomputed_loss_and_grad(*args)
+    assert mse == want_mse
+    assert np.array_equal(grad.view(np.uint64), want_grad.view(np.uint64))
+
+
+@pytest.mark.parametrize("n,K,d", [(667, 40, 5), (1000, 80, 5), (1067, 70, 5)])
+def test_held_block_equals_recomputed_kernel_at_fit_shapes(n, K, d):
+    theta, X, y, centers, w, b = _random_problem(n, K, d, seed=3 * n + K)
+    held = erbf.held_differences(X, centers)
+    assert held.shape == (d, n, K)  # one block: every row is held
+    rng = np.random.default_rng(n)
+    for _ in range(5):  # one held block serves every evaluation of a fit
+        theta = theta + rng.normal(scale=0.3, size=theta.size)
+        _assert_equals_recomputed((theta, X, y, centers, w, b), held)
+
+
+def test_held_block_equals_recomputed_kernel_over_several_blocks(monkeypatch):
+    rng = np.random.default_rng(41)
+    for case in range(20):
+        n, K, d = int(rng.integers(2, 120)), int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        rows = int(rng.integers(1, n + 1))
+        monkeypatch.setattr(erbf, "LOSS_BLOCK_BYTES", rows * 8 * K * d)
+        args = _random_problem(n, max(1, min(K, n)), d, seed=case)
+        assert erbf.held_differences(args[1], args[3]).shape[1] == rows
+        _assert_equals_recomputed(args)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_overflowing_widths_are_clamped_as_before(monkeypatch, blocks):
+    n, K, d = 60, 5, 3
+    monkeypatch.setattr(erbf, "LOSS_BLOCK_BYTES", -(-n // blocks) * 8 * K * d)
+    theta, X, y, centers, w, b = _random_problem(n, K, d, seed=43)
+    held = erbf.held_differences(X, centers)
+    # ((x - c) / sigma)^2 above 1e30 in rows of the held block: the clamp must run
+    theta.reshape(K, d)[1, 2] = -40.0
+    theta.reshape(K, d)[3, 0] = -600.0  # sigma near 1e-261: z_j is inf
+    with np.errstate(over="ignore"):
+        assert (np.square(held[2] / np.exp(theta.reshape(K, d))[:, 2]) > 1e30).any()
+    _assert_equals_recomputed((theta, X, y, centers, w, b), held)
+
+
+def test_held_block_refuses_zero_over_zero_like_the_recomputed_kernel():
+    # a row on a centre whose widths underflowed to zero: 0/0 in the held block
+    theta, X, y, centers, w, b = _random_problem(20, 3, 2, seed=47)
+    theta.reshape(3, 2)[0] = -800.0
+    X[4] = centers[0]
+    with np.errstate(invalid="ignore"):
+        want_mse, _ = _recomputed_loss_and_grad(theta, X, y, centers, w, b)
+    assert not math.isfinite(want_mse)
+    with pytest.raises(ValueError):
+        erbf_loss_and_grad(theta, X, y, centers, w, b, erbf.held_differences(X, centers))
+
+
 def test_gradient_zero_when_weights_zero():
     # with w = 0 the widths cannot change the loss, so the gradient vanishes
     rng = np.random.default_rng(127)
@@ -445,6 +541,13 @@ def test_init_widths_local_ridge_widens_flat_directions():
     assert np.median(sigma[:, 1]) > 5 * np.median(sigma[:, 0])
 
 
+def _knn_per_centre(X, point, k):
+    """The one-point kNN query that init_widths made per centre before it
+    queried blocks of centres at once."""
+    d2 = ((X - point) ** 2).sum(axis=1)
+    return np.argsort(d2, kind="stable")[:k]
+
+
 def _init_widths_per_centre(X, y, centers, mode):
     """Reference: init_widths with one kNN query and one ridge_solve per centre."""
     n, d = X.shape
@@ -452,7 +555,7 @@ def _init_widths_per_centre(X, y, centers, mode):
     k_nn = min(n, max(10, min(100, n // K)))
     sigma = np.empty((K, d))
     for ki in range(K):
-        nb = knn_indices(X, centers[ki], k_nn)
+        nb = _knn_per_centre(X, centers[ki], k_nn)
         var = X[nb].var(axis=0)
         if mode == "local_ridge":
             beta, _ = ridge_solve(X[nb], y[nb], alpha=1e-3)
@@ -462,9 +565,12 @@ def _init_widths_per_centre(X, y, centers, mode):
     return np.clip(sigma, WIDTH_FLOOR, WIDTH_CAP)
 
 
-def test_init_widths_matches_per_centre_loop_bitwise():
-    # every third case rounds the inputs, so neighbour distances tie
+def test_init_widths_matches_per_centre_loop_bitwise(monkeypatch):
+    # every third case rounds the inputs, so neighbour distances tie; every
+    # other case shrinks the byte budget, so the kNN queries run in several
+    # blocks of centres, down to one centre per block
     rng = np.random.default_rng(179)
+    default_bytes = erbf.LOSS_BLOCK_BYTES
     for case in range(36):
         n, d = int(rng.integers(30, 400)), int(rng.integers(1, 12))
         K = int(rng.integers(1, min(60, n // 2) + 1))
@@ -473,6 +579,9 @@ def test_init_widths_matches_per_centre_loop_bitwise():
         if case % 3 == 0:
             X, y = np.round(X, 1), np.round(y, 1)
         centers = X[rng.choice(n, K, replace=False)]
+        per_block = int(rng.integers(1, 8)) if case % 2 else None
+        monkeypatch.setattr(erbf, "LOSS_BLOCK_BYTES",
+                            per_block * 8 * n * d if per_block else default_bytes)
         for mode in ("local_ridge", "local_variance"):
             got = init_widths(X, y, centers, mode=mode)
             want = _init_widths_per_centre(X, y, centers, mode)

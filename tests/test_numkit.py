@@ -225,6 +225,37 @@ def test_kmeans_handles_duplicate_points():
     assert labels.shape == (12,)
 
 
+def _update_means_per_cluster(X, labels, centers):
+    """The mean update as one boolean mask and one .mean per cluster: the loop
+    that the sorted-slice update replaced."""
+    out = centers.copy()
+    for c in range(centers.shape[0]):
+        members = labels == c
+        if members.any():
+            out[c] = X[members].mean(axis=0)
+    return out
+
+
+def test_update_means_equals_per_cluster_loop_bitwise():
+    # d from 1 to 100, k from 2 to 80, empty clusters in about a third of the
+    # cases, and rounded inputs in every fourth
+    rng = np.random.default_rng(211)
+    for case in range(300):
+        d, k = int(rng.integers(1, 101)), int(rng.integers(2, 81))
+        n = int(rng.integers(k, 1600))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0)
+        if case % 4 == 0:
+            X = np.round(X, 1)
+        used = k - int(rng.integers(0, k // 2 + 1)) if case % 3 == 0 else k
+        labels = rng.integers(0, used, size=n)
+        if case % 3 == 0:
+            labels = rng.permutation(k)[labels]  # the empty ones anywhere in 0..k-1
+        centers = rng.normal(size=(k, d))
+        got = numkit._update_means(X, labels, centers)
+        want = _update_means_per_cluster(X, labels, centers)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), case
+
+
 # ---------------------------------------------------------------------------
 # knn_indices
 
@@ -243,6 +274,23 @@ def test_knn_matches_brute_force():
         k = int(rng.integers(1, n))
         point = rng.normal(size=d)
         assert np.array_equal(knn_indices(X, point, k), knn_oracle(X, point, k))
+
+
+def test_knn_of_a_stack_of_points_equals_one_query_per_point():
+    # rounded inputs make distance ties; the stacked sums must keep each
+    # point's bits, up to d=100 where numpy sums features pairwise
+    rng = np.random.default_rng(24)
+    for case in range(60):
+        n, d, m = int(rng.integers(3, 300)), int(rng.choice([1, 2, 5, 9, 40, 100])), \
+            int(rng.integers(1, 12))
+        X = np.round(rng.normal(size=(n, d)), 1 if case % 2 else 6)
+        points = np.vstack([X[rng.integers(n, size=m // 2)],
+                            np.round(rng.normal(size=(m - m // 2, d)), 1)])
+        k = int(rng.integers(1, n + 1))
+        got = knn_indices(X, points, k)
+        assert got.shape == (m, k)
+        for i in range(m):
+            assert np.array_equal(got[i], knn_oracle(X, points[i], k)), (case, i)
 
 
 def test_knn_tie_breaks_to_lower_index():
@@ -282,19 +330,92 @@ def test_lbfgs_solves_quadratic():
     assert np.linalg.norm(res.x - x_star) < 1e-4
 
 
-def test_lbfgs_rosenbrock():
-    def rosen(x):
-        a, b = 1.0, 100.0
-        f = (a - x[0]) ** 2 + b * (x[1] - x[0] ** 2) ** 2
-        g = np.array([
-            -2 * (a - x[0]) - 4 * b * x[0] * (x[1] - x[0] ** 2),
-            2 * b * (x[1] - x[0] ** 2),
-        ])
-        return float(f), g
+def rosenbrock(x):
+    a, b = 1.0, 100.0
+    f = (a - x[0]) ** 2 + b * (x[1] - x[0] ** 2) ** 2
+    g = np.array([
+        -2 * (a - x[0]) - 4 * b * x[0] * (x[1] - x[0] ** 2),
+        2 * b * (x[1] - x[0] ** 2),
+    ])
+    return float(f), g
 
-    res = lbfgs_minimize(rosen, np.array([-1.2, 1.0]), max_iter=200)
+
+def test_lbfgs_rosenbrock():
+    res = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), max_iter=200)
     assert res.loss < 1e-4
     assert np.linalg.norm(res.x - np.array([1.0, 1.0])) < 0.1
+
+
+def _lbfgs_recomputing_rho(fun, x0, max_iter):
+    """lbfgs_minimize as it was when the two-loop recursion recomputed every
+    stored pair's rho = 1 / y.s and the newest pair's gamma on each call:
+    the reference that the kept values must reproduce bit for bit."""
+    x = np.array(x0, dtype=np.float64, copy=True)
+    f, g = fun(x)
+    best_x, best_f = x.copy(), f
+    s_hist, y_hist = [], []
+    it = 0
+    while it < max_iter:
+        if np.linalg.norm(g) < numkit.LBFGS_GRAD_TOL:
+            break
+        q = g.copy()
+        m = len(s_hist)
+        if m == 0:
+            d = -(q / max(1.0, float(np.linalg.norm(q))))
+        else:
+            alphas, rhos = np.empty(m), np.empty(m)
+            for i in range(m - 1, -1, -1):
+                rhos[i] = 1.0 / float(y_hist[i] @ s_hist[i])
+                alphas[i] = rhos[i] * float(s_hist[i] @ q)
+                q -= alphas[i] * y_hist[i]
+            r = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1]) * q
+            for i in range(m):
+                r += (alphas[i] - rhos[i] * float(y_hist[i] @ r)) * s_hist[i]
+            d = -r
+        gd = float(g @ d)
+        if gd >= 0.0:
+            d = -g
+            gd = float(g @ d)
+        step = 1.0
+        while step >= 1e-20:
+            x_new = x + step * d
+            f_new, g_new = fun(x_new)
+            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * gd:
+                break
+            step *= 0.5
+        else:
+            break
+        s, yv = x_new - x, g_new - g
+        if float(s @ yv) > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
+            s_hist.append(s)
+            y_hist.append(yv)
+            if len(s_hist) > numkit.LBFGS_MEMORY:
+                s_hist.pop(0)
+                y_hist.pop(0)
+        x, f, g = x_new, f_new, g_new
+        if f < best_f:
+            best_f, best_x = f, x.copy()
+        it += 1
+    return best_x, float(best_f), it
+
+
+def test_lbfgs_equals_the_rho_recomputing_reference_bitwise():
+    # the Rosenbrock and quadratic problems above, plus random quadratics
+    # that fill and cycle the curvature memory
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=(8, 8)) + 4 * np.eye(8)
+    problems = [(rosenbrock, np.array([-1.2, 1.0]), 200),
+                (quadratic_problem(A, rng.normal(size=8)), np.full(8, 3.5), 200)]
+    for _ in range(20):
+        p = int(rng.integers(2, 30))
+        M = rng.normal(size=(p, p))
+        problems.append((quadratic_problem(M @ M.T + 0.1 * np.eye(p), rng.normal(size=p)),
+                         rng.normal(size=p), int(rng.integers(1, 60))))
+    for fun, x0, max_iter in problems:
+        res = lbfgs_minimize(fun, x0, max_iter=max_iter)
+        want_x, want_loss, want_it = _lbfgs_recomputing_rho(fun, x0, max_iter)
+        assert np.array_equal(res.x.view(np.uint64), want_x.view(np.uint64))
+        assert res.loss == want_loss and res.iterations == want_it
 
 
 def test_lbfgs_zero_iterations_returns_start():
