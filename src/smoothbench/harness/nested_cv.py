@@ -9,6 +9,7 @@ parallel processes; results are collected in cell order either way.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
@@ -57,17 +58,26 @@ def tune(kind: str, X: np.ndarray, y: np.ndarray, plan: FoldPlan, fit_seed: int,
     """Random search over kind's space; each trial scores its mean inner-CV adjusted R².
 
     Every fit uses fit_seed, and every fold's predictions are clipped to its
-    own training targets. Raises ValueError when every trial failed.
+    own training targets. Each fold's arrays and bounds are built once for
+    all trials and are read-only, so a fit that writes into its inputs fails
+    instead of changing later trials. Raises ValueError when every trial
+    failed.
     """
     d = X.shape[1]
+    folds = []
+    for fold in range(plan.outer_k):
+        itr, ival = plan.train_indices(fold), plan.test_indices(fold)
+        arrays = X[itr], y[itr], X[ival], y[ival]
+        for a in arrays:
+            a.flags.writeable = False
+        folds.append((*arrays, clip_bounds(y[itr])))
 
     def objective(params: Dict[str, Any]) -> float:
         scores = []
-        for fold in range(plan.outer_k):
-            itr, ival = plan.train_indices(fold), plan.test_indices(fold)
-            model = fit_model(kind, X[itr], y[itr], params, seed=fit_seed)
-            preds = predict_model(kind, model, X[ival], clip_bounds(y[itr]))
-            scores.append(adjusted_r2(r2(y[ival], preds), len(ival), d))
+        for X_tr, y_tr, X_val, y_val, bounds in folds:
+            model = fit_model(kind, X_tr, y_tr, params, seed=fit_seed)
+            preds = predict_model(kind, model, X_val, bounds)
+            scores.append(adjusted_r2(r2(y_val, preds), len(y_val), d))
         return float(np.mean(scores))
 
     best_params, _, trials = random_search(objective, search_space(kind), seed=search_seed,
@@ -86,7 +96,11 @@ def run_outer_fold(
     assignments: np.ndarray,
     config: BenchRunConfig,
 ) -> FoldResult:
-    """Tune, refit and score one (dataset, model, outer-fold) cell."""
+    """Tune, refit and score one (dataset, model, outer-fold) cell.
+
+    A non-finite test_r2_adj or gap raises ValueError, so the cell becomes a
+    failure record instead of a score.
+    """
     train_idx = np.flatnonzero(assignments != fold)
     test_idx = np.flatnonzero(assignments == fold)
     train_raw = ds.select_rows(train_idx)
@@ -120,14 +134,19 @@ def run_outer_fold(
     preds_tr = predict_model(kind, model, X_tr, bounds)
     train_r2 = r2(y_tr, preds_tr)
     test_r2 = r2(y_te, preds_te)
+    test_r2_adj = adjusted_r2(test_r2, len(y_te), ds.d)
+    gap = train_r2 - test_r2
+    if not (math.isfinite(test_r2_adj) and math.isfinite(gap)):
+        # a non-finite score would rank and average as a number
+        raise ValueError(f"non-finite score: test_r2_adj={test_r2_adj}, gap={gap}")
     return FoldResult(
         dataset=name,
         model=kind,
         fold=fold,
         train_r2=train_r2,
         test_r2=test_r2,
-        test_r2_adj=adjusted_r2(test_r2, len(y_te), ds.d),
-        gap=train_r2 - test_r2,
+        test_r2_adj=test_r2_adj,
+        gap=gap,
         tune_seconds=tune_seconds,
         train_seconds=train_seconds,
         predict_ms_per_1k=predict_ms_per_1k,

@@ -32,15 +32,18 @@ def write_results_jsonl(
     """One JSON object per line: fold records, then failure records, each in the given order.
 
     run_benchmark returns both in cell order, so the files of identical runs
-    differ only in their timing fields.
+    differ only in their timing fields. The file is strict JSON: a NaN or
+    infinite number raises ValueError.
     """
     head = {"schema_version": SCHEMA_VERSION}
+    # every line is serialised before the file is opened, so a refused number
+    # leaves no partial file
+    lines = [json.dumps({"record": "fold", **head, **asdict(fr)}, allow_nan=False) + "\n"
+             for fr in fold_results]
+    lines += [json.dumps({"record": "failure", **head, "dataset": ds_name, "model": model,
+                          "error": error}) + "\n" for (ds_name, model), error in failures.items()]
     with open(path, "w", encoding="utf-8") as fh:
-        for fr in fold_results:
-            fh.write(json.dumps({"record": "fold", **head, **asdict(fr)}) + "\n")
-        for (ds_name, model), error in failures.items():
-            fh.write(json.dumps({"record": "failure", **head, "dataset": ds_name,
-                                 "model": model, "error": error}) + "\n")
+        fh.writelines(lines)
 
 
 # JSON types, with their names, of FoldResult's field annotations
@@ -229,12 +232,15 @@ def report_model_columns(report: dict) -> List[str]:
 
 
 def write_report_files(out_dir: str, report: dict) -> List[str]:
-    """Write report.json plus rank/score CSV tables; returns the paths."""
+    """Write report.json plus rank/score CSV tables; returns the paths.
+
+    report.json is strict JSON: a NaN or infinite number raises ValueError.
+    """
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
     paths = [report_path]
 
     cols = report_model_columns(report)

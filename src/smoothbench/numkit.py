@@ -228,9 +228,17 @@ def _update_means(X: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.
 
 
 def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (len(A), len(B)), clipped at 0."""
-    d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
-    return np.maximum(d2, 0.0)
+    """Pairwise squared Euclidean distances, (len(A), len(B)), clipped at 0.
+
+    |a|^2 + |b|^2 - 2 a.b, worked in place so that only two (len(A), len(B))
+    arrays are live at once, with the bits of the one-line expression.
+    """
+    G = A @ B.T
+    G *= 2.0
+    d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :]
+    d2 -= G
+    np.maximum(d2, 0.0, out=d2)
+    return d2
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +251,12 @@ def knn_indices(X: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
     points is one point (d,), giving (k,), or a stack of them (m, d), giving
     (m, k); a stack builds an (m, n, d) difference array. Each point's
     distances are the same feature sums whether it is queried alone or in a
-    stack. Distance ties break toward the lower row index.
+    stack. Distance ties break toward the lower row index, and NaN distances
+    come last, as in a stable sort of all n distances.
+
+    No row is fully sorted: a selection (np.partition) finds each row's k-th
+    distance, and only the candidates not beyond it are sorted, by
+    (distance, index). A NaN k-th distance makes the whole row candidates.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -251,7 +264,12 @@ def knn_indices(X: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     points = np.asarray(points, dtype=np.float64)
     d2 = ((X - points[..., None, :]) ** 2).sum(axis=-1)
-    return np.argsort(d2, axis=-1, kind="stable")[..., :k]
+    D = d2.reshape(-1, n)
+    kth = np.partition(D, k - 1, axis=1)[:, k - 1, None]
+    r, c = np.nonzero(~(D > kth))  # row-major: each row's candidates by index
+    c = c[np.lexsort((D[r, c], r))]
+    starts = np.searchsorted(r, np.arange(D.shape[0]))
+    return c[starts[:, None] + np.arange(k)].reshape(d2.shape[:-1] + (k,))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ bump, an axis-aligned anisotropic function).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,9 +420,10 @@ def test_local_lipschitz_percentile_cap(monkeypatch):
 
 
 def test_local_lipschitz_matches_brute_force_across_chunks():
-    # n = 1500 puts the rows in two distance chunks
     rng = np.random.default_rng(149)
-    n, k = 1500, erbf.LIPSCHITZ_K
+    n, k = 1000, erbf.LIPSCHITZ_K
+    block = erbf.LIPSCHITZ_BLOCK_BYTES // (8 * n)
+    assert n // block >= 3 and n % block  # several row blocks, the last one ragged
     X = rng.normal(size=(n, 3))
     y = np.sin(2 * X[:, 0]) + X[:, 1] * X[:, 2]
     want = np.empty(n)
@@ -434,6 +436,62 @@ def test_local_lipschitz_matches_brute_force_across_chunks():
     L = local_lipschitz(X, y)
     # distances come from the Gram expansion here, from differences above
     np.testing.assert_allclose(L, want, rtol=1e-9, atol=0)
+
+
+def lipschitz_in_chunks(X, y):
+    """The former local_lipschitz: rows in chunks of 2_000_000 // n, one chunk when n <= 1414."""
+    n = X.shape[0]
+    kk = min(erbf.LIPSCHITZ_K, n - 1)
+    L = np.empty(n)
+    chunk = max(1, 2_000_000 // n)
+    for start in range(0, n, chunk):
+        rows = slice(start, min(start + chunk, n))
+        A = X[rows]
+        d2 = np.maximum((A * A).sum(axis=1)[:, None] + (X * X).sum(axis=1)[None, :]
+                        - 2.0 * (A @ X.T), 0.0)
+        local = np.arange(d2.shape[0])
+        d2[local, start + local] = np.inf
+        nb = np.argpartition(d2, kk - 1, axis=1)[:, :kk]
+        dists = np.sqrt(np.take_along_axis(d2, nb, axis=1))
+        L[rows] = np.max(np.abs(y[rows, None] - y[nb]) / (dists + 1e-12), axis=1)
+    return np.minimum(L, np.percentile(L, 99.0))
+
+
+def test_local_lipschitz_and_its_centres_match_the_chunked_kernel(monkeypatch):
+    # row blocks multiply by gemm, the single chunk by the symmetric kernel:
+    # L moves in the last bits only, and the drawn centres not at all, also
+    # on rounded data with distance and target ties
+    rng = np.random.default_rng(151)
+    for case in range(300):
+        n, d = int(rng.integers(2, 1200)), int(rng.integers(1, 8))
+        X = rng.normal(size=(n, d))
+        if case % 3 == 0:
+            X = np.round(X, 1)
+        y = np.sin(X[:, 0]) + X[:, -1] ** 2
+        if case % 4 == 0:
+            y = np.round(y, 1)
+        got, want = local_lipschitz(X, y), lipschitz_in_chunks(X, y)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        k = int(rng.integers(1, min(n, 50) + 1))
+        centres = []
+        for L in (got, want):
+            monkeypatch.setattr(erbf, "local_lipschitz", lambda X, y, L=L: L)
+            centres.append(place_centers(X, y, k, "lipschitz", seed=case))
+        assert np.array_equal(*centres), case
+
+
+def test_local_lipschitz_memory_is_bounded_by_its_block():
+    # at n = 3000 one chunk of the former kernel held 666 rows, 16 MB per array
+    rng = np.random.default_rng(157)
+    X = rng.normal(size=(3000, 5))
+    y = X[:, 0] * X[:, 1]
+    tracemalloc.start()
+    try:
+        local_lipschitz(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * erbf.LIPSCHITZ_BLOCK_BYTES + 2**20, peak
 
 
 def test_place_centers_lipschitz_concentrates_near_jump():

@@ -22,6 +22,7 @@ from smoothbench.harness.nested_cv import (
     BenchRunConfig,
     FoldResult,
     run_benchmark,
+    tune,
 )
 from smoothbench.harness.report import (
     SCHEMA_VERSION,
@@ -798,6 +799,65 @@ class TestNestedCVFailure:
             assert results == []
             assert set(failures) == {("f1", "dt")}
             assert failures[("f1", "dt")] == "fold 0: all 3 search trials failed"
+
+
+    def test_non_finite_score_is_a_failure_and_files_are_strict_json(self, monkeypatch,
+                                                                       tmp_path):
+        import smoothbench.harness.nested_cv as ncv
+        monkeypatch.setattr(ncv, "tune", lambda *args: {})
+        monkeypatch.setattr(ncv, "r2", lambda y_true, y_pred: math.nan)
+        ds = gen("friedman1", n=45, noise_std=0.3, seed=4)
+        results, failures = run_benchmark([("f1", ds)], ["ridge"], BenchRunConfig(outer_k=3),
+                                          parallel=1)
+        assert results == []
+        assert failures[("f1", "ridge")].startswith("fold 0: non-finite score: test_r2_adj=nan")
+
+        def refuse(token):
+            raise AssertionError(f"{token} in a strict JSON file")
+
+        path = str(tmp_path / "results.jsonl")
+        write_results_jsonl(path, results, failures)
+        paths = write_report_files(str(tmp_path), build_report(results, failures))
+        with open(path, encoding="utf-8") as fh:
+            assert [json.loads(line, parse_constant=refuse)["record"] for line in fh] == \
+                ["failure"]
+        with open(paths[0], encoding="utf-8") as fh:
+            assert json.load(fh, parse_constant=refuse)["failures"] == \
+                {"f1/ridge": failures[("f1", "ridge")]}
+
+    def test_writers_refuse_non_finite_numbers_and_leave_no_file(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                write_results_jsonl(str(path), [_fold("d", "m", 0, adj=bad)], {})
+            assert not path.exists()
+            report = build_report([_fold("d", "m", 0, adj=0.5)], {})
+            report["nemenyi_cd"] = bad
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                write_report_files(str(tmp_path), report)
+            assert not (tmp_path / "report.json").exists()
+
+
+class TestTune:
+    def test_a_fit_that_writes_into_its_inputs_fails(self, monkeypatch):
+        # the folds' arrays are shared by every trial, so they are read-only
+        import smoothbench.harness.nested_cv as ncv
+        ds = gen("friedman1", n=40, noise_std=0.3, seed=6)
+        X, y = ds.X.copy(), ds.y.copy()
+        plan = kfold_split(len(y), 3, seed=2)
+        seen = []
+
+        def writing_fit(kind, X_fit, y_fit, params, seed=0):
+            seen.append((X_fit.flags.writeable, y_fit.flags.writeable))
+            X_fit[0, 0] = 1e6
+            return fit_model(kind, X_fit, y_fit, params, seed=seed)
+
+        monkeypatch.setattr(ncv, "fit_model", writing_fit)
+        with pytest.raises(ValueError, match="all 3 search trials failed"):
+            tune("ridge", X, y, plan, fit_seed=0, search_seed=0, budget=3)
+        assert seen == [(False, False)] * 3
+        assert np.array_equal(X, ds.X) and np.array_equal(y, ds.y)
+        assert X.flags.writeable and y.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from smoothbench.numkit import (
     lbfgs_minimize,
     ridge_solve,
     ridge_solve_segments,
+    sq_dists,
 )
 
 
@@ -257,6 +258,25 @@ def test_update_means_equals_per_cluster_loop_bitwise():
 
 
 # ---------------------------------------------------------------------------
+# sq_dists
+
+
+def test_sq_dists_equals_the_one_line_expression_bitwise():
+    # the former expression; X[0:n] against X is the symmetric A @ A.T shape
+    def one_line(A, B):
+        return np.maximum(
+            (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T), 0.0)
+
+    rng = np.random.default_rng(26)
+    for case in range(40):
+        n, d = int(rng.integers(1, 300)), int(rng.integers(1, 12))
+        X = np.round(rng.normal(size=(n, d)), case % 3)
+        m = int(rng.integers(1, n + 1))
+        for A, B in ((X, X), (X[0:n], X), (X[:m], X), (X[n - m:], X[:m])):
+            assert np.array_equal(sq_dists(A, B), one_line(A, B)), case
+
+
+# ---------------------------------------------------------------------------
 # knn_indices
 
 
@@ -291,6 +311,33 @@ def test_knn_of_a_stack_of_points_equals_one_query_per_point():
         assert got.shape == (m, k)
         for i in range(m):
             assert np.array_equal(got[i], knn_oracle(X, points[i], k)), (case, i)
+
+
+def knn_full_sort(X, points, k):
+    """The former knn_indices: a stable argsort of all n distances per point."""
+    d2 = ((X - points[..., None, :]) ** 2).sum(axis=-1)
+    return np.argsort(d2, axis=-1, kind="stable")[..., :k]
+
+
+def test_knn_equals_the_full_stable_sort():
+    # ties from rounded and stacked points, NaN distances, k = 1 and k = n
+    rng = np.random.default_rng(25)
+    for case in range(300):
+        n, d, m = int(rng.integers(1, 120)), int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        X = np.round(rng.normal(size=(n, d)), case % 3)
+        if case % 7 == 0:
+            X[:] = X[0]  # every point stacked on one
+        if case % 11 == 0 and n > 2:
+            X[1, 0] = np.nan  # one NaN distance in every row
+        points = np.vstack([X[rng.integers(n, size=m // 2)],
+                            np.round(rng.normal(size=(m - m // 2, d)), 1)])
+        if case % 5 == 0:
+            points[0, 0] = np.nan  # a row of NaN distances
+        k = (1, n, int(rng.integers(1, n + 1)))[case % 3]
+        got = knn_indices(X, points, k)
+        assert got.shape == (m, k)
+        assert np.array_equal(got, knn_full_sort(X, points, k)), case
+        assert np.array_equal(knn_indices(X, points[0], k), knn_full_sort(X, points[0], k)), case
 
 
 def test_knn_tie_breaks_to_lower_index():
