@@ -6,7 +6,8 @@
 # fits and predicts, that fit and predict fill blank feature cells and write
 # one prediction per input row, that a --param the model does not have exits
 # 1 (a misspelt name, and n_rbf_mode, which n_rbf replaced), that --budget
-# without --tune exits 2, that a bench config with a misspelt key exits 1 and writes no results,
+# without --tune exits 2, that a bench config with a misspelt key or an empty
+# models list exits 1 and writes no results,
 # that every model file is strict JSON (no NaN or Infinity token), and that
 # predict refuses a model file with a feature name dropped, a ragged erbf
 # centers row, a truncated chebytree weights row or a negative chebypoly
@@ -99,14 +100,19 @@ if [ "$status" -ne 2 ] || [ -e budget.json ] || ! grep -q -- "--budget needs --t
     exit 1
 fi
 
-# a misspelt bench config key is refused, not ignored
+# a misspelt bench config key, or an empty models list, is refused, not ignored
 sed 's/"outer_k"/"outer_kk"/' bench.json > typo-bench.json
-status=0
-smoothbench bench --config typo-bench.json --out-dir typo-results/ || status=$?
-if [ "$status" -ne 1 ] || [ -e typo-results/results.jsonl ]; then
-    echo "bench with key outer_kk exited $status; expected 1 and no results.jsonl" >&2
-    exit 1
-fi
+sed 's/"models": \[[^]]*\]/"models": []/' bench.json > no-models-bench.json
+grep -q '"models": \[\]' no-models-bench.json
+for case in "typo-bench:key outer_kk" "no-models-bench:models []"; do
+    config="${case%%:*}" what="${case#*:}"
+    status=0
+    smoothbench bench --config "$config.json" --out-dir "$config-results/" || status=$?
+    if [ "$status" -ne 1 ] || [ -e "$config-results/results.jsonl" ]; then
+        echo "bench with $what exited $status; expected 1 and no results.jsonl" >&2
+        exit 1
+    fi
+done
 # a model file that does not match its feature names, or holds a ragged
 # array, is refused with the field named, and no predictions are written
 python - <<'PY'

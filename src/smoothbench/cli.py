@@ -16,8 +16,8 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .data import (Dataset, column_medians, drop_quasi_constant, impute_median, inner_fold_count,
-                   kfold_split, load_csv, read_array, subsample, write_csv, write_table)
+from .data import (Dataset, column_medians, drop_quasi_constant, impute_median, load_csv,
+                   read_array, subsample, write_csv, write_table)
 from .harness import (
     BenchRunConfig,
     build_report,
@@ -127,8 +127,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     ds = impute_median(ds, medians)
 
     if args.tune:
-        plan = kfold_split(ds.n, inner_fold_count(ds.n), seed=args.seed)
-        params = tune(args.model, ds.X, ds.y, plan, args.seed, args.seed, args.budget)
+        params = tune(args.model, ds.X, ds.y, args.seed, args.seed, args.seed, args.budget)
         params.update(_parse_params(args.param))  # explicit flags win
     else:
         params = _parse_params(args.param)
@@ -252,8 +251,8 @@ def _load_bench_config(path: str) -> Tuple[dict, BenchRunConfig]:
             raise ValueError(f"dataset entry for {entry['path']!r} needs a 'target'")
     _check_keys("trial_budgets.", cfg.get("trial_budgets", {}), list(MODEL_KINDS))
     models = cfg.setdefault("models", list(MODEL_KINDS))
-    if not isinstance(models, list):
-        raise ValueError(f"bench config: models must be a list, got {models!r}")
+    if not isinstance(models, list) or not models:
+        raise ValueError(f"bench config needs a non-empty 'models' list, got {models!r}")
     for m in models:
         if m not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {m!r} in config; choose from {MODEL_KINDS}")
@@ -300,6 +299,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     fold_results, failures = read_results_jsonl(args.results)
+    if not fold_results and not failures:
+        raise ValueError(f"{args.results}: no records")
     if args.models:
         keep = [m.strip() for m in args.models.split(",") if m.strip()]
         fold_results = [fr for fr in fold_results if fr.model in keep]

@@ -48,22 +48,19 @@ class FoldResult:
     best_params: Dict[str, Any] = field(default_factory=dict)
 
 
-def _fit_seed(config: BenchRunConfig, fold: int) -> int:
-    # one model seed per outer fold, shared by every trial and the refit
-    return config.outer_seed + 7919 * (fold + 1)
-
-
-def tune(kind: str, X: np.ndarray, y: np.ndarray, plan: FoldPlan, fit_seed: int,
+def tune(kind: str, X: np.ndarray, y: np.ndarray, plan_seed: int, fit_seed: int,
          search_seed: int, budget: Optional[int]) -> Dict[str, Any]:
     """Random search over kind's space; each trial scores its mean inner-CV adjusted R².
 
-    Every fit uses fit_seed, and every fold's predictions are clipped to its
-    own training targets. Each fold's arrays and bounds are built once for
-    all trials and are read-only, so a fit that writes into its inputs fails
-    instead of changing later trials. Raises ValueError when every trial
-    failed.
+    The inner folds are kfold_split(n, inner_fold_count(n), plan_seed) over
+    the n rows of X. Every fit uses fit_seed, and every fold's predictions
+    are clipped to its own training targets. Each fold's arrays and bounds
+    are built once for all trials and are read-only, so a fit that writes
+    into its inputs fails instead of changing later trials. Raises
+    ValueError when every trial failed.
     """
-    d = X.shape[1]
+    n, d = X.shape
+    plan = kfold_split(n, inner_fold_count(n), plan_seed)
     folds = []
     for fold in range(plan.outer_k):
         itr, ival = plan.train_indices(fold), plan.test_indices(fold)
@@ -93,32 +90,29 @@ def run_outer_fold(
     ds: Dataset,
     kind: str,
     fold: int,
-    assignments: np.ndarray,
+    plan: FoldPlan,
     config: BenchRunConfig,
 ) -> FoldResult:
-    """Tune, refit and score one (dataset, model, outer-fold) cell.
+    """Tune, refit and score one (dataset, model, outer-fold) cell of the outer plan.
 
-    A non-finite test_r2_adj or gap raises ValueError, so the cell becomes a
-    failure record instead of a score.
+    A constant training or test target (R² undefined), or a non-finite
+    test_r2_adj or gap, raises ValueError, so the cell becomes a failure
+    record instead of a score.
     """
-    train_idx = np.flatnonzero(assignments != fold)
-    test_idx = np.flatnonzero(assignments == fold)
-    train_raw = ds.select_rows(train_idx)
+    train_raw = ds.select_rows(plan.train_indices(fold))
     medians = column_medians(train_raw)
     train = impute_median(train_raw, medians)
-    test = impute_median(ds.select_rows(test_idx), medians)
+    test = impute_median(ds.select_rows(plan.test_indices(fold)), medians)
     train.require_finite()
     test.require_finite()
 
     X_tr, y_tr = train.X, train.y
     X_te, y_te = test.X, test.y
-    n_tr = X_tr.shape[0]
-    inner_plan = kfold_split(n_tr, inner_fold_count(n_tr),
-                             seed=config.outer_seed + 1000 * (fold + 1))
-    fit_seed = _fit_seed(config, fold)
+    # one model seed per outer fold, shared by every trial and the refit
+    fit_seed = config.outer_seed + 7919 * (fold + 1)
 
     t0 = time.perf_counter()
-    best_params = tune(kind, X_tr, y_tr, inner_plan, fit_seed,
+    best_params = tune(kind, X_tr, y_tr, config.outer_seed + 1000 * (fold + 1), fit_seed,
                        config.search_seed + fold, config.trial_budgets.get(kind))
     tune_seconds = time.perf_counter() - t0
 
@@ -134,6 +128,10 @@ def run_outer_fold(
     preds_tr = predict_model(kind, model, X_tr, bounds)
     train_r2 = r2(y_tr, preds_tr)
     test_r2 = r2(y_te, preds_te)
+    for split, score in (("test", test_r2), ("training", train_r2)):
+        if score == FAILURE_SCORE:
+            # r2's sentinel for a constant target would rank and average as a number
+            raise ValueError(f"R² is undefined: the {split} target is constant")
     test_r2_adj = adjusted_r2(test_r2, len(y_te), ds.d)
     gap = train_r2 - test_r2
     if not (math.isfinite(test_r2_adj) and math.isfinite(gap)):
@@ -183,8 +181,8 @@ def run_benchmark(
             raise ValueError(f"{what} must be unique, got {items}")
     cells = []
     for name, ds in datasets:
-        assignments = kfold_split(ds.n, config.outer_k, config.outer_seed).assignments
-        cells += [(name, ds, kind, fold, assignments)
+        plan = kfold_split(ds.n, config.outer_k, config.outer_seed)
+        cells += [(name, ds, kind, fold, plan)
                   for kind in kinds for fold in range(config.outer_k)]
 
     results: List[FoldResult] = []

@@ -133,7 +133,9 @@ def build_report(
     measures cost.
 
     Without explicit orders, datasets and models are listed in the order they
-    are first seen in fold_results, then in failures.
+    are first seen in fold_results, then in failures. A fold record whose
+    test_r2_adj or gap is not finite raises ValueError: failure is read from
+    failures, never from a score's value.
     """
     datasets = dataset_order or list(dict.fromkeys(
         [fr.dataset for fr in fold_results] + [k[0] for k in failures]))
@@ -143,34 +145,34 @@ def build_report(
     by_pair: Dict[Tuple[str, str], List[FoldResult]] = {}
     ds_folds: Dict[str, set] = {}
     for fr in fold_results:
+        if not (math.isfinite(fr.test_r2_adj) and math.isfinite(fr.gap)):
+            raise ValueError(f"{fr.dataset}/{fr.model} fold {fr.fold}: non-finite score: "
+                             f"test_r2_adj={fr.test_r2_adj}, gap={fr.gap}")
         by_pair.setdefault((fr.dataset, fr.model), []).append(fr)
         ds_folds.setdefault(fr.dataset, set()).add(fr.fold)
     failures = dict(failures)
 
-    scores: Dict[str, Dict[str, Optional[float]]] = {}
-    gaps: Dict[str, Dict[str, Optional[float]]] = {}
-    for ds_name in datasets:
-        scores[ds_name] = {}
-        gaps[ds_name] = {}
-        for m in models:
+    # failed[i, j]: the pair has a failure record, lacks a fold, or has no records;
+    # scores, gaps, ranks and the gap analysis all read the tables through it
+    n_ds, k = len(datasets), len(models)
+    score_table, gap_table = np.zeros((n_ds, k)), np.zeros((n_ds, k))
+    failed = np.zeros((n_ds, k), bool)
+    for i, ds_name in enumerate(datasets):
+        for j, m in enumerate(models):
             frs = by_pair.get((ds_name, m), [])
             missing = sorted(ds_folds.get(ds_name, set()) - {fr.fold for fr in frs})
             if missing and (ds_name, m) not in failures:
                 failures[(ds_name, m)] = f"missing folds {missing}"
-            if (ds_name, m) in failures or not frs:
-                scores[ds_name][m] = None
-                gaps[ds_name][m] = None
-            else:
-                scores[ds_name][m] = float(np.mean([fr.test_r2_adj for fr in frs]))
-                gaps[ds_name][m] = float(np.mean([fr.gap for fr in frs]))
+            failed[i, j] = (ds_name, m) in failures or not frs
+            if not failed[i, j]:
+                score_table[i, j] = np.mean([fr.test_r2_adj for fr in frs])
+                gap_table[i, j] = np.mean([fr.gap for fr in frs])
 
-    k = len(models)
-    n_ds = len(datasets)
-    score_table = np.array(
-        [[(scores[d][m] if scores[d][m] is not None else -np.inf) for m in models]
-         for d in datasets], dtype=np.float64)
-    # a score of None (failed) is the only -inf in the table
-    ranks = rank_matrix(score_table, np.isinf(score_table)) if n_ds and k else np.zeros((0, k))
+    def by_name(table: np.ndarray) -> Dict[str, Dict[str, Optional[float]]]:
+        return {d: {m: None if failed[i, j] else float(table[i, j])
+                    for j, m in enumerate(models)} for i, d in enumerate(datasets)}
+
+    ranks = rank_matrix(score_table, failed)
     mean_ranks = {m: float(ranks[:, j].mean()) for j, m in enumerate(models)} if n_ds else {}
     rank1 = {m: int(np.sum(ranks[:, j] == 1.0)) for j, m in enumerate(models)}
     rank2 = {m: int(np.sum(ranks[:, j] == 2.0)) for j, m in enumerate(models)}
@@ -184,7 +186,7 @@ def build_report(
     pairs = [(s, t) for s in SMOOTH_MODELS if s in models
              for t in TREE_MODELS if t in models]
     if k >= 2 and n_ds >= 3 and pairs:
-        summaries = matched_gap_wins(scores, gaps, pairs)
+        summaries = matched_gap_wins(score_table, gap_table, failed, models, pairs)
         matched = {
             "threshold": MATCH_THRESHOLD,
             "pairs": [asdict(s) for s in summaries],
@@ -210,8 +212,8 @@ def build_report(
         "schema_version": SCHEMA_VERSION,
         "datasets": list(datasets),
         "models": list(models),
-        "scores": scores,
-        "gaps": gaps,
+        "scores": by_name(score_table),
+        "gaps": by_name(gap_table),
         "ranks": {d: {m: float(ranks[i, j]) for j, m in enumerate(models)}
                   for i, d in enumerate(datasets)},
         "mean_ranks": mean_ranks,

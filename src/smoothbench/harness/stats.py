@@ -10,7 +10,7 @@ constants for k = 2..10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -30,19 +30,16 @@ NEMENYI_Q_05 = {
 MATCH_THRESHOLD = 0.02
 
 
-def rank_matrix(
-    score_table: np.ndarray,
-    failed_table: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def rank_matrix(score_table: np.ndarray, failed: np.ndarray) -> np.ndarray:
     """Ranks per row of an (n_datasets, k_models) score table; rank 1 is best.
 
     A higher score is better, and ties take the average of the positions they
-    straddle. Entries flagged in failed_table get rank k (the worst) whatever
-    their score, and are left out of the other entries' counts.
+    straddle. Entries flagged in failed get rank k (the worst) whatever their
+    score, and are left out of the other entries' counts.
     """
     scores = np.asarray(score_table, dtype=np.float64)
-    n, k = scores.shape
-    ok = np.ones((n, k), bool) if failed_table is None else ~np.asarray(failed_table, bool)
+    k = scores.shape[1]
+    ok = ~np.asarray(failed, bool)
     # [i, a, b] compares entry b of row i with entry a; only non-failed b count
     others, own, counted = scores[:, None, :], scores[:, :, None], ok[:, None, :]
     higher = ((others > own) & counted).sum(axis=2)
@@ -103,39 +100,31 @@ class GapPairSummary:
 
 
 def matched_gap_wins(
-    mean_scores: Dict[str, Dict[str, float]],
-    mean_gaps: Dict[str, Dict[str, float]],
+    score_table: np.ndarray,
+    gap_table: np.ndarray,
+    failed: np.ndarray,
+    models: List[str],
     pairs: List[Tuple[str, str]],
 ) -> List[GapPairSummary]:
     """Generalisation-gap win counts on accuracy-matched datasets.
 
-    A dataset is matched for a (smooth, tree) pair when their mean adjusted
-    R^2 differ by at most MATCH_THRESHOLD. On matched datasets the model with
-    the strictly smaller mean gap wins; exact ties score half a win each.
-    mean_scores / mean_gaps map dataset -> model -> value; datasets where
-    either side is missing (e.g. failed) are skipped.
+    The tables are (n_datasets, k_models), with columns in models' order. A
+    dataset is matched for a (smooth, tree) pair when neither entry is
+    flagged in failed and their mean adjusted R^2 differ by at most
+    MATCH_THRESHOLD. On matched datasets the model with the strictly smaller
+    mean gap wins; exact ties score half a win each.
     """
+    ok = ~failed
     out = []
     for smooth, tree in pairs:
-        matched = 0
-        wins = 0.0
-        for ds_name, row in mean_scores.items():
-            if smooth not in row or tree not in row:
-                continue
-            s_score, t_score = row[smooth], row[tree]
-            if s_score is None or t_score is None:
-                continue
-            if abs(s_score - t_score) > MATCH_THRESHOLD:
-                continue
-            matched += 1
-            s_gap = mean_gaps[ds_name][smooth]
-            t_gap = mean_gaps[ds_name][tree]
-            if s_gap < t_gap:
-                wins += 1.0
-            elif s_gap == t_gap:
-                wins += 0.5
+        s, t = models.index(smooth), models.index(tree)
+        diff = np.abs(score_table[:, s] - score_table[:, t])
+        matched = ok[:, s] & ok[:, t] & (diff <= MATCH_THRESHOLD)
+        s_gap, t_gap = gap_table[matched, s], gap_table[matched, t]
+        n_matched = int(matched.sum())
+        wins = float(np.sum(s_gap < t_gap) + 0.5 * np.sum(s_gap == t_gap))
         out.append(GapPairSummary(
-            smooth=smooth, tree=tree, matched=matched, smooth_wins=wins,
-            fraction=(wins / matched) if matched else None,
+            smooth=smooth, tree=tree, matched=n_matched, smooth_wins=wins,
+            fraction=(wins / n_matched) if n_matched else None,
         ))
     return out

@@ -974,10 +974,12 @@ class TestBenchReport:
          "datasets[0].n must be an integer >= 2"),
         ({"datasets": [{"path": 3, "target": "y"}]}, "datasets[0].path must be a string"),
         ({"models": ["ridge", "ridge"]}, "model kinds must be unique"),
+        ({"models": []}, "bench config needs a non-empty 'models' list, got []"),
+        ({"models": "ridge"}, "bench config needs a non-empty 'models' list, got 'ridge'"),
     ], ids=["dataset-not-object", "budgets-not-object", "budget-not-int",
             "budget-unknown-kind", "misspelt-outer_k", "misspelt-trial_budgets",
             "misspelt-dataset-n", "fractional-outer_k", "bool-seed", "fractional-n",
-            "path-not-string", "duplicate-model"])
+            "path-not-string", "duplicate-model", "empty-models", "models-not-list"])
     def test_malformed_config_exits_1_naming_the_key(self, tmp_path, capsys, edit, message):
         cfg = {"datasets": [{"synthetic": "friedman1", "n": 45}], "models": ["ridge"],
                "outer_k": 2, "trial_budgets": {"ridge": 1}}
@@ -1030,6 +1032,15 @@ class TestBenchReport:
         assert main(["report", "--results", str(results),
                      "--out-dir", str(tmp_path / "rep")]) == 1
         assert f"{results}{message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    def test_report_on_a_results_file_without_records_exits_1(self, tmp_path, capsys, text):
+        results = tmp_path / "results.jsonl"
+        results.write_text(text)
+        assert main(["report", "--results", str(results),
+                     "--out-dir", str(tmp_path / "rep")]) == 1
+        assert f"{results}: no records" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_report_refuses_a_string_fold_beside_an_integer_one(self, tmp_path, capsys):
         # "0" and 0 would make two folds, and score both pairs null as missing folds

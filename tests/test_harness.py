@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -412,8 +413,9 @@ class TestRandomSearch:
 
 
 def _row_ranks(scores, failed=None):
-    """rank_matrix of a one-row table, as a list."""
-    return rank_matrix([scores], None if failed is None else [failed])[0].tolist()
+    """rank_matrix of a one-row table, as a list; no entry fails unless failed says so."""
+    failed = np.zeros(len(scores), bool) if failed is None else failed
+    return rank_matrix([scores], [failed])[0].tolist()
 
 
 def _loop_ranks(scores, failed):
@@ -464,25 +466,22 @@ class TestAverageRanks:
 
     def test_rank_matrix_is_rowwise(self):
         table = np.array([[0.9, 0.8, 0.7], [0.1, 0.3, 0.2]])
-        out = rank_matrix(table)
+        out = rank_matrix(table, np.zeros(table.shape, bool))
         assert out.tolist() == [[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]
         failed = np.array([[False, False, True], [False, False, False]])
         out = rank_matrix(table, failed)
         assert out.tolist() == [[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]
 
     def test_rank_matrix_equals_the_per_row_loop_bitwise(self):
-        # rounded scores tie, and -inf entries (a report's failed pairs) tie too
+        # rounded scores tie, and -inf entries tie too
         rng = np.random.default_rng(22)
         for _ in range(300):
             n, k = int(rng.integers(0, 8)), int(rng.integers(1, 9))
             scores = np.round(rng.normal(size=(n, k)), int(rng.integers(0, 3)))
             scores[rng.random((n, k)) < 0.1] = -np.inf
-            failed = rng.random((n, k)) < 0.2
-            for table_failed in (None, failed):
-                rows = np.zeros((n, k), bool) if table_failed is None else table_failed
-                want = np.array([_loop_ranks(s, f) for s, f in zip(scores, rows)])
-                assert np.array_equal(rank_matrix(scores, table_failed),
-                                      want.reshape(n, k))
+            for failed in (np.zeros((n, k), bool), rng.random((n, k)) < 0.2):
+                want = np.array([_loop_ranks(s, f) for s, f in zip(scores, failed)])
+                assert np.array_equal(rank_matrix(scores, failed), want.reshape(n, k))
 
 
 class TestFriedman:
@@ -504,7 +503,7 @@ class TestFriedman:
         assert res.significant is True
 
     def test_all_tied_scores_zero_statistic(self):
-        ranks = rank_matrix(np.full((4, 3), 1.23))
+        ranks = rank_matrix(np.full((4, 3), 1.23), np.zeros((4, 3), bool))
         res = friedman_test(ranks)
         assert res.statistic == pytest.approx(0.0, abs=1e-12)
         assert res.significant is False
@@ -518,8 +517,9 @@ class TestFriedman:
             scores = rng.normal(size=(n, k))
             if rng.random() < 0.5:
                 scores = rng.integers(0, 3, size=(n, k)).astype(float)
-            ra = rank_matrix(scores)
-            rb = rank_matrix(np.exp(scores))
+            none_failed = np.zeros((n, k), bool)
+            ra = rank_matrix(scores, none_failed)
+            rb = rank_matrix(np.exp(scores), none_failed)
             assert np.array_equal(ra, rb)
             assert friedman_test(ra).statistic == friedman_test(rb).statistic
 
@@ -529,7 +529,8 @@ class TestFriedman:
         with pytest.raises(ValueError):
             friedman_test(np.ones(4))
         with pytest.raises(ValueError):
-            friedman_test(rank_matrix(np.random.default_rng(0).normal(size=(3, 12))))
+            friedman_test(rank_matrix(np.random.default_rng(0).normal(size=(3, 12)),
+                                      np.zeros((3, 12), bool)))
 
 
 class TestNemenyi:
@@ -553,13 +554,55 @@ class TestNemenyi:
             nemenyi_cd(3, 0)
 
 
+def _loop_matched_gap_wins(mean_scores, mean_gaps, pairs):
+    """Reference: a per-dataset loop over dataset -> model -> value dicts.
+
+    A value of None, or a model missing from a dataset's row, is a failed pair.
+    """
+    out = []
+    for smooth, tree in pairs:
+        matched = 0
+        wins = 0.0
+        for ds_name, row in mean_scores.items():
+            if smooth not in row or tree not in row:
+                continue
+            s_score, t_score = row[smooth], row[tree]
+            if s_score is None or t_score is None:
+                continue
+            if abs(s_score - t_score) > stats.MATCH_THRESHOLD:
+                continue
+            matched += 1
+            s_gap = mean_gaps[ds_name][smooth]
+            t_gap = mean_gaps[ds_name][tree]
+            if s_gap < t_gap:
+                wins += 1.0
+            elif s_gap == t_gap:
+                wins += 0.5
+        out.append(stats.GapPairSummary(
+            smooth=smooth, tree=tree, matched=matched, smooth_wins=wins,
+            fraction=(wins / matched) if matched else None,
+        ))
+    return out
+
+
+def _matched_from_dicts(scores, gaps, pairs):
+    """matched_gap_wins on the tables of dataset -> model -> value dicts; a value
+    of None, or a model missing from a dataset's row, is flagged failed."""
+    models = list(dict.fromkeys(m for row in scores.values() for m in row))
+    rows = list(scores.items())
+    failed = np.array([[row.get(m) is None for m in models] for _, row in rows], bool)
+    score_table = np.array([[row.get(m) or 0.0 for m in models] for _, row in rows])
+    gap_table = np.array([[gaps[d].get(m) or 0.0 for m in models] for d, _ in rows])
+    return matched_gap_wins(score_table, gap_table, failed, models, pairs)
+
+
 class TestMatchedGapWins:
     def test_hand_case(self):
         scores = {
             "A": {"chebypoly": 0.80, "dt": 0.81},   # matched, smooth gap smaller
             "B": {"chebypoly": 0.70, "dt": 0.90},   # score diff too large
             "C": {"chebypoly": 0.50, "dt": 0.51},   # matched, equal gaps -> 0.5
-            "D": {"chebypoly": None, "dt": 0.40},   # missing -> skipped
+            "D": {"chebypoly": None, "dt": 0.40},   # failed -> skipped
             "E": {"chebypoly": 0.60, "dt": 0.61},   # matched, tree gap smaller
         }
         gaps = {
@@ -569,7 +612,7 @@ class TestMatchedGapWins:
             "D": {"chebypoly": None, "dt": 0.10},
             "E": {"chebypoly": 0.30, "dt": 0.10},
         }
-        (summary,) = matched_gap_wins(scores, gaps, [("chebypoly", "dt")])
+        (summary,) = _matched_from_dicts(scores, gaps, [("chebypoly", "dt")])
         assert summary.smooth == "chebypoly" and summary.tree == "dt"
         assert summary.matched == 3
         assert summary.smooth_wins == 1.5
@@ -581,14 +624,14 @@ class TestMatchedGapWins:
         scores = {"A": {"s": 1.0, "t": 1.25}, "B": {"s": 1.0, "t": 1.3125}}
         gaps = {"A": {"s": 0.0, "t": 1.0}, "B": {"s": 0.0, "t": 1.0}}
         monkeypatch.setattr(stats, "MATCH_THRESHOLD", 0.25)
-        (summary,) = matched_gap_wins(scores, gaps, [("s", "t")])
+        (summary,) = _matched_from_dicts(scores, gaps, [("s", "t")])
         assert summary.matched == 1
         assert summary.smooth_wins == 1.0
 
     def test_nothing_matched_gives_none_fraction(self):
         scores = {"A": {"s": 0.1, "t": 0.9}}
         gaps = {"A": {"s": 0.0, "t": 0.0}}
-        (summary,) = matched_gap_wins(scores, gaps, [("s", "t")])
+        (summary,) = _matched_from_dicts(scores, gaps, [("s", "t")])
         assert summary.matched == 0
         assert summary.smooth_wins == 0.0
         assert summary.fraction is None
@@ -596,9 +639,27 @@ class TestMatchedGapWins:
     def test_missing_model_key_skipped(self):
         scores = {"A": {"s": 0.5}, "B": {"s": 0.5, "t": 0.5}}
         gaps = {"A": {"s": 0.0}, "B": {"s": 0.1, "t": 0.2}}
-        (summary,) = matched_gap_wins(scores, gaps, [("s", "t")])
+        (summary,) = _matched_from_dicts(scores, gaps, [("s", "t")])
         assert summary.matched == 1
         assert summary.smooth_wins == 1.0
+
+    def test_equals_the_per_dataset_loop(self):
+        # rounded scores and gaps tie, and some differences sit on the threshold
+        rng = np.random.default_rng(23)
+        models = ["chebypoly", "erbf", "dt", "ridge"]
+        pairs = [("chebypoly", "dt"), ("erbf", "dt"), ("erbf", "ridge")]
+        for _ in range(300):
+            n = int(rng.integers(0, 9))
+            score_table = np.round(0.8 + 0.01 * rng.integers(-3, 4, size=(n, 4)), 2)
+            gap_table = np.round(rng.random((n, 4)), int(rng.integers(0, 3)))
+            failed = rng.random((n, 4)) < 0.2
+            names = [f"d{i}" for i in range(n)]
+            scores = {d: {m: None if failed[i, j] else float(score_table[i, j])
+                          for j, m in enumerate(models)} for i, d in enumerate(names)}
+            gaps = {d: {m: None if failed[i, j] else float(gap_table[i, j])
+                        for j, m in enumerate(models)} for i, d in enumerate(names)}
+            assert matched_gap_wins(score_table, gap_table, failed, models, pairs) == \
+                _loop_matched_gap_wins(scores, gaps, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +886,20 @@ class TestNestedCVFailure:
             assert json.load(fh, parse_constant=refuse)["failures"] == \
                 {"f1/ridge": failures[("f1", "ridge")]}
 
+    def test_constant_target_test_fold_is_a_failure(self):
+        # r2 gives FAILURE_SCORE for a constant target; recorded as a score, it
+        # averaged into the pair's mean and ranked as a real number
+        ds = gen("friedman1", n=30, noise_std=0.3, seed=4)
+        cfg = BenchRunConfig(outer_k=3, outer_seed=5, search_seed=2, trial_budgets={"ridge": 2})
+        ds.y[kfold_split(ds.n, cfg.outer_k, cfg.outer_seed).test_indices(0)] = 1.5
+        results, failures = run_benchmark([("f1", ds)], ["ridge"], cfg, parallel=1)
+        assert failures == {
+            ("f1", "ridge"): "fold 0: R² is undefined: the test target is constant"}
+        assert [fr.fold for fr in results] == [1, 2]
+        report = build_report(results, failures)
+        assert report["scores"]["f1"]["ridge"] is None
+        assert report["gaps"]["f1"]["ridge"] is None
+
     def test_writers_refuse_non_finite_numbers_and_leave_no_file(self, tmp_path):
         path = tmp_path / "results.jsonl"
         for bad in (math.nan, math.inf):
@@ -844,7 +919,6 @@ class TestTune:
         import smoothbench.harness.nested_cv as ncv
         ds = gen("friedman1", n=40, noise_std=0.3, seed=6)
         X, y = ds.X.copy(), ds.y.copy()
-        plan = kfold_split(len(y), 3, seed=2)
         seen = []
 
         def writing_fit(kind, X_fit, y_fit, params, seed=0):
@@ -854,7 +928,7 @@ class TestTune:
 
         monkeypatch.setattr(ncv, "fit_model", writing_fit)
         with pytest.raises(ValueError, match="all 3 search trials failed"):
-            tune("ridge", X, y, plan, fit_seed=0, search_seed=0, budget=3)
+            tune("ridge", X, y, plan_seed=2, fit_seed=0, search_seed=0, budget=3)
         assert seen == [(False, False)] * 3
         assert np.array_equal(X, ds.X) and np.array_equal(y, ds.y)
         assert X.flags.writeable and y.flags.writeable
@@ -986,8 +1060,7 @@ class TestBuildReport:
         assert block["smooth_wins_total"] == 1.5
         assert block["fraction_overall"] == 0.75
         # consistency with a direct call on the report's own tables
-        direct = matched_gap_wins(report["scores"], report["gaps"],
-                                  [("chebypoly", "dt")])
+        direct = _matched_from_dicts(report["scores"], report["gaps"], [("chebypoly", "dt")])
         assert direct[0].matched == pair["matched"]
         assert direct[0].smooth_wins == pair["smooth_wins"]
 
@@ -1032,6 +1105,17 @@ class TestBuildReport:
                               dataset_order=["ds1", "ds2", "ds3"],
                               model_order=["chebypoly", "dt"])
         assert report["failures"] == {"ds1/chebypoly": "fold 2: boom"}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["test_r2_adj", "gap"])
+    def test_refuses_a_non_finite_score(self, field, bad):
+        # failure comes from the failure set only, so a non-finite score is refused
+        rows = [_fold("d", "m", 0, adj=0.5), _fold("d", "m", 1, adj=0.5)]
+        setattr(rows[1], field, bad)
+        with pytest.raises(ValueError, match=re.escape(
+                f"d/m fold 1: non-finite score: test_r2_adj={rows[1].test_r2_adj}, "
+                f"gap={rows[1].gap}")):
+            build_report(rows, {})
 
     def test_first_seen_order_without_explicit_order(self):
         rows = [_fold("zzz", "m2", 0, adj=0.5), _fold("aaa", "m1", 0, adj=0.5)]
