@@ -8,6 +8,9 @@
 # 1 (a misspelt name, and n_rbf_mode, which n_rbf replaced), that --budget
 # without --tune exits 2, that a bench config with a misspelt key or an empty
 # models list exits 1 and writes no results,
+# that dt and chebytree tune (their trials share each inner split's tree
+# nodes) and predict, that report --models with a model no record has exits 1
+# and writes no report files,
 # that every model file is strict JSON (no NaN or Infinity token), and that
 # predict refuses a model file with a feature name dropped, a ragged erbf
 # centers row, a truncated chebytree weights row or a negative chebypoly
@@ -50,10 +53,16 @@ smoothbench predict --model-file tree.json --data train.csv --out tree-preds.csv
 smoothbench fit --model dt --data train.csv --target y --out dt.json
 smoothbench fit --model chebypoly --data train.csv --target y \
     --param complexity=2 --param interactions=2 --out pairs.json
+for model in dt chebytree; do
+    smoothbench fit --model "$model" --data train.csv --target y --tune --budget 6 \
+        --seed 0 --out "tuned-$model.json"
+    smoothbench predict --model-file "tuned-$model.json" --data train.csv \
+        --out "tuned-$model-preds.csv"
+done
 smoothbench predict --model-file pairs.json --data train.csv --out pairs-preds.csv
 # every model file is strict JSON: a NaN or Infinity token fails here
 python - model.json tuned.json erbf.json erbf-km.json tree.json dt.json pairs.json \
-    blanks.json <<'PY'
+    blanks.json tuned-dt.json tuned-chebytree.json <<'PY'
 import json
 import sys
 
@@ -76,6 +85,15 @@ smoothbench report --results results/results.jsonl --out-dir rebuilt/
 for f in report.json rank_table.csv scores_table.csv; do
     cmp "results/$f" "rebuilt/$f"
 done
+# a model name that no record has is refused, not dropped from the report
+status=0
+smoothbench report --results results/results.jsonl --out-dir ghost/ \
+    --models dt,ghost 2> ghost.err || status=$?
+if [ "$status" -ne 1 ] || [ -e ghost ] || ! grep -q "ghost" ghost.err; then
+    echo "report --models dt,ghost exited $status; expected 1, a message naming" \
+         "ghost and no report files" >&2
+    exit 1
+fi
 
 # a misspelt hyperparameter, or one that n_rbf replaced, is refused, not ignored
 for case in "chebypoly:complexty=6" "erbf:n_rbf_mode=fixed"; do

@@ -4,16 +4,22 @@ Used standalone as the decision-tree baseline and as the routing structure of
 the Chebyshev model tree. Splits are placed at midpoints between adjacent
 distinct sorted feature values; rows with x[feature] <= threshold go left.
 Gain ties break toward the lower feature index, then the lower threshold.
+
+The fits of one hyperparameter search share their training split's nodes
+(SplitNodes, kept in a context.FitContext): each node is sorted and scanned
+once, and each fit only makes its own leaf decisions over them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 import numpy as np
 
+from .context import FitContext
 from .data import read_array, read_int_array
 
 Count = Union[int, float]
@@ -109,12 +115,17 @@ def cart_fit(
     max_depth: int = 10,
     min_samples_leaf: Count = 1,
     min_samples_split: Count = 2,
+    ctx: Optional[FitContext] = None,
 ) -> RegressionTree:
     """Grow a variance-reduction tree.
 
     min_samples_leaf / min_samples_split may be absolute counts or fractions of
     the training size. A root smaller than min_samples_split yields a
     single-leaf tree rather than an error; so does a constant target.
+
+    With a ctx made for X and y, the tree is grown over the nodes that every
+    fit with that ctx shares (see SplitNodes); without one, over a fresh root.
+    The tree is the same either way, and its leaf_rows are read-only.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -129,11 +140,9 @@ def cart_fit(
     n = X.shape[0]
     msl = resolve_count(min_samples_leaf, n)
     msp = resolve_count(min_samples_split, n)
+    nodes = (SplitNodes(X, y) if ctx is None
+             else ctx.shared("cart", X, y, lambda: SplitNodes(X, y)))
 
-    d = X.shape[1]
-    XT = np.ascontiguousarray(X.T).ravel()  # XT[j * n + i] = X[i, j]
-    offsets = np.arange(0, d * n, n)[:, None]
-    go_left_mask = np.zeros(n, dtype=bool)  # set on each split node's rows only
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -141,37 +150,30 @@ def cart_fit(
     value: list[float] = []
     leaf_rows: Dict[int, np.ndarray] = {}
 
-    def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
-        """rows: the node's row ids, ascending; order[j]: them sorted by feature j."""
-        node = len(feature)
-        yn = y[rows]
-        m = rows.shape[0]
-        mu = yn.sum() / m  # bitwise yn.mean(): np.mean is add.reduce over the count
+    def grow(node: _Node, depth: int) -> int:
+        idx = len(feature)
+        m = node.rows.shape[0]
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(float(mu))
-        if depth >= max_depth or m < msp or m < 2 * msl or yn.max() - yn.min() == 0.0:
-            leaf_rows[node] = rows
-            return node
-        split = _best_split(XT[order + offsets], y[order] - mu, yn - mu, msl)
+        value.append(node.mean)
+        if depth >= max_depth or m < msp or m < 2 * msl or node.constant:
+            leaf_rows[idx] = node.rows
+            return idx
+        split = window_split(nodes.maxima(node), msl)
         if split is None:
-            leaf_rows[node] = rows
-            return node
-        feat, thr = split
-        go_left = XT[feat * n + rows] <= thr
-        go_left_mask[rows] = go_left
-        sel = go_left_mask[order]
-        feature[node] = feat
-        threshold[node] = thr
-        left[node] = grow(rows[go_left], order[sel].reshape(d, -1), depth + 1)
-        right[node] = grow(rows[~go_left], order[~sel].reshape(d, -1), depth + 1)
-        return node
+            leaf_rows[idx] = node.rows
+            return idx
+        j, pos, thr = split
+        lo, hi = nodes.split(node, j, pos, thr)
+        feature[idx] = j
+        threshold[idx] = thr
+        left[idx] = grow(lo, depth + 1)
+        right[idx] = grow(hi, depth + 1)
+        return idx
 
-    # sort once at the root; children inherit the order by filtering, which
-    # equals a stable re-sort because rows stay in ascending index order
-    grow(np.arange(n), np.argsort(X.T, axis=1, kind="stable"), 0)
+    grow(nodes.root, 0)
     return RegressionTree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -182,40 +184,150 @@ def cart_fit(
     )
 
 
-def _best_split(xs: np.ndarray, ys: np.ndarray, yc: np.ndarray,
-                msl: int) -> Optional[tuple[int, float]]:
-    """Exhaustive scan for the max-gain split; None when no admissible split.
+class _Node:
+    """A node of SplitNodes: what every tree grown through it reads there.
 
-    xs[j] holds a node's values of feature j in stable ascending order and
-    ys[j] the node-centred targets in that order; yc is the node-centred
-    target in row order. Centring keeps sums of squares well conditioned for
-    near-constant nodes. All features are scanned at once, one row each.
+    rows holds the node's training-row ids, ascending, and is read-only.
+    maxima is filled by the first fit that scans the node (see
+    SplitNodes.maxima); children maps a split, (feature, rows on the left),
+    to its (left node, right node).
     """
-    d, m = xs.shape
-    parent_sse = float(yc @ yc)
-    csum = ys.cumsum(axis=1)
-    csum2 = (ys * ys).cumsum(axis=1)
-    tot, tot2 = csum[:, -1:], csum2[:, -1:]
-    # a split after sorted position pos - 1 puts pos rows on the left
-    pos = np.arange(msl, m - msl + 1)
-    cut = slice(msl - 1, m - msl)
-    sl, s2l = csum[:, cut], csum2[:, cut]
-    sse_left = s2l - sl * sl / pos
-    nr = m - pos
-    sr = tot - sl
-    sse_right = (tot2 - s2l) - sr * sr / nr
-    gains = parent_sse - (sse_left + sse_right)
-    # only cut between distinct values
-    gains[~(xs[:, cut] < xs[:, msl:m - msl + 1])] = -np.inf
-    # the first maximum in row-major order: lowest feature, then lowest threshold
-    j, k = divmod(int(gains.argmax()), gains.shape[1])
-    if not gains[j, k] > 0.0:
-        return None
-    i = msl + k
-    thr = 0.5 * (xs[j, i - 1] + xs[j, i])
-    if thr >= xs[j, i]:  # midpoint rounded up to the right value
-        thr = xs[j, i - 1]
-    return j, float(thr)
+
+    __slots__ = ("rows", "mean", "constant", "maxima", "children")
+
+    def __init__(self, y: np.ndarray, rows: np.ndarray):
+        m = rows.shape[0]
+        yn = y[rows]
+        self.mean = float(yn.sum() / m)  # bitwise yn.mean(): add.reduce over the count
+        self.constant = m == 1 or bool(yn.max() - yn.min() == 0.0)
+        rows.flags.writeable = False
+        self.rows = rows
+        self.maxima: Optional[tuple[int, list[int], list[tuple[int, int, float]]]] = None
+        self.children: Dict[tuple[int, int], tuple["_Node", "_Node"]] = {}
+
+
+class SplitNodes:
+    """The CART nodes of one training split, grown on demand.
+
+    Every feature is sorted once, stably, into ranks; a node sorts its rows
+    by their ranks when it is scanned, which orders them as a stable sort of
+    the node's values would. A node's gains at every split position are
+    computed once, whatever min_samples_leaf a fit uses, since a gain
+    depends only on the node's prefix sums, and are kept only as the first
+    maximum of every min_samples_leaf window (window_maxima). Besides the
+    nodes (rows, mean, maxima, children) this holds the transposed X and the
+    ranks, 16 bytes per entry of X, and no sorted values, targets or gains.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        n, d = X.shape
+        self.n, self.y = n, y
+        self.XT = np.ascontiguousarray(X.T).ravel()  # XT[j * n + i] = X[i, j]
+        self.offsets = np.arange(0, d * n, n)[:, None]
+        # rank[j, i]: row i's place in a stable sort of feature j, so equal values rank by row id
+        self.rank = np.empty((d, n), dtype=np.int64)
+        np.put_along_axis(self.rank, np.argsort(X.T, axis=1, kind="stable"), np.arange(n), axis=1)
+        self.root = _Node(y, np.arange(n))
+
+    def maxima(self, node: _Node) -> tuple[int, list[int], list[tuple[int, int, float]]]:
+        """window_maxima of the node's gains, scanned on the first call, with
+        each split's threshold added to its (feature, rows on the left)."""
+        if node.maxima is None:
+            xs, gains = self._scan(node)
+            nan_depth, depths, best = window_maxima(gains)
+            node.maxima = (nan_depth, depths, [(j, pos, _midpoint(xs[j, pos - 1], xs[j, pos]))
+                                               for j, pos in best])
+        return node.maxima
+
+    def _scan(self, node: _Node) -> tuple[np.ndarray, np.ndarray]:
+        """The node's values sorted by feature (d, m), and their gains (d, m - 1).
+
+        gains[j, pos - 1] is the gain of putting the first pos sorted rows on
+        the left, -inf where the two sides would share a value. Centring the
+        targets on the node mean keeps sums of squares well conditioned for
+        near-constant nodes. All features are scanned at once, one row each.
+        """
+        mu, y, rows = node.mean, self.y, node.rows
+        m = rows.shape[0]
+        order = rows[self.rank[:, rows].argsort(axis=1)]  # distinct ranks: one sorted order
+        xs = self.XT[order + self.offsets]
+        ys = y[order] - mu
+        yc = y[rows] - mu
+        parent_sse = float(yc @ yc)
+        csum = ys.cumsum(axis=1)
+        csum2 = (ys * ys).cumsum(axis=1)
+        tot, tot2 = csum[:, -1:], csum2[:, -1:]
+        pos = np.arange(1, m)
+        sl, s2l = csum[:, :-1], csum2[:, :-1]
+        sse_left = s2l - sl * sl / pos
+        nr = m - pos
+        sr = tot - sl
+        sse_right = (tot2 - s2l) - sr * sr / nr
+        gains = parent_sse - (sse_left + sse_right)
+        gains[~(xs[:, :-1] < xs[:, 1:])] = -np.inf  # only cut between distinct values
+        return xs, gains
+
+    def split(self, node: _Node, feat: int, pos: int, thr: float) -> tuple[_Node, _Node]:
+        """The children of node with its first pos rows by feat, those <= thr, on the left."""
+        key = (feat, pos)
+        if key not in node.children:
+            rows = node.rows
+            go_left = self.XT[feat * self.n + rows] <= thr
+            node.children[key] = (_Node(self.y, rows[go_left]), _Node(self.y, rows[~go_left]))
+        return node.children[key]
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """The threshold between adjacent distinct sorted values lo < hi."""
+    thr = 0.5 * (lo + hi)
+    if thr >= hi:  # midpoint rounded up to the right value
+        thr = lo
+    return float(thr)
+
+
+def window_maxima(gains: np.ndarray) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """The split each min_samples_leaf takes from a node's gains, in O(m) space.
+
+    gains is (d, m - 1); column c puts c + 1 sorted rows on the left. The
+    window of min_samples_leaf msl is the columns that leave at least msl
+    rows on each side: those whose depth min(c, m - 2 - c) is at least
+    msl - 1. A fit splits at the window's first maximum in row-major order
+    (lowest feature, then lowest threshold), as argmax finds it, when that
+    maximum is positive. Returns (nan_depth, depths, best):
+
+    - a window holds a NaN, where argmax stops, iff msl - 1 <= nan_depth
+      (-1 when there is none), and the node is then a leaf;
+    - otherwise, with i the first index where depths[i] >= msl - 1, the
+      split is best[i] = (feature, rows on the left); there is none when no
+      such i exists. depths ascends strictly.
+
+    Ordering the positive columns by (-gain, feature, column), each the best
+    entry of its column, the first of them inside a window is its first
+    maximum; depths and best keep those that reach deeper than every one
+    before them, as only they can come first in some window. Only a column
+    whose gain is the largest at its depth or deeper can be one of them, so
+    the others are dropped before the sort.
+    """
+    k = gains.shape[1]
+    depth = np.minimum(np.arange(k), np.arange(k)[::-1])
+    top = gains.max(axis=0)  # NaN where the column holds one
+    feat = gains.argmax(axis=0)  # the column's first feature at its maximum
+    nan = np.isnan(top)
+    nan_depth = int(depth[nan].max()) if nan.any() else -1
+    half = (k + 1) // 2  # the depths; columns L and k - 1 - L have depth L
+    deepest = np.fmax.accumulate(np.fmax(top[:half], top[::-1][:half])[::-1])[::-1]
+    cols = np.flatnonzero((top > 0.0) & (top == deepest[depth]))
+    cols = cols[np.lexsort((feat[cols], -top[cols]))]  # stable: then by column
+    reach = np.maximum.accumulate(depth[cols])
+    cols = cols[np.concatenate(([True], reach[1:] > reach[:-1]))[:cols.size]]
+    return nan_depth, depth[cols].tolist(), list(zip(feat[cols].tolist(), (cols + 1).tolist()))
+
+
+def window_split(maxima: tuple, msl: int) -> Optional[tuple]:
+    """The split that window_maxima gives min_samples_leaf msl, or None for a leaf."""
+    nan_depth, depths, best = maxima
+    i = bisect_left(depths, msl - 1)
+    return None if msl - 1 <= nan_depth or i == len(depths) else best[i]
 
 
 def cart_route(tree: RegressionTree, X: np.ndarray) -> np.ndarray:

@@ -24,12 +24,13 @@ reaches one leaf, as in every chebypoly predict, predict skips the grouping.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from .cart import Count, RegressionTree, cart_fit, cart_route
 from .chebyshev import BasisConfig, build_design_matrix, n_columns
+from .context import FitContext
 from .data import minmax_scale, read_array, read_int_array
 from .numkit import check_alpha, ridge_solve_segments
 
@@ -145,19 +146,21 @@ def fit_chebytree(
     alpha: float = 1.0,
     max_depth: int = 4,
     min_samples_leaf: Count = 1,
+    ctx: Optional[FitContext] = None,
 ) -> ChebyTreeModel:
     """Grow the routing tree on raw features, then fit one polynomial per leaf.
 
     The polynomial-vs-constant choice per leaf is made once at training time
     from the leaf's row count. Each polynomial leaf equals fit_chebypoly on
     that leaf's rows without interactions; all of them are fitted in one pass.
+    The tree is grown over ctx's shared nodes when given (see cart_fit).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     check_alpha(alpha)  # checked here too, as leaves may all end up constant
     basis = BasisConfig(complexity=complexity)  # rejects a non-integer complexity
     tree = cart_fit(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
-                    min_samples_split=2)
+                    min_samples_split=2, ctx=ctx)
     leaves = tree.leaf_ids
     mins = np.zeros((len(leaves), X.shape[1]))
     ranges = np.zeros_like(mins)

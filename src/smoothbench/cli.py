@@ -303,6 +303,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.results}: no records")
     if args.models:
         keep = [m.strip() for m in args.models.split(",") if m.strip()]
+        present = list(dict.fromkeys([fr.model for fr in fold_results]
+                                     + [model for _, model in failures]))
+        unknown = [m for m in keep if m not in present]
+        if unknown:  # a misspelt name would silently drop its model from the report
+            raise ValueError(f"no records left for model(s) {unknown} of --models; "
+                             f"{args.results} holds {present}")
         fold_results = [fr for fr in fold_results if fr.model in keep]
         failures = {k: v for k, v in failures.items() if k[1] in keep}
         if not fold_results and not failures:

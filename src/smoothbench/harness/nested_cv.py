@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..context import FitContext
 from ..data import Dataset, FoldPlan, column_medians, impute_median, inner_fold_count, kfold_split
 from ..registry import fit_model, predict_model
 from .metrics import FAILURE_SCORE, adjusted_r2, clip_bounds, r2
@@ -56,8 +57,10 @@ def tune(kind: str, X: np.ndarray, y: np.ndarray, plan_seed: int, fit_seed: int,
     the n rows of X. Every fit uses fit_seed, and every fold's predictions
     are clipped to its own training targets. Each fold's arrays and bounds
     are built once for all trials and are read-only, so a fit that writes
-    into its inputs fails instead of changing later trials. Raises
-    ValueError when every trial failed.
+    into its inputs fails instead of changing later trials. Each fold's
+    training arrays get one FitContext, which every trial's fit on them
+    shares and which is dropped when the search ends. Raises ValueError
+    when every trial failed.
     """
     n, d = X.shape
     plan = kfold_split(n, inner_fold_count(n), plan_seed)
@@ -67,12 +70,12 @@ def tune(kind: str, X: np.ndarray, y: np.ndarray, plan_seed: int, fit_seed: int,
         arrays = X[itr], y[itr], X[ival], y[ival]
         for a in arrays:
             a.flags.writeable = False
-        folds.append((*arrays, clip_bounds(y[itr])))
+        folds.append((*arrays, clip_bounds(y[itr]), FitContext(arrays[0], arrays[1])))
 
     def objective(params: Dict[str, Any]) -> float:
         scores = []
-        for X_tr, y_tr, X_val, y_val, bounds in folds:
-            model = fit_model(kind, X_tr, y_tr, params, seed=fit_seed)
+        for X_tr, y_tr, X_val, y_val, bounds, ctx in folds:
+            model = fit_model(kind, X_tr, y_tr, params, seed=fit_seed, ctx=ctx)
             preds = predict_model(kind, model, X_val, bounds)
             scores.append(adjusted_r2(r2(y_val, preds), len(y_val), d))
         return float(np.mean(scores))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import inspect
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ import numpy as np
 from .cart import RegressionTree, cart_fit
 from .chebypoly import fit_chebypoly
 from .chebytree import ChebyTreeModel, fit_chebytree
+from .context import FitContext
 from .erbf import ErbfModel, fit_erbf
 from .linear import RidgeModel, fit_ridge
 
@@ -45,12 +46,17 @@ def _entry(kind: str):
         raise ValueError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}") from None
 
 
+# the arguments besides X and y that a fit may take and that are no hyperparameters
+_EXTRAS = ("seed", "ctx")
+
+
 @functools.cache
 def _signature(kind: str) -> tuple:
-    """({hyperparameter: default}, whether the fit takes a seed), read once per kind."""
+    """({hyperparameter: default}, the _EXTRAS the fit takes), read once per kind."""
     params = inspect.signature(globals()[_entry(kind)[0]]).parameters
-    return ({name: p.default for name, p in params.items() if name not in ("X", "y", "seed")},
-            "seed" in params)
+    return ({name: p.default for name, p in params.items()
+             if name not in ("X", "y") + _EXTRAS},
+            tuple(name for name in _EXTRAS if name in params))
 
 
 def hyperparameters(kind: str) -> Dict[str, Any]:
@@ -58,16 +64,21 @@ def hyperparameters(kind: str) -> Dict[str, Any]:
     return dict(_signature(kind)[0])
 
 
-def fit_model(kind: str, X: np.ndarray, y: np.ndarray, params: Dict[str, Any], seed: int = 0):
-    """Fit a model of the given kind; params may hold only its fit's hyperparameters."""
-    names, takes_seed = _signature(kind)
+def fit_model(kind: str, X: np.ndarray, y: np.ndarray, params: Dict[str, Any], seed: int = 0,
+              ctx: Optional[FitContext] = None):
+    """Fit a model of the given kind; params may hold only its fit's hyperparameters.
+
+    seed and ctx (a FitContext made for X and y) go to the fits that take them.
+    """
+    names, extras = _signature(kind)
     for key in params:
         if key not in names:
             raise ValueError(f"{kind} has no hyperparameter {key!r}; choose from {list(names)}")
     # looked up on each call, so a function patched into this module is the one called
     fit = globals()[_MODELS[kind][0]]
+    given = {"seed": seed, "ctx": ctx}
     try:
-        return fit(X, y, **params, **({"seed": seed} if takes_seed else {}))
+        return fit(X, y, **params, **{name: given[name] for name in extras})
     except TypeError as exc:  # a hyperparameter of the wrong type
         raise ValueError(f"{kind}: {exc}") from None
 

@@ -13,7 +13,10 @@ from smoothbench.cart import (
     cart_fit,
     cart_route,
     resolve_count,
+    window_maxima,
+    window_split,
 )
+from smoothbench.context import FitContext
 from smoothbench.harness.search import SPACES
 from smoothbench.registry import fit_model
 from smoothbench.synth import gen
@@ -468,3 +471,121 @@ def test_input_validation():
         cart_fit(np.zeros((3, 2)), np.zeros(3), max_depth=-1)
     with pytest.raises(ValueError):
         cart_fit(np.zeros((0, 2)), np.zeros(0), max_depth=1)
+
+
+# ---------------------------------------------------------------------------
+# one training split's nodes, shared by a search's fits
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _search_splits():
+    """(X, y) training splits with ties, wide and narrow data, and tiny n."""
+    rng = np.random.default_rng(101)
+    for case in range(20):
+        n = [30, 45, 80, 150, 240][case % 5]
+        kind = "friedman1_d100" if case % 4 == 3 and n <= 150 else "friedman1"
+        ds = gen(kind, n=n, seed=200 + case)
+        X, y = ds.X.copy(), ds.y.copy()
+        if case % 3 == 1:
+            X = np.round(X, 1)  # tied feature values
+        if case % 5 == 2:
+            y = np.round(y)  # tied targets, constant nodes
+        if case % 7 == 5:
+            X[:, 0] = 0.5  # a constant column
+        yield _read_only(X, y)
+
+
+def test_trees_grown_over_shared_nodes_equal_fresh_and_reference_trees():
+    # a seeded search sequence per split, as harness.tune runs it: every tree
+    # grown with the split's one context equals a fresh fit and the oracle
+    rng = np.random.default_rng(103)
+    fits = 0
+    for X, y in _search_splits():
+        ctx = FitContext(X, y)
+        for t in range(52):
+            p = (SPACES["dt"] if t % 2 else SPACES["chebytree"]).sample_trial(rng)
+            args = (0 if t % 13 == 0 else p["max_depth"],
+                    [p["min_samples_leaf"], 1, 3][t % 3], p.get("min_samples_split", 2))
+            got = cart_fit(X, y, *args, ctx=ctx)
+            assert_trees_identical(got, cart_fit(X, y, *args))
+            assert_trees_identical(got, reference_cart_fit(X, y, *args))
+            fits += 1
+    assert fits >= 1000
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
+def test_trees_equal_the_reference_grower_where_gains_overflow_to_nan():
+    # targets whose squares overflow give infinite and NaN gains
+    rng = np.random.default_rng(107)
+    for case in range(40):
+        n = int(rng.integers(5, 60))
+        X = rng.integers(0, 5, size=(n, 3)).astype(float)
+        y = rng.normal(size=n) * 10.0 ** rng.choice([0, 150, 160, 200])
+        if case % 3 == 0:
+            y[rng.integers(n)] = np.inf
+        X, y = _read_only(X, y)
+        ctx = FitContext(X, y)
+        for max_depth, msl in ((3, 1), (6, 2), (10, 1)):
+            want = reference_cart_fit(X, y, max_depth, msl)
+            assert_trees_identical(cart_fit(X, y, max_depth, msl), want)
+            assert_trees_identical(cart_fit(X, y, max_depth, msl, ctx=ctx), want)
+
+
+def test_shared_leaf_rows_are_read_only():
+    ds = gen("friedman1", n=60, seed=1)
+    X, y = _read_only(ds.X.copy(), ds.y.copy())
+    ctx = FitContext(X, y)
+    first = cart_fit(X, y, 3, ctx=ctx)
+    again = cart_fit(X, y, 3, ctx=ctx)
+    for leaf, rows in first.leaf_rows.items():
+        assert rows is again.leaf_rows[leaf]  # the trees share the node's rows
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 0
+    for rows in cart_fit(X, y, 3).leaf_rows.values():  # without a context too
+        assert not rows.flags.writeable
+
+
+def test_a_context_refuses_arrays_it_was_not_made_for():
+    ds = gen("friedman1", n=40, seed=2)
+    X, y = _read_only(ds.X.copy(), ds.y.copy())
+    ctx = FitContext(X, y)
+    other = _read_only(X.copy())[0]
+    for args in ((other, y), (X, y.copy()), (X[:30], y[:30]), (X.tolist(), y)):
+        with pytest.raises(ValueError, match="made for other arrays"):
+            cart_fit(*args, 3, ctx=ctx)
+        with pytest.raises(ValueError, match="made for other arrays"):
+            fit_model("chebytree", *args, {}, ctx=ctx)
+    for bad in ((ds.X, y), (X, ds.y), (X.astype(np.float32), y)):
+        with pytest.raises(ValueError, match="read-only float64"):
+            FitContext(*bad)
+
+
+def _first_window_maximum(gains, msl):
+    """The split rule on a node's full gains: the window's argmax, or None unless positive."""
+    m = gains.shape[1] + 1
+    window = gains[:, msl - 1:m - msl]
+    j, k = divmod(int(window.argmax()), window.shape[1])
+    return (j, msl + k) if window[j, k] > 0.0 else None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_window_maxima_give_every_windows_first_maximum(seed):
+    # ties across features and positions, -inf cuts, zeros, NaN and +inf
+    rng = np.random.default_rng(seed)
+    for _ in range(150):
+        d, m = int(rng.integers(1, 6)), int(rng.integers(2, 40))
+        gains = rng.integers(-2, 4, size=(d, m - 1)).astype(float)
+        gains[rng.random(gains.shape) < 0.2] = -np.inf
+        if rng.random() < 0.2:
+            gains[rng.integers(d), rng.integers(m - 1)] = np.nan
+        if rng.random() < 0.1:
+            gains[rng.integers(d), rng.integers(m - 1)] = np.inf
+        maxima = window_maxima(gains)
+        assert all(a < b for a, b in zip(maxima[1], maxima[1][1:]))
+        for msl in range(1, m // 2 + 1):
+            assert window_split(maxima, msl) == _first_window_maximum(gains, msl)

@@ -204,10 +204,10 @@ class TestFitPredict:
         _write_dataset(data, n=50)
         real_fit = ncv.fit_model
 
-        def fit_failing_on_inner_splits(kind, X, y, params, seed=0):
+        def fit_failing_on_inner_splits(kind, X, y, params, seed=0, ctx=None):
             if X.shape[0] < 50:
                 raise np.linalg.LinAlgError("inner fit failed")
-            return real_fit(kind, X, y, params, seed=seed)
+            return real_fit(kind, X, y, params, seed=seed, ctx=ctx)
 
         monkeypatch.setattr(ncv, "fit_model", fit_failing_on_inner_splits)
         model_path = tmp_path / "model.json"
@@ -884,6 +884,26 @@ class TestBenchReport:
                      "--out-dir", str(only), "--models", "dt"]) == 0
         report = json.loads((only / "report.json").read_text())
         assert report["models"] == ["dt"]
+
+    def test_report_refuses_a_model_no_record_has(self, tmp_path, capsys):
+        # a misspelt model used to drop out of the report without a word
+        csv_path = tmp_path / "file_ds.csv"
+        _write_dataset(csv_path, kind="synthetic_piecewise", n=45, seed=8)
+        config = tmp_path / "bench.json"
+        cfg = _bench_config(tmp_path, csv_path)
+        cfg["datasets"] = cfg["datasets"][:1]
+        config.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main(["bench", "--config", str(config),
+                     "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        rebuilt = tmp_path / "rebuilt"
+        code = main(["report", "--results", str(out_dir / "results.jsonl"),
+                     "--out-dir", str(rebuilt), "--models", "dt,ghost,chebpoly"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "['ghost', 'chebpoly']" in err and "['ridge', 'dt']" in err
+        assert not rebuilt.exists()
 
     def test_report_filter_to_nothing_fails(self, tmp_path, capsys):
         csv_path = tmp_path / "file_ds.csv"

@@ -1,4 +1,5 @@
-"""Corrupted inputs: every key of a results file and of a bench config, mutated.
+"""Corrupted inputs: every key of a results file and of a bench config, mutated,
+and a seeded sample of every field of one model file per kind.
 
 Each key of each record of a small real results.jsonl (two datasets, two
 models, plus a failure record), and each key of a bench config, is set to a
@@ -6,6 +7,11 @@ value of the wrong JSON type or deleted. `report` must exit 1 naming the
 file and line, and `bench` must exit 1 without writing results.jsonl. A
 mutation that leaves the input valid (a string where a string belongs) is not
 made.
+
+Model files get a fixed menu of mutations at a fixed-seed sample of their
+JSON paths. No exception may escape `predict`, and a structural mutation (a
+change of JSON type or of length, a deletion, a non-finite number) of a
+field that `predict` reads must exit 1 without writing predictions.
 """
 
 from __future__ import annotations
@@ -13,10 +19,12 @@ from __future__ import annotations
 import copy
 import json
 import math
+import random
 
 import pytest
 
 from smoothbench.cli import main
+from smoothbench.registry import MODEL_KINDS
 
 DELETE = object()
 # one value of each JSON type, NaN and the infinities, and deletion; no large
@@ -131,3 +139,117 @@ def test_bench_refuses_every_mutated_config_key(tmp_path, capsys):
             assert not (out_dir / "results.jsonl").exists(), case
             count += 1
     assert count > 100
+
+
+# ---------------------------------------------------------------------------
+# model files
+
+# name -> the corrupted value, given the original; None where it does not apply
+MODEL_MUTATIONS = {
+    "null": lambda v: None,
+    "string": lambda v: "x",
+    "bool": lambda v: True,
+    "object": lambda v: {},
+    "list-wrap": lambda v: [v],
+    "empty list": lambda v: [],
+    "nan": lambda v: math.nan,
+    "+inf": lambda v: math.inf,
+    "-inf": lambda v: -math.inf,
+    "negative": lambda v: -v - 1 if _is_number(v) else -1,
+    "zero": lambda v: 0,
+    "1e308": lambda v: 1e308,
+    "10**30": lambda v: 10 ** 30,
+    "fraction": lambda v: 2.5,
+    "delete": lambda v: DELETE,
+    "truncate": lambda v: v[:-1] if isinstance(v, list) and v else None,
+    "extend": lambda v: v + [v[-1]] if isinstance(v, list) and v else None,
+}
+# small fits: every kind's file has a few leaves, centres or weights per field
+FIT_PARAMS = {"ridge": [], "dt": ["max_depth=2"], "chebypoly": ["complexity=2"],
+              "chebytree": ["max_depth=1", "complexity=1"], "erbf": ["n_rbf=3"]}
+# top-level fields predict does not read; erbf's fit_info is never read either
+UNREAD = ("target", "params", "tuned", "seed")
+CASES_PER_KIND = 300  # of 731 to 1734 (path, mutation) pairs per kind
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _json_type(v) -> str:
+    return "number" if _is_number(v) else type(v).__name__
+
+
+def _paths(obj, prefix=()):
+    """Every path into a JSON document: dict keys and list indices."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) \
+        if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _structural(old, new) -> bool:
+    if new is DELETE or (_is_number(new) and not math.isfinite(new)):
+        return True
+    if _json_type(old) != _json_type(new):
+        return True
+    return isinstance(old, list) and len(old) != len(new)
+
+
+def _read_by_predict(path) -> bool:
+    return path[0] not in UNREAD and not (path[:2] == ("model", "fit_info"))
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """One fitted model file per kind, with the CSV it was fitted on."""
+    work = tmp_path_factory.mktemp("models")
+    data = work / "train.csv"
+    assert main(["gen", "--kind", "friedman1", "--n", "40", "--seed", "3",
+                 "--out", str(data)]) == 0
+    docs = {}
+    for kind in MODEL_KINDS:
+        path = work / f"{kind}.json"
+        params = [arg for p in FIT_PARAMS[kind] for arg in ("--param", p)]
+        assert main(["fit", "--model", kind, "--data", str(data), "--target", "y",
+                     "--out", str(path), *params]) == 0
+        docs[kind] = json.loads(path.read_text())
+    return data, docs
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # 1e308 weights, on purpose
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_predict_survives_and_refuses_mutated_model_files(kind, model_files, tmp_path,
+                                                           capsys):
+    data, docs = model_files
+    doc = docs[kind]
+    cases = [(path, name) for path in _paths(doc) for name in MODEL_MUTATIONS]
+    cases = random.Random(f"model-file {kind}").sample(cases, min(CASES_PER_KIND, len(cases)))
+    model_path, out = tmp_path / "model.json", tmp_path / "preds.csv"
+    refused = 0
+    for path, name in cases:
+        corrupted = copy.deepcopy(doc)
+        holder = corrupted
+        for key in path[:-1]:
+            holder = holder[key]
+        old = holder[path[-1]]
+        new = MODEL_MUTATIONS[name](old)
+        if new is None and name != "null":
+            continue
+        if new is DELETE:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = new
+        model_path.write_text(json.dumps(corrupted))
+        case = f"{kind}: {'/'.join(map(str, path))} -> {name}"
+        code = main(["predict", "--model-file", str(model_path), "--data", str(data),
+                     "--out", str(out)])  # an exception escaping main fails here
+        capsys.readouterr()
+        assert code in (0, 1), case
+        if _read_by_predict(path) and _structural(old, new):
+            assert code == 1, case
+            assert not out.exists(), case
+            refused += 1
+        out.unlink(missing_ok=True)
+    assert refused > CASES_PER_KIND // 4

@@ -395,7 +395,24 @@ class TestRandomSearch:
         for kind, space in SPACES.items():
             names = hyperparameters(kind)
             assert set(space.params) <= set(names), kind
-            assert not {"X", "y", "seed"} & set(names)
+            assert not {"X", "y", "seed", "ctx"} & set(names)
+        assert sum(len(hyperparameters(kind)) for kind in MODEL_KINDS) == 15
+
+    def test_fit_model_passes_a_context_only_to_fits_that_take_one(self):
+        from smoothbench.context import FitContext
+
+        ds = gen("friedman1", n=60, seed=4)
+        X, y = ds.X.copy(), ds.y.copy()
+        X.flags.writeable = y.flags.writeable = False
+        ctx = FitContext(X, y)
+        for kind in ("ridge", "chebypoly", "erbf"):  # they take none and ignore it
+            fit_model(kind, X, y, {"n_rbf": 3} if kind == "erbf" else {}, ctx=ctx)
+        # dt and chebytree grow the same depth-2 tree over the context's nodes
+        dt = fit_model("dt", X, y, {"max_depth": 2}, ctx=ctx)
+        tree = fit_model("chebytree", X, y, {"max_depth": 2}, ctx=ctx).tree
+        assert all(rows is tree.leaf_rows[leaf] for leaf, rows in dt.leaf_rows.items())
+        with pytest.raises(ValueError, match="no hyperparameter 'ctx'"):
+            fit_model("dt", X, y, {"ctx": ctx})
 
     def test_fit_model_without_params_uses_the_fit_defaults(self):
         import smoothbench.registry as registry
@@ -812,10 +829,10 @@ class TestNestedCVFailure:
         import smoothbench.harness.nested_cv as ncv
         real_fit = ncv.fit_model
 
-        def flaky_fit(kind, X, y, params, seed=0):
+        def flaky_fit(kind, X, y, params, seed=0, ctx=None):
             if kind == "dt":
                 raise RuntimeError("synthetic failure")
-            return real_fit(kind, X, y, params, seed=seed)
+            return real_fit(kind, X, y, params, seed=seed, ctx=ctx)
 
         monkeypatch.setattr(ncv, "fit_model", flaky_fit)
         ds = gen("friedman1", n=45, noise_std=0.3, seed=4)
@@ -845,13 +862,13 @@ class TestNestedCVFailure:
         plan = kfold_split(ds.n, cfg.outer_k, cfg.outer_seed)
         outer_train_sizes = {ds.n - len(plan.test_indices(f)) for f in range(cfg.outer_k)}
 
-        def inner_fits_fail(kind, X, y, params, seed=0):
+        def inner_fits_fail(kind, X, y, params, seed=0, ctx=None):
             # every inner-CV fit raises; the outer refit alone would succeed
             if X.shape[0] not in outer_train_sizes:
                 raise RuntimeError("synthetic failure")
-            return real_fit(kind, X, y, params, seed=seed)
+            return real_fit(kind, X, y, params, seed=seed, ctx=ctx)
 
-        def every_fit_fails(kind, X, y, params, seed=0):
+        def every_fit_fails(kind, X, y, params, seed=0, ctx=None):
             raise RuntimeError("synthetic failure")
 
         for fit in (inner_fits_fail, every_fit_fails):
@@ -921,10 +938,10 @@ class TestTune:
         X, y = ds.X.copy(), ds.y.copy()
         seen = []
 
-        def writing_fit(kind, X_fit, y_fit, params, seed=0):
+        def writing_fit(kind, X_fit, y_fit, params, seed=0, ctx=None):
             seen.append((X_fit.flags.writeable, y_fit.flags.writeable))
             X_fit[0, 0] = 1e6
-            return fit_model(kind, X_fit, y_fit, params, seed=seed)
+            return fit_model(kind, X_fit, y_fit, params, seed=seed, ctx=ctx)
 
         monkeypatch.setattr(ncv, "fit_model", writing_fit)
         with pytest.raises(ValueError, match="all 3 search trials failed"):
