@@ -13,14 +13,18 @@ The Lipschitz estimate finds each point's neighbours over blocks of rows,
 each block's distances within LIPSCHITZ_BLOCK_BYTES, so stage 1 holds two
 such blocks at once whatever n is, never all (n, n) distances.
 
-Activations accumulate the quadratic form one feature at a time into one
-(n, K) buffer. The loss and its gradient make one pass over row blocks: a
-block's d scaled squares are formed once, into a (d, B, K) buffer of at most
-LOSS_BLOCK_BYTES, and serve both the activations and the gradient. A fit
-forms the first block's differences x - c once and holds them across its
-L-BFGS evaluations, since only the widths change. Predict so holds O(n K)
-working memory, and stage 3 O(n K) plus at most two LOSS_BLOCK_BYTES
-blocks, never (n, K, d) tensors.
+Activations and the loss share one path over row blocks of at most
+LOSS_BLOCK_BYTES: a block's squared differences S = (x - c)^2 fill one
+(d, B, K) buffer, and Phi = exp(-1/2 einsum("jik,jk->ik", S, s)) contracts
+them against the K d weights s = sigma^-2. Only the widths change between
+the L-BFGS evaluations of one fit, so a fit forms the first block's squares
+once and holds them; an evaluation then forms only s, and its gradient is
+s times the contraction of r Phi with S. No (d, B, K) array is divided by
+the widths. Predict so holds O(n K) plus one LOSS_BLOCK_BYTES block, and
+stage 3 O(n K) plus at most two such blocks, never (n, K, d) tensors.
+Phi in the loss has the bits of erbf_activations' Phi. Against the former
+kernel, which divided x - c by sigma and squared, the loss and gradient
+move by a few ulps of their scale, as the products regroup.
 """
 
 from __future__ import annotations
@@ -50,9 +54,11 @@ LIPSCHITZ_CLIP_PERCENTILE = 99.0
 # bytes of one (rows, n) block of local_lipschitz's distances
 LIPSCHITZ_BLOCK_BYTES = 1024 * 1024
 
-# bytes of one (d, B, K) loss block (scaled squares, or a fit's held
-# differences) and of one (m, n, d) block of init_widths' kNN differences
+# bytes of one (d, B, K) block of squares (x - c)^2, held by a fit or formed
+# per block, and of one (m, n, d) block of init_widths' kNN differences
 LOSS_BLOCK_BYTES = 4 * 1024 * 1024
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _is_int(value) -> bool:
@@ -178,56 +184,86 @@ def init_widths(
     return np.clip(sigma, WIDTH_FLOOR, WIDTH_CAP)
 
 
-def erbf_activations(X: np.ndarray, centers: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Activation matrix Phi with Phi[i, k] = exp(-1/2 sum_j ((x_ij-c_kj)/sigma_kj)^2).
+def _block_rows(n: int, K: int, d: int) -> int:
+    """Rows B of one (d, B, K) block of squares: as many as LOSS_BLOCK_BYTES holds."""
+    return max(1, min(n, LOSS_BLOCK_BYTES // (8 * K * d)))
 
-    The quadratic form is accumulated one feature at a time into one (n, K)
-    buffer, so working memory stays O(n K) whatever d is.
+
+def _squares(X: np.ndarray, centers: np.ndarray, out: np.ndarray) -> None:
+    """Write out[j, i, k] = (x_ij - c_kj)^2 for the rows i of X.
+
+    Copying X's columns first and subtracting in place is faster than one
+    broadcast subtract and gives the same bits.
+    """
+    np.copyto(out, X.T[:, :, None])
+    out -= centers.T[:, None, :]
+    out *= out
+
+
+def _inverse_sq(sigma: np.ndarray) -> np.ndarray:
+    """The weights s = sigma^-2 of the squares, as a C-ordered (d, K) array.
+
+    einsum's order of summation follows the operands' layout, so every
+    caller passes s in one layout and gets Phi with the same bits.
+
+    Where sigma > 0 but sigma^-2 overflows, s is held at the largest double,
+    so a zero difference still weighs 0, as 0 / sigma did. At sigma = 0, s is
+    inf: a zero difference there gives 0 * inf = NaN, as 0 / 0 did, and any
+    other difference inf, so that unit's activation is 0.
+    """
+    sigma = np.ascontiguousarray(sigma.T)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        s = np.minimum(1.0 / np.square(sigma), _FLOAT_MAX)
+    s[sigma == 0.0] = np.inf
+    return s
+
+
+def _activations_block(S: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
+    """Write one row block's activations out = exp(-1/2 sum_j S_j s_j) from its squares."""
+    np.einsum("jik,jk->ik", S, s, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+
+
+def erbf_activations(X: np.ndarray, centers: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Activation matrix Phi with Phi[i, k] = exp(-1/2 sum_j (x_ij-c_kj)^2 sigma_kj^-2).
+
+    Rows go in blocks of B = LOSS_BLOCK_BYTES // (8 K d), the blocks of
+    erbf_loss_and_grad: each block's squares (x - c)^2 fill one (d, B, K)
+    buffer and are contracted against s = sigma^-2 by the helper the loss
+    uses, so the loss's Phi has these bits. Working memory is the (n, K)
+    output plus one LOSS_BLOCK_BYTES block whatever d is.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     K, d = sigma.shape
-    Phi = np.zeros((n, K))
-    z = np.empty((n, K))
+    B = _block_rows(n, K, d)
+    s = _inverse_sq(sigma)
+    S = np.empty((d, B, K))
+    Phi = np.empty((n, K))
     # widths at the edge of float range are legal during line-search probing;
     # the resulting inf/underflow arithmetic is well defined, so keep it quiet
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        for j in range(d):
-            _scaled_sq(X[:, j, None], centers[:, j], sigma[:, j], out=z)
-            Phi += z
-        Phi *= -0.5
-        np.exp(Phi, out=Phi)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for a in range(0, n, B):
+            e = min(a + B, n)
+            _squares(X[a:e], centers, out=S[:, :e - a])
+            _activations_block(S[:, :e - a], s, out=Phi[a:e])
     return Phi
 
 
-def _scaled_sq(x: np.ndarray, c: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
-    """Write out = ((x - c) / s)^2, broadcasting x down out's last axis.
-
-    x is a column of inputs, c and s rows of centre and width coordinates.
-    Copying x first and subtracting in place is faster than one broadcast
-    subtract and gives the same bits.
-    """
-    np.copyto(out, x)
-    out -= c
-    out /= s
-    out *= out
-
-
 def held_differences(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """The first loss block's differences D = x - c, a (d, B, K) array.
+    """The first row block's squared differences S = (x - c)^2, a (d, B, K) array.
 
     B = max(1, min(n, LOSS_BLOCK_BYTES // (8 K d))) rows, the block size of
     erbf_loss_and_grad. Only the widths change between the loss evaluations
-    of one fit, so D is formed once per fit, with _scaled_sq's copy and
-    in-place subtract and so with its bits.
+    of one fit, so S is formed once per fit, by the steps that form every
+    other block's squares and so with their bits.
     """
     X = np.asarray(X, dtype=np.float64)
     K, d = centers.shape
-    B = max(1, min(X.shape[0], LOSS_BLOCK_BYTES // (8 * K * d)))
-    D = np.empty((d, B, K))
-    np.copyto(D, X[:B].T[:, :, None])
-    D -= centers.T[:, None, :]
-    return D
+    S = np.empty((d, _block_rows(X.shape[0], K, d), K))
+    _squares(X[:S.shape[1]], centers, out=S)
+    return S
 
 
 def erbf_loss_and_grad(
@@ -242,57 +278,51 @@ def erbf_loss_and_grad(
     """Training MSE and its exact gradient in log-width coordinates.
 
     theta is log(sigma) flattened to length K*d; centres, output weights and
-    bias are held fixed. d mse / d theta_kj =
-    (2/n) sum_i r_i w_k Phi_ik (x_ij - c_kj)^2 / sigma_kj^2.
+    bias are held fixed. With S_ijk = (x_ij - c_kj)^2 and s_kj = sigma_kj^-2,
+    d mse / d theta_kj = (2/n) w_k s_kj sum_i r_i Phi_ik S_ijk.
 
     One pass over blocks of B = LOSS_BLOCK_BYTES // (8 K d) rows: a block's
-    scaled squares z_j go once into a (d, B, K) buffer and serve both Phi
-    (summed in feature order from zeros, as erbf_activations does, so Phi
-    has the same bits) and the gradient. With one block the result equals
-    the two-pass kernel's bit for bit; with more, the gradient's sums over
-    rows run block by block.
-
-    held is held_differences(X, centers), built here when omitted: the first
-    block's z_j = (D / sigma)^2.
+    squares S serve both Phi (through erbf_activations' block helper, so Phi
+    has its bits) and the gradient's contraction with A = r Phi; s scales
+    the contracted (d, K) sums once. Only the K d values of s depend on
+    theta: no (d, B, K) array is divided or clamped. held is
+    held_differences(X, centers), built here when omitted: the first
+    block's S. When it holds every row, an evaluation makes no (d, B, K)
+    array; otherwise later blocks are squared into one scratch block. The
+    results are within a few ulps of the former kernel's, which divided
+    x - c by sigma (1e-14 of each result's scale in the tests).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    D = held_differences(X, centers) if held is None else held
-    d, B, K = D.shape
+    S = held_differences(X, centers) if held is None else held
+    d, B, K = S.shape
     n = X.shape[0]
-    Xt = np.ascontiguousarray(X.T)[:, :, None]
-    Ct = np.ascontiguousarray(centers.T)[:, None, :]
-    Z = np.empty((d, B, K))
+    scratch = np.empty((d, B, K)) if n > B else None
     Phi = np.empty((B, K))
     r = np.empty(n)
     Gt = np.empty((d, K))
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        sigma = np.exp(np.asarray(theta, dtype=np.float64).reshape(K, d))
-        St = np.ascontiguousarray(sigma.T)[:, None, :]
-        for s in range(0, n, B):
-            e = min(s + B, n)
-            Zb, Pb, rb = Z[:, :e - s], Phi[:e - s], r[s:e]
-            if s == 0:
-                np.divide(D, St, out=Zb)
-                Zb *= Zb
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        s = _inverse_sq(np.exp(np.asarray(theta, dtype=np.float64).reshape(K, d)))
+        for a in range(0, n, B):
+            e = min(a + B, n)
+            Pb, rb = Phi[:e - a], r[a:e]
+            if a == 0:
+                Sb = S
             else:
-                _scaled_sq(Xt[:, s:e], Ct, St, out=Zb)
-            Pb.fill(0.0)
-            for j in range(d):
-                Pb += Zb[j]
-            Pb *= -0.5
-            np.exp(Pb, out=Pb)
+                Sb = scratch[:, :e - a]
+                _squares(X[a:e], centers, out=Sb)
+            _activations_block(Sb, s, out=Pb)
             np.matmul(Pb, weights, out=rb)
             rb += bias
-            rb -= y[s:e]
+            rb -= y[a:e]
             Pb *= rb[:, None]  # A = r Phi; Phi is not needed past it
-            np.minimum(Zb, 1e30, out=Zb)  # keep 0 * inf out of the contraction
-            if s == 0:
-                np.einsum("ik,jik->jk", Pb, Zb, out=Gt)
+            if a == 0:
+                np.einsum("ik,jik->jk", Pb, Sb, out=Gt)
             else:
-                Gt += np.einsum("ik,jik->jk", Pb, Zb)
+                Gt += np.einsum("ik,jik->jk", Pb, Sb)
         mse = float(r @ r) / n
-        Gt *= (2.0 / n) * weights
+        # s is inf only at sigma = 0, where every finite outcome has a zero sum
+        Gt *= np.minimum(s, _FLOAT_MAX) * ((2.0 / n) * weights)
     grad = Gt.T.ravel()
     if not math.isfinite(mse):
         raise ValueError("non-finite training loss in width optimisation")
@@ -397,6 +427,7 @@ def fit_erbf(X: np.ndarray, y: np.ndarray, n_rbf: Optional[int] = None, alpha: f
     res: OptimResult = lbfgs_minimize(objective, np.log(sigma0).ravel(),
                                       max_iter=WIDTH_OPTIM_ITERS)
     sigma = np.exp(res.x.reshape(K, d))
+    del held  # before the final activations form their own block of squares
 
     Phi = erbf_activations(Xs, centers, sigma)
     weights, bias = ridge_solve(Phi, y, alpha)

@@ -27,8 +27,10 @@ from smoothbench.erbf import (
     local_lipschitz,
     place_centers,
 )
-from smoothbench.numkit import ridge_solve
+from smoothbench.data import Standardizer
+from smoothbench.numkit import lbfgs_minimize, ridge_solve
 from smoothbench.registry import fit_model
+from smoothbench.synth import gen
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +158,12 @@ def test_loss_and_grad_match_3d_reference(n, K, d):
 
 
 def _two_pass_loss_and_grad(theta, X, y, centers, w, b):
-    """The loss and gradient as two passes over (n, K) buffers.
+    """The former kernel as two passes over (n, K) buffers.
 
     The activations are summed over features, then each feature's scaled
-    square is formed again for its gradient column: the kernel that the
-    fused pass replaced, kept to pin that one row block gives its bits.
+    square ((x - c) / sigma)^2 is formed again, clamped at 1e30, for its
+    gradient column: the first kernel that divided by the widths, kept as a
+    reference that the squares kernel must stay within a few ulps of.
     """
     K, d = centers.shape
     n = X.shape[0]
@@ -200,16 +203,20 @@ def _random_problem(n, K, d, seed):
     return theta, X, y, centers, w, b
 
 
+def _assert_bounded(got, want):
+    """The squares kernel against a former one: the sums regroup, so each
+    result moves by a few ulps of its scale, never by cancellation."""
+    (mse, grad), (want_mse, want_grad) = got, want
+    assert abs(mse - want_mse) <= 1e-14 * want_mse
+    assert np.abs(grad - want_grad).max() <= 1e-14 * np.abs(want_grad).max()
+
+
 @pytest.mark.parametrize("n,K,d", [(667, 40, 5), (1000, 80, 5), (1067, 70, 5)])
-def test_one_block_equals_two_pass_kernel_bit_for_bit(n, K, d):
-    # the friedman1 fit shapes fit in one row block, where the fused pass
-    # must not move a bit: the width optimisation then follows the same path
+def test_one_block_is_bounded_by_two_pass_kernel(n, K, d):
+    # the friedman1 fit shapes fit in one row block
     assert n * K * d * 8 <= erbf.LOSS_BLOCK_BYTES
     args = _random_problem(n, K, d, seed=n + K)
-    mse, grad = erbf_loss_and_grad(*args)
-    want_mse, want_grad = _two_pass_loss_and_grad(*args)
-    assert mse == want_mse
-    assert np.array_equal(grad, want_grad)
+    _assert_bounded(erbf_loss_and_grad(*args), _two_pass_loss_and_grad(*args))
 
 
 def test_several_row_blocks_match_references(monkeypatch):
@@ -240,9 +247,10 @@ def test_degenerate_row_in_last_block_raises(monkeypatch):
 
 
 def _recomputed_loss_and_grad(theta, X, y, centers, w, b):
-    """The blocked loss that forms every block's x - c again on each call, and
-    always clamps: the kernel that held_differences replaced, kept to pin
-    that the held block gives its bits."""
+    """The former blocked kernel: it formed every block's x - c again on each
+    call, divided by sigma, squared and always clamped at 1e30. Its bits were
+    those of the held block of differences that preceded the squares kernel,
+    so it stands for the former kernel at every block count."""
     K, d = centers.shape
     n = X.shape[0]
     B = max(1, min(n, erbf.LOSS_BLOCK_BYTES // (8 * K * d)))
@@ -280,11 +288,36 @@ def _recomputed_loss_and_grad(theta, X, y, centers, w, b):
     return mse, Gt.T.ravel()
 
 
+def _recomputed_squares_loss_and_grad(theta, X, y, centers, w, b):
+    """The squares kernel with every block's squares formed afresh on each
+    call, by one broadcast subtract and np.square into a (d, rows, K) array:
+    the bits that the held block and the later blocks' scratch buffer must
+    give. einsum's order of summation follows the memory layout, so the
+    squares are laid out as the kernel's."""
+    K, d = centers.shape
+    n = X.shape[0]
+    B = max(1, min(n, erbf.LOSS_BLOCK_BYTES // (8 * K * d)))
+    s = erbf._inverse_sq(np.exp(theta.reshape(K, d)))
+    r = np.empty(n)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for a in range(0, n, B):
+            e = min(a + B, n)
+            S = np.ascontiguousarray(np.square(X[a:e].T[:, :, None] - centers.T[:, None, :]))
+            Phi = np.empty((e - a, K))
+            erbf._activations_block(S, s, out=Phi)
+            r[a:e] = Phi @ w + b - y[a:e]
+            G = np.einsum("ik,jik->jk", r[a:e, None] * Phi, S)
+            Gt = G if a == 0 else Gt + G
+        Gt *= np.minimum(s, np.finfo(np.float64).max) * ((2.0 / n) * w)
+    return float(r @ r) / n, Gt.T.ravel()
+
+
 def _assert_equals_recomputed(args, held=None):
-    mse, grad = erbf_loss_and_grad(*args, held)
-    want_mse, want_grad = _recomputed_loss_and_grad(*args)
-    assert mse == want_mse
-    assert np.array_equal(grad.view(np.uint64), want_grad.view(np.uint64))
+    got = erbf_loss_and_grad(*args, held)
+    want_mse, want_grad = _recomputed_squares_loss_and_grad(*args)
+    assert got[0] == want_mse
+    assert np.array_equal(got[1].view(np.uint64), want_grad.view(np.uint64))
+    _assert_bounded(got, _recomputed_loss_and_grad(*args))
 
 
 @pytest.mark.parametrize("n,K,d", [(667, 40, 5), (1000, 80, 5), (1067, 70, 5)])
@@ -315,12 +348,37 @@ def test_overflowing_widths_are_clamped_as_before(monkeypatch, blocks):
     monkeypatch.setattr(erbf, "LOSS_BLOCK_BYTES", -(-n // blocks) * 8 * K * d)
     theta, X, y, centers, w, b = _random_problem(n, K, d, seed=43)
     held = erbf.held_differences(X, centers)
-    # ((x - c) / sigma)^2 above 1e30 in rows of the held block: the clamp must run
+    # ((x - c) / sigma)^2 above 1e30 in rows of the held block: the former
+    # kernel's clamp ran, and sigma^-2 overflows, so s is clamped
     theta.reshape(K, d)[1, 2] = -40.0
     theta.reshape(K, d)[3, 0] = -600.0  # sigma near 1e-261: z_j is inf
     with np.errstate(over="ignore"):
-        assert (np.square(held[2] / np.exp(theta.reshape(K, d))[:, 2]) > 1e30).any()
+        assert (held[2] * np.exp(-2.0 * theta.reshape(K, d))[:, 2] > 1e30).any()
+        assert np.isinf(np.exp(theta.reshape(K, d)[3, 0]) ** -2.0)
+    assert erbf._inverse_sq(np.exp(theta.reshape(K, d)))[0, 3] == np.finfo(np.float64).max
     _assert_equals_recomputed((theta, X, y, centers, w, b), held)
+
+
+@pytest.mark.parametrize("block", ["held", "later"])
+@pytest.mark.parametrize("on_centre", [False, True])
+@pytest.mark.parametrize("log_width", [-40.0, -354.0, -360.0, -600.0, -745.0, -800.0])
+def test_extreme_widths_keep_their_outcomes(monkeypatch, log_width, on_centre, block):
+    # sigma^-2 overflows below theta = -354.9 and sigma is 0 below -745.1:
+    # the loss is finite exactly where the former kernel's was, and raises
+    # exactly where the former kernel's was not finite (0/0 on the centre)
+    n, K, d = 50, 6, 3
+    monkeypatch.setattr(erbf, "LOSS_BLOCK_BYTES", 16 * 8 * K * d)
+    theta, X, y, centers, w, b = _random_problem(n, K, d, seed=53)
+    theta.reshape(K, d)[0] = log_width
+    centers[0] = X.max(axis=0) + 1.0  # no other row shares a coordinate with it
+    X[0 if block == "held" else n - 1] = centers[0] + (0.0 if on_centre else 1.0)
+    want = _recomputed_loss_and_grad(theta, X, y, centers, w, b)
+    if math.isfinite(want[0]) and np.isfinite(want[1]).all():
+        _assert_bounded(erbf_loss_and_grad(theta, X, y, centers, w, b), want)
+    else:
+        assert on_centre and log_width < -745.1
+        with pytest.raises(ValueError):
+            erbf_loss_and_grad(theta, X, y, centers, w, b)
 
 
 def test_held_block_refuses_zero_over_zero_like_the_recomputed_kernel():
@@ -333,6 +391,29 @@ def test_held_block_refuses_zero_over_zero_like_the_recomputed_kernel():
     assert not math.isfinite(want_mse)
     with pytest.raises(ValueError):
         erbf_loss_and_grad(theta, X, y, centers, w, b, erbf.held_differences(X, centers))
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+def test_loss_activations_equal_erbf_activations(monkeypatch, rows):
+    # the loss and predict share one activation path, so the widths that the
+    # fit chose see the activations that it scored
+    n, K, d = 60, 5, 3
+    if rows:
+        monkeypatch.setattr(erbf, "LOSS_BLOCK_BYTES", rows * 8 * K * d)
+    theta, X, y, centers, w, b = _random_problem(n, K, d, seed=59)
+    seen = []
+    block = erbf._activations_block
+
+    def recording(S, s, out):
+        block(S, s, out)
+        seen.append(out.copy())
+
+    monkeypatch.setattr(erbf, "_activations_block", recording)
+    erbf_loss_and_grad(theta, X, y, centers, w, b)
+    assert len(seen) == -(-n // (rows or n))
+    from_loss = np.concatenate(seen)
+    Phi = erbf_activations(X, centers, np.exp(theta.reshape(K, d)))
+    assert np.array_equal(from_loss.view(np.uint64), Phi.view(np.uint64))
 
 
 def test_gradient_zero_when_weights_zero():
@@ -654,6 +735,46 @@ def test_init_widths_mode_validation():
 
 # ---------------------------------------------------------------------------
 # full pipeline
+
+
+def _stage3(kernel, Xs, y, centers, sigma0, w0, b0):
+    """fit_erbf's stage 3 with the width loss swapped for kernel: a
+    non-finite or refused evaluation makes the line search back off."""
+    K, d = centers.shape
+
+    def objective(theta):
+        try:
+            mse, grad = kernel(theta, Xs, y, centers, w0, b0)
+        except ValueError:
+            mse, grad = np.inf, None
+        if not (math.isfinite(mse) and np.isfinite(grad).all()):
+            return np.inf, np.zeros_like(theta)
+        return mse, grad
+
+    res = lbfgs_minimize(objective, np.log(sigma0).ravel(), max_iter=WIDTH_OPTIM_ITERS)
+    return res.iterations, np.exp(res.x.reshape(K, d))
+
+
+@pytest.mark.parametrize("K", [40, 80])
+def test_width_fit_is_bounded_by_the_former_kernel(K):
+    # a few ulps per evaluation must not grow into another fit: from the same
+    # stage-1/2 start, L-BFGS takes as many steps to nearly the same widths
+    train, query = gen("friedman1", n=667, seed=K), gen("friedman1", n=300, seed=K + 1)
+    std = Standardizer.fit(train.X)
+    Xs, Qs, y = std.apply(train.X), std.apply(query.X), train.y
+    centers = place_centers(Xs, y, K, mode="lipschitz", seed=K)
+    sigma0 = init_widths(Xs, y, centers, mode="local_ridge")
+    w0, b0 = ridge_solve(erbf_activations(Xs, centers, sigma0), y, 1.0)
+    fits = [_stage3(kernel, Xs, y, centers, sigma0, w0, b0)
+            for kernel in (erbf_loss_and_grad, _recomputed_loss_and_grad)]
+    preds = []
+    for _, sigma in fits:
+        w, b = ridge_solve(erbf_activations(Xs, centers, sigma), y, 1.0)
+        preds.append(erbf_activations(Qs, centers, sigma) @ w + b)
+    (iters, sigma), (want_iters, want_sigma) = fits
+    assert iters == want_iters
+    assert np.abs(sigma / want_sigma - 1.0).max() <= 1e-6
+    assert np.abs(preds[0] - preds[1]).max() <= 1e-7 * np.ptp(y)
 
 
 def test_recovers_single_gaussian_bump():
