@@ -353,7 +353,13 @@ def inner_fold_count(n: int) -> int:
 
 @dataclass
 class Standardizer:
-    """Per-column zero-mean unit-variance scaling with a std floor of 1e-12."""
+    """Per-column zero-mean unit-variance scaling with a std floor of 1e-12.
+
+    A column whose std overflows float64 is first divided by a power of two
+    s >= max |x - mean|, which is exact: its std is s times the scaled
+    column's. A mean, or a rescaled std, that still overflows raises
+    ValueError naming its column.
+    """
 
     means: np.ndarray
     stds: np.ndarray
@@ -363,7 +369,18 @@ class Standardizer:
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
         X = np.asarray(X, dtype=np.float64)
-        return cls(means=X.mean(axis=0), stds=np.maximum(X.std(axis=0), cls.STD_FLOOR))
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = X.mean(axis=0)
+            _refuse_overflow("mean", np.isinf(means))
+            stds = X.std(axis=0)
+            wide = np.isinf(stds)
+            if wide.any():
+                # s = 1 elsewhere, and every column is reduced along axis 0 of
+                # the whole matrix, as X.std sums it
+                s = np.where(wide, 2.0 ** np.frexp(np.abs(X - means).max(axis=0))[1], 1.0)
+                stds = s * (X / s).std(axis=0)
+                _refuse_overflow("std", wide & ~np.isfinite(stds))
+        return cls(means=means, stds=np.maximum(stds, cls.STD_FLOOR))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) - self.means) / self.stds
@@ -378,6 +395,11 @@ class Standardizer:
         if not (stds > 0).all():
             raise ValueError("standardizer: stds must be > 0")
         return cls(means=means, stds=stds)
+
+
+def _refuse_overflow(what: str, bad: np.ndarray) -> None:
+    if bad.any():
+        raise ValueError(f"column {int(np.flatnonzero(bad)[0])}: its {what} overflows float64")
 
 
 def read_array(owner: str, d: dict, key: str, shape: tuple) -> np.ndarray:

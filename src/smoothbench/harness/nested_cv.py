@@ -176,8 +176,11 @@ def run_benchmark(
     Cells run and are collected in the given order: datasets, then models,
     then folds. Returns the fold results in that order plus the failed
     (dataset, model) pairs, in the same order, each with its first error.
-    Dataset names and model kinds must be unique.
+    Dataset names and model kinds must be unique. parallel must be >= 1; at
+    most one worker process starts per cell.
     """
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     names = [name for name, _ in datasets]
     for what, items in (("dataset names", names), ("model kinds", list(kinds))):
         if len(set(items)) != len(items):
@@ -192,7 +195,8 @@ def run_benchmark(
     failures: Dict[Tuple[str, str], str] = {}
     # a serial run calls run_outer_fold in this process through this module's global
     # name, so a wrapper patched over it sees every cell
-    with ProcessPoolExecutor(max_workers=parallel) if parallel > 1 else nullcontext() as pool:
+    workers = min(parallel, len(cells))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         submit = pool.submit if pool is not None else _finished
         futures = [submit(run_outer_fold, *cell, config) for cell in cells]
         for (name, _, kind, fold, _), fut in zip(cells, futures):

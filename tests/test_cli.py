@@ -979,6 +979,17 @@ class TestBenchReport:
             capsys.readouterr().err
         assert not (out_dir / "results.jsonl").exists()
 
+    def test_bench_refuses_parallel_below_one(self, tmp_path, capsys):
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({
+            "datasets": [{"synthetic": "friedman1", "n": 45}],
+            "models": ["ridge"], "outer_k": 2, "trial_budgets": {"ridge": 1}}))
+        out_dir = tmp_path / "out"
+        assert main(["bench", "--config", str(config), "--out-dir", str(out_dir),
+                     "--parallel", "0"]) == 1
+        assert "parallel must be >= 1, got 0" in capsys.readouterr().err
+        assert not (out_dir / "results.jsonl").exists()
+
     @pytest.mark.parametrize("edit, message", [
         ({"datasets": ["synthetic"]}, "datasets[0] needs either 'synthetic' or 'path'"),
         ({"trial_budgets": [2]}, "trial_budgets must be a JSON object, got [2]"),

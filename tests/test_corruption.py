@@ -28,7 +28,8 @@ from smoothbench.registry import MODEL_KINDS
 
 DELETE = object()
 # one value of each JSON type, NaN and the infinities, and deletion; no large
-# integer, which as parallel would start that many processes
+# integer, which as n, outer_k or a budget would make a long run, and as
+# parallel would start one worker process per cell
 MUTATIONS = (None, True, {}, [], math.nan, math.inf, -math.inf, "x", 2.5, DELETE)
 
 # the JSON type of each results key that more than one value of is valid for

@@ -31,6 +31,8 @@ from smoothbench.data import (
     write_csv,
     write_table,
 )
+from smoothbench.registry import fit_model
+from smoothbench.synth import gen
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +592,28 @@ def test_standardizer_constant_column_floor():
     Z = Standardizer.fit(X).apply(X)
     assert np.all(Z[:, 0] == 0.0)
     assert np.isfinite(Z).all()
+
+
+@pytest.mark.parametrize("kind", ["ridge", "erbf"])
+def test_feature_scale_past_std_overflow_keeps_predictions(kind):
+    # multiplying X by 2^k is exact, and so is every step of the fit and the
+    # predictions; from k = 510 on, X.std(axis=0) overflows float64
+    ds = gen("friedman1", n=300, noise_std=0.3, seed=4)
+    Xq = gen("friedman1", n=50, noise_std=0.3, seed=5).X
+    ref = fit_model(kind, ds.X, ds.y, {}, seed=0).predict(Xq)
+    for k in (510, 520, 530):
+        with np.errstate(over="ignore"):
+            assert np.isinf((ds.X * 2.0 ** k).std(axis=0)).all()
+        model = fit_model(kind, ds.X * 2.0 ** k, ds.y, {}, seed=0)
+        assert model.predict(Xq * 2.0 ** k).tobytes() == ref.tobytes()
+
+
+def test_standardizer_refuses_a_column_it_cannot_scale():
+    with pytest.raises(ValueError, match="column 1: its mean overflows"):
+        Standardizer.fit(np.array([[1.0, 1e308], [2.0, 1.7e308]]))
+    # the mean is 0, but max |x - mean| rounds up to 2^1024
+    with pytest.raises(ValueError, match="column 0: its std overflows"):
+        Standardizer.fit(np.array([[-1.7e308, 1.0], [1.7e308, 2.0]]))
 
 
 def test_standardizer_serialization():

@@ -811,6 +811,39 @@ class TestNestedCVParallel:
             + [("holes", k, f) for k in kinds for f in (1, 2)])
 
 
+    @pytest.mark.parametrize("parallel, workers", [(500, 4), (3, 3), (1, None)])
+    def test_pool_starts_at_most_one_worker_per_cell(self, monkeypatch, parallel, workers):
+        # a stub pool records its size and runs each cell in this process, so
+        # no worker starts; a real pool forks every max_workers at once
+        import smoothbench.harness.nested_cv as ncv
+        sizes = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return ncv._finished(fn, *args)
+
+        monkeypatch.setattr(ncv, "ProcessPoolExecutor", StubPool)
+        ds = gen("friedman1", n=30, noise_std=0.3, seed=3)
+        cfg = BenchRunConfig(outer_k=2, trial_budgets={"ridge": 1, "dt": 1})
+        results, failures = run_benchmark([("f1", ds)], ["ridge", "dt"], cfg, parallel)
+        assert failures == {} and len(results) == 4
+        assert sizes == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("parallel", [0, -2])
+    def test_parallel_below_one_raises(self, parallel):
+        ds = gen("friedman1", n=30, noise_std=0.3, seed=3)
+        with pytest.raises(ValueError, match=f"parallel must be >= 1, got {parallel}"):
+            run_benchmark([("f1", ds)], ["ridge"], BenchRunConfig(outer_k=2), parallel)
+
 class TestNestedCVInputs:
     @pytest.mark.parametrize("names, kinds, message", [
         (["f", "f"], ["ridge"], "dataset names must be unique"),

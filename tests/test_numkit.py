@@ -116,6 +116,63 @@ def test_ridge_input_validation():
         ridge_solve(np.full((3, 2), np.nan), np.zeros(3), 1.0)
 
 
+def _reference_ridge_solve(Phi, y, alpha):
+    """One system solved on its own, with no segment arrays: the centring,
+    Gram matrix, factorisation, substitution and intercept that the
+    one-segment case of ridge_solve_segments must match bit for bit."""
+    Phi = np.asarray(Phi, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    col_means = Phi.mean(axis=0)
+    y_mean = float(y.mean())
+    Xc = Phi - col_means
+    L = numkit._ridge_cholesky(Xc.T @ Xc, alpha)
+    w = numkit._cho_solve(L, Xc.T @ (y - y_mean))
+    return w, y_mean - float(col_means @ w)
+
+
+def test_ridge_solve_keeps_the_bits_of_its_former_body():
+    rng = np.random.default_rng(23)
+    retried = 0
+    for case in range(300):
+        n = int(rng.integers(2, 400))
+        p = int(rng.integers(1, 60))
+        Phi = rng.normal(size=(n, p)) * rng.uniform(0.1, 10) + rng.uniform(-5, 5)
+        y = rng.normal(size=n) * rng.uniform(0.1, 100) + rng.uniform(-50, 50)
+        if case % 4 == 0:
+            # rank-deficient at alpha = 0: repeated columns, or fewer rows than
+            # columns, so the first factorisation may fail and the retry runs
+            if p > 1 and case % 8 == 0:
+                Phi[:, p // 2:] = Phi[:, :p - p // 2]
+            else:
+                Phi = Phi[:min(n, p)]
+                y = y[:len(Phi)]
+            alpha = 0.0
+            Xc = Phi - Phi.mean(axis=0)
+            try:
+                np.linalg.cholesky(Xc.T @ Xc)
+            except np.linalg.LinAlgError:
+                retried += 1
+        else:
+            alpha = float(10.0 ** rng.uniform(-3, 3))
+        try:
+            w_ref, b_ref = _reference_ridge_solve(Phi, y, alpha)
+        except np.linalg.LinAlgError as exc:
+            with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+                ridge_solve(Phi, y, alpha)
+            continue
+        w, b = ridge_solve(Phi, y, alpha)
+        assert type(b) is float and w.shape == (Phi.shape[1],)
+        assert w.tobytes() == w_ref.tobytes()
+        assert np.float64(b).tobytes() == np.float64(b_ref).tobytes()
+    assert retried >= 20
+    # an all-zero design has trace 0, so the jittered retry fails as well
+    with pytest.raises(np.linalg.LinAlgError) as ref_exc:
+        _reference_ridge_solve(np.zeros((5, 2)), np.zeros(5), 0.0)
+    with pytest.raises(np.linalg.LinAlgError) as exc:
+        ridge_solve(np.zeros((5, 2)), np.zeros(5), 0.0)
+    assert str(exc.value) == str(ref_exc.value)
+
+
 def test_ridge_segments_match_ridge_solve_per_segment():
     rng = np.random.default_rng(17)
     for case in range(100):
