@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .cart import RegressionTree, cart_fit, cart_route
 from .chebypoly import fit_chebypoly
-from .chebyshev import BasisConfig, build_design_matrix, cheb_eval
+from .chebyshev import BasisConfig, build_design_matrix
 from .chebytree import ChebyTreeModel, fit_chebytree
 from .data import (
     Dataset,
@@ -29,13 +29,13 @@ from .erbf import ErbfModel, auto_k, fit_erbf
 from .linear import RidgeModel, fit_ridge
 from .numkit import OptimResult, kmeans, knn_indices, lbfgs_minimize, ridge_solve
 from .registry import MODEL_KINDS, fit_model, hyperparameters, model_from_dict, predict_model
-from .synth import CATALOG, clean_target, gen
+from .synth import CATALOG, gen
 
 __all__ = [
     "__version__",
     "RegressionTree", "cart_fit", "cart_route",
     "fit_chebypoly",
-    "BasisConfig", "build_design_matrix", "cheb_eval",
+    "BasisConfig", "build_design_matrix",
     "ChebyTreeModel", "fit_chebytree",
     "Dataset", "FoldPlan", "Standardizer", "column_medians",
     "drop_quasi_constant", "impute_median", "inner_fold_count",
@@ -44,5 +44,5 @@ __all__ = [
     "RidgeModel", "fit_ridge",
     "OptimResult", "kmeans", "knn_indices", "lbfgs_minimize", "ridge_solve",
     "MODEL_KINDS", "fit_model", "hyperparameters", "model_from_dict", "predict_model",
-    "CATALOG", "clean_target", "gen",
+    "CATALOG", "gen",
 ]

@@ -4,9 +4,10 @@ Features are min-max scaled to [-1, 1] (clipping out-of-range queries), the
 Chebyshev design matrix is solved by ridge with an unpenalised intercept, and
 predictions are clamped to the training target mean +/- 3 standard deviations.
 
-The fitted model is a ChebyTreeModel whose tree is one root leaf: its one row
-holds the scaling, the weights and the intercept, and its leaf clip bounds are
-the global ones. It predicts, saves and loads through that class.
+It is a Chebyshev model tree with one root leaf that holds every row: the fit
+builds that root and hands it to chebytree.fit_leaves, and the model
+predicts, saves and loads as a ChebyTreeModel. Its leaf clip bounds are the
+global ones.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .cart import RegressionTree
-from .chebyshev import BasisConfig, build_design_matrix, interaction_feature_set
-from .chebytree import ChebyTreeModel
-from .data import minmax_scale
-from .numkit import check_alpha, ridge_solve
+from .chebyshev import BasisConfig
+from .chebytree import ChebyTreeModel, fit_leaves
+from .numkit import check_alpha
 
 
 def fit_chebypoly(
@@ -38,26 +38,9 @@ def fit_chebypoly(
         raise ValueError("need matching X, y with at least 2 rows")
     check_alpha(alpha)
     basis = BasisConfig(complexity=complexity, interactions=interactions)
-    mins = X.min(axis=0)
-    ranges = X.max(axis=0) - mins
-    Xs = minmax_scale(X, mins, ranges)
-    feats = interaction_feature_set(Xs) if basis.interactions else ()
-    design = build_design_matrix(Xs, basis, feats)
-    weights, intercept = ridge_solve(design.matrix, y, alpha)
-    y_mean, y_std = float(y.mean()), float(y.std())
     # a root-only tree, built here: cart_fit would sort every column first
     root = RegressionTree(feature=np.full(1, -1), threshold=np.zeros(1),
-                          left=np.full(1, -1), right=np.full(1, -1), value=np.full(1, y_mean))
-    return ChebyTreeModel(
-        tree=root,
-        basis=basis,
-        interaction_feats=tuple(feats),
-        mins=mins[None],
-        ranges=ranges[None],
-        weights=weights[None],
-        intercepts=np.full(1, float(intercept)),
-        lo=np.full(1, y_mean - 3.0 * y_std),
-        hi=np.full(1, y_mean + 3.0 * y_std),
-        y_mean=y_mean,
-        y_std=y_std,
-    )
+                          left=np.full(1, -1), right=np.full(1, -1),
+                          value=np.full(1, float(y.mean())),
+                          leaf_rows={0: np.arange(X.shape[0])})
+    return fit_leaves(X, y, root, basis, alpha, min_rows=1)

@@ -45,20 +45,6 @@ class BasisConfig:
             raise ValueError(f"interactions must be 0, 1 or 2, got {self.interactions}")
 
 
-def cheb_eval(degree: int, x: np.ndarray) -> np.ndarray:
-    """T_degree(x) via the iterative recurrence T_{n+1} = 2 x T_n - T_{n-1}."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    t_prev = np.ones_like(x)
-    if degree == 0:
-        return t_prev
-    t_cur = x.copy()
-    for _ in range(degree - 1):
-        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
-    return t_cur
-
-
 def interaction_feature_set(X_scaled: np.ndarray) -> tuple[int, ...]:
     """Feature indices eligible for interaction terms.
 

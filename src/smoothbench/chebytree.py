@@ -1,10 +1,11 @@
 """Chebyshev model tree: CART routing with a Chebyshev polynomial per leaf.
 
-One model class serves both Chebyshev kinds. fit_chebytree grows the tree and
-gives each leaf that holds enough rows its own interaction-free Chebyshev
-regressor (with its own per-leaf feature scaling, clipped to its own target
-mean +/- 3 standard deviations); undersized leaves fall back to their training
-mean. fit_chebypoly is the same model with one root leaf and, optionally,
+One model class and one leaf fitter serve both Chebyshev kinds. fit_chebytree
+grows the tree and hands it to fit_leaves, which gives each leaf that holds
+enough rows its own interaction-free Chebyshev regressor (with its own
+per-leaf feature scaling, clipped to its own target mean +/- 3 standard
+deviations); undersized leaves fall back to their training mean.
+fit_chebypoly hands fit_leaves one root leaf of every row and, optionally,
 interaction columns. Final predictions are clipped to the whole training
 target's mean +/- 3 standard deviations.
 
@@ -17,8 +18,7 @@ leaf shares the model's basis and interaction_feats.
 Fit and predict handle all leaves in one batched pass: rows are grouped by
 leaf, scaled with their own leaf's ranges, expanded by one design matrix call,
 and the per-leaf ridge systems are solved stacked. Working memory is
-O(N*p + L*p^2) for N rows, L polynomial leaves and p columns. When every row
-reaches one leaf, as in every chebypoly predict, predict skips the grouping.
+O(N*p + L*p^2) for N rows, L polynomial leaves and p columns.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from .cart import Count, RegressionTree, cart_fit, cart_route
-from .chebyshev import BasisConfig, build_design_matrix, n_columns
+from .chebyshev import BasisConfig, build_design_matrix, interaction_feature_set, n_columns
 from .context import FitContext
 from .data import minmax_scale, read_array, read_int_array
 from .numkit import check_alpha, ridge_solve_segments
@@ -79,15 +79,10 @@ class ChebyTreeModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         leaves = cart_route(self.tree, X)
-        if X.shape[0] and (leaves == leaves[0]).all():  # one leaf: no sort, gathers or unsort
-            order, starts, sizes = slice(None), np.zeros(1, np.int64), np.array([X.shape[0]])
-            rows = at = np.searchsorted(self.tree.leaf_ids, leaves[:1])
-        else:
-            order = np.argsort(leaves, kind="stable")
-            groups, starts, sizes = np.unique(leaves[order], return_index=True,
-                                              return_counts=True)
-            rows = np.searchsorted(self.tree.leaf_ids, groups)  # each group's leaf row
-            at = np.repeat(rows, sizes)  # each sorted row's leaf row
+        order = np.argsort(leaves, kind="stable")
+        groups, starts, sizes = np.unique(leaves[order], return_index=True, return_counts=True)
+        rows = np.searchsorted(self.tree.leaf_ids, groups)  # each group's leaf row
+        at = np.repeat(rows, sizes)  # each sorted row's leaf row
         Xs = minmax_scale(X[order], self.mins[at], self.ranges[at])
         design = build_design_matrix(Xs, self.basis, self.interaction_feats).matrix
         raw = np.empty(X.shape[0])
@@ -139,36 +134,30 @@ class ChebyTreeModel:
                    y_mean=float(read_array(owner, d, "y_mean", ())), y_std=y_std)
 
 
-def fit_chebytree(
+def fit_leaves(
     X: np.ndarray,
     y: np.ndarray,
-    complexity: int = 2,
-    alpha: float = 1.0,
-    max_depth: int = 4,
-    min_samples_leaf: Count = 1,
-    ctx: Optional[FitContext] = None,
+    tree: RegressionTree,
+    basis: BasisConfig,
+    alpha: float,
+    min_rows: int,
 ) -> ChebyTreeModel:
-    """Grow the routing tree on raw features, then fit one polynomial per leaf.
+    """Fit a Chebyshev polynomial on each leaf of tree that holds at least
+    min_rows of its leaf_rows, and its mean on every other leaf.
 
-    The polynomial-vs-constant choice per leaf is made once at training time
-    from the leaf's row count. Each polynomial leaf equals fit_chebypoly on
-    that leaf's rows without interactions; all of them are fitted in one pass.
-    The tree is grown over ctx's shared nodes when given (see cart_fit).
+    A polynomial leaf is min-max scaled to its own rows' ranges, expanded in
+    basis, ridge-solved with an unpenalised intercept and clipped to its rows'
+    target mean +/- 3 standard deviations; all of them are fitted in one pass.
+    With interactions, the eligible features are chosen from the scaled rows
+    of the polynomial leaves.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    check_alpha(alpha)  # checked here too, as leaves may all end up constant
-    basis = BasisConfig(complexity=complexity)  # rejects a non-integer complexity
-    tree = cart_fit(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
-                    min_samples_split=2, ctx=ctx)
     leaves = tree.leaf_ids
     mins = np.zeros((len(leaves), X.shape[1]))
     ranges = np.zeros_like(mins)
-    weights = np.zeros((len(leaves), n_columns(X.shape[1], basis, 0)))
     intercepts = tree.value[leaves]  # each leaf's mean: a constant leaf's row is done
     lo, hi = intercepts.copy(), intercepts.copy()
-    threshold = leaf_fallback_threshold(complexity)
-    poly = [j for j, leaf in enumerate(leaves) if tree.leaf_rows[leaf].shape[0] >= threshold]
+    poly = [j for j, leaf in enumerate(leaves) if tree.leaf_rows[leaf].shape[0] >= min_rows]
+    feats, w = (), 0.0  # without a polynomial leaf: no pair columns and no weights
     if poly:
         # leaf_rows are ascending, so concatenating them groups rows stably by leaf
         rows = [tree.leaf_rows[leaves[j]] for j in poly]
@@ -180,17 +169,19 @@ def fit_chebytree(
         ranges[poly] = np.maximum.reduceat(Xp, bounds[:-1], axis=0) - mins[poly]
         Xs = minmax_scale(Xp, np.repeat(mins[poly], sizes, axis=0),
                           np.repeat(ranges[poly], sizes, axis=0))
-        design = build_design_matrix(Xs, basis, ())
-        weights[poly], intercepts[poly] = ridge_solve_segments(design.matrix, yp, bounds,
-                                                               alpha)
+        feats = interaction_feature_set(Xs) if basis.interactions else ()
+        design = build_design_matrix(Xs, basis, feats)
+        w, intercepts[poly] = ridge_solve_segments(design.matrix, yp, bounds, alpha)
         for k, j in enumerate(poly):
             y_leaf = yp[bounds[k]:bounds[k + 1]]
             mu, sd = y_leaf.mean(), y_leaf.std()
             lo[j], hi[j] = mu - 3.0 * sd, mu + 3.0 * sd
+    weights = np.zeros((len(leaves), n_columns(X.shape[1], basis, len(feats))))
+    weights[poly] = w
     return ChebyTreeModel(
         tree=tree,
         basis=basis,
-        interaction_feats=(),
+        interaction_feats=tuple(feats),
         mins=mins,
         ranges=ranges,
         weights=weights,
@@ -200,3 +191,28 @@ def fit_chebytree(
         y_mean=float(y.mean()),
         y_std=float(y.std()),
     )
+
+
+def fit_chebytree(
+    X: np.ndarray,
+    y: np.ndarray,
+    complexity: int = 2,
+    alpha: float = 1.0,
+    max_depth: int = 4,
+    min_samples_leaf: Count = 1,
+    ctx: Optional[FitContext] = None,
+) -> ChebyTreeModel:
+    """Grow the routing tree on raw features, then fit one polynomial per leaf.
+
+    A leaf with fewer than leaf_fallback_threshold(complexity) rows keeps its
+    mean; every other leaf gets an interaction-free Chebyshev polynomial (see
+    fit_leaves). The tree is grown over ctx's shared nodes when given (see
+    cart_fit).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    check_alpha(alpha)  # checked here too, as leaves may all end up constant
+    basis = BasisConfig(complexity=complexity)  # rejects a non-integer complexity
+    tree = cart_fit(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                    min_samples_split=2, ctx=ctx)
+    return fit_leaves(X, y, tree, basis, alpha, leaf_fallback_threshold(complexity))

@@ -355,10 +355,12 @@ def inner_fold_count(n: int) -> int:
 class Standardizer:
     """Per-column zero-mean unit-variance scaling with a std floor of 1e-12.
 
-    A column whose std overflows float64 is first divided by a power of two
-    s >= max |x - mean|, which is exact: its std is s times the scaled
-    column's. A mean, or a rescaled std, that still overflows raises
-    ValueError naming its column.
+    A column whose mean or std overflows float64 on the way is first divided
+    by a power of two, which is exact: its mean is s times the scaled
+    column's for s = 2^min(e, 1023) with max |x| < 2^e, and its std for a
+    power of two s >= max |x - mean|. A mean of finite values then always
+    fits; a rescaled std that still overflows (or a mean, given an infinite
+    entry) raises ValueError naming its column.
     """
 
     means: np.ndarray
@@ -371,9 +373,17 @@ class Standardizer:
         X = np.asarray(X, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
             means = X.mean(axis=0)
-            _refuse_overflow("mean", np.isinf(means))
-            stds = X.std(axis=0)
-            wide = np.isinf(stds)
+            # an overflowing sum gives inf, or nan where partial sums of both
+            # signs overflow; a nan entry of X gives nan and is left to the fit
+            big = ~np.isfinite(means)
+            if big.any():
+                # s = 2^min(e, 1023) with max |x| < 2^e: 2^1024 is infinite
+                e = np.minimum(np.frexp(np.abs(X).max(axis=0))[1], 1023)
+                s = np.where(big, 2.0 ** e, 1.0)
+                means = s * (X / s).mean(axis=0)
+                _refuse_overflow("mean", np.isinf(means))
+            stds = X.std(axis=0)  # its own mean overflows wherever X.mean did
+            wide = ~np.isfinite(stds) & np.isfinite(means)
             if wide.any():
                 # s = 1 elsewhere, and every column is reduced along axis 0 of
                 # the whole matrix, as X.std sums it

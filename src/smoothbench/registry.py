@@ -3,8 +3,9 @@
 The benchmark feeds every model raw (imputed) features: ridge standardizes
 them inside fit_ridge, the tree baseline consumes them directly and the smooth
 models run their own internal scaling. chebypoly and chebytree share one model
-class, ChebyTreeModel, and one model-file layout: a chebypoly fit is a
-Chebyshev model tree with a single leaf.
+class, ChebyTreeModel, one leaf fitter, chebytree.fit_leaves, and one
+model-file layout: a chebypoly fit is a Chebyshev model tree with a single
+leaf.
 
 A kind's hyperparameters are the keyword parameters of its fit function, with
 their defaults; there is no second list of them.

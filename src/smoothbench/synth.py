@@ -104,7 +104,3 @@ def gen(kind: str, n: int = None, noise_std: float = None, seed: int = 0) -> Dat
     names = tuple(f"x{j}" for j in range(spec.d))
     return Dataset(X, y, names, "y")
 
-
-def clean_target(kind: str, X: np.ndarray) -> np.ndarray:
-    """Noise-free target values for the given kind's feature matrix."""
-    return CATALOG[kind].clean_fn(np.asarray(X, dtype=np.float64))

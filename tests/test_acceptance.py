@@ -4,7 +4,8 @@ Each test prints exactly one `ACCEPTANCE nn PASS/FAIL` line (visible in the
 pytest output via the -rP report summary configured in pyproject.toml).
 The numbered checks:
 
- 1. Chebyshev recurrence vs the cos(n arccos x) closed form.
+ 1. The design matrix's Chebyshev recurrence vs the cos(n arccos x) closed
+    form.
  2. Ridge solver vs explicit normal-equations solutions.
  3. Analytic RBF log-width gradient vs central finite differences.
  4. Nemenyi critical-difference anchor values.
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from smoothbench.cart import cart_fit
-from smoothbench.chebyshev import cheb_eval
+from smoothbench.chebyshev import BasisConfig, build_design_matrix
 from smoothbench.cli import main as cli_main
 from smoothbench.erbf import erbf_loss_and_grad
 from smoothbench.harness.nested_cv import BenchRunConfig, run_benchmark
@@ -62,15 +63,17 @@ def verdict(num: int, label: str):
 
 
 def test_criterion_01_chebyshev_closed_form():
-    with verdict(1, "Chebyshev recurrence matches cos(n arccos x), "
+    with verdict(1, "design-matrix Chebyshev columns match cos(n arccos x), "
                     "degrees 0-14 x 1000 points, tol 1e-12") as detail:
         t0 = time.perf_counter()
         xs = np.linspace(-1.0, 1.0, 1000)
+        # the models' own recurrence: on one feature, column n of the design
+        # matrix is T_n (column 0, the constant, is T_0)
+        design = build_design_matrix(xs[:, None], BasisConfig(complexity=14), ()).matrix
         worst = 0.0
         for degree in range(15):
             want = np.cos(degree * np.arccos(xs))
-            got = cheb_eval(degree, xs)
-            worst = max(worst, float(np.max(np.abs(got - want))))
+            worst = max(worst, float(np.max(np.abs(design[:, degree] - want))))
         elapsed = time.perf_counter() - t0
         assert worst < 1e-12, f"max abs error {worst:.3e}"
         assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"

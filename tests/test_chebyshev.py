@@ -11,14 +11,28 @@ import pytest
 from smoothbench.chebyshev import (
     BasisConfig,
     build_design_matrix,
-    cheb_eval,
     interaction_feature_set,
     n_columns,
 )
 
 
+def cheb_eval(degree: int, x: np.ndarray) -> np.ndarray:
+    """T_degree(x), one degree at a time, by T_{n+1} = 2 x T_n - T_{n-1}: the
+    oracle that build_design_matrix's all-features recurrence is checked against."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    x = np.asarray(x, dtype=np.float64)
+    t_prev = np.ones_like(x)
+    if degree == 0:
+        return t_prev
+    t_cur = x.copy()
+    for _ in range(degree - 1):
+        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
+    return t_cur
+
+
 # ---------------------------------------------------------------------------
-# closed-form oracle: T_n(x) = cos(n arccos x) on [-1, 1]
+# the oracle against the closed form: T_n(x) = cos(n arccos x) on [-1, 1]
 
 
 def test_cheb_eval_matches_cosine_oracle():

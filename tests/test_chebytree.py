@@ -4,9 +4,14 @@ piecewise-linear recovery case the routing + linear-leaf combination is built
 for.
 
 The model stores its leaves stacked, one row per leaf in tree.leaf_ids order;
-a constant leaf is a row of zero weights. The per-leaf oracle below fits
-fit_chebypoly on each leaf's rows and predicts with that one-leaf model.
+a constant leaf is a row of zero weights. The per-leaf oracle below is the
+global regressor written out on each leaf's rows: min-max scaling, the design
+matrix, ridge_solve and the leaf's mean +/- 3 sd, one leaf at a time. It
+calls neither fit_chebypoly nor chebytree.fit_leaves, the leaf fitter under
+test.
 """
+
+import json
 
 from types import SimpleNamespace
 
@@ -24,6 +29,7 @@ from smoothbench.cart import cart_fit, cart_route
 from smoothbench.chebyshev import BasisConfig, build_design_matrix
 from smoothbench.data import minmax_scale
 from smoothbench.harness.search import SPACES
+from smoothbench.numkit import ridge_solve
 from smoothbench.registry import fit_model, model_from_dict
 from smoothbench.synth import gen
 
@@ -113,18 +119,24 @@ def test_negative_alpha_is_refused_even_when_every_leaf_is_constant():
 
 
 def test_single_leaf_equals_global_chebypoly():
+    # without interactions and with every row in a polynomial leaf, the two
+    # kinds write the same model file, byte for byte, and predict the same bits
     rng = np.random.default_rng(73)
-    for case in range(25):
-        n = int(rng.integers(12, 80))
-        d = int(rng.integers(1, 4))
-        X = rng.normal(size=(n, d))
-        y = rng.normal(size=n)
-        c = int(rng.integers(1, 4))
-        alpha = float(rng.uniform(1e-4, 1.0))
+    for case in range(200):
+        c = int(rng.integers(1, 6))
+        n = int(rng.integers(leaf_fallback_threshold(c), 120))
+        d = int(rng.integers(1, 6))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10)
+        y = np.sin(X[:, 0]) + rng.normal(size=n)
+        if case % 2:
+            X, y = np.round(X, 1), np.round(y, 1)  # ties and repeated rows
+        alpha = float(rng.uniform(0.0, 1.0))
         tree_model = fit_chebytree(X, y, complexity=c, alpha=alpha, max_depth=0)
         poly = fit_chebypoly(X, y, complexity=c, alpha=alpha, interactions=0)
-        Q = rng.normal(size=(30, d)) * 2
-        assert np.abs(tree_model.predict(Q) - poly.predict(Q)).max() < 1e-10
+        assert (json.dumps(poly.to_dict(), allow_nan=False)
+                == json.dumps(tree_model.to_dict(), allow_nan=False))
+        Q = rng.normal(size=(30, d)) * 20
+        assert tree_model.predict(Q).tobytes() == poly.predict(Q).tobytes()
 
 
 def test_leaf_predictions_are_affine_with_complexity_one():
@@ -252,28 +264,40 @@ def test_beats_single_polynomial_on_stepwise_target():
 
 
 def _per_leaf_reference(X, y, complexity, alpha, max_depth, min_samples_leaf=1):
-    """The one-leaf-at-a-time algorithm: fit_chebypoly on each leaf's rows.
+    """The one-leaf-at-a-time algorithm, written out.
 
-    leaf_models maps each leaf to its one-leaf fit_chebypoly model, or to its
-    mean as a float.
+    leaf_models maps each leaf to its mean as a float when it holds fewer than
+    leaf_fallback_threshold rows, and otherwise to the leaf's own polynomial:
+    its rows' mins and ranges, the ridge_solve weights and intercept on their
+    scaled design matrix, and its rows' mean -/+ 3 sd as lo and hi.
     """
     tree = cart_fit(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
                     min_samples_split=2)
+    basis = BasisConfig(complexity)
     models = {}
     for leaf in tree.leaf_ids:
         rows = tree.leaf_rows[leaf]
-        if rows.size >= leaf_fallback_threshold(complexity):
-            models[leaf] = fit_chebypoly(X[rows], y[rows], complexity=complexity,
-                                         alpha=alpha, interactions=0)
-        else:
-            models[leaf] = float(y[rows].mean())
+        X_leaf, y_leaf = X[rows], y[rows]
+        if rows.size < leaf_fallback_threshold(complexity):
+            models[leaf] = float(y_leaf.mean())
+            continue
+        mins = X_leaf.min(axis=0)
+        ranges = X_leaf.max(axis=0) - mins
+        design = build_design_matrix(minmax_scale(X_leaf, mins, ranges), basis, ()).matrix
+        w, b = ridge_solve(design, y_leaf, alpha)
+        mu, sd = y_leaf.mean(), y_leaf.std()
+        models[leaf] = SimpleNamespace(basis=basis, mins=mins, ranges=ranges, weights=w,
+                                       intercept=b, lo=mu - 3.0 * sd, hi=mu + 3.0 * sd)
     return SimpleNamespace(tree=tree, leaf_models=models, y_mean=float(y.mean()),
                            y_std=float(y.std()))
 
 
 def _reference_leaf_predict(ref, leaf, Q):
     m = ref.leaf_models[leaf]
-    return np.full(Q.shape[0], m) if isinstance(m, float) else m.predict(Q)
+    if isinstance(m, float):
+        return np.full(Q.shape[0], m)
+    design = build_design_matrix(minmax_scale(Q, m.mins, m.ranges), m.basis, ()).matrix
+    return np.clip(design @ m.weights + m.intercept, m.lo, m.hi)
 
 
 def _per_leaf_predict(model, Q, leaf_predict=_leaf_predict):
@@ -300,14 +324,13 @@ def _assert_matches_reference(X, y, Q, **params):
             assert not (got.mins[j].any() or got.ranges[j].any() or got.weights[j].any())
             assert got.intercepts[j] == got.lo[j] == got.hi[j] == want
             continue
-        assert np.array_equal(got.mins[j], want.mins[0])
-        assert np.array_equal(got.ranges[j], want.ranges[0])
-        assert want.basis == got.basis and want.interaction_feats == got.interaction_feats == ()
-        # the leaf's clip bounds, from its y_mean and y_std bit for bit
-        assert got.lo[j] == want.y_mean - 3.0 * want.y_std
-        assert got.hi[j] == want.y_mean + 3.0 * want.y_std
-        assert _rel(got.weights[j], want.weights[0]) < 1e-10
-        assert _rel(got.intercepts[j:j + 1], want.intercepts) < 1e-10
+        assert np.array_equal(got.mins[j], want.mins)
+        assert np.array_equal(got.ranges[j], want.ranges)
+        assert want.basis == got.basis and got.interaction_feats == ()
+        # the leaf's clip bounds, from its rows' mean and std bit for bit
+        assert got.lo[j] == want.lo and got.hi[j] == want.hi
+        assert _rel(got.weights[j], want.weights) < 1e-10
+        assert _rel(got.intercepts[j:j + 1], np.array([want.intercept])) < 1e-10
     assert _rel(got.predict(Q), _per_leaf_predict(ref, Q, _reference_leaf_predict)) < 1e-10
     return got
 

@@ -597,20 +597,35 @@ def test_standardizer_constant_column_floor():
 @pytest.mark.parametrize("kind", ["ridge", "erbf"])
 def test_feature_scale_past_std_overflow_keeps_predictions(kind):
     # multiplying X by 2^k is exact, and so is every step of the fit and the
-    # predictions; from k = 510 on, X.std(axis=0) overflows float64
-    ds = gen("friedman1", n=300, noise_std=0.3, seed=4)
+    # predictions; from k = 510 on, X.std(axis=0) overflows float64, and at
+    # k = 1016 on these 600 rows so does X.mean(axis=0)
+    ds = gen("friedman1", n=600, noise_std=0.3, seed=4)
     Xq = gen("friedman1", n=50, noise_std=0.3, seed=5).X
     ref = fit_model(kind, ds.X, ds.y, {}, seed=0).predict(Xq)
-    for k in (510, 520, 530):
+    for k in (510, 520, 530, 1016):
         with np.errstate(over="ignore"):
             assert np.isinf((ds.X * 2.0 ** k).std(axis=0)).all()
+            assert np.isinf((ds.X * 2.0 ** k).mean(axis=0)).all() == (k == 1016)
         model = fit_model(kind, ds.X * 2.0 ** k, ds.y, {}, seed=0)
         assert model.predict(Xq * 2.0 ** k).tobytes() == ref.tobytes()
 
 
+def test_standardizer_takes_the_mean_of_a_column_whose_sum_overflows():
+    # 1e308 + 1.7e308 overflows, but the mean of finite values always fits
+    s = Standardizer.fit(np.array([[1.0, 1e308], [2.0, 1.7e308]]))
+    assert s.means.tolist() == [1.5, 1.35e308]
+    assert s.stds[0] == 0.5 and s.stds[1] == pytest.approx(3.5e307, rel=1e-15)
+    # summed in partial sums that overflow to +inf and -inf, the mean reads
+    # nan (numpy's std sums the same way), though it is 0 and the std 8e307
+    x = np.tile([8e307, -8e307], 12)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(x.mean(axis=0)).any()
+        assert not np.isfinite(x.std(axis=0)).any()
+    s = Standardizer.fit(x)
+    assert s.means.tolist() == [0.0] and s.stds[0] == pytest.approx(8e307, rel=1e-15)
+
+
 def test_standardizer_refuses_a_column_it_cannot_scale():
-    with pytest.raises(ValueError, match="column 1: its mean overflows"):
-        Standardizer.fit(np.array([[1.0, 1e308], [2.0, 1.7e308]]))
     # the mean is 0, but max |x - mean| rounds up to 2^1024
     with pytest.raises(ValueError, match="column 0: its std overflows"):
         Standardizer.fit(np.array([[-1.7e308, 1.0], [1.7e308, 2.0]]))

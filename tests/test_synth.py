@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothbench.synth import CATALOG, clean_target, gen
+from smoothbench.synth import CATALOG, gen
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +27,7 @@ def test_friedman1_formula_at_fixed_points():
         0.0 + 0.0 + 0.0 + 0.0,                                 # sin(0) and (0.5-0.5)^2
         10 * math.sin(math.pi) + 20 * 0.25 + 2 + 2,            # 9 + ~1.2e-15
     ])
-    got = clean_target("friedman1", X)
+    got = CATALOG["friedman1"].clean_fn(X)
     assert np.abs(got - want).max() < 1e-12
     assert got[0] == pytest.approx(27.071067811865476)
 
@@ -35,12 +35,12 @@ def test_friedman1_formula_at_fixed_points():
 def test_friedman1_d100_ignores_trailing_features():
     rng = np.random.default_rng(0)
     X = rng.uniform(0, 1, size=(50, 100))
-    base = clean_target("friedman1_d100", X)
+    base = CATALOG["friedman1_d100"].clean_fn(X)
     X2 = X.copy()
     X2[:, 5:] = rng.uniform(0, 1, size=(50, 95))
-    assert np.array_equal(clean_target("friedman1_d100", X2), base)
+    assert np.array_equal(CATALOG["friedman1_d100"].clean_fn(X2), base)
     # and the first five enter exactly like friedman1
-    assert np.array_equal(base, clean_target("friedman1", X[:, :5]))
+    assert np.array_equal(base, CATALOG["friedman1"].clean_fn(X[:, :5]))
 
 
 def test_step_formula_at_fixed_points():
@@ -50,7 +50,7 @@ def test_step_formula_at_fixed_points():
     X[2, :3] = [0.0, 0.5, -0.5]     # boundaries are strict: all zero
     X[3, :3] = [0.2, 0.3, 0.0]      # 2 + 0 - 0 + 1 = 3  (x1 in (0, 0.5])
     want = np.array([4.5, 3.0, 0.0, 3.0])
-    assert np.array_equal(clean_target("synthetic_step", X), want)
+    assert np.array_equal(CATALOG["synthetic_step"].clean_fn(X), want)
 
 
 def test_piecewise_formula_at_fixed_points():
@@ -62,7 +62,7 @@ def test_piecewise_formula_at_fixed_points():
     X[2, :3] = [-1.0, 1.0, 2.0]
     # 0 + 0 + relu(1.5) - relu(0) = 1.5
     want = np.array([5.5, 0.0, 1.5])
-    assert np.array_equal(clean_target("synthetic_piecewise", X), want)
+    assert np.array_equal(CATALOG["synthetic_piecewise"].clean_fn(X), want)
 
 
 def test_multithreshold_formula_at_fixed_points():
@@ -74,7 +74,7 @@ def test_multithreshold_formula_at_fixed_points():
     X[2, :4] = [0.5, 0.2, -0.31, 0.99]
     # 3 + 0 + 1.5 + 1 + 0.5 = 6
     want = np.array([8.0, 0.0, 6.0])
-    assert np.array_equal(clean_target("synthetic_multithreshold", X), want)
+    assert np.array_equal(CATALOG["synthetic_multithreshold"].clean_fn(X), want)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def test_noise_free_target_is_exact_function_of_features():
         kind = list(CATALOG)[case % len(CATALOG)]
         seed = int(rng.integers(1 << 30))
         ds = gen(kind, n=40, noise_std=0.0, seed=seed)
-        assert np.array_equal(ds.y, clean_target(kind, ds.X))
+        assert np.array_equal(ds.y, CATALOG[kind].clean_fn(ds.X))
 
 
 def test_features_unchanged_by_noise_level():
