@@ -4,7 +4,8 @@
 # fails. It also checks that `report` rebuilds `bench`'s three report files
 # byte for byte, that an erbf with k-means centres and local-variance widths
 # fits and predicts, that fit and predict fill blank feature cells and write
-# one prediction per input row, that a --param the model does not have exits
+# one prediction per input row, that a blank cell beside values whose middle
+# two sum past float64 gets a finite median, that a --param the model does not have exits
 # 1 (a misspelt name, and n_rbf_mode, which n_rbf replaced), that --budget
 # without --tune exits 2, that a bench config with a misspelt key or an empty
 # models list exits 1 and writes no results,
@@ -47,6 +48,29 @@ if [ "$(wc -l < blanks-preds.csv)" -ne "$(wc -l < blanks.csv)" ]; then
          "$(wc -l < blanks.csv) input lines; expected one prediction per row" >&2
     exit 1
 fi
+# a blank column whose two middle values sum past float64: its median stays
+# finite, so fit and predict fill it and every prediction is finite
+python - <<'PY'
+import numpy as np
+rng = np.random.default_rng(0)
+a = 1.6e308 + rng.uniform(0.0, 1e307, size=200)
+b = rng.normal(size=200)
+with open("huge.csv", "w") as fh:
+    fh.write("a,b,y\n")
+    for i in range(200):
+        cell = "" if i % 10 == 0 else repr(float(a[i]))
+        fh.write(f"{cell},{float(b[i])!r},{2.0 * float(b[i])!r}\n")
+PY
+smoothbench fit --model ridge --data huge.csv --target y --out huge.json
+smoothbench predict --model-file huge.json --data huge.csv --out huge-preds.csv
+python - huge-preds.csv <<'PY'
+import math
+import sys
+with open(sys.argv[1]) as fh:
+    preds = [float(line) for line in fh.read().split()[1:]]
+if len(preds) != 200 or not all(math.isfinite(p) for p in preds):
+    sys.exit(f"predict on huge.csv wrote {len(preds)} predictions, not 200 finite ones")
+PY
 smoothbench fit --model chebytree --data train.csv --target y \
     --param complexity=2 --param max_depth=4 --out tree.json
 smoothbench predict --model-file tree.json --data train.csv --out tree-preds.csv

@@ -68,17 +68,12 @@ def n_columns(d: int, cfg: BasisConfig, n_inter_feats: int) -> int:
     return 1 + d * cfg.complexity + pairs * cfg.interactions
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    matrix: np.ndarray
-
-
 def build_design_matrix(
     X_scaled: np.ndarray,
     cfg: BasisConfig,
     interaction_feats: Sequence[int],
-) -> DesignMatrix:
-    """Expand scaled features into the Chebyshev design matrix.
+) -> np.ndarray:
+    """Expand scaled features into the Chebyshev design matrix, an (n, p) array.
 
     Column order: the constant column, then T_1..T_c per feature in feature
     order, then per eligible pair (i, j) in lexicographic order the product
@@ -114,4 +109,4 @@ def build_design_matrix(
             if cfg.interactions == 2:
                 np.multiply(2.0 * u, u, out=pairs[:, block, 1])  # T_2(u) = 2 u u - 1
                 pairs[:, block, 1] -= 1.0
-    return DesignMatrix(matrix=out)
+    return out

@@ -84,7 +84,7 @@ class ChebyTreeModel:
         rows = np.searchsorted(self.tree.leaf_ids, groups)  # each group's leaf row
         at = np.repeat(rows, sizes)  # each sorted row's leaf row
         Xs = minmax_scale(X[order], self.mins[at], self.ranges[at])
-        design = build_design_matrix(Xs, self.basis, self.interaction_feats).matrix
+        design = build_design_matrix(Xs, self.basis, self.interaction_feats)
         raw = np.empty(X.shape[0])
         for j, s, e in zip(rows, starts, starts + sizes):  # a gathered einsum changes bits
             np.matmul(design[s:e], self.weights[j], out=raw[s:e])
@@ -171,7 +171,7 @@ def fit_leaves(
                           np.repeat(ranges[poly], sizes, axis=0))
         feats = interaction_feature_set(Xs) if basis.interactions else ()
         design = build_design_matrix(Xs, basis, feats)
-        w, intercepts[poly] = ridge_solve_segments(design.matrix, yp, bounds, alpha)
+        w, intercepts[poly] = ridge_solve_segments(design, yp, bounds, alpha)
         for k, j in enumerate(poly):
             y_leaf = yp[bounds[k]:bounds[k + 1]]
             mu, sd = y_leaf.mean(), y_leaf.std()

@@ -261,7 +261,12 @@ def write_table(path: str, header: Sequence[str], values: np.ndarray) -> None:
 
 
 def column_medians(train: Dataset) -> np.ndarray:
-    """Per-column medians of train's non-NaN entries; an entirely NaN column is an error."""
+    """Per-column medians of train's non-NaN entries; an entirely NaN column is an error.
+
+    An even count averages the two middle values, whose sum can overflow;
+    halving every entry first is exact there, so that median is taken of the
+    halves and doubled. Every other median keeps np.median's bits.
+    """
     medians = np.empty(train.d)
     for j in range(train.d):
         col = train.X[:, j]
@@ -270,7 +275,10 @@ def column_medians(train: Dataset) -> np.ndarray:
             raise ValueError(
                 f"column {train.feature_names[j]!r} is entirely missing in the training split"
             )
-        medians[j] = np.median(finite)
+        with np.errstate(over="ignore"):
+            medians[j] = np.median(finite)
+        if np.isinf(medians[j]):
+            medians[j] = 2.0 * np.median(finite / 2.0)
     return medians
 
 
@@ -356,11 +364,10 @@ class Standardizer:
     """Per-column zero-mean unit-variance scaling with a std floor of 1e-12.
 
     A column whose mean or std overflows float64 on the way is first divided
-    by a power of two, which is exact: its mean is s times the scaled
-    column's for s = 2^min(e, 1023) with max |x| < 2^e, and its std for a
-    power of two s >= max |x - mean|. A mean of finite values then always
-    fits; a rescaled std that still overflows (or a mean, given an infinite
-    entry) raises ValueError naming its column.
+    by s = 2^min(e, 1023) with max |x| < 2^e, which is exact: its mean and
+    std are s times the scaled column's. A population std never exceeds
+    max |x|, so the mean and std of finite values then always fit; a mean
+    that an infinite entry makes infinite raises ValueError naming its column.
     """
 
     means: np.ndarray
@@ -372,24 +379,20 @@ class Standardizer:
     def fit(cls, X: np.ndarray) -> "Standardizer":
         X = np.asarray(X, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
-            means = X.mean(axis=0)
             # an overflowing sum gives inf, or nan where partial sums of both
             # signs overflow; a nan entry of X gives nan and is left to the fit
-            big = ~np.isfinite(means)
+            means, stds = X.mean(axis=0), X.std(axis=0)
+            big = ~(np.isfinite(means) & np.isfinite(stds))
             if big.any():
-                # s = 2^min(e, 1023) with max |x| < 2^e: 2^1024 is infinite
+                # 2^1024 is infinite; s = 1 elsewhere, and every column is
+                # reduced along axis 0 of the whole matrix, as X.mean sums it
                 e = np.minimum(np.frexp(np.abs(X).max(axis=0))[1], 1023)
                 s = np.where(big, 2.0 ** e, 1.0)
-                means = s * (X / s).mean(axis=0)
-                _refuse_overflow("mean", np.isinf(means))
-            stds = X.std(axis=0)  # its own mean overflows wherever X.mean did
-            wide = ~np.isfinite(stds) & np.isfinite(means)
-            if wide.any():
-                # s = 1 elsewhere, and every column is reduced along axis 0 of
-                # the whole matrix, as X.std sums it
-                s = np.where(wide, 2.0 ** np.frexp(np.abs(X - means).max(axis=0))[1], 1.0)
-                stds = s * (X / s).std(axis=0)
-                _refuse_overflow("std", wide & ~np.isfinite(stds))
+                scaled = X / s
+                means, stds = s * scaled.mean(axis=0), s * scaled.std(axis=0)
+                bad = np.flatnonzero(np.isinf(means))
+                if bad.size:
+                    raise ValueError(f"column {int(bad[0])}: its mean overflows float64")
         return cls(means=means, stds=np.maximum(stds, cls.STD_FLOOR))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -405,11 +408,6 @@ class Standardizer:
         if not (stds > 0).all():
             raise ValueError("standardizer: stds must be > 0")
         return cls(means=means, stds=stds)
-
-
-def _refuse_overflow(what: str, bad: np.ndarray) -> None:
-    if bad.any():
-        raise ValueError(f"column {int(np.flatnonzero(bad)[0])}: its {what} overflows float64")
 
 
 def read_array(owner: str, d: dict, key: str, shape: tuple) -> np.ndarray:

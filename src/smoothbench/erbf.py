@@ -13,18 +13,19 @@ The Lipschitz estimate finds each point's neighbours over blocks of rows,
 each block's distances within LIPSCHITZ_BLOCK_BYTES, so stage 1 holds two
 such blocks at once whatever n is, never all (n, n) distances.
 
-Activations and the loss share one path over row blocks of at most
-LOSS_BLOCK_BYTES: a block's squared differences S = (x - c)^2 fill one
-(d, B, K) buffer, and Phi = exp(-1/2 einsum("jik,jk->ik", S, s)) contracts
-them against the K d weights s = sigma^-2. Only the widths change between
-the L-BFGS evaluations of one fit, so a fit forms the first block's squares
-once and holds them; an evaluation then forms only s, and its gradient is
-s times the contraction of r Phi with S. No (d, B, K) array is divided by
-the widths. Predict so holds O(n K) plus one LOSS_BLOCK_BYTES block, and
-stage 3 O(n K) plus at most two such blocks, never (n, K, d) tensors.
-Phi in the loss has the bits of erbf_activations' Phi. Against the former
-kernel, which divided x - c by sigma and squared, the loss and gradient
-move by a few ulps of their scale, as the products regroup.
+Activations and the loss walk one row-block loop, each block's squared
+differences S = (x - c)^2 in one (d, B, K) buffer of at most
+LOSS_BLOCK_BYTES, and Phi = exp(-1/2 einsum("jik,jk->ik", S, s)) contracts
+them against the K d weights s = sigma^-2. Only the widths change within
+one fit, so a fit squares the first block once and holds it: the initial
+Phi, every L-BFGS evaluation and the final Phi contract those squares, and
+an evaluation's gradient is s times the contraction of r Phi with S. No
+(d, B, K) array is divided by the widths. Predict so holds O(n K) plus one
+LOSS_BLOCK_BYTES block, and a fit O(n K) plus at most two such blocks,
+never (n, K, d) tensors. Phi in the loss has the bits of erbf_activations'
+Phi. Against the former kernel, which divided x - c by sigma and squared,
+the loss and gradient move by a few ulps of their scale, as the products
+regroup.
 """
 
 from __future__ import annotations
@@ -184,11 +185,6 @@ def init_widths(
     return np.clip(sigma, WIDTH_FLOOR, WIDTH_CAP)
 
 
-def _block_rows(n: int, K: int, d: int) -> int:
-    """Rows B of one (d, B, K) block of squares: as many as LOSS_BLOCK_BYTES holds."""
-    return max(1, min(n, LOSS_BLOCK_BYTES // (8 * K * d)))
-
-
 def _squares(X: np.ndarray, centers: np.ndarray, out: np.ndarray) -> None:
     """Write out[j, i, k] = (x_ij - c_kj)^2 for the rows i of X.
 
@@ -225,45 +221,60 @@ def _activations_block(S: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
     np.exp(out, out=out)
 
 
-def erbf_activations(X: np.ndarray, centers: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _square_blocks(X: np.ndarray, centers: np.ndarray, held: Optional[np.ndarray] = None):
+    """Yield (rows, S) for each block of B = max(1, min(n, LOSS_BLOCK_BYTES // (8 K d))) rows.
+
+    S is the block's (d, rows, K) squares (x - c)^2. The first block's S is
+    held when given; every other block is squared into one scratch block,
+    allocated on first need, so each S is valid until the next is yielded.
+    """
+    n = X.shape[0]
+    K, d = centers.shape
+    B = max(1, min(n, LOSS_BLOCK_BYTES // (8 * K * d)))
+    scratch = None
+    for a in range(0, n, B):
+        rows = slice(a, min(a + B, n))
+        if a == 0 and held is not None:
+            yield rows, held
+            continue
+        if scratch is None:
+            scratch = np.empty((d, B, K))
+        S = scratch[:, :rows.stop - a]
+        _squares(X[rows], centers, out=S)
+        yield rows, S
+
+
+def erbf_activations(X: np.ndarray, centers: np.ndarray, sigma: np.ndarray,
+                     held: Optional[np.ndarray] = None) -> np.ndarray:
     """Activation matrix Phi with Phi[i, k] = exp(-1/2 sum_j (x_ij-c_kj)^2 sigma_kj^-2).
 
-    Rows go in blocks of B = LOSS_BLOCK_BYTES // (8 K d), the blocks of
-    erbf_loss_and_grad: each block's squares (x - c)^2 fill one (d, B, K)
-    buffer and are contracted against s = sigma^-2 by the helper the loss
-    uses, so the loss's Phi has these bits. Working memory is the (n, K)
-    output plus one LOSS_BLOCK_BYTES block whatever d is.
+    Rows go in the blocks of _square_blocks, which erbf_loss_and_grad walks
+    too: each block's squares (x - c)^2 are contracted against s = sigma^-2
+    by the helper the loss uses, so the loss's Phi has these bits. held is
+    held_differences(X, centers), the first block's squares, when the caller
+    has them. Working memory is the (n, K) output plus one LOSS_BLOCK_BYTES
+    block whatever d is.
     """
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    K, d = sigma.shape
-    B = _block_rows(n, K, d)
     s = _inverse_sq(sigma)
-    S = np.empty((d, B, K))
-    Phi = np.empty((n, K))
+    Phi = np.empty((X.shape[0], sigma.shape[0]))
     # widths at the edge of float range are legal during line-search probing;
     # the resulting inf/underflow arithmetic is well defined, so keep it quiet
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for a in range(0, n, B):
-            e = min(a + B, n)
-            _squares(X[a:e], centers, out=S[:, :e - a])
-            _activations_block(S[:, :e - a], s, out=Phi[a:e])
+        for rows, S in _square_blocks(X, centers, held):
+            _activations_block(S, s, out=Phi[rows])
     return Phi
 
 
 def held_differences(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """The first row block's squared differences S = (x - c)^2, a (d, B, K) array.
 
-    B = max(1, min(n, LOSS_BLOCK_BYTES // (8 K d))) rows, the block size of
-    erbf_loss_and_grad. Only the widths change between the loss evaluations
-    of one fit, so S is formed once per fit, by the steps that form every
-    other block's squares and so with their bits.
+    The first block of _square_blocks. Only the widths change within one
+    fit, so a fit forms S once and passes it to every activation and loss
+    evaluation; it has the bits of the squares they would form.
     """
     X = np.asarray(X, dtype=np.float64)
-    K, d = centers.shape
-    S = np.empty((d, _block_rows(X.shape[0], K, d), K))
-    _squares(X[:S.shape[1]], centers, out=S)
-    return S
+    return next(_square_blocks(X, centers))[1]
 
 
 def erbf_loss_and_grad(
@@ -281,45 +292,35 @@ def erbf_loss_and_grad(
     bias are held fixed. With S_ijk = (x_ij - c_kj)^2 and s_kj = sigma_kj^-2,
     d mse / d theta_kj = (2/n) w_k s_kj sum_i r_i Phi_ik S_ijk.
 
-    One pass over blocks of B = LOSS_BLOCK_BYTES // (8 K d) rows: a block's
-    squares S serve both Phi (through erbf_activations' block helper, so Phi
-    has its bits) and the gradient's contraction with A = r Phi; s scales
-    the contracted (d, K) sums once. Only the K d values of s depend on
-    theta: no (d, B, K) array is divided or clamped. held is
-    held_differences(X, centers), built here when omitted: the first
-    block's S. When it holds every row, an evaluation makes no (d, B, K)
-    array; otherwise later blocks are squared into one scratch block. The
-    results are within a few ulps of the former kernel's, which divided
-    x - c by sigma (1e-14 of each result's scale in the tests).
+    One pass over the blocks of _square_blocks: a block's squares S serve
+    both Phi (through erbf_activations' block helper, so Phi has its bits)
+    and the gradient's contraction with A = r Phi; s scales the contracted
+    (d, K) sums once. Only the K d values of s depend on theta: no (d, B, K)
+    array is divided or clamped. held is held_differences(X, centers), the
+    first block's S; when it holds every row, an evaluation makes no
+    (d, B, K) array. The results are within a few ulps of the former
+    kernel's, which divided x - c by sigma (1e-14 of each result's scale in
+    the tests).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    S = held_differences(X, centers) if held is None else held
-    d, B, K = S.shape
     n = X.shape[0]
-    scratch = np.empty((d, B, K)) if n > B else None
-    Phi = np.empty((B, K))
+    K, d = centers.shape
     r = np.empty(n)
     Gt = np.empty((d, K))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         s = _inverse_sq(np.exp(np.asarray(theta, dtype=np.float64).reshape(K, d)))
-        for a in range(0, n, B):
-            e = min(a + B, n)
-            Pb, rb = Phi[:e - a], r[a:e]
-            if a == 0:
-                Sb = S
-            else:
-                Sb = scratch[:, :e - a]
-                _squares(X[a:e], centers, out=Sb)
-            _activations_block(Sb, s, out=Pb)
+        for rows, S in _square_blocks(X, centers, held):
+            Pb, rb = np.empty((S.shape[1], K)), r[rows]
+            _activations_block(S, s, out=Pb)
             np.matmul(Pb, weights, out=rb)
             rb += bias
-            rb -= y[a:e]
+            rb -= y[rows]
             Pb *= rb[:, None]  # A = r Phi; Phi is not needed past it
-            if a == 0:
-                np.einsum("ik,jik->jk", Pb, Sb, out=Gt)
+            if rows.start == 0:
+                np.einsum("ik,jik->jk", Pb, S, out=Gt)
             else:
-                Gt += np.einsum("ik,jik->jk", Pb, Sb)
+                Gt += np.einsum("ik,jik->jk", Pb, S)
         mse = float(r @ r) / n
         # s is inf only at sigma = 0, where every finite outcome has a zero sum
         Gt *= np.minimum(s, _FLOAT_MAX) * ((2.0 / n) * weights)
@@ -408,13 +409,12 @@ def fit_erbf(X: np.ndarray, y: np.ndarray, n_rbf: Optional[int] = None, alpha: f
 
     centers = place_centers(Xs, y, K, mode=center_init, seed=seed)
     sigma0 = init_widths(Xs, y, centers, mode=width_init)
+    held = held_differences(Xs, centers)
 
-    Phi0 = erbf_activations(Xs, centers, sigma0)
+    Phi0 = erbf_activations(Xs, centers, sigma0, held)
     w0, b0 = ridge_solve(Phi0, y, alpha)
     r0 = Phi0 @ w0 + b0 - y
     mse_before = float(r0 @ r0) / n
-
-    held = held_differences(Xs, centers)
 
     def objective(theta):
         try:
@@ -427,9 +427,8 @@ def fit_erbf(X: np.ndarray, y: np.ndarray, n_rbf: Optional[int] = None, alpha: f
     res: OptimResult = lbfgs_minimize(objective, np.log(sigma0).ravel(),
                                       max_iter=WIDTH_OPTIM_ITERS)
     sigma = np.exp(res.x.reshape(K, d))
-    del held  # before the final activations form their own block of squares
 
-    Phi = erbf_activations(Xs, centers, sigma)
+    Phi = erbf_activations(Xs, centers, sigma, held)
     weights, bias = ridge_solve(Phi, y, alpha)
 
     return ErbfModel(

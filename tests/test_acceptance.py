@@ -69,7 +69,7 @@ def test_criterion_01_chebyshev_closed_form():
         xs = np.linspace(-1.0, 1.0, 1000)
         # the models' own recurrence: on one feature, column n of the design
         # matrix is T_n (column 0, the constant, is T_0)
-        design = build_design_matrix(xs[:, None], BasisConfig(complexity=14), ()).matrix
+        design = build_design_matrix(xs[:, None], BasisConfig(complexity=14), ())
         worst = 0.0
         for degree in range(15):
             want = np.cos(degree * np.arccos(xs))

@@ -189,12 +189,12 @@ def test_predictions_equal_the_design_matrix_oracle_bit_for_bit(params):
         basis = BasisConfig(**params)
         Xs = minmax_scale(X, mins, ranges)
         feats = interaction_feature_set(Xs) if basis.interactions else ()
-        w, b = ridge_solve(build_design_matrix(Xs, basis, feats).matrix, y, alpha)
+        w, b = ridge_solve(build_design_matrix(Xs, basis, feats), y, alpha)
         lo, hi = y.mean() - 3.0 * y.std(), y.mean() + 3.0 * y.std()
 
         Q = np.concatenate([X, rng.normal(size=(30, d)) * 20])  # in and out of range
         want = np.clip(build_design_matrix(minmax_scale(Q, mins, ranges), basis,
-                                           feats).matrix @ w + b, lo, hi)
+                                           feats) @ w + b, lo, hi)
         assert np.array_equal(model.predict(Q), want)
         back = model_from_dict("chebypoly", json.loads(json.dumps(model.to_dict())), d)
         assert np.array_equal(back.predict(Q), want)

@@ -72,7 +72,7 @@ def test_design_columns_match_cheb_eval():
         X = rng.uniform(-1, 1, size=(n, d))
         for inter in (0, 1, 2):
             cfg = BasisConfig(complexity=c, interactions=inter)
-            D = build_design_matrix(X, cfg, tuple(range(d))).matrix
+            D = build_design_matrix(X, cfg, tuple(range(d)))
             assert D.shape == (n, n_columns(d, cfg, d))
             assert np.array_equal(D[:, 0], np.ones(n))
             for f in range(d):
@@ -104,7 +104,7 @@ def test_n_columns_formula_no_interactions():
         X = rng.uniform(-1, 1, size=(5, d))
         for feats in ((), tuple(range(d))):
             dm = build_design_matrix(X, cfg, feats)
-            assert dm.matrix.shape[1] == 1 + d * c
+            assert dm.shape[1] == 1 + d * c
             assert n_columns(d, cfg, len(feats)) == 1 + d * c
 
 
@@ -114,7 +114,7 @@ def test_n_columns_with_interactions():
     feats = interaction_feature_set(X)
     for inter, width in ((0, 1 + 8), (1, 1 + 8 + 6), (2, 1 + 8 + 12)):
         cfg = BasisConfig(complexity=2, interactions=inter)
-        assert build_design_matrix(X, cfg, feats).matrix.shape[1] == width
+        assert build_design_matrix(X, cfg, feats).shape[1] == width
         assert n_columns(4, cfg, len(feats)) == width
 
 
@@ -128,24 +128,24 @@ def test_design_matrix_layout_and_values():
     cfg = BasisConfig(complexity=3, interactions=2)
     dm = build_design_matrix(X, cfg, interaction_feature_set(X))
 
-    assert np.array_equal(dm.matrix[:, 0], np.ones(20))
+    assert np.array_equal(dm[:, 0], np.ones(20))
 
     # per-feature blocks in feature order, degrees 1..c
     pos = 1
     for f in range(3):
         for deg in range(1, 4):
-            assert np.allclose(dm.matrix[:, pos], np.cos(deg * np.arccos(X[:, f])),
+            assert np.allclose(dm[:, pos], np.cos(deg * np.arccos(X[:, f])),
                                atol=1e-12)
             pos += 1
 
     # interactions: pairs (0,1), (0,2), (1,2); product then T2(product)
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         prod = X[:, i] * X[:, j]
-        assert np.array_equal(dm.matrix[:, pos], prod)
+        assert np.array_equal(dm[:, pos], prod)
         pos += 1
-        assert np.allclose(dm.matrix[:, pos], 2 * prod ** 2 - 1, atol=1e-15)
+        assert np.allclose(dm[:, pos], 2 * prod ** 2 - 1, atol=1e-15)
         pos += 1
-    assert pos == dm.matrix.shape[1]
+    assert pos == dm.shape[1]
 
 
 def test_design_matrix_interaction_values_stay_bounded():
@@ -155,7 +155,7 @@ def test_design_matrix_interaction_values_stay_bounded():
     X = rng.uniform(-1, 1, size=(200, 6))
     cfg = BasisConfig(complexity=1, interactions=2)
     dm = build_design_matrix(X, cfg, interaction_feature_set(X))
-    assert np.abs(dm.matrix).max() <= 1.0 + 1e-12
+    assert np.abs(dm).max() <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +188,9 @@ def test_design_matrix_honours_pinned_interaction_feats():
     cfg = BasisConfig(complexity=1, interactions=1)
     dm = build_design_matrix(X, cfg, interaction_feats=(0, 3))
     # the constant, 5 degree-1 columns, then the one pair's product
-    assert dm.matrix.shape[1] == 1 + 5 + 1
-    assert np.array_equal(dm.matrix[:, 1:6], X)
-    assert np.array_equal(dm.matrix[:, 6], X[:, 0] * X[:, 3])
+    assert dm.shape[1] == 1 + 5 + 1
+    assert np.array_equal(dm[:, 1:6], X)
+    assert np.array_equal(dm[:, 6], X[:, 0] * X[:, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_chebyshev_design_is_much_better_conditioned_than_monomials():
     # is at least 100x smaller than the monomial Vandermonde on the same nodes
     k = np.arange(200)
     nodes = np.cos((2 * k + 1) * np.pi / (2 * 200))
-    cheb = build_design_matrix(nodes[:, None], BasisConfig(complexity=12), ()).matrix
+    cheb = build_design_matrix(nodes[:, None], BasisConfig(complexity=12), ())
     mono = np.vander(nodes, 13, increasing=True)
     assert np.linalg.cond(cheb) <= np.linalg.cond(mono) / 100.0
 

@@ -46,7 +46,7 @@ def _leaf_predict(model, leaf, Q):
     if not model.weights[j].any():
         return np.full(Q.shape[0], model.intercepts[j])
     Xs = minmax_scale(Q, model.mins[j], model.ranges[j])
-    design = build_design_matrix(Xs, model.basis, model.interaction_feats).matrix
+    design = build_design_matrix(Xs, model.basis, model.interaction_feats)
     return np.clip(design @ model.weights[j] + model.intercepts[j], model.lo[j], model.hi[j])
 
 
@@ -283,7 +283,7 @@ def _per_leaf_reference(X, y, complexity, alpha, max_depth, min_samples_leaf=1):
             continue
         mins = X_leaf.min(axis=0)
         ranges = X_leaf.max(axis=0) - mins
-        design = build_design_matrix(minmax_scale(X_leaf, mins, ranges), basis, ()).matrix
+        design = build_design_matrix(minmax_scale(X_leaf, mins, ranges), basis, ())
         w, b = ridge_solve(design, y_leaf, alpha)
         mu, sd = y_leaf.mean(), y_leaf.std()
         models[leaf] = SimpleNamespace(basis=basis, mins=mins, ranges=ranges, weights=w,
@@ -296,7 +296,7 @@ def _reference_leaf_predict(ref, leaf, Q):
     m = ref.leaf_models[leaf]
     if isinstance(m, float):
         return np.full(Q.shape[0], m)
-    design = build_design_matrix(minmax_scale(Q, m.mins, m.ranges), m.basis, ()).matrix
+    design = build_design_matrix(minmax_scale(Q, m.mins, m.ranges), m.basis, ())
     return np.clip(design @ m.weights + m.intercept, m.lo, m.hi)
 
 
@@ -386,7 +386,7 @@ def test_batched_fit_jitter_retry_matches_per_leaf_reference():
     assert _leaf_kinds(model) == {True}
     Xs = minmax_scale(X[model.tree.leaf_rows[model.tree.leaf_ids[0]]],
                       model.mins[0], model.ranges[0])
-    design = build_design_matrix(Xs, BasisConfig(3), ()).matrix
+    design = build_design_matrix(Xs, BasisConfig(3), ())
     assert np.unique(design, axis=0).shape[0] == 2
     centred = design - design.mean(axis=0)
     with pytest.raises(np.linalg.LinAlgError):

@@ -372,6 +372,28 @@ class TestFitPredict:
         want = predict_model("ridge", model, X_query, clip_bounds(train.y))
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("kind", ["ridge", "erbf", "chebytree"])
+    def test_fit_and_predict_fill_blanks_beside_huge_values(self, tmp_path, kind):
+        # column a's two middle values sum past float64: its median must not
+        # be inf, or imputation writes inf and the fit fails
+        rng = np.random.default_rng(17)
+        a = (1.6e308 + rng.uniform(0.0, 1e307, size=200)).tolist()
+        b = rng.normal(size=200).tolist()
+        data = tmp_path / "huge.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["a", "b", "y"])
+            for i in range(200):
+                writer.writerow(["" if i % 10 == 0 else repr(a[i]), repr(b[i]), repr(2.0 * b[i])])
+        model_path, out = tmp_path / "model.json", tmp_path / "preds.csv"
+        assert main(["fit", "--model", kind, "--data", str(data),
+                     "--target", "y", "--out", str(model_path)]) == 0
+        assert main(["predict", "--model-file", str(model_path),
+                     "--data", str(data), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            preds = [float(r[0]) for r in list(csv.reader(fh))[1:]]
+        assert len(preds) == 200 and np.isfinite(preds).all()
+
     def test_fit_refuses_a_repeated_header_name(self, tmp_path, capsys):
         # two different columns both named x0: the fit used to read both, and
         # predict then read the first one twice

@@ -456,6 +456,27 @@ def test_impute_median_even_count_is_midpoint_mean():
     assert out.X[0, 0] == (2.0 + 7.0) / 2.0
 
 
+def _huge_column_with_blanks(rows=200, seed=13):
+    """Column a = 1.6e308 + U(0, 1e307) with every 10th cell blank, beside a normal b:
+    180 finite entries of a, so its median averages two values whose sum overflows."""
+    rng = np.random.default_rng(seed)
+    a = 1.6e308 + rng.uniform(0.0, 1e307, size=rows)
+    a[::10] = np.nan
+    return np.column_stack([a, rng.normal(size=rows)])
+
+
+def test_impute_median_of_two_huge_middle_values_is_finite():
+    X = _huge_column_with_blanks()
+    medians = column_medians(Dataset(X, np.zeros(len(X)), ("a", "b")))
+    mid = np.sort(X[~np.isnan(X[:, 0]), 0])[89:91]
+    with np.errstate(over="ignore"):
+        assert np.isinf(mid.sum())
+    assert medians[0] == mid[0] / 2.0 + mid[1] / 2.0
+    assert medians[1] == np.median(X[:, 1])  # a finite median keeps its bits
+    out = impute_median(Dataset(X, np.zeros(len(X)), ("a", "b")), medians)
+    assert np.isfinite(out.X).all()
+
+
 def test_impute_median_passthrough_bitwise():
     # non-NaN entries must be bit-identical after imputation (200 random cases)
     rng = np.random.default_rng(11)
@@ -625,10 +646,14 @@ def test_standardizer_takes_the_mean_of_a_column_whose_sum_overflows():
     assert s.means.tolist() == [0.0] and s.stds[0] == pytest.approx(8e307, rel=1e-15)
 
 
-def test_standardizer_refuses_a_column_it_cannot_scale():
-    # the mean is 0, but max |x - mean| rounds up to 2^1024
-    with pytest.raises(ValueError, match="column 0: its std overflows"):
-        Standardizer.fit(np.array([[-1.7e308, 1.0], [1.7e308, 2.0]]))
+def test_standardizer_scales_a_column_whose_std_nears_the_float_max():
+    # the mean is 0 and max |x - mean| rounds up to 2^1024, but the column is
+    # scaled by 2^1023, and a population std never exceeds max |x|
+    s = Standardizer.fit(np.array([[-1.7e308, 1.0], [1.7e308, 2.0]]))
+    assert s.means.tolist() == [0.0, 1.5] and s.stds.tolist() == [1.7e308, 0.5]
+    # an infinite entry has no finite mean to scale back to
+    with pytest.raises(ValueError, match="column 1: its mean overflows"):
+        Standardizer.fit(np.array([[1.0, np.inf], [2.0, 1.0]]))
 
 
 def test_standardizer_serialization():

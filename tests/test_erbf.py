@@ -414,6 +414,32 @@ def test_loss_activations_equal_erbf_activations(monkeypatch, rows):
     from_loss = np.concatenate(seen)
     Phi = erbf_activations(X, centers, np.exp(theta.reshape(K, d)))
     assert np.array_equal(from_loss.view(np.uint64), Phi.view(np.uint64))
+    # a fit's initial and final Phi contract the held block instead of
+    # squaring it again, with the same bits; the later blocks' scratch
+    # leaves the held block as it was
+    held = erbf.held_differences(X, centers)
+    assert held.shape == (d, rows or n, K)
+    kept = held.copy()
+    from_held = erbf_activations(X, centers, np.exp(theta.reshape(K, d)), held)
+    assert np.array_equal(from_held.view(np.uint64), Phi.view(np.uint64))
+    assert np.array_equal(held.view(np.uint64), kept.view(np.uint64))
+
+
+def test_fit_squares_its_rows_once(monkeypatch):
+    # at d = 5 every friedman1 row fits in the held block, so the initial Phi,
+    # each width-loss evaluation and the final Phi all use one set of squares
+    calls = []
+    squares = erbf._squares
+
+    def counting(X, centers, out):
+        calls.append(X.shape[0])
+        squares(X, centers, out)
+
+    monkeypatch.setattr(erbf, "_squares", counting)
+    train = gen("friedman1", n=400, seed=67)
+    model = fit_erbf(train.X, train.y, n_rbf=40, seed=0)
+    assert model.fit_info["stage3_iterations"] > 0
+    assert calls == [400]
 
 
 def test_gradient_zero_when_weights_zero():
