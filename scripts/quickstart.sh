@@ -5,10 +5,10 @@
 # byte for byte, that an erbf with k-means centres and local-variance widths
 # fits and predicts, that fit and predict fill blank feature cells and write
 # one prediction per input row, that a blank cell beside values whose middle
-# two sum past float64 gets a finite median, that a --param the model does not have exits
-# 1 (a misspelt name, and n_rbf_mode, which n_rbf replaced), that --budget
-# without --tune exits 2, that a bench config with a misspelt key or an empty
-# models list exits 1 and writes no results,
+# two sum past float64 gets a finite median, that a --param the model does
+# not have exits 1 (a misspelt name, and n_rbf_mode, which n_rbf replaced),
+# that --budget without --tune exits 2, that a bench config with a misspelt
+# key or an empty models list exits 1 and writes no results,
 # that dt and chebytree tune (their trials share each inner split's tree
 # nodes) and predict, that report --models with a model no record has exits 1
 # and writes no report files,
