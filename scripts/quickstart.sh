@@ -5,8 +5,10 @@
 # byte for byte, that an erbf with k-means centres and local-variance widths
 # fits and predicts, that fit and predict fill blank feature cells and write
 # one prediction per input row, that a blank cell beside values whose middle
-# two sum past float64 gets a finite median, that a --param the model does
-# not have exits 1 (a misspelt name, and n_rbf_mode, which n_rbf replaced),
+# two sum past float64 gets a finite median, that ridge predicts features
+# scaled by 2^-900 with the same bits, that dt fits a column near -1.6e308,
+# that a --param the model does not have exits 1 (a misspelt name, and
+# n_rbf_mode, which n_rbf replaced),
 # that --budget without --tune exits 2, that a bench config with a misspelt
 # key or an empty models list exits 1 and writes no results,
 # that dt and chebytree tune (their trials share each inner split's tree
@@ -71,6 +73,30 @@ with open(sys.argv[1]) as fh:
 if len(preds) != 200 or not all(math.isfinite(p) for p in preds):
     sys.exit(f"predict on huge.csv wrote {len(preds)} predictions, not 200 finite ones")
 PY
+# features scaled by 2^-900, whose squares underflow: ridge predicts the same bits
+python - <<'PY'
+with open("train.csv") as src, open("tiny.csv", "w") as dst:
+    dst.write(src.readline())
+    for line in src:
+        *x, y = line.strip().split(",")
+        dst.write(",".join([repr(float(v) * 2.0 ** -900) for v in x] + [y]) + "\n")
+PY
+smoothbench fit --model ridge --data train.csv --target y --out ridge.json
+smoothbench predict --model-file ridge.json --data train.csv --out ridge-preds.csv
+smoothbench fit --model ridge --data tiny.csv --target y --out tiny.json
+smoothbench predict --model-file tiny.json --data tiny.csv --out tiny-preds.csv
+cmp ridge-preds.csv tiny-preds.csv
+# a dt split between two values near -1.6e308, whose sum overflows, gets a finite threshold
+python - <<'PY'
+import numpy as np
+rng = np.random.default_rng(0)
+a = -1.6e308 - rng.uniform(0.0, 1e307, size=200)
+y = (a < -1.605e308) + 0.1 * rng.normal(size=200)
+with open("low.csv", "w") as fh:
+    fh.write("a,y\n")
+    fh.writelines(f"{float(ai)!r},{float(yi)!r}\n" for ai, yi in zip(a, y))
+PY
+smoothbench fit --model dt --data low.csv --target y --out low.json
 smoothbench fit --model chebytree --data train.csv --target y \
     --param complexity=2 --param max_depth=4 --out tree.json
 smoothbench predict --model-file tree.json --data train.csv --out tree-preds.csv

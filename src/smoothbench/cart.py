@@ -21,6 +21,7 @@ import numpy as np
 
 from .context import FitContext
 from .data import read_array, read_int_array
+from .numkit import pow2_scale
 
 Count = Union[int, float]
 
@@ -157,7 +158,7 @@ def cart_fit(
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(node.mean)
+        value.append(nodes.scale * node.mean)
         if depth >= max_depth or m < msp or m < 2 * msl or node.constant:
             leaf_rows[idx] = node.rows
             return idx
@@ -216,18 +217,21 @@ class SplitNodes:
     depends only on the node's prefix sums, and are kept only as the first
     maximum of every min_samples_leaf window (window_maxima). Besides the
     nodes (rows, mean, maxima, children) this holds the transposed X and the
-    ranks, 16 bytes per entry of X, and no sorted values, targets or gains.
+    ranks, 16 bytes per entry of X, and no sorted values or gains. It holds
+    y / scale, scale = numkit.pow2_scale(max |y|), so that no mean or gain
+    overflows or underflows; a node predicts scale * its mean.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         n, d = X.shape
-        self.n, self.y = n, y
+        self.scale = float(pow2_scale(np.abs(y).max()))
+        self.n, self.y = n, y / self.scale
         self.XT = np.ascontiguousarray(X.T).ravel()  # XT[j * n + i] = X[i, j]
         self.offsets = np.arange(0, d * n, n)[:, None]
         # rank[j, i]: row i's place in a stable sort of feature j, so equal values rank by row id
         self.rank = np.empty((d, n), dtype=np.int64)
         np.put_along_axis(self.rank, np.argsort(X.T, axis=1, kind="stable"), np.arange(n), axis=1)
-        self.root = _Node(y, np.arange(n))
+        self.root = _Node(self.y, np.arange(n))
 
     def maxima(self, node: _Node) -> tuple[int, list[int], list[tuple[int, int, float]]]:
         """window_maxima of the node's gains, scanned on the first call, with
@@ -279,7 +283,7 @@ class SplitNodes:
 
 def _midpoint(lo: float, hi: float) -> float:
     """The threshold between adjacent distinct sorted values lo < hi."""
-    thr = 0.5 * (lo + hi)
+    thr = 0.5 * lo + 0.5 * hi  # lo + hi may overflow; halving is exact
     if thr >= hi:  # midpoint rounded up to the right value
         thr = lo
     return float(thr)

@@ -32,7 +32,7 @@ from .cart import Count, RegressionTree, cart_fit, cart_route
 from .chebyshev import BasisConfig, build_design_matrix, interaction_feature_set, n_columns
 from .context import FitContext
 from .data import minmax_scale, read_array, read_int_array
-from .numkit import check_alpha, ridge_solve_segments
+from .numkit import check_alpha, pow2_scale, ridge_solve_segments
 
 # the basis, stored as top-level fields of a model file
 BASIS_FIELDS = tuple(f.name for f in fields(BasisConfig))
@@ -149,8 +149,10 @@ def fit_leaves(
     basis, ridge-solved with an unpenalised intercept and clipped to its rows'
     target mean +/- 3 standard deviations; all of them are fitted in one pass.
     With interactions, the eligible features are chosen from the scaled rows
-    of the polynomial leaves.
+    of the polynomial leaves. A feature range past float64 raises ValueError.
     """
+    s = pow2_scale(np.abs(y).max())
+    ys = y / s
     leaves = tree.leaf_ids
     mins = np.zeros((len(leaves), X.shape[1]))
     ranges = np.zeros_like(mins)
@@ -166,15 +168,19 @@ def fit_leaves(
         bounds = np.concatenate([[0], np.cumsum(sizes)])
         Xp, yp = X[rows], y[rows]
         mins[poly] = np.minimum.reduceat(Xp, bounds[:-1], axis=0)
-        ranges[poly] = np.maximum.reduceat(Xp, bounds[:-1], axis=0) - mins[poly]
+        with np.errstate(over="ignore"):  # a finite range past float64 is refused next
+            ranges[poly] = np.maximum.reduceat(Xp, bounds[:-1], axis=0) - mins[poly]
+        bad = np.flatnonzero(np.isinf(ranges).any(axis=0) & np.isfinite(Xp).all(axis=0))
+        if bad.size:
+            raise ValueError(f"feature {int(bad[0])}: its range max - min overflows float64")
         Xs = minmax_scale(Xp, np.repeat(mins[poly], sizes, axis=0),
                           np.repeat(ranges[poly], sizes, axis=0))
         feats = interaction_feature_set(Xs) if basis.interactions else ()
         design = build_design_matrix(Xs, basis, feats)
         w, intercepts[poly] = ridge_solve_segments(design, yp, bounds, alpha)
         for k, j in enumerate(poly):
-            y_leaf = yp[bounds[k]:bounds[k + 1]]
-            mu, sd = y_leaf.mean(), y_leaf.std()
+            y_leaf = yp[bounds[k]:bounds[k + 1]] / s
+            mu, sd = s * y_leaf.mean(), s * y_leaf.std()
             lo[j], hi[j] = mu - 3.0 * sd, mu + 3.0 * sd
     weights = np.zeros((len(leaves), n_columns(X.shape[1], basis, len(feats))))
     weights[poly] = w
@@ -188,8 +194,8 @@ def fit_leaves(
         intercepts=intercepts,
         lo=lo,
         hi=hi,
-        y_mean=float(y.mean()),
-        y_std=float(y.std()),
+        y_mean=float(s * ys.mean()),
+        y_std=float(s * ys.std()),
     )
 
 

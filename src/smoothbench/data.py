@@ -15,6 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .numkit import pow2_scale
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -263,9 +265,8 @@ def write_table(path: str, header: Sequence[str], values: np.ndarray) -> None:
 def column_medians(train: Dataset) -> np.ndarray:
     """Per-column medians of train's non-NaN entries; an entirely NaN column is an error.
 
-    An even count averages the two middle values, whose sum can overflow;
-    halving every entry first is exact there, so that median is taken of the
-    halves and doubled. Every other median keeps np.median's bits.
+    Each is s * np.median(col / s), s = numkit.pow2_scale(max |col|), so the
+    two middle values that an even count averages never sum past float64.
     """
     medians = np.empty(train.d)
     for j in range(train.d):
@@ -275,10 +276,8 @@ def column_medians(train: Dataset) -> np.ndarray:
             raise ValueError(
                 f"column {train.feature_names[j]!r} is entirely missing in the training split"
             )
-        with np.errstate(over="ignore"):
-            medians[j] = np.median(finite)
-        if np.isinf(medians[j]):
-            medians[j] = 2.0 * np.median(finite / 2.0)
+        s = pow2_scale(np.abs(finite).max())
+        medians[j] = s * np.median(finite / s)
     return medians
 
 
@@ -361,14 +360,9 @@ def inner_fold_count(n: int) -> int:
 
 @dataclass
 class Standardizer:
-    """Per-column zero-mean unit-variance scaling with a std floor of 1e-12.
-
-    A column whose mean or std overflows float64 on the way is first divided
-    by s = 2^min(e, 1023) with max |x| < 2^e, which is exact: its mean and
-    std are s times the scaled column's. A population std never exceeds
-    max |x|, so the mean and std of finite values then always fit; a mean
-    that an infinite entry makes infinite raises ValueError naming its column.
-    """
+    """Per-column zero-mean unit-variance scaling, worked over numkit.pow2_scale of
+    each column's max |x| (fit) or max(|means|, stds) (apply), so every step stays
+    finite; the std floor is STD_FLOOR times that scale. An infinite x raises ValueError."""
 
     means: np.ndarray
     stds: np.ndarray
@@ -378,25 +372,20 @@ class Standardizer:
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
         X = np.asarray(X, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # an overflowing sum gives inf, or nan where partial sums of both
-            # signs overflow; a nan entry of X gives nan and is left to the fit
-            means, stds = X.mean(axis=0), X.std(axis=0)
-            big = ~(np.isfinite(means) & np.isfinite(stds))
-            if big.any():
-                # 2^1024 is infinite; s = 1 elsewhere, and every column is
-                # reduced along axis 0 of the whole matrix, as X.mean sums it
-                e = np.minimum(np.frexp(np.abs(X).max(axis=0))[1], 1023)
-                s = np.where(big, 2.0 ** e, 1.0)
-                scaled = X / s
-                means, stds = s * scaled.mean(axis=0), s * scaled.std(axis=0)
-                bad = np.flatnonzero(np.isinf(means))
-                if bad.size:
-                    raise ValueError(f"column {int(bad[0])}: its mean overflows float64")
-        return cls(means=means, stds=np.maximum(stds, cls.STD_FLOOR))
+        bad = np.flatnonzero(np.isinf(X).any(axis=0))
+        if bad.size:
+            raise ValueError(f"column {int(bad[0])}: its mean overflows float64")
+        s = pow2_scale(np.abs(X).max(axis=0))
+        scaled = X / s
+        return cls(means=s * scaled.mean(axis=0),
+                   stds=s * np.maximum(scaled.std(axis=0), cls.STD_FLOOR))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=np.float64) - self.means) / self.stds
+        s = pow2_scale(np.maximum(np.abs(self.means), self.stds))
+        out = np.divide(X, s, dtype=np.float64)  # then in place: one (n, d) buffer
+        out -= self.means / s
+        out /= self.stds / s
+        return out
 
     def to_dict(self) -> dict:
         return {"means": self.means.tolist(), "stds": self.stds.tolist()}
@@ -476,8 +465,8 @@ def minmax_scale(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray) -> np.ndar
     """
     nz = ranges > 0
     out = np.subtract(X, mins, dtype=np.float64)  # then in place: one (n, d) buffer
+    out /= np.where(nz, ranges, np.inf)  # before the exact doubling: nothing overflows
     out *= 2.0
-    out /= np.where(nz, ranges, 1.0)
     out -= 1.0
     np.copyto(out, 0.0, where=~nz)
     return np.clip(out, -1.0, 1.0, out=out)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..numkit import pow2_scale
+
 # score assigned to failed trials / degenerate denominators
 FAILURE_SCORE = -1e9
 
@@ -15,6 +17,8 @@ def r2(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     y_pred = np.asarray(y_pred, dtype=np.float64)
     if y_true.shape != y_pred.shape:
         raise ValueError("shape mismatch between y_true and y_pred")
+    s = pow2_scale(np.abs(y_true).max())
+    y_true, y_pred = y_true / s, y_pred / s
     resid = y_true - y_pred
     ss_res = float(resid @ resid)
     centered = y_true - y_true.mean()
@@ -38,5 +42,6 @@ def adjusted_r2(r2_value: float, n: int, d: int) -> float:
 def clip_bounds(y_train: np.ndarray) -> tuple[float, float]:
     """[min(y_train) - 3 sd, max(y_train) + 3 sd], sd the population standard deviation."""
     y_train = np.asarray(y_train, dtype=np.float64)
-    sd = float(y_train.std())
+    s = pow2_scale(np.abs(y_train).max())
+    sd = float(s * (y_train / s).std())
     return float(y_train.min()) - 3.0 * sd, float(y_train.max()) + 3.0 * sd

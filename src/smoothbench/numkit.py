@@ -1,4 +1,4 @@
-"""Shared numerical kernels: ridge solves, k-means, kNN queries, L-BFGS.
+"""Shared numerical kernels: ridge solves, k-means, kNN queries, L-BFGS, exact scales.
 
 Everything here is deterministic given its seed arguments and uses plain numpy.
 """
@@ -10,6 +10,16 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Tuple
 
 import numpy as np
+
+
+def pow2_scale(m) -> np.ndarray:
+    """2^e per magnitude in m, m < 2^e, e clipped to [-1021, 1023]; 1 for 0, NaN and inf.
+
+    Dividing by it is exact: a mean, std, median or sum of squares of a / s,
+    s = pow2_scale(max |a|), times s, has a's bits wherever those stay in range,
+    and stays in range where they did not. Entries below max |a| * 2^-1021 round.
+    """
+    return np.ldexp(1.0, np.minimum(np.maximum(np.frexp(m)[1], -1021), 1023))
 
 
 # ---------------------------------------------------------------------------

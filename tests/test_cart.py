@@ -18,6 +18,7 @@ from smoothbench.cart import (
 )
 from smoothbench.context import FitContext
 from smoothbench.harness.search import SPACES
+from smoothbench.numkit import pow2_scale
 from smoothbench.registry import fit_model
 from smoothbench.synth import gen
 
@@ -181,6 +182,16 @@ def test_midpoint_guard_keeps_partition_stable():
         assert feat == 0 and thr == a
         assert tree.predict(X).tolist() == [0.0, 0.0, 1.0, 1.0]
     assert 0.5 * (a + b) == b
+
+
+def test_a_split_below_minus_9e307_gets_a_finite_threshold():
+    # the sum of two values below -9e307 overflows to -inf, where no row goes left
+    a, b = -1.7e308, -1.6e308
+    X = np.array([[a], [a], [b], [b]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    tree = cart_fit(X, y, max_depth=1)
+    assert root_split(tree) == (0, 0.5 * a + 0.5 * b)
+    assert tree.predict(X).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +531,8 @@ def test_trees_grown_over_shared_nodes_equal_fresh_and_reference_trees():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
 def test_trees_equal_the_reference_grower_where_gains_overflow_to_nan():
-    # targets whose squares overflow give infinite and NaN gains
+    # the squares of these targets overflow, but not those of y / s; an
+    # infinite target gives s = 1, and infinite and NaN gains as before
     rng = np.random.default_rng(107)
     for case in range(40):
         n = int(rng.integers(5, 60))
@@ -530,8 +542,10 @@ def test_trees_equal_the_reference_grower_where_gains_overflow_to_nan():
             y[rng.integers(n)] = np.inf
         X, y = _read_only(X, y)
         ctx = FitContext(X, y)
+        s = pow2_scale(np.abs(y).max())
         for max_depth, msl in ((3, 1), (6, 2), (10, 1)):
-            want = reference_cart_fit(X, y, max_depth, msl)
+            want = reference_cart_fit(X, y / s, max_depth, msl)
+            want.value *= s
             assert_trees_identical(cart_fit(X, y, max_depth, msl), want)
             assert_trees_identical(cart_fit(X, y, max_depth, msl, ctx=ctx), want)
 

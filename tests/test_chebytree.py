@@ -420,6 +420,18 @@ def test_batched_fit_raises_what_the_per_leaf_fit_raises():
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_range_that_overflows_float64_is_refused_naming_its_feature():
+    # piecewise features span about [-3.3, 2.6]: times 2^1022 their ranges pass 2^1024
+    ds = gen("synthetic_piecewise", n=240, seed=7)
+    X = ds.X * 2.0 ** 1022
+    assert np.isfinite(X).all()
+    with pytest.raises(ValueError, match="feature 0: its range max - min overflows float64"):
+        fit_chebypoly(X, ds.y)
+    with pytest.raises(ValueError, match="feature 2: its range max - min overflows float64"):
+        fit_chebytree(X, ds.y)
+
+
 def test_batched_predict_equals_per_leaf_recomposition_bit_for_bit():
     ds = gen("friedman1", n=1000, seed=17)
     rng = np.random.default_rng(131)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from smoothbench.cli import main
-from smoothbench.data import column_medians, impute_median, load_csv, write_csv
+from smoothbench.data import Dataset, column_medians, impute_median, load_csv, write_csv
 from smoothbench.harness import clip_bounds
 from smoothbench.registry import fit_model, model_from_dict, predict_model
 from smoothbench.synth import gen
@@ -393,6 +393,20 @@ class TestFitPredict:
         with open(out, newline="") as fh:
             preds = [float(r[0]) for r in list(csv.reader(fh))[1:]]
         assert len(preds) == 200 and np.isfinite(preds).all()
+
+    def test_fit_refuses_a_chebyshev_range_past_float64_naming_the_feature(self, tmp_path,
+                                                                          capsys):
+        # b alternates about +-1.7e308, so its max - min overflows
+        rng = np.random.default_rng(19)
+        a = rng.normal(size=60)
+        b = np.where(np.arange(60) % 2 == 0, -1.7e308, 1.7e308) * rng.uniform(0.9, 1.0, 60)
+        data = tmp_path / "wide.csv"
+        write_csv(Dataset(np.column_stack([a, b]), 2.0 * a, ("a", "b")), str(data))
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--model", "chebypoly", "--data", str(data), "--target", "y",
+                     "--out", str(model_path)]) == 1
+        assert "feature 1: its range max - min overflows float64" in capsys.readouterr().err
+        assert not model_path.exists()
 
     def test_fit_refuses_a_repeated_header_name(self, tmp_path, capsys):
         # two different columns both named x0: the fit used to read both, and

@@ -610,7 +610,9 @@ def test_standardizer_round_trip_property():
 
 def test_standardizer_constant_column_floor():
     X = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
-    Z = Standardizer.fit(X).apply(X)
+    s = Standardizer.fit(X)
+    assert s.stds[0] == 4.0 * Standardizer.STD_FLOOR  # relative to the scale 2^2 of 3.0
+    Z = s.apply(X)
     assert np.all(Z[:, 0] == 0.0)
     assert np.isfinite(Z).all()
 
@@ -654,6 +656,17 @@ def test_standardizer_scales_a_column_whose_std_nears_the_float_max():
     # an infinite entry has no finite mean to scale back to
     with pytest.raises(ValueError, match="column 1: its mean overflows"):
         Standardizer.fit(np.array([[1.0, np.inf], [2.0, 1.0]]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_standardizer_applies_where_x_minus_the_mean_overflows():
+    # -1.7e308 - 5.7e307 overflows, but the column is worked over 2^1023,
+    # as its copy over 2^1023 is, bit for bit
+    x = np.array([[-1.7e308], [1.7e308], [1.7e308]])
+    Z = Standardizer.fit(x).apply(x)
+    assert Z[:, 0].tolist() == pytest.approx([-2.0 ** 0.5, 0.5 ** 0.5, 0.5 ** 0.5], rel=1e-15)
+    small = x * 2.0 ** -1023
+    assert Z.tobytes() == Standardizer.fit(small).apply(small).tobytes()
 
 
 def test_standardizer_serialization():

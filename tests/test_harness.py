@@ -17,7 +17,7 @@ import re
 import numpy as np
 import pytest
 
-from smoothbench.data import kfold_split
+from smoothbench.data import Dataset, kfold_split
 from smoothbench.harness.metrics import FAILURE_SCORE, adjusted_r2, clip_bounds, r2
 from smoothbench.harness.nested_cv import (
     BenchRunConfig,
@@ -758,6 +758,27 @@ class TestNestedCV:
             assert fr.tune_seconds >= 0.0
             assert fr.train_seconds >= 0.0
             assert fr.predict_ms_per_1k >= 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exact_rescalings_score_every_fold_as_unscaled(self):
+        # squares of X * 2^-900 underflow, and those of y * 2^+-600 underflow
+        # or overflow; erbf's default widths depend on y's units, so it is
+        # rescaled in X only
+        ds = gen("friedman1", n=300, noise_std=0.3, seed=5)
+        cfg = BenchRunConfig(outer_k=2, trial_budgets=dict.fromkeys(MODEL_KINDS, 3))
+        y_kinds = ["ridge", "dt", "chebypoly", "chebytree"]
+
+        def scores(X, y, kinds):
+            results, failures = run_benchmark([("f1", Dataset(X, y, ds.feature_names))],
+                                              kinds, cfg)
+            assert failures == {}
+            return [_strip_timing(fr) for fr in results]
+
+        unscaled = scores(ds.X, ds.y, MODEL_KINDS)
+        assert scores(ds.X * 2.0 ** -900, ds.y, MODEL_KINDS) == unscaled
+        for k in (-600, 600):
+            assert scores(ds.X, ds.y * 2.0 ** k, y_kinds) == [
+                fold for fold in unscaled if fold[1] in y_kinds]
 
     def test_budget_for(self, monkeypatch):
         # a kind listed in trial_budgets runs that many trials; any other kind

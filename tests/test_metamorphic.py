@@ -3,8 +3,11 @@
 Multiplying by a power of two is exact in float64 while nothing overflows or
 underflows, and every step of these fits commutes with it, so each relation
 compares bits. Scaling the features by 2^k leaves every kind's predictions
-as they were; scaling the target by 2^k scales the predictions of the kinds
-whose fits are linear in y. A strictly increasing map of one feature keeps
+as they were, out to k = -1000 and 1021, where a spread's square underflows
+and a column's sum overflows; scaling the target by 2^k, out to k = +-600,
+where its squares overflow or underflow, scales the predictions of the kinds
+whose fits are linear in y. No step may warn of overflow or underflow on the
+way, so a RuntimeWarning fails the module. A strictly increasing map of one feature keeps
 its order, and the trees split by order, so dt and chebytree route every
 training row to the same leaf. Test rows between two training values may
 route differently, so that relation covers training rows only.
@@ -18,6 +21,8 @@ import pytest
 from smoothbench.cart import cart_route
 from smoothbench.registry import MODEL_KINDS, fit_model
 from smoothbench.synth import gen
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 DATASETS = ("friedman1", "synthetic_piecewise")
 
@@ -34,7 +39,7 @@ def _reference(dataset, kind, params=()):
     return fit_model(kind, X, y, dict(params), seed=0).predict(Q)
 
 
-@pytest.mark.parametrize("k", [-10, 10])
+@pytest.mark.parametrize("k", [-600, -10, 10, 600])
 @pytest.mark.parametrize("kind,params", [
     ("ridge", ()), ("dt", ()), ("chebypoly", ()),
     pytest.param("chebypoly", (("interactions", 2),), id="chebypoly-interactions2"),
@@ -46,7 +51,7 @@ def test_target_scale_scales_predictions(dataset, kind, params, k):
     assert got.tobytes() == (_reference(dataset, kind, params) * 2.0 ** k).tobytes()
 
 
-@pytest.mark.parametrize("k", [-20, 20, 500])
+@pytest.mark.parametrize("k", [-1000, -900, -500, -20, 20, 500, 1016, 1021])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("dataset", DATASETS)
 def test_feature_scale_keeps_predictions(dataset, kind, k):
