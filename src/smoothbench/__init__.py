@@ -10,9 +10,8 @@ average ranks and the Friedman/Nemenyi comparison.
 __version__ = "0.1.0"
 
 from .cart import RegressionTree, cart_fit, cart_route
-from .chebypoly import fit_chebypoly
 from .chebyshev import BasisConfig, build_design_matrix
-from .chebytree import ChebyTreeModel, fit_chebytree
+from .chebytree import ChebyTreeModel, fit_chebypoly, fit_chebytree
 from .data import (
     Dataset,
     FoldPlan,

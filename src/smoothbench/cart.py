@@ -53,7 +53,8 @@ class RegressionTree:
 
     value[i] is the training mean of the rows at node i (the prediction, for
     leaves). leaf_rows maps each leaf's node index to its training-row indices;
-    cart_fit fills it for fit_chebytree, and it is not serialised.
+    cart_fit fills it for chebytree.fit_leaves, which fits both Chebyshev kinds
+    on it, and it is not serialised. Only cart_fit and from_dict build a tree.
     """
 
     feature: np.ndarray
@@ -210,28 +211,33 @@ class _Node:
 class SplitNodes:
     """The CART nodes of one training split, grown on demand.
 
-    Every feature is sorted once, stably, into ranks; a node sorts its rows
-    by their ranks when it is scanned, which orders them as a stable sort of
-    the node's values would. A node's gains at every split position are
-    computed once, whatever min_samples_leaf a fit uses, since a gain
-    depends only on the node's prefix sums, and are kept only as the first
-    maximum of every min_samples_leaf window (window_maxima). Besides the
-    nodes (rows, mean, maxima, children) this holds the transposed X and the
-    ranks, 16 bytes per entry of X, and no sorted values or gains. It holds
-    y / scale, scale = numkit.pow2_scale(max |y|), so that no mean or gain
-    overflows or underflows; a node predicts scale * its mean.
+    The first node scan sorts every feature once, stably, into ranks (so a
+    tree that never splits sorts nothing); a node sorts its rows by their
+    ranks when it is scanned, which orders them as a stable sort of the
+    node's values would. A node's gains at every split position are computed
+    once, whatever min_samples_leaf a fit uses, since a gain depends only on
+    the node's prefix sums, and are kept only as the first maximum of every
+    min_samples_leaf window (window_maxima). Besides the nodes (rows, mean,
+    maxima, children) this holds the transposed X and the ranks, 16 bytes
+    per entry of X, and no sorted values or gains. It holds y / scale,
+    scale = numkit.pow2_scale(max |y|), so that no mean or gain overflows
+    or underflows; a node predicts scale * its mean.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
-        n, d = X.shape
         self.scale = float(pow2_scale(np.abs(y).max()))
-        self.n, self.y = n, y / self.scale
+        self.X, self.n, self.y = X, X.shape[0], y / self.scale
+        self.rank: Optional[np.ndarray] = None  # XT, offsets and rank: made by the first scan
+        self.root = _Node(self.y, np.arange(self.n))
+
+    def _sort(self) -> None:
+        X = self.X
+        n, d = X.shape
         self.XT = np.ascontiguousarray(X.T).ravel()  # XT[j * n + i] = X[i, j]
         self.offsets = np.arange(0, d * n, n)[:, None]
         # rank[j, i]: row i's place in a stable sort of feature j, so equal values rank by row id
         self.rank = np.empty((d, n), dtype=np.int64)
         np.put_along_axis(self.rank, np.argsort(X.T, axis=1, kind="stable"), np.arange(n), axis=1)
-        self.root = _Node(self.y, np.arange(n))
 
     def maxima(self, node: _Node) -> tuple[int, list[int], list[tuple[int, int, float]]]:
         """window_maxima of the node's gains, scanned on the first call, with
@@ -251,6 +257,8 @@ class SplitNodes:
         targets on the node mean keeps sums of squares well conditioned for
         near-constant nodes. All features are scanned at once, one row each.
         """
+        if self.rank is None:
+            self._sort()
         mu, y, rows = node.mean, self.y, node.rows
         m = rows.shape[0]
         order = rows[self.rank[:, rows].argsort(axis=1)]  # distinct ranks: one sorted order

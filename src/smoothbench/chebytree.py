@@ -1,13 +1,13 @@
-"""Chebyshev model tree: CART routing with a Chebyshev polynomial per leaf.
+"""Both Chebyshev kinds: the model tree and its one-leaf case, the global regressor.
 
-One model class and one leaf fitter serve both Chebyshev kinds. fit_chebytree
-grows the tree and hands it to fit_leaves, which gives each leaf that holds
-enough rows its own interaction-free Chebyshev regressor (with its own
-per-leaf feature scaling, clipped to its own target mean +/- 3 standard
+fit_chebytree grows a CART tree and hands it to fit_leaves, which gives each
+leaf that holds enough rows its own interaction-free Chebyshev regressor
+(features min-max scaled by its own rows, a ridge solve with an unpenalised
+intercept, predictions clipped to its own target mean +/- 3 standard
 deviations); undersized leaves fall back to their training mean.
-fit_chebypoly hands fit_leaves one root leaf of every row and, optionally,
-interaction columns. Final predictions are clipped to the whole training
-target's mean +/- 3 standard deviations.
+fit_chebypoly hands fit_leaves a depth-0 cart_fit tree, whose root leaf holds
+every row, and optionally interaction columns. Final predictions are clipped
+to the whole training target's mean +/- 3 standard deviations.
 
 The leaves are stored stacked, one row per leaf in tree.leaf_ids order: the
 scaling's mins and ranges, the weights, the intercept and the clip bounds lo
@@ -31,7 +31,7 @@ import numpy as np
 from .cart import Count, RegressionTree, cart_fit, cart_route
 from .chebyshev import BasisConfig, build_design_matrix, interaction_feature_set, n_columns
 from .context import FitContext
-from .data import minmax_scale, read_array, read_int_array
+from .data import FeatureError, minmax_scale, read_array, read_int_array
 from .numkit import check_alpha, pow2_scale, ridge_solve_segments
 
 # the basis, stored as top-level fields of a model file
@@ -149,7 +149,7 @@ def fit_leaves(
     basis, ridge-solved with an unpenalised intercept and clipped to its rows'
     target mean +/- 3 standard deviations; all of them are fitted in one pass.
     With interactions, the eligible features are chosen from the scaled rows
-    of the polynomial leaves. A feature range past float64 raises ValueError.
+    of the polynomial leaves. A feature range past float64 raises FeatureError.
     """
     s = pow2_scale(np.abs(y).max())
     ys = y / s
@@ -172,7 +172,7 @@ def fit_leaves(
             ranges[poly] = np.maximum.reduceat(Xp, bounds[:-1], axis=0) - mins[poly]
         bad = np.flatnonzero(np.isinf(ranges).any(axis=0) & np.isfinite(Xp).all(axis=0))
         if bad.size:
-            raise ValueError(f"feature {int(bad[0])}: its range max - min overflows float64")
+            raise FeatureError(int(bad[0]), "its range max - min overflows float64")
         Xs = minmax_scale(Xp, np.repeat(mins[poly], sizes, axis=0),
                           np.repeat(ranges[poly], sizes, axis=0))
         feats = interaction_feature_set(Xs) if basis.interactions else ()
@@ -222,3 +222,24 @@ def fit_chebytree(
     tree = cart_fit(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
                     min_samples_split=2, ctx=ctx)
     return fit_leaves(X, y, tree, basis, alpha, leaf_fallback_threshold(complexity))
+
+
+def fit_chebypoly(
+    X: np.ndarray,
+    y: np.ndarray,
+    complexity: int = 3,
+    alpha: float = 1.0,
+    interactions: int = 0,
+) -> ChebyTreeModel:
+    """Fit the Chebyshev regressor on raw (unscaled) features.
+
+    interactions is 0 (none), 1 (pair products) or 2 (products and their T_2);
+    see BasisConfig.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.shape[0] != y.shape[0] or X.shape[0] < 2:
+        raise ValueError("need matching X, y with at least 2 rows")
+    check_alpha(alpha)
+    basis = BasisConfig(complexity=complexity, interactions=interactions)
+    return fit_leaves(X, y, cart_fit(X, y, max_depth=0), basis, alpha, min_rows=1)

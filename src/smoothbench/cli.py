@@ -16,8 +16,8 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .data import (Dataset, column_medians, drop_quasi_constant, impute_median, load_csv,
-                   read_array, subsample, write_csv, write_table)
+from .data import (Dataset, FeatureError, column_medians, drop_quasi_constant, impute_median,
+                   load_csv, read_array, subsample, write_csv, write_table)
 from .harness import (
     BenchRunConfig,
     build_report,
@@ -131,7 +131,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         params.update(_parse_params(args.param))  # explicit flags win
     else:
         params = _parse_params(args.param)
-    model = fit_model(args.model, ds.X, ds.y, params, seed=args.seed)
+    try:
+        model = fit_model(args.model, ds.X, ds.y, params, seed=args.seed)
+    except FeatureError as exc:  # its index counts only the columns drop_quasi_constant kept
+        raise ValueError(f"feature {ds.feature_names[exc.feature]!r}: {exc.problem}") from None
     clip = clip_bounds(ds.y)
 
     doc = {

@@ -265,8 +265,10 @@ def write_table(path: str, header: Sequence[str], values: np.ndarray) -> None:
 def column_medians(train: Dataset) -> np.ndarray:
     """Per-column medians of train's non-NaN entries; an entirely NaN column is an error.
 
-    Each is s * np.median(col / s), s = numkit.pow2_scale(max |col|), so the
-    two middle values that an even count averages never sum past float64.
+    Each is s * np.mean([a / s, b / s]) for the column's two middle values a
+    and b (one value twice for an odd count), s = numkit.pow2_scale(max(|a|,
+    |b|)): np.median's bits, except that a and b never sum past float64 and
+    are not rounded at the scale of the column's largest entry.
     """
     medians = np.empty(train.d)
     for j in range(train.d):
@@ -276,8 +278,10 @@ def column_medians(train: Dataset) -> np.ndarray:
             raise ValueError(
                 f"column {train.feature_names[j]!r} is entirely missing in the training split"
             )
-        s = pow2_scale(np.abs(finite).max())
-        medians[j] = s * np.median(finite / s)
+        mid = [(finite.size - 1) // 2, finite.size // 2]
+        a, b = np.partition(finite, mid)[mid]
+        s = pow2_scale(max(abs(a), abs(b)))
+        medians[j] = s * np.mean([a / s, b / s])
     return medians
 
 
@@ -455,6 +459,17 @@ def read_int_array(owner: str, d: dict, key: str, shape: tuple) -> np.ndarray:
         at = f"[{i}]" if values.ndim else ""
         raise ValueError(f"{owner}: {key}{at} = {values.flat[i]} is not an integer")
     return values.astype(np.int64)
+
+
+class FeatureError(ValueError):
+    """A fit's refusal of one input feature, given by its column index in X."""
+
+    def __init__(self, feature: int, problem: str):
+        super().__init__(feature, problem)  # so that it pickles
+        self.feature, self.problem = feature, problem
+
+    def __str__(self) -> str:
+        return f"feature {self.feature}: {self.problem}"
 
 
 def minmax_scale(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray) -> np.ndarray:

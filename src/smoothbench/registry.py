@@ -2,10 +2,11 @@
 
 The benchmark feeds every model raw (imputed) features: ridge standardizes
 them inside fit_ridge, the tree baseline consumes them directly and the smooth
-models run their own internal scaling. chebypoly and chebytree share one model
-class, ChebyTreeModel, one leaf fitter, chebytree.fit_leaves, and one
-model-file layout: a chebypoly fit is a Chebyshev model tree with a single
-leaf.
+models run their own internal scaling. chebypoly and chebytree live in one
+module, chebytree, and share one model class, ChebyTreeModel, one tree
+builder, cart_fit, one leaf fitter, fit_leaves, and one model-file layout: a
+chebypoly fit is a Chebyshev model tree grown to depth 0, so its root is its
+one leaf.
 
 A kind's hyperparameters are the keyword parameters of its fit function, with
 their defaults; there is no second list of them.
@@ -21,8 +22,7 @@ import numpy as np
 
 # the fit functions are called by name from this namespace (see fit_model)
 from .cart import RegressionTree, cart_fit
-from .chebypoly import fit_chebypoly
-from .chebytree import ChebyTreeModel, fit_chebytree
+from .chebytree import ChebyTreeModel, fit_chebypoly, fit_chebytree
 from .context import FitContext
 from .erbf import ErbfModel, fit_erbf
 from .linear import RidgeModel, fit_ridge

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from smoothbench.chebypoly import fit_chebypoly
+from smoothbench.chebytree import fit_chebypoly
 from smoothbench.chebyshev import BasisConfig, build_design_matrix, interaction_feature_set
 from smoothbench.chebytree import ChebyTreeModel
 from smoothbench.data import minmax_scale

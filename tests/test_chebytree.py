@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from smoothbench.chebypoly import fit_chebypoly
+from smoothbench.chebytree import fit_chebypoly
 from smoothbench.chebytree import (
     LEAF_FIELDS,
     ChebyTreeModel,

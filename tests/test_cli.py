@@ -17,7 +17,7 @@ import pytest
 
 from smoothbench.cli import main
 from smoothbench.data import Dataset, column_medians, impute_median, load_csv, write_csv
-from smoothbench.harness import clip_bounds
+from smoothbench.harness import clip_bounds, tune
 from smoothbench.registry import fit_model, model_from_dict, predict_model
 from smoothbench.synth import gen
 
@@ -195,6 +195,24 @@ class TestFitPredict:
         assert doc["tuned"] is True
         assert set(doc["params"]) == {"max_depth", "min_samples_leaf",
                                       "min_samples_split"}
+
+    @pytest.mark.parametrize("kind", ["dt", "chebytree"])
+    def test_tuned_fit_serves_the_harness_tuners_model(self, tmp_path, kind):
+        # the trials of one inner split share its tree nodes
+        data = tmp_path / "train.csv"
+        _write_dataset(data, n=80)
+        model_path, out = tmp_path / "model.json", tmp_path / "preds.csv"
+        assert main(["fit", "--model", kind, "--data", str(data), "--target", "y",
+                     "--tune", "--budget", "6", "--seed", "4", "--out", str(model_path)]) == 0
+        assert main(["predict", "--model-file", str(model_path),
+                     "--data", str(data), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            served = np.array([float(r[0]) for r in list(csv.reader(fh))[1:]])
+        ds = load_csv(str(data), "y")
+        params = tune(kind, ds.X, ds.y, 4, 4, 4, 6)
+        assert json.loads(model_path.read_text())["params"] == params
+        model = fit_model(kind, ds.X, ds.y, params, seed=4)
+        assert np.array_equal(served, predict_model(kind, model, ds.X, clip_bounds(ds.y)))
 
     def test_fit_tune_with_every_trial_failing_exits_1(self, tmp_path, capsys,
                                                          monkeypatch):
@@ -405,7 +423,22 @@ class TestFitPredict:
         model_path = tmp_path / "model.json"
         assert main(["fit", "--model", "chebypoly", "--data", str(data), "--target", "y",
                      "--out", str(model_path)]) == 1
-        assert "feature 1: its range max - min overflows float64" in capsys.readouterr().err
+        assert "feature 'b': its range max - min overflows float64" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_fit_names_a_refused_feature_by_its_header_after_dropping_a_constant(
+            self, tmp_path, capsys):
+        # c is constant and dropped, so b is feature 1 of the fit but column 2 of the file
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=60)
+        b = np.where(np.arange(60) % 2 == 0, -1.7e308, 1.7e308) * rng.uniform(0.9, 1.0, 60)
+        data = tmp_path / "cab.csv"
+        write_csv(Dataset(np.column_stack([np.full(60, 4.0), a, b]), 2.0 * a, ("c", "a", "b")),
+                  str(data))
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--model", "chebypoly", "--data", str(data), "--target", "y",
+                     "--out", str(model_path)]) == 1
+        assert "feature 'b': its range max - min overflows float64" in capsys.readouterr().err
         assert not model_path.exists()
 
     def test_fit_refuses_a_repeated_header_name(self, tmp_path, capsys):
@@ -556,6 +589,8 @@ class TestFitPredict:
         ("chebypoly", {"complexity": 3, "alpha": 0.1, "interactions": 1}),
         ("chebytree", {"complexity": 2, "alpha": 0.1, "max_depth": 2}),
         ("erbf", {"n_rbf": 6, "alpha": 0.1}),
+        ("chebypoly", {"complexity": 2, "interactions": 2}),
+        ("erbf", {"n_rbf": 6, "center_init": "kmeans", "width_init": "local_variance"}),
     ])
     def test_served_predictions_equal_scored_ones(self, tmp_path, kind, params):
         data = tmp_path / "train.csv"

@@ -477,6 +477,27 @@ def test_impute_median_of_two_huge_middle_values_is_finite():
     assert np.isfinite(out.X).all()
 
 
+def test_median_of_tiny_middle_values_beside_a_huge_one_keeps_them():
+    # scaled by the largest entry, 1e-30 / 2^997 would round to 0
+    cols = {(1e300, 1e-30, 1e-30): 1e-30, (1e300, 1e-30, 3e-30, -1e300): 2e-30,
+            (-1e300, -2e-310, -4e-310, 1e300): -3e-310, (1.7e308, -1.7e308): 0.0}
+    for col, want in cols.items():
+        X = np.array(col)[:, None]
+        assert column_medians(Dataset(X, np.zeros(len(col)), ("a",)))[0] == want
+
+
+def test_median_has_np_median_bits_wherever_the_middle_sum_fits():
+    rng = np.random.default_rng(5)
+    for m in range(1, 30):
+        X = rng.normal(size=(m, 4)) * 10.0 ** rng.uniform(-300, 300, size=4)
+        X[:, 3] = np.round(X[:, 3] / X[:, 3].std())  # ties and negative zeros
+        X[rng.random(size=(m, 4)) < 0.2] = np.nan
+        X[0] = 1.0
+        medians = column_medians(Dataset(X, np.zeros(m), tuple("abcd")))
+        want = [np.median(c[~np.isnan(c)]) for c in X.T]
+        assert medians.tobytes() == np.array(want).tobytes()
+
+
 def test_impute_median_passthrough_bitwise():
     # non-NaN entries must be bit-identical after imputation (200 random cases)
     rng = np.random.default_rng(11)
