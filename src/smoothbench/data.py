@@ -281,6 +281,7 @@ def column_medians(train: Dataset) -> np.ndarray:
         mid = [(finite.size - 1) // 2, finite.size // 2]
         a, b = np.partition(finite, mid)[mid]
         s = pow2_scale(max(abs(a), abs(b)))
+        # np.mean, as np.median takes it: its sum starts at +0.0, so two -0.0 give 0.0
         medians[j] = s * np.mean([a / s, b / s])
     return medians
 
