@@ -16,8 +16,8 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .data import (Dataset, FeatureError, column_medians, drop_quasi_constant, impute_median,
-                   load_csv, read_array, subsample, write_csv, write_table)
+from .data import (Dataset, FeatureError, column_medians, drop_quasi_constant, error_message,
+                   impute_median, load_csv, read_array, subsample, write_csv, write_table)
 from .harness import (
     BenchRunConfig,
     build_report,
@@ -127,14 +127,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
     ds = impute_median(ds, medians)
 
     if args.tune:
-        params = tune(args.model, ds.X, ds.y, args.seed, args.seed, args.seed, args.budget)
+        params = tune(args.model, ds.X, ds.y, args.seed, args.seed, args.seed, args.budget,
+                      ds.feature_names)
         params.update(_parse_params(args.param))  # explicit flags win
     else:
         params = _parse_params(args.param)
     try:
         model = fit_model(args.model, ds.X, ds.y, params, seed=args.seed)
     except FeatureError as exc:  # its index counts only the columns drop_quasi_constant kept
-        raise ValueError(f"feature {ds.feature_names[exc.feature]!r}: {exc.problem}") from None
+        raise ValueError(error_message(exc, ds.feature_names)) from None
     clip = clip_bounds(ds.y)
 
     doc = {

@@ -473,6 +473,13 @@ class FeatureError(ValueError):
         return f"feature {self.feature}: {self.problem}"
 
 
+def error_message(exc: Exception, feature_names: Optional[Sequence[str]] = None) -> str:
+    """str(exc), with a FeatureError's feature named by feature_names when they are given."""
+    if isinstance(exc, FeatureError) and feature_names is not None:
+        return f"feature {feature_names[exc.feature]!r}: {exc.problem}"
+    return str(exc)
+
+
 def minmax_scale(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     """2 (X - mins) / ranges - 1 clipped to [-1, 1], with 0 where the range is 0.
 

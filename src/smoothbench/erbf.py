@@ -6,8 +6,9 @@ width per (unit, feature) so each bump can stretch independently per axis.
 Stage 1 places centres on training points (sampled proportionally to a local
 Lipschitz estimate of the target, or by k-means). Stage 2 initialises widths
 from local neighbourhood statistics. Stage 3 refines log-widths by L-BFGS
-against training MSE with the output layer held fixed; the output layer is
-then re-solved by ridge on the final activations.
+against training MSE with the output layer held fixed, and L-BFGS rejects
+trial widths whose loss or gradient is not finite; the output layer is then
+re-solved by ridge on the final activations.
 
 The Lipschitz estimate finds each point's neighbours over blocks of rows,
 each block's distances within LIPSCHITZ_BLOCK_BYTES, so stage 1 holds two
@@ -300,7 +301,9 @@ def erbf_loss_and_grad(
     first block's S; when it holds every row, an evaluation makes no
     (d, B, K) array. The results are within a few ulps of the former
     kernel's, which divided x - c by sigma (1e-14 of each result's scale in
-    the tests).
+    the tests), and not finite where its were not: a row on a centre whose
+    width is 0 gives 0/0. They are returned as computed; lbfgs_minimize
+    rejects such a point.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -324,13 +327,7 @@ def erbf_loss_and_grad(
         mse = float(r @ r) / n
         # s is inf only at sigma = 0, where every finite outcome has a zero sum
         Gt *= np.minimum(s, _FLOAT_MAX) * ((2.0 / n) * weights)
-    grad = Gt.T.ravel()
-    if not math.isfinite(mse):
-        raise ValueError("non-finite training loss in width optimisation")
-    bad = np.flatnonzero(~np.isfinite(grad))
-    if bad.size:
-        raise ValueError(f"non-finite width gradient at parameter index {int(bad[0])}")
-    return mse, grad
+    return mse, Gt.T.ravel()
 
 
 @dataclass
@@ -416,16 +413,9 @@ def fit_erbf(X: np.ndarray, y: np.ndarray, n_rbf: Optional[int] = None, alpha: f
     r0 = Phi0 @ w0 + b0 - y
     mse_before = float(r0 @ r0) / n
 
-    def objective(theta):
-        try:
-            return erbf_loss_and_grad(theta, Xs, y, centers, w0, b0, held)
-        except ValueError:
-            # infeasible trial widths (e.g. underflowed to zero on a row
-            # that coincides with a centre): let the line search back off
-            return np.inf, np.zeros_like(theta)
-
-    res: OptimResult = lbfgs_minimize(objective, np.log(sigma0).ravel(),
-                                      max_iter=WIDTH_OPTIM_ITERS)
+    res: OptimResult = lbfgs_minimize(
+        lambda theta: erbf_loss_and_grad(theta, Xs, y, centers, w0, b0, held),
+        np.log(sigma0).ravel(), max_iter=WIDTH_OPTIM_ITERS)
     sigma = np.exp(res.x.reshape(K, d))
 
     Phi = erbf_activations(Xs, centers, sigma, held)

@@ -14,12 +14,13 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..context import FitContext
-from ..data import Dataset, FoldPlan, column_medians, impute_median, inner_fold_count, kfold_split
+from ..data import (Dataset, FoldPlan, column_medians, error_message, impute_median,
+                    inner_fold_count, kfold_split)
 from ..registry import fit_model, predict_model
 from .metrics import FAILURE_SCORE, adjusted_r2, clip_bounds, r2
 from .search import random_search, search_space
@@ -50,7 +51,8 @@ class FoldResult:
 
 
 def tune(kind: str, X: np.ndarray, y: np.ndarray, plan_seed: int, fit_seed: int,
-         search_seed: int, budget: Optional[int]) -> Dict[str, Any]:
+         search_seed: int, budget: Optional[int],
+         feature_names: Optional[Sequence[str]] = None) -> Dict[str, Any]:
     """Random search over kind's space; each trial scores its mean inner-CV adjusted R².
 
     The inner folds are kfold_split(n, inner_fold_count(n), plan_seed) over
@@ -60,7 +62,8 @@ def tune(kind: str, X: np.ndarray, y: np.ndarray, plan_seed: int, fit_seed: int,
     into its inputs fails instead of changing later trials. Each fold's
     training arrays get one FitContext, which every trial's fit on them
     shares and which is dropped when the search ends. Raises ValueError
-    when every trial failed.
+    when every trial failed, giving trial 0's error, with a FeatureError's
+    feature named by feature_names when they are given.
     """
     n, d = X.shape
     plan = kfold_split(n, inner_fold_count(n), plan_seed)
@@ -84,7 +87,8 @@ def tune(kind: str, X: np.ndarray, y: np.ndarray, plan_seed: int, fit_seed: int,
                                            budget=budget)
     if all(t.score == FAILURE_SCORE for t in trials):
         # refitting trial 0's params would score a failed search as a success
-        raise ValueError(f"all {len(trials)} search trials failed")
+        raise ValueError(f"all {len(trials)} search trials failed; "
+                         f"trial 0: {error_message(trials[0].error, feature_names)}")
     return best_params
 
 
@@ -116,7 +120,8 @@ def run_outer_fold(
 
     t0 = time.perf_counter()
     best_params = tune(kind, X_tr, y_tr, config.outer_seed + 1000 * (fold + 1), fit_seed,
-                       config.search_seed + fold, config.trial_budgets.get(kind))
+                       config.search_seed + fold, config.trial_budgets.get(kind),
+                       ds.feature_names)
     tune_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -3,8 +3,8 @@
 Each model kind declares a fixed-budget space. Trials sample parameters
 independently in declaration order from one seeded generator. A categorical
 choice may itself be a Param, which is drawn (and consumes randomness) only
-when it is chosen. Failed trials score a large negative sentinel instead of
-aborting the search, and ties keep the earliest trial.
+when it is chosen. Failed trials score a large negative sentinel and keep
+their error instead of aborting the search, and ties keep the earliest trial.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ class Trial:
     number: int
     params: Dict[str, Any]
     score: float
+    error: Optional[Exception] = None  # why a failed trial failed
 
 
 def random_search(
@@ -69,8 +70,9 @@ def random_search(
     """Run the search; returns (best_params, best_score, all trials).
 
     An objective that raises (or returns a non-finite score) marks that trial
-    with FAILURE_SCORE and the search continues. Strict improvement updates
-    the incumbent, so equal scores keep the earlier trial.
+    with FAILURE_SCORE, keeps the error (a ValueError for a non-finite score)
+    in Trial.error, and the search continues. Strict improvement updates the
+    incumbent, so equal scores keep the earlier trial.
     """
     n_trials = space.budget if budget is None else budget
     if n_trials < 1:
@@ -82,12 +84,13 @@ def random_search(
     for t in range(n_trials):
         params = space.sample_trial(rng)
         try:
-            score = float(objective(params))
+            score, error = float(objective(params)), None
             if not math.isfinite(score):
-                score = FAILURE_SCORE
-        except Exception:
-            score = FAILURE_SCORE
-        trials.append(Trial(number=t, params=params, score=score))
+                raise ValueError(f"score is not finite: {score}")
+        except Exception as exc:
+            # without its traceback, a kept error holds no frame of the failed fit
+            score, error = FAILURE_SCORE, exc.with_traceback(None)
+        trials.append(Trial(number=t, params=params, score=score, error=error))
         if best_params is None or score > best_score:
             best_params = params
             best_score = score

@@ -290,9 +290,11 @@ def lbfgs_minimize(fun: Callable[[np.ndarray], Tuple[float, np.ndarray]], x0: np
                    max_iter: int) -> OptimResult:
     """Limited-memory BFGS with two-loop recursion and Armijo backtracking.
 
-    fun(x) must return (loss, gradient). Line search: initial step 1.0, halved
-    until f(x + t d) <= f(x) + 1e-4 t g.d; if no admissible step exists the
-    run stops. Stops otherwise at max_iter or when ||grad|| < LBFGS_GRAD_TOL.
+    fun(x) must return (loss, gradient). A point whose loss or gradient is not
+    finite is unusable: an unusable x0 raises ValueError, and the line search
+    backs off from an unusable trial point. Line search: initial step 1.0,
+    halved until f(x + t d) <= f(x) + 1e-4 t g.d; if no admissible step exists
+    the run stops. Stops otherwise at max_iter or when ||grad|| < LBFGS_GRAD_TOL.
     The last LBFGS_MEMORY curvature pairs are kept. Always returns the best
     iterate seen, so the reported loss never exceeds the loss at x0.
     """
@@ -314,15 +316,13 @@ def lbfgs_minimize(fun: Callable[[np.ndarray], Tuple[float, np.ndarray]], x0: np
             d = -g
             gd = float(g @ d)
         step = 1.0
-        accepted = False
         while step >= 1e-20:
             x_new = x + step * d
             f_new, g_new = _eval(fun, x_new)
-            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * gd:
-                accepted = True
+            if f_new <= f + 1e-4 * step * gd:
                 break
             step *= 0.5
-        if not accepted:
+        else:  # no admissible step
             break
         s = x_new - x
         yv = g_new - g
@@ -338,8 +338,10 @@ def lbfgs_minimize(fun: Callable[[np.ndarray], Tuple[float, np.ndarray]], x0: np
 
 
 def _eval(fun, x):
+    """fun(x) as (loss, gradient); the loss reads inf at an unusable point."""
     f, g = fun(x)
-    return float(f), np.asarray(g, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    return (float(f) if np.isfinite(f) and np.isfinite(g).all() else np.inf), g
 
 
 def _two_loop(g: np.ndarray, hist: Deque[Tuple[np.ndarray, np.ndarray, float, float]]

@@ -412,21 +412,48 @@ class TestFitPredict:
             preds = [float(r[0]) for r in list(csv.reader(fh))[1:]]
         assert len(preds) == 200 and np.isfinite(preds).all()
 
-    def test_fit_refuses_a_chebyshev_range_past_float64_naming_the_feature(self, tmp_path,
-                                                                          capsys):
-        # b alternates about +-1.7e308, so its max - min overflows; c is constant and
-        # dropped, so b is feature 1 of the fit but column 2 of the file
+    @staticmethod
+    def _cab_csv(tmp_path):
+        """Columns c, a, b, y. b alternates about +-1.7e308, so its max - min
+        overflows; c is constant and dropped, so b is feature 1 of a fit but
+        column 2 of the file."""
         rng = np.random.default_rng(19)
         a = rng.normal(size=60)
         b = np.where(np.arange(60) % 2 == 0, -1.7e308, 1.7e308) * rng.uniform(0.9, 1.0, 60)
         data = tmp_path / "cab.csv"
         write_csv(Dataset(np.column_stack([np.full(60, 4.0), a, b]), 2.0 * a, ("c", "a", "b")),
                   str(data))
+        return data
+
+    def test_fit_refuses_a_chebyshev_range_past_float64_naming_the_feature(self, tmp_path,
+                                                                          capsys):
+        data = self._cab_csv(tmp_path)
         model_path = tmp_path / "model.json"
         assert main(["fit", "--model", "chebypoly", "--data", str(data), "--target", "y",
                      "--out", str(model_path)]) == 1
         assert "feature 'b': its range max - min overflows float64" in capsys.readouterr().err
         assert not model_path.exists()
+
+    def test_tuned_fit_says_why_every_trial_failed_naming_the_feature(self, tmp_path, capsys):
+        data = self._cab_csv(tmp_path)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--model", "chebypoly", "--data", str(data), "--target", "y",
+                     "--tune", "--budget", "2", "--out", str(model_path)]) == 1
+        assert ("error: all 2 search trials failed; trial 0: feature 'b': its range "
+                "max - min overflows float64") in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_bench_records_why_every_trial_failed(self, tmp_path):
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({
+            "datasets": [{"path": str(self._cab_csv(tmp_path)), "target": "y"}],
+            "models": ["chebypoly"], "outer_k": 2, "trial_budgets": {"chebypoly": 2}}))
+        out_dir = tmp_path / "out"
+        assert main(["bench", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        with open(out_dir / "results.jsonl", encoding="utf-8") as fh:
+            errors = [r["error"] for r in map(json.loads, fh) if r["record"] == "failure"]
+        assert errors == ["fold 0: all 2 search trials failed; trial 0: feature 'b': "
+                          "its range max - min overflows float64"]
 
     def test_fit_refuses_a_repeated_header_name(self, tmp_path, capsys):
         # two different columns both named x0: the fit used to read both, and

@@ -232,7 +232,7 @@ def test_several_row_blocks_match_references(monkeypatch):
     assert np.abs(grad - fd).max() / max(1e-8, float(np.abs(fd).max())) < 1e-5
 
 
-def test_degenerate_row_in_last_block_raises(monkeypatch):
+def test_degenerate_row_in_last_block_gives_a_non_finite_loss(monkeypatch):
     n, K, d = 50, 6, 3
     monkeypatch.setattr(erbf, "LOSS_BLOCK_BYTES", 16 * 8 * K * d)
     theta, X, y, centers, w, b = _random_problem(n, K, d, seed=37)
@@ -242,8 +242,8 @@ def test_degenerate_row_in_last_block_raises(monkeypatch):
     mse, grad = erbf_loss_and_grad(theta, X, y, centers, w, b)  # off the centre: finite
     assert math.isfinite(mse) and np.isfinite(grad).all()
     X[-1] = centers[0]  # row 49, in the ragged last block, now sits on it: 0/0
-    with pytest.raises(ValueError):
-        erbf_loss_and_grad(theta, X, y, centers, w, b)
+    mse, grad = erbf_loss_and_grad(theta, X, y, centers, w, b)
+    assert math.isnan(mse) and not np.isfinite(grad).all()
 
 
 def _recomputed_loss_and_grad(theta, X, y, centers, w, b):
@@ -364,8 +364,8 @@ def test_overflowing_widths_are_clamped_as_before(monkeypatch, blocks):
 @pytest.mark.parametrize("log_width", [-40.0, -354.0, -360.0, -600.0, -745.0, -800.0])
 def test_extreme_widths_keep_their_outcomes(monkeypatch, log_width, on_centre, block):
     # sigma^-2 overflows below theta = -354.9 and sigma is 0 below -745.1:
-    # the loss is finite exactly where the former kernel's was, and raises
-    # exactly where the former kernel's was not finite (0/0 on the centre)
+    # the loss is finite exactly where the former kernel's was, and not
+    # finite exactly where the former kernel's was not (0/0 on the centre)
     n, K, d = 50, 6, 3
     monkeypatch.setattr(erbf, "LOSS_BLOCK_BYTES", 16 * 8 * K * d)
     theta, X, y, centers, w, b = _random_problem(n, K, d, seed=53)
@@ -377,11 +377,11 @@ def test_extreme_widths_keep_their_outcomes(monkeypatch, log_width, on_centre, b
         _assert_bounded(erbf_loss_and_grad(theta, X, y, centers, w, b), want)
     else:
         assert on_centre and log_width < -745.1
-        with pytest.raises(ValueError):
-            erbf_loss_and_grad(theta, X, y, centers, w, b)
+        mse, grad = erbf_loss_and_grad(theta, X, y, centers, w, b)
+        assert math.isnan(mse) and not np.isfinite(grad).all()
 
 
-def test_held_block_refuses_zero_over_zero_like_the_recomputed_kernel():
+def test_held_block_gives_zero_over_zero_like_the_recomputed_kernel():
     # a row on a centre whose widths underflowed to zero: 0/0 in the held block
     theta, X, y, centers, w, b = _random_problem(20, 3, 2, seed=47)
     theta.reshape(3, 2)[0] = -800.0
@@ -389,8 +389,9 @@ def test_held_block_refuses_zero_over_zero_like_the_recomputed_kernel():
     with np.errstate(invalid="ignore"):
         want_mse, _ = _recomputed_loss_and_grad(theta, X, y, centers, w, b)
     assert not math.isfinite(want_mse)
-    with pytest.raises(ValueError):
-        erbf_loss_and_grad(theta, X, y, centers, w, b, erbf.held_differences(X, centers))
+    mse, grad = erbf_loss_and_grad(theta, X, y, centers, w, b,
+                                   erbf.held_differences(X, centers))
+    assert math.isnan(mse) and not np.isfinite(grad).all()
 
 
 @pytest.mark.parametrize("rows", [None, 7])
@@ -454,14 +455,21 @@ def test_gradient_zero_when_weights_zero():
     assert mse == pytest.approx(float(((y - 0.0) ** 2).mean()))
 
 
-def test_loss_and_grad_raise_on_degenerate_widths():
+def test_degenerate_widths_give_a_loss_that_lbfgs_refuses():
     # a training row sitting exactly on a centre with an underflowed width
-    # produces 0/0 activations; the public function must refuse, not return NaN
+    # produces 0/0 activations: the loss and gradient are NaN, and L-BFGS
+    # refuses such a point instead of scoring it
     X = np.array([[1.0, 2.0]])
     centers = X.copy()
     theta = np.full(2, -800.0)  # exp -> 0 widths
-    with pytest.raises(ValueError):
-        erbf_loss_and_grad(theta, X, np.array([0.0]), centers, np.array([1.0]), 0.0)
+
+    def loss(t):
+        return erbf_loss_and_grad(t, X, np.array([0.0]), centers, np.array([1.0]), 0.0)
+
+    mse, grad = loss(theta)
+    assert math.isnan(mse) and np.isnan(grad).all()
+    with pytest.raises(ValueError, match="not finite at the initial point"):
+        lbfgs_minimize(loss, theta, max_iter=5)
 
 
 # ---------------------------------------------------------------------------
@@ -764,20 +772,10 @@ def test_init_widths_mode_validation():
 
 
 def _stage3(kernel, Xs, y, centers, sigma0, w0, b0):
-    """fit_erbf's stage 3 with the width loss swapped for kernel: a
-    non-finite or refused evaluation makes the line search back off."""
+    """fit_erbf's stage 3 with the width loss swapped for kernel."""
     K, d = centers.shape
-
-    def objective(theta):
-        try:
-            mse, grad = kernel(theta, Xs, y, centers, w0, b0)
-        except ValueError:
-            mse, grad = np.inf, None
-        if not (math.isfinite(mse) and np.isfinite(grad).all()):
-            return np.inf, np.zeros_like(theta)
-        return mse, grad
-
-    res = lbfgs_minimize(objective, np.log(sigma0).ravel(), max_iter=WIDTH_OPTIM_ITERS)
+    res = lbfgs_minimize(lambda theta: kernel(theta, Xs, y, centers, w0, b0),
+                         np.log(sigma0).ravel(), max_iter=WIDTH_OPTIM_ITERS)
     return res.iterations, np.exp(res.x.reshape(K, d))
 
 
@@ -859,6 +857,24 @@ def test_stage3_actually_improves_on_poor_init():
     info = model.fit_info
     assert info["stage3_mse_after"] < info["stage3_mse_before"]
     assert 1 <= info["stage3_iterations"] <= WIDTH_OPTIM_ITERS
+
+
+def test_an_error_inside_the_width_loss_reaches_the_caller(monkeypatch):
+    # a fault in the loss is no infeasible width: it must not be read as
+    # one, with the line search backing off and the fit returning a model
+    real_loss, calls = erbf.erbf_loss_and_grad, []
+
+    def loss_failing_from_its_4th_call(*args):
+        calls.append(None)
+        if len(calls) >= 4:
+            raise ValueError("fault inside the loss")
+        return real_loss(*args)
+
+    monkeypatch.setattr(erbf, "erbf_loss_and_grad", loss_failing_from_its_4th_call)
+    ds = gen("friedman1", n=400, seed=3)
+    with pytest.raises(ValueError, match="fault inside the loss"):
+        fit_erbf(ds.X, ds.y, seed=0)
+    assert len(calls) == 4
 
 
 def test_fit_determinism():

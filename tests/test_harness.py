@@ -344,8 +344,13 @@ class TestRandomSearch:
         for t in trials:
             if t.params["x"] % 2 == 0 or t.params["x"] == 9:
                 assert t.score == FAILURE_SCORE
+                # each failure keeps why, and no frame of the failed objective
+                assert str(t.error) == ("boom" if t.params["x"] != 9
+                                        else "score is not finite: nan")
+                assert t.error.__traceback__ is None
             else:
                 assert t.score == float(t.params["x"])
+                assert t.error is None
         finite = [t.score for t in trials if t.score != FAILURE_SCORE]
         assert finite, "expected some odd draws in 40 trials"
         assert best_score == max(finite)
@@ -930,7 +935,8 @@ class TestNestedCVFailure:
             results, failures = run_benchmark([("f1", ds)], ["dt"], cfg, parallel=1)
             assert results == []
             assert set(failures) == {("f1", "dt")}
-            assert failures[("f1", "dt")] == "fold 0: all 3 search trials failed"
+            assert failures[("f1", "dt")] == \
+                "fold 0: all 3 search trials failed; trial 0: synthetic failure"
 
 
     def test_non_finite_score_is_a_failure_and_files_are_strict_json(self, monkeypatch,

@@ -15,6 +15,13 @@ through run_outer_fold:
 - cell order: a cell run alone, from a fresh import of the package, equals
   the same cell run in this process after every other cell ran, timing
   fields masked. A module-level cache would make them differ.
+
+A third relation works on one split, through registry.fit_model:
+
+- context transparency: each trial of a seeded search sequence fits the same
+  model file bytes over one FitContext that all the trials share as with
+  ctx=None. It runs for every kind, so a kind whose fit joins the context
+  later is covered too.
 """
 
 import dataclasses
@@ -26,9 +33,10 @@ import numpy as np
 import pytest
 
 import smoothbench.harness.nested_cv as nested_cv
+from smoothbench.context import FitContext
 from smoothbench.data import Dataset, kfold_split
-from smoothbench.harness import TIMING_FIELDS, BenchRunConfig
-from smoothbench.registry import MODEL_KINDS
+from smoothbench.harness import TIMING_FIELDS, BenchRunConfig, search_space
+from smoothbench.registry import MODEL_KINDS, fit_model
 from smoothbench.synth import gen
 
 OUTER_K = 3
@@ -113,3 +121,18 @@ def test_a_cell_alone_equals_it_after_every_other_cell(kind, every_cell):
     for fold in range(OUTER_K):
         after_all = _run(nested_cv, DS, kind, fold)
         assert _run(_fresh_nested_cv(), DS, kind, fold) == after_all, fold
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_shared_context_fits_what_no_context_fits(kind):
+    ds = gen("friedman1", n=160, seed=4)
+    train = kfold_split(ds.n, 3, 7).train_indices(0)
+    X, y = ds.X[train], ds.y[train]
+    X.flags.writeable = y.flags.writeable = False
+    ctx = FitContext(X, y)
+    space, rng = search_space(kind), np.random.default_rng(8)
+    for trial in range(6):
+        params = space.sample_trial(rng)
+        shared, alone = (json.dumps(fit_model(kind, X, y, params, seed=9, ctx=c).to_dict())
+                         for c in (ctx, None))
+        assert shared == alone, (trial, params)

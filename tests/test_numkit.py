@@ -579,6 +579,9 @@ def test_lbfgs_nonfinite_start_raises():
         return float("nan"), np.zeros_like(x)
     with pytest.raises(ValueError):
         lbfgs_minimize(fun, np.zeros(2), max_iter=3)
+    # a finite loss with a gradient that is not finite is no usable start either
+    with pytest.raises(ValueError, match="not finite at the initial point"):
+        lbfgs_minimize(lambda x: (0.0, np.full_like(x, np.inf)), np.zeros(2), max_iter=3)
 
 
 def test_lbfgs_survives_nonfinite_trial_points():
@@ -590,3 +593,18 @@ def test_lbfgs_survives_nonfinite_trial_points():
 
     res = lbfgs_minimize(fun, np.array([1.5, -1.0]), max_iter=50)
     assert res.loss < 1e-8
+
+
+def test_lbfgs_backs_off_from_a_trial_point_whose_gradient_is_not_finite():
+    # a quadratic whose gradient is NaN, with a finite loss, in a band that
+    # the first trial point (0.6, 0.8) lands in: accepting that point leaves
+    # the run stuck there after 1 iteration, at loss 8.0
+    m = np.array([3.0, 4.0])
+
+    def fun(x):
+        r = x - m
+        return 0.5 * float(r @ r), np.full(2, np.nan) if 0.5 < x[0] < 0.7 else r
+
+    res = lbfgs_minimize(fun, np.zeros(2), max_iter=50)
+    assert res.converged
+    assert np.abs(res.x - m).max() < 1e-8
