@@ -86,10 +86,11 @@ def load_csv(path: str, target_column: Optional[str] = None,
     Records are parsed column by column in blocks of BLOCK_ROWS. Errors are
     reported as a row-by-row reader would: the first offending row in file
     order, and within a row the target before the features in column order.
-    The feature cells of a dropped row are never parsed.
+    The feature cells of a dropped row are never parsed. A leading UTF-8
+    byte-order mark, as spreadsheet programs write, is not header text.
     """
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        fh = open(path, "r", newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise FileNotFoundError(f"dataset file not found: {path}")
     with fh:

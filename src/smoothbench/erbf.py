@@ -24,9 +24,7 @@ an evaluation's gradient is s times the contraction of r Phi with S. No
 (d, B, K) array is divided by the widths. Predict so holds O(n K) plus one
 LOSS_BLOCK_BYTES block, and a fit O(n K) plus at most two such blocks,
 never (n, K, d) tensors. Phi in the loss has the bits of erbf_activations'
-Phi. Against the former kernel, which divided x - c by sigma and squared,
-the loss and gradient move by a few ulps of their scale, as the products
-regroup.
+Phi.
 """
 
 from __future__ import annotations
@@ -299,11 +297,9 @@ def erbf_loss_and_grad(
     (d, K) sums once. Only the K d values of s depend on theta: no (d, B, K)
     array is divided or clamped. held is held_differences(X, centers), the
     first block's S; when it holds every row, an evaluation makes no
-    (d, B, K) array. The results are within a few ulps of the former
-    kernel's, which divided x - c by sigma (1e-14 of each result's scale in
-    the tests), and not finite where its were not: a row on a centre whose
-    width is 0 gives 0/0. They are returned as computed; lbfgs_minimize
-    rejects such a point.
+    (d, B, K) array. A row on a centre whose width is 0 gives 0/0; the
+    results are returned as computed, finite or not, and lbfgs_minimize
+    rejects a point where they are not finite.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

@@ -204,9 +204,10 @@ def run_benchmark(
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         submit = pool.submit if pool is not None else _finished
         futures = [submit(run_outer_fold, *cell, config) for cell in cells]
-        for (name, _, kind, fold, _), fut in zip(cells, futures):
+        for (name, ds, kind, fold, _), fut in zip(cells, futures):
             try:
                 results.append(fut.result())
             except Exception as exc:  # noqa: BLE001
-                failures.setdefault((name, kind), f"fold {fold}: {exc}")
+                failures.setdefault((name, kind),
+                                    f"fold {fold}: {error_message(exc, ds.feature_names)}")
     return results, failures

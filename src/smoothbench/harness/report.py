@@ -202,11 +202,8 @@ def build_report(
     for m in models:
         frs = [fr for fr in fold_results if fr.model == m]
         if frs:
-            timing[m] = {
-                "tune_seconds_mean": math.fsum(fr.tune_seconds for fr in frs) / len(frs),
-                "train_seconds_mean": math.fsum(fr.train_seconds for fr in frs) / len(frs),
-                "predict_ms_per_1k_mean": math.fsum(fr.predict_ms_per_1k for fr in frs) / len(frs),
-            }
+            timing[m] = {f"{name}_mean": math.fsum(getattr(fr, name) for fr in frs) / len(frs)
+                         for name in TIMING_FIELDS}
 
     return {
         "schema_version": SCHEMA_VERSION,

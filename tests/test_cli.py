@@ -499,6 +499,33 @@ class TestFitPredict:
                      "--data", str(bad), "--out", str(tmp_path / "p.csv")]) == 1
         assert "missing feature columns" in capsys.readouterr().err
 
+    def test_fit_and_predict_read_a_utf8_byte_order_mark(self, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a BOM; it is no part of the first
+        # header name, whether that is the target or a feature
+        ds = _write_dataset(tmp_path / "feature_first.csv", n=50)
+        with open(tmp_path / "feature_first.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(tmp_path / "target_first.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([r[-1]] + r[:-1] for r in rows)
+        files = []
+        for name in ("feature_first", "target_first"):
+            plain = tmp_path / f"{name}.csv"
+            bom = tmp_path / f"{name}_bom.csv"
+            bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+            files += [plain, bom]
+        preds = []
+        for fit_data in files:
+            model_path = tmp_path / f"{fit_data.stem}.json"
+            assert main(["fit", "--model", "ridge", "--data", str(fit_data), "--target", "y",
+                         "--out", str(model_path)]) == 0
+            assert json.loads(model_path.read_text())["feature_names"] == list(ds.feature_names)
+            for data in files:
+                out = tmp_path / "p.csv"
+                assert main(["predict", "--model-file", str(model_path), "--data", str(data),
+                             "--out", str(out)]) == 0
+                preds.append(out.read_bytes())
+        assert len(preds) == 16 and len(set(preds)) == 1
+
     @pytest.mark.parametrize("corrupt, message", [
         # a row of the wrong width
         (lambda m, j: m["weights"][j].pop(),

@@ -17,7 +17,7 @@ import re
 import numpy as np
 import pytest
 
-from smoothbench.data import Dataset, kfold_split
+from smoothbench.data import Dataset, FeatureError, kfold_split
 from smoothbench.harness.metrics import FAILURE_SCORE, adjusted_r2, clip_bounds, r2
 from smoothbench.harness.nested_cv import (
     BenchRunConfig,
@@ -937,6 +937,28 @@ class TestNestedCVFailure:
             assert set(failures) == {("f1", "dt")}
             assert failures[("f1", "dt")] == \
                 "fold 0: all 3 search trials failed; trial 0: synthetic failure"
+
+    def test_refit_refusal_names_its_feature_by_header(self, monkeypatch):
+        # only the refit on the whole outer training split refuses the feature,
+        # so no search message names it first
+        import smoothbench.harness.nested_cv as ncv
+        real_fit = ncv.fit_model
+        gen_ds = gen("friedman1", n=45, noise_std=0.3, seed=4)
+        ds = Dataset(gen_ds.X, gen_ds.y, ("a", "b", "c", "d", "e"))
+        cfg = BenchRunConfig(outer_k=3, outer_seed=5, search_seed=2, trial_budgets={"dt": 2})
+        plan = kfold_split(ds.n, cfg.outer_k, cfg.outer_seed)
+        outer_train_sizes = {ds.n - len(plan.test_indices(f)) for f in range(cfg.outer_k)}
+
+        def refit_refuses(kind, X, y, params, seed=0, ctx=None):
+            if X.shape[0] in outer_train_sizes:
+                raise FeatureError(1, "its range max - min overflows float64")
+            return real_fit(kind, X, y, params, seed=seed, ctx=ctx)
+
+        monkeypatch.setattr(ncv, "fit_model", refit_refuses)
+        results, failures = run_benchmark([("f1", ds)], ["dt"], cfg, parallel=1)
+        assert results == []
+        assert failures == {
+            ("f1", "dt"): "fold 0: feature 'b': its range max - min overflows float64"}
 
 
     def test_non_finite_score_is_a_failure_and_files_are_strict_json(self, monkeypatch,
