@@ -70,7 +70,7 @@ class RegressionTree:
 
     @property
     def leaf_ids(self) -> list[int]:
-        return [i for i in range(self.n_nodes) if self.feature[i] < 0]
+        return np.flatnonzero(self.feature < 0).tolist()
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[cart_route(self, X)]
@@ -160,10 +160,8 @@ def cart_fit(
         left.append(-1)
         right.append(-1)
         value.append(nodes.scale * node.mean)
-        if depth >= max_depth or m < msp or m < 2 * msl or node.constant:
-            leaf_rows[idx] = node.rows
-            return idx
-        split = window_split(nodes.maxima(node), msl)
+        stop = depth >= max_depth or m < msp or m < 2 * msl or node.constant
+        split = None if stop else window_split(nodes.maxima(node), msl)
         if split is None:
             leaf_rows[idx] = node.rows
             return idx
@@ -343,19 +341,17 @@ def window_split(maxima: tuple, msl: int) -> Optional[tuple]:
 
 
 def cart_route(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
-    """Leaf node index for every row of X."""
+    """Leaf node index for every row of X, one pass per depth level (a NaN goes right).
+
+    Children come after their parent (from_dict checks it), so the passes end.
+    """
     X = np.asarray(X, dtype=np.float64)
-    out = np.empty(X.shape[0], dtype=np.int64)
-    stack = [(0, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
+    out = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    while rows.size:
+        node = out[rows]
         f = tree.feature[node]
-        if f < 0:
-            out[idx] = node
-            continue
-        go_left = X[idx, f] <= tree.threshold[node]
-        stack.append((int(tree.left[node]), idx[go_left]))
-        stack.append((int(tree.right[node]), idx[~go_left]))
+        inner = f >= 0
+        rows, node, f = rows[inner], node[inner], f[inner]
+        out[rows] = np.where(X[rows, f] <= tree.threshold[node], tree.left[node], tree.right[node])
     return out

@@ -165,7 +165,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    with open(args.model_file, "r", encoding="utf-8") as fh:
+    with open(args.model_file, "r", encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"model file: expected a JSON object, got {type(doc).__name__}")
@@ -240,7 +240,7 @@ def _load_bench_config(path: str) -> Tuple[dict, BenchRunConfig]:
 
     An unknown key or a value of the wrong type raises ValueError naming the key.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         cfg = json.load(fh)
     run_keys = [f.name for f in fields(BenchRunConfig)]
     _check_keys("", cfg, list(BENCH_KEYS) + run_keys)

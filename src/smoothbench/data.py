@@ -349,11 +349,7 @@ def kfold_split(n: int, k: int, seed: int) -> FoldPlan:
     perm = rng.permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     base, extra = divmod(n, k)
-    start = 0
-    for f in range(k):
-        size = base + (1 if f < extra else 0)
-        assignments[perm[start:start + size]] = f
-        start += size
+    assignments[perm] = np.repeat(np.arange(k), base + (np.arange(k) < extra))
     return FoldPlan(outer_k=k, assignments=assignments)
 
 

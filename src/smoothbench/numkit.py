@@ -42,19 +42,23 @@ def ridge_solve(Phi: np.ndarray, y: np.ndarray, alpha: float) -> Tuple[np.ndarra
 
 
 def _ridge_cholesky(A: np.ndarray, alpha: float) -> np.ndarray:
-    """Lower Cholesky factor of A + alpha I, retried once with a jittered diagonal.
+    """Lower Cholesky factor of A + alpha I, for one (p, p) matrix or a (k, p, p) stack.
 
-    alpha is added to A's diagonal in place. The retry adds
-    1e-10 * trace(A) / p to alpha, on the original diagonal; a second
-    failure raises.
+    alpha is added to A's diagonal in place. A stack that fails to factor gets
+    its diagonals back and is factored one matrix at a time. A matrix that
+    fails is retried once with 1e-10 * trace(A) / p added to alpha, on its
+    original diagonal; a second failure raises.
     """
-    p = A.shape[0]
+    p = A.shape[-1]
     idx = np.arange(p)
-    diag = A[idx, idx]
-    A[idx, idx] = diag + alpha
+    diag = A[..., idx, idx]
+    A[..., idx, idx] = diag + alpha
     try:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
+        if A.ndim == 3:
+            A[..., idx, idx] = diag  # each matrix retries from its own Gram matrix
+            return np.stack([_ridge_cholesky(a, alpha) for a in A])
         jitter = 1e-10 * diag.sum() / p if p else 0.0
         A[idx, idx] = diag + (alpha + jitter)
         try:
@@ -102,14 +106,7 @@ def ridge_solve_segments(
         Xc = Phi[s:e] - col_means[j]
         np.matmul(Xc.T, Xc, out=A[j])
         np.matmul(Xc.T, y[s:e] - y_means[j], out=b[j])
-    idx = np.arange(p)
-    diag = A[:, idx, idx]
-    A[:, idx, idx] = diag + alpha
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        A[:, idx, idx] = diag  # each segment retries from its own Gram matrix
-        L = np.stack([_ridge_cholesky(a, alpha) for a in A])
+    L = _ridge_cholesky(A, alpha)
     # the stacked substitution is 2-5x slower than _cho_solve on one system
     w = _cho_solve(L[0], b[0])[None] if k == 1 else _cho_solve_stacked(L, b)
     intercepts = y_means - np.matmul(col_means[:, None, :], w[:, :, None])[:, 0, 0]

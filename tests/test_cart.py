@@ -305,15 +305,41 @@ def test_routing_is_le_left_convention():
     assert tree.predict(np.array([[np.nextafter(thr, 2)]]))[0] == 1.0
 
 
+def _walk(tree, x):
+    """The leaf one row reaches, following left / right from the root."""
+    node = 0
+    while tree.feature[node] >= 0:
+        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return node
+
+
 def test_route_partitions_any_query_set():
     rng = np.random.default_rng(67)
     X = rng.normal(size=(120, 3))
+    X[:, 2] = rng.integers(0, 4, size=120)  # ties
     y = rng.normal(size=120)
-    tree = cart_fit(X, y, max_depth=4)
-    Q = rng.normal(size=(300, 3)) * 3
-    leaves = cart_route(tree, Q)
-    leaf_set = set(tree.leaf_ids)
-    assert all(int(l) in leaf_set for l in leaves)
+    for max_depth in (0, 4, 20):
+        fitted = cart_fit(X, y, max_depth=max_depth, min_samples_leaf=1)
+        copy = RegressionTree.from_dict(fitted.to_dict(), 3)
+        inner = np.flatnonzero(fitted.feature >= 0)
+        on_threshold = X[:inner.size].copy()  # row i sits on inner node i's threshold
+        on_threshold[np.arange(inner.size), fitted.feature[inner]] = fitted.threshold[inner]
+        wide = rng.normal(size=(300, 3)) * 3
+        wide[rng.random(wide.shape) < 0.1] = np.nan
+        Q = np.vstack([wide, on_threshold, X])
+        for tree in (fitted, copy):
+            leaves = cart_route(tree, Q)
+            assert leaves.dtype == np.int64
+            assert leaves.tolist() == [_walk(tree, q) for q in Q]
+            assert set(leaves.tolist()) <= set(tree.leaf_ids)
+            for rows in (Q[:0], Q[:1]):
+                assert cart_route(tree, rows).tolist() == [_walk(tree, q) for q in rows]
+        # the grower's partition of the training rows is the router's
+        assert sorted(fitted.leaf_rows) == fitted.leaf_ids
+        routed = cart_route(fitted, X)
+        for leaf, rows in fitted.leaf_rows.items():
+            assert np.array_equal(np.flatnonzero(routed == leaf), rows)
+    assert fitted.n_nodes > 31  # the depth-20 tree is deeper than the depth-4 one
 
 
 def test_node_values_are_row_means():

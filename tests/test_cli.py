@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -501,7 +502,8 @@ class TestFitPredict:
 
     def test_fit_and_predict_read_a_utf8_byte_order_mark(self, tmp_path):
         # spreadsheets save "CSV UTF-8" with a BOM; it is no part of the first
-        # header name, whether that is the target or a feature
+        # header name, whether that is the target or a feature, and a model
+        # file saved with one reads as the file without it
         ds = _write_dataset(tmp_path / "feature_first.csv", n=50)
         with open(tmp_path / "feature_first.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -519,12 +521,14 @@ class TestFitPredict:
             assert main(["fit", "--model", "ridge", "--data", str(fit_data), "--target", "y",
                          "--out", str(model_path)]) == 0
             assert json.loads(model_path.read_text())["feature_names"] == list(ds.feature_names)
-            for data in files:
+            model_bom = tmp_path / f"{fit_data.stem}_model_bom.json"
+            model_bom.write_bytes(b"\xef\xbb\xbf" + model_path.read_bytes())
+            for model_file, data in itertools.product((model_path, model_bom), files):
                 out = tmp_path / "p.csv"
-                assert main(["predict", "--model-file", str(model_path), "--data", str(data),
+                assert main(["predict", "--model-file", str(model_file), "--data", str(data),
                              "--out", str(out)]) == 0
                 preds.append(out.read_bytes())
-        assert len(preds) == 16 and len(set(preds)) == 1
+        assert len(preds) == 32 and len(set(preds)) == 1
 
     @pytest.mark.parametrize("corrupt, message", [
         # a row of the wrong width
@@ -919,6 +923,17 @@ def _bench_config(tmp_path, csv_path):
     }
 
 
+def _masked_records(out_dir):
+    """The records of out_dir/results.jsonl without their timing fields."""
+    recs = []
+    for line in (out_dir / "results.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        for field in ("tune_seconds", "train_seconds", "predict_ms_per_1k"):
+            rec.pop(field, None)
+        recs.append(rec)
+    return recs
+
+
 class TestBenchReport:
     def test_bench_writes_all_outputs(self, tmp_path, capsys):
         csv_path = tmp_path / "file_ds.csv"
@@ -968,18 +983,26 @@ class TestBenchReport:
             out_dir = tmp_path / run
             assert main(["bench", "--config", str(config),
                          "--out-dir", str(out_dir)]) == 0
-            recs = []
-            for line in (out_dir / "results.jsonl").read_text().splitlines():
-                rec = json.loads(line)
-                for field in ("tune_seconds", "train_seconds", "predict_ms_per_1k"):
-                    rec.pop(field, None)
-                recs.append(rec)
-            outs.append(recs)
+            outs.append(_masked_records(out_dir))
         assert outs[0] == outs[1]
         assert (tmp_path / "a" / "rank_table.csv").read_bytes() == \
                (tmp_path / "b" / "rank_table.csv").read_bytes()
         assert (tmp_path / "a" / "scores_table.csv").read_bytes() == \
                (tmp_path / "b" / "scores_table.csv").read_bytes()
+
+    def test_bench_reads_a_config_with_a_utf8_byte_order_mark(self, tmp_path):
+        text = json.dumps({
+            "datasets": [{"synthetic": "friedman1", "name": "syn", "n": 40, "seed": 3}],
+            "models": ["ridge"], "outer_k": 2, "trial_budgets": {"ridge": 1},
+        }).encode("utf-8")
+        outs = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            config = tmp_path / f"{name}.json"
+            config.write_bytes(data)
+            out_dir = tmp_path / name
+            assert main(["bench", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+            outs.append(_masked_records(out_dir))
+        assert len(outs[0]) == 2 and outs[0] == outs[1]
 
     def test_report_model_filter(self, tmp_path):
         csv_path = tmp_path / "file_ds.csv"
