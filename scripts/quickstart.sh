@@ -2,7 +2,8 @@
 # Runs the README quick start from this source checkout, in a temporary
 # directory, as `python -m smoothbench.cli`; stops at the first command that
 # fails. It also checks that `report` rebuilds `bench`'s three report files
-# byte for byte.
+# byte for byte, and that `predict`, `bench` and `report`, run again onto
+# their existing outputs, write the bytes of their first outputs.
 #
 # Usage: scripts/quickstart.sh   (needs python with numpy)
 set -euo pipefail
@@ -31,5 +32,20 @@ smoothbench bench --config bench.json --out-dir results/
 smoothbench report --results results/results.jsonl --out-dir rebuilt/
 for f in report.json rank_table.csv scores_table.csv; do
     cmp "results/$f" "rebuilt/$f"
+done
+
+cp preds.csv first-preds.csv
+cp -r results first-results
+cp -r rebuilt first-rebuilt
+smoothbench predict --model-file tuned.json --data train.csv --out preds.csv
+cmp first-preds.csv preds.csv
+smoothbench bench --config bench.json --out-dir results/
+# results.jsonl and report.json hold the run's timings; the tables do not
+for f in rank_table.csv scores_table.csv; do
+    cmp "first-results/$f" "results/$f"
+done
+smoothbench report --results first-results/results.jsonl --out-dir rebuilt/
+for f in report.json rank_table.csv scores_table.csv; do
+    cmp "first-rebuilt/$f" "rebuilt/$f"
 done
 echo "quick start: every command behaved as documented"

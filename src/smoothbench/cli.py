@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .data import (Dataset, FeatureError, column_medians, drop_quasi_constant, error_message,
-                   impute_median, load_csv, read_array, subsample, write_csv, write_table)
+                   impute_median, load_csv, open_output, read_array, subsample, write_csv,
+                   write_table)
 from .harness import (
     BenchRunConfig,
     build_report,
@@ -156,7 +157,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         text = json.dumps(doc, allow_nan=False)
     except ValueError as exc:
         raise ValueError(f"model file: {exc}; {args.out} not written") from None
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open_output(args.out) as fh:
         fh.write(text + "\n")
     preds = predict_model(args.model, model, ds.X, clip)
     print(f"fit {args.model} on {args.data}: n={ds.n} d={ds.d} "

@@ -11,6 +11,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..data import open_output
 from .nested_cv import FoldResult
 from .stats import MATCH_THRESHOLD, friedman_test, matched_gap_wins, nemenyi_cd, rank_matrix
 
@@ -37,12 +38,12 @@ def write_results_jsonl(
     """
     head = {"schema_version": SCHEMA_VERSION}
     # every line is serialised before the file is opened, so a refused number
-    # leaves no partial file
+    # leaves any earlier file as it was
     lines = [json.dumps({"record": "fold", **head, **asdict(fr)}, allow_nan=False) + "\n"
              for fr in fold_results]
     lines += [json.dumps({"record": "failure", **head, "dataset": ds_name, "model": model,
                           "error": error}) + "\n" for (ds_name, model), error in failures.items()]
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.writelines(lines)
 
 
@@ -238,7 +239,7 @@ def write_report_files(out_dir: str, report: dict) -> List[str]:
     text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with open_output(report_path) as fh:
         fh.write(text)
     paths = [report_path]
 
@@ -246,7 +247,7 @@ def write_report_files(out_dir: str, report: dict) -> List[str]:
     for fname, table in (("rank_table.csv", report["ranks"]),
                          ("scores_table.csv", report["scores"])):
         path = os.path.join(out_dir, fname)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with open_output(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["dataset"] + cols)
             for d in report["datasets"]:

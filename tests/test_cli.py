@@ -12,6 +12,8 @@ import io
 import itertools
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -319,6 +321,11 @@ class TestFitPredict:
                      "--out", str(model_path)]) == 1
         assert "model file: Out of range float values" in capsys.readouterr().err
         assert not model_path.exists()
+        # nor does it touch an earlier file
+        model_path.write_bytes(b'{"earlier": true}\n')
+        assert main(["fit", "--model", "ridge", "--data", str(data), "--target", "y",
+                     "--out", str(model_path)]) == 1
+        assert model_path.read_bytes() == b'{"earlier": true}\n'
 
     def test_max_samples_subsamples_training_data(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
@@ -900,6 +907,106 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert "smoothbench" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# outputs: data.open_output replaces a file instead of truncating it
+
+
+def _fit_ridge(data, out, alpha=0.5):
+    return main(["fit", "--model", "ridge", "--data", str(data), "--target", "y",
+                 "--out", str(out), "--param", f"alpha={alpha}"])
+
+
+def _predict(model, data, out):
+    return main(["predict", "--model-file", str(model), "--data", str(data),
+                 "--out", str(out)])
+
+
+class TestOutputs:
+    def test_a_rewrite_replaces_the_file_with_the_same_bytes(self, tmp_path):
+        data = tmp_path / "train.csv"
+        _write_dataset(data)
+        model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+
+        def run(alpha):
+            assert _fit_ridge(data, model, alpha) == 0
+            assert _predict(model, data, preds) == 0
+            return model.read_bytes(), preds.read_bytes()
+
+        first = run(0.5)
+        with open(model, "rb") as old_model, open(preds, "rb") as old_preds:
+            other = run(50.0)
+            assert other[0] != first[0] and other[1] != first[1]
+            # a truncated and rewritten file would show these handles the new bytes
+            assert (old_model.read(), old_preds.read()) == first
+        assert run(0.5) == first
+
+    def test_bench_and_report_rewrite_their_outputs_with_the_same_bytes(self, tmp_path):
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({
+            "datasets": [{"synthetic": "friedman1", "name": "syn", "n": 40, "seed": 3}],
+            "models": ["ridge", "dt"], "outer_k": 2, "trial_budgets": {"ridge": 1, "dt": 1},
+        }))
+        out = tmp_path / "out"
+        names = ("report.json", "rank_table.csv", "scores_table.csv")
+        assert main(["bench", "--config", str(config), "--out-dir", str(out)]) == 0
+        first = {name: (out / name).read_bytes() for name in names}
+        records = _masked_records(out)
+        for _ in range(2):  # onto bench's report files, then onto report's own
+            assert main(["report", "--results", str(out / "results.jsonl"),
+                         "--out-dir", str(out)]) == 0
+            assert {name: (out / name).read_bytes() for name in names} == first
+        assert main(["bench", "--config", str(config), "--out-dir", str(out)]) == 0
+        assert _masked_records(out) == records
+        # report.json holds the run's timings; the tables do not
+        for name in ("rank_table.csv", "scores_table.csv"):
+            assert (out / name).read_bytes() == first[name], name
+
+    def test_out_may_be_the_null_device(self, tmp_path):
+        data = tmp_path / "train.csv"
+        _write_dataset(data)
+        model = tmp_path / "model.json"
+        assert _fit_ridge(data, model) == 0
+        assert _fit_ridge(data, os.devnull) == 0
+        assert _predict(model, data, os.devnull) == 0
+        assert main(["gen", "--kind", "friedman1", "--n", "20", "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
+
+    @pytest.mark.parametrize("link", ["symlink", "hard link"])
+    def test_a_linked_out_is_written_in_place(self, tmp_path, link):
+        data = tmp_path / "train.csv"
+        _write_dataset(data)
+        model, plain = tmp_path / "model.json", tmp_path / "plain.csv"
+        assert _fit_ridge(data, model) == 0
+        assert _predict(model, data, plain) == 0
+        target, out = tmp_path / "target.csv", tmp_path / "out.csv"
+        target.write_text("old\n")
+        if link == "symlink":
+            out.symlink_to(target)
+        else:
+            os.link(target, out)
+        assert _predict(model, data, out) == 0
+        assert out.is_symlink() == (link == "symlink")
+        assert target.read_bytes() == out.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("command", ["gen", "fit", "predict"])
+    def test_an_out_that_cannot_be_a_file_exits_1_naming_it(self, tmp_path, capsys, command):
+        data, model = tmp_path / "train.csv", tmp_path / "model.json"
+        _write_dataset(data)
+        assert _fit_ridge(data, model) == 0
+        (tmp_path / "adir").mkdir()
+        for out in (tmp_path / "adir", tmp_path / "missing" / "out.csv"):
+            argv = {"gen": ["gen", "--kind", "friedman1", "--n", "20", "--out", str(out)],
+                    "fit": ["fit", "--model", "ridge", "--data", str(data), "--target", "y",
+                            "--out", str(out)],
+                    "predict": ["predict", "--model-file", str(model), "--data", str(data),
+                                "--out", str(out)]}[command]
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert str(out) in capsys.readouterr().err
+        assert (tmp_path / "adir").is_dir() and not any((tmp_path / "adir").iterdir())
+        assert not (tmp_path / "missing").exists()
 
 
 # ---------------------------------------------------------------------------

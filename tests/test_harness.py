@@ -1010,6 +1010,19 @@ class TestNestedCVFailure:
             with pytest.raises(ValueError, match="not JSON compliant"):
                 write_report_files(str(tmp_path), report)
             assert not (tmp_path / "report.json").exists()
+        # nor do they touch earlier files
+        write_results_jsonl(str(path), [_fold("d", "m", 0, adj=0.5)], {})
+        report = build_report([_fold("d", "m", 0, adj=0.5)], {})
+        write_report_files(str(tmp_path), report)
+        files = [path] + [tmp_path / name
+                          for name in ("report.json", "rank_table.csv", "scores_table.csv")]
+        before = [f.read_bytes() for f in files]
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_results_jsonl(str(path), [_fold("d", "m", 0, adj=math.nan)], {})
+        report["nemenyi_cd"] = math.nan
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_report_files(str(tmp_path), report)
+        assert [f.read_bytes() for f in files] == before
 
 
 class TestTune:
